@@ -10,18 +10,43 @@ chosen from the window's dynamic range, so deep windows stay meaningful.
 Elimination is sparse (dict rows) without pivoting; the systems are symmetric
 M-matrices, whose Schur complements stay M-matrices, so pivots never vanish.
 Unknowns are eliminated far-to-near (descending level), which keeps layered
-families banded.
+families banded; a column-to-rows index makes each column visit only the rows
+that hold an entry in it, so elimination costs O(nnz + fill).
+
+mpmath's precision is scoped to each step and never left changed: a solve
+runs at its field's precision, and edge sums over hi values run at
+``EDGE_SUM_DPS``.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 
 from .errors import SingularSystem
+
+
+# Edge sums over hi values (energies, Laplacian residuals, boundary sums) run
+# at this fixed precision. Their inputs keep the full solve precision and
+# mpmath rounds each difference of two inputs once, from its exact value, so
+# the float64 results keep every digit.
+EDGE_SUM_DPS = 50
+
+
+def workdps(dps):
+    """Scope mpmath's precision to ``dps`` digits; None scopes nothing."""
+    return nullcontext() if dps is None else mp.workdps(dps)
+
+
+def to_mpf(fr: Fraction):
+    """Fraction -> mpf at the current precision."""
+    if fr.denominator == 1:
+        return mp.mpf(fr.numerator)
+    return mp.mpf(fr.numerator) / mp.mpf(fr.denominator)
 
 
 def dynamic_range(net, edge_mask):
@@ -55,6 +80,7 @@ def auto_dps(net, edge_mask, n_unknowns):
 class FractionField:
     name = "fraction"
     zero = Fraction(0)
+    dps = None
 
     @staticmethod
     def conv(fr: Fraction):
@@ -72,9 +98,7 @@ class MPField:
         self.dps = dps
         self.zero = mp.mpf(0)
 
-    @staticmethod
-    def conv(fr: Fraction):
-        return mp.mpf(fr.numerator) / mp.mpf(fr.denominator)
+    conv = staticmethod(to_mpf)
 
     @staticmethod
     def to_float(x):
@@ -93,7 +117,8 @@ def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
         the unknowns (wired semantics); ``pin`` fixes one vertex at 0 for the
         otherwise-singular free system.
     rhs : dict vertex -> number
-    field : FractionField or MPField; mp precision must be set by the caller.
+    field : FractionField or MPField; run the solve inside
+        ``workdps(field.dps)``.
 
     Returns a dict vertex -> field value covering the window.
     """
@@ -134,20 +159,35 @@ def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
         val = rhs.get(v, 0)
         bvec.append(field.conv(Fraction(val)) if val else zero)
 
+    # rows[c] lists the rows r > c that hold an entry in column c; fill-in is
+    # added as it is created, so each column visits only its own rows
+    rows = [[] for _ in range(n)]
+    for r, row in enumerate(A):
+        for c in row:
+            if c < r:
+                rows[c].append(r)
     for col in range(n):
         piv = A[col].get(col, zero)
         if piv == 0:
             raise SingularSystem("zero pivot; window may be disconnected")
-        for r in range(col + 1, n):
-            f = A[r].get(col)
+        pivot_row = [(c2, val) for c2, val in A[col].items() if c2 > col]
+        for r in sorted(rows[col]):
+            Ar = A[r]
+            f = Ar.get(col)
             if not f:
                 continue
             f = f / piv
-            for c2, val in A[col].items():
-                if c2 > col:
-                    A[r][c2] = A[r].get(c2, zero) - f * val
-            A[r].pop(col, None)
+            for c2, val in pivot_row:
+                old = Ar.get(c2)
+                if old is None:
+                    Ar[c2] = zero - f * val
+                    if c2 < r:
+                        rows[c2].append(r)
+                else:
+                    Ar[c2] = old - f * val
+            del Ar[col]
             bvec[r] = bvec[r] - f * bvec[col]
+        rows[col] = None
 
     x = [zero] * n
     for r in range(n - 1, -1, -1):
@@ -165,12 +205,3 @@ def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
         sol[pin] = zero
     return sol
 
-
-def hi_energy(net, window, hu, hv, field):
-    """Energy inner product of two hi-value dicts over the window's edges."""
-    acc = field.zero
-    for k in np.flatnonzero(window.edge_mask):
-        a, b = int(net.ei[k]), int(net.ej[k])
-        c = field.conv(net.exact_conductance(int(k)))
-        acc = acc + c * (hu[a] - hu[b]) * (hv[a] - hv[b])
-    return acc

@@ -24,7 +24,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .energy import Potential, energy
+from . import _hifi
+from .energy import Potential, energy, potential_difference
 from .errors import InvalidParameters, NotHarmonic
 from .network import default_exhaustion, generator_for
 from .solver import solve_dipole_level
@@ -43,7 +44,10 @@ def _view_laplacian_values(pot: Potential, view):
 
 
 def _view_laplacian_hi(pot: Potential, view):
-    """Same in the potential's hi field; returns dict vertex -> value."""
+    """Same in the potential's hi field; returns dict vertex -> value.
+
+    Call it inside ``workdps(EDGE_SUM_DPS)``.
+    """
     net = pot.net
     verts = pot.window.vertices
     pos = {int(v): i for i, v in enumerate(verts)}
@@ -51,8 +55,7 @@ def _view_laplacian_hi(pot: Potential, view):
     for k in np.flatnonzero(view.edge_mask):
         a, b = int(net.ei[k]), int(net.ej[k])
         c = net.exact_conductance(int(k))
-        cf = mp.mpf(c.numerator) / mp.mpf(c.denominator) \
-            if not isinstance(pot.hi[0], Fraction) else c
+        cf = _hifi.to_mpf(c) if not isinstance(pot.hi[0], Fraction) else c
         flow = cf * (pot.hi[pos[a]] - pot.hi[pos[b]])
         out[a] = out.get(a, 0) + flow
         out[b] = out.get(b, 0) - flow
@@ -189,20 +192,18 @@ def boundary_sum_harmonic(source, u_values, x, levels=30, exhaustion=None,
             continue
         v = solve_dipole_level(view, x, bc="free", lane=lane)
         f = solve_dipole_level(view, x, bc="wired", lane=lane)
-        if v.hi is not None and f.hi is not None:
-            h = Potential(net, v.values - f.values, view, pinned=True,
-                          hi=[a - b for a, b in zip(v.hi, f.hi)])
-            lap = _view_laplacian_hi(h, view)
-            s = mp.mpf(0)
-            for bvert in view.bd:
-                bv = int(bvert)
-                if bv in lap:
-                    s += mp.mpf(float(getter(bv))) * lap[bv]
+        h = potential_difference(v, f)
+        if h.hi is not None:
+            with _hifi.workdps(_hifi.EDGE_SUM_DPS):
+                lap = _view_laplacian_hi(h, view)
+                s = mp.mpf(0)
+                for bvert in view.bd:
+                    bv = int(bvert)
+                    if bv in lap:
+                        s += mp.mpf(float(getter(bv))) * lap[bv]
             rep.radii.append(int(radius))
             rep.sums.append(float(s))
         else:
-            hvals = v.values - f.values
-            h = Potential(net, hvals, view, pinned=True)
             lap = _view_laplacian_values(h, view)
             s = float(np.sum([float(getter(int(bv))) * lap[int(bv)]
                               for bv in view.bd]))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -113,11 +114,12 @@ def _emit(report, args, failed=False):
         mc_samples=getattr(args, "samples", 100_000),
         truncation_N=getattr(args, "N", 20),
         out=getattr(args, "out", ""),
-        workers=int(os.environ.get("RESBDY_THREADS", "1")),
+        workers=_workers(),
     )
     doc = {"schema": SCHEMA, "config": cfg.to_dict(), "report": report,
            "pass": not failed}
-    text = json.dumps(doc, sort_keys=True, indent=2, default=_json_default)
+    text = json.dumps(_finite(doc), sort_keys=True, indent=2, allow_nan=False,
+                      default=_json_default)
     if getattr(args, "out", ""):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -126,11 +128,27 @@ def _emit(report, args, failed=False):
     return 2 if failed else 0
 
 
+def _workers():
+    """Sampling workers: RESBDY_THREADS clamped to [1, 64]."""
+    return max(1, min(int(os.environ.get("RESBDY_THREADS", "1")), 64))
+
+
+def _finite(x):
+    """Copy of a report with every non-finite float replaced by None (JSON null)."""
+    if isinstance(x, (float, np.floating)):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return _finite(x.tolist())
+    return x
+
+
 def _json_default(x):
     if isinstance(x, (np.floating, np.integer)):
         return x.item()
-    if isinstance(x, np.ndarray):
-        return x.tolist()
     if isinstance(x, complex):
         return {"re": x.real, "im": x.imag}
     raise TypeError(f"not JSON serializable: {type(x)}")
@@ -299,8 +317,7 @@ def cmd_paths(args):
 
 
 def cmd_wiener(args):
-    workers = max(1, min(int(os.environ.get("RESBDY_THREADS", "1")), 64))
-    ens = wmod.sample_ensemble(args.N, args.samples, args.seed, workers=workers)
+    ens = wmod.sample_ensemble(args.N, args.samples, args.seed, workers=_workers())
     rng = np.random.Generator(np.random.Philox(key=args.seed + 1))
     results = []
     failed = False
@@ -386,7 +403,9 @@ def cmd_walk(args):
     ref = hitting_reference(view, args.start, args.target,
                             absorber=args.absorber)
     est.reference = float(ref)
-    failed = abs(est.estimate - ref) > 4 * max(est.stderr, 1e-12)
+    # with no absorbed walk there is no estimate, and NaN must not pass
+    failed = est.absorbed == 0 or \
+        not abs(est.estimate - ref) <= 4 * max(est.stderr, 1e-12)
     return _emit(est.to_dict(), args, failed=failed)
 
 

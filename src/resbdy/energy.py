@@ -9,9 +9,12 @@ truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 
+from . import _hifi
 from .errors import DomainMismatch, MissingNeighborValue, NotBoundaryVertex
 from .network import Network
 
@@ -26,18 +29,23 @@ class SubgraphView:
 
     def __init__(self, net: Network, vertices):
         self.net = net
-        self.vertices = np.unique(np.asarray(vertices, dtype=np.int64))
+        vertices = np.array(vertices, dtype=np.int64).ravel()
+        # ball and full views arrive sorted and duplicate-free
+        if np.any(vertices[1:] <= vertices[:-1]):
+            vertices = np.unique(vertices)
+        self.vertices = vertices
         self.mask = np.zeros(net.n, dtype=bool)
-        self.mask[self.vertices] = True
-        pattern = net.adjacency.copy()
-        pattern.data = np.ones_like(pattern.data)
-        outside_nbrs = pattern @ (~self.mask).astype(np.float64)
-        bd_mask = self.mask & ((outside_nbrs > 0))
+        self.mask[vertices] = True
+        in_i, in_j = self.mask[net.ei], self.mask[net.ej]
+        # a vertex is on the boundary when one of its edges leaves H
+        bd_mask = np.zeros(net.n, dtype=bool)
+        bd_mask[net.ei[in_i & ~in_j]] = True
+        bd_mask[net.ej[in_j & ~in_i]] = True
         bd_mask[net.frontier] |= self.mask[net.frontier]
         self.bd_mask = bd_mask
         self.bd = np.flatnonzero(bd_mask)
         self.interior = np.flatnonzero(self.mask & ~bd_mask)
-        self.edge_mask = self.mask[net.ei] & self.mask[net.ej]
+        self.edge_mask = in_i & in_j
 
     @property
     def n_inside(self):
@@ -61,7 +69,8 @@ class Potential:
     ``values`` spans the whole ambient network for indexing convenience;
     entries outside ``window`` are zero filler and carry no meaning. When the
     high-precision lane produced the solution, ``hi`` holds exact/mp values
-    aligned with ``window.vertices``.
+    aligned with ``window.vertices``, and ``dps`` the precision (digits) at
+    which mp values were formed (None for Fraction values).
     """
 
     net: Network
@@ -69,6 +78,7 @@ class Potential:
     window: SubgraphView
     pinned: bool = True
     hi: object = None
+    dps: object = None
 
     def value(self, x):
         if not self.window.mask[x]:
@@ -88,12 +98,26 @@ class Potential:
         hi = None
         if self.hi is not None:
             o_pos = np.searchsorted(self.window.vertices, self.net.origin)
-            hi = [v - self.hi[o_pos] for v in self.hi]
-        return Potential(self.net, vals, self.window, pinned=True, hi=hi)
+            with _hifi.workdps(self.dps):
+                hi = [v - self.hi[o_pos] for v in self.hi]
+        return Potential(self.net, vals, self.window, pinned=True, hi=hi,
+                         dps=self.dps)
 
     def to_rows(self):
         """(vertex_index, value) rows restricted to the window."""
         return [(int(v), float(self.values[v])) for v in self.window.vertices]
+
+
+def potential_difference(u: Potential, v: Potential) -> Potential:
+    """u - v on their common window; hi values are formed at the solves' precision."""
+    w = _common_window(u, v)
+    hi = dps = None
+    if u.hi is not None and v.hi is not None:
+        dps = max((d for d in (u.dps, v.dps) if d is not None), default=None)
+        with _hifi.workdps(dps):
+            hi = [a - b for a, b in zip(u.hi, v.hi)]
+    return Potential(u.net, u.values - v.values, w, pinned=u.pinned and v.pinned,
+                     hi=hi, dps=dps)
 
 
 def potential_from_values(net, mapping, window=None, pinned=False):
@@ -133,8 +157,8 @@ def energy(u: Potential, v: Potential) -> float:
     The double sum counts every edge twice, so this evaluates once per edge
     of the common window. Symmetric, bilinear, and nonnegative on u = v.
     When both potentials carry high-precision values the edge sum runs in
-    that field: float64 products c (du)(dv) lose all digits once the window's
-    conductances span more than ~1e15.
+    that field (mp values at ``EDGE_SUM_DPS``): float64 products c (du)(dv)
+    lose all digits once the window's conductances span more than ~1e15.
     """
     w = _common_window(u, v)
     if u.hi is not None and v.hi is not None:
@@ -147,21 +171,21 @@ def energy(u: Potential, v: Potential) -> float:
 
 
 def _energy_hi(u: Potential, v: Potential, w):
-    from fractions import Fraction as _F
-
-    import mpmath as mp
-
     net = u.net
-    verts = w.vertices
-    pos = {int(x): i for i, x in enumerate(verts)}
-    as_fraction = isinstance(u.hi[0], _F) and isinstance(v.hi[0], _F)
-    acc = _F(0) if as_fraction else mp.mpf(0)
-    for k in np.flatnonzero(w.edge_mask):
-        a, b = int(net.ei[k]), int(net.ej[k])
-        c = net.exact_conductance(int(k))
-        if not as_fraction:
-            c = mp.mpf(c.numerator) / mp.mpf(c.denominator)
-        acc = acc + c * (u.hi[pos[a]] - u.hi[pos[b]]) * (v.hi[pos[a]] - v.hi[pos[b]])
+    edges = np.flatnonzero(w.edge_mask)
+    # hi values are aligned with the sorted window vertices
+    pa = np.searchsorted(w.vertices, net.ei[edges]).tolist()
+    pb = np.searchsorted(w.vertices, net.ej[edges]).tolist()
+    uh, vh = u.hi, v.hi
+    as_fraction = isinstance(uh[0], Fraction) and isinstance(vh[0], Fraction)
+    with _hifi.workdps(_hifi.EDGE_SUM_DPS):
+        acc = Fraction(0) if as_fraction else mp.mpf(0)
+        for k, a, b in zip(edges.tolist(), pa, pb):
+            c = net.exact_conductance(k)
+            if not as_fraction:
+                c = _hifi.to_mpf(c)
+            du = uh[a] - uh[b]
+            acc = acc + c * du * (du if vh is uh else vh[a] - vh[b])
     return acc
 
 

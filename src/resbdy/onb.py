@@ -11,15 +11,17 @@ construction self-checking: M[i, j] equals the Laplacian of eps_i at x_j,
 E[i, j] equals eps_j(x_i) - eps_j(o), E E^T reproduces the Gram matrix of the
 kernels, and the mixed sum over j <= k <= i collapses to the Kronecker delta.
 
-Construction runs in high precision whenever the kernels carry hi values; the
-public matrices are float64 with the deviations of all identity checks
-evaluated in the construction field. The float64 route is kept for
+Construction runs in high precision whenever the kernels carry hi values, at
+25 digits above the kernels' solve precision; the public matrices are float64
+with the deviations of all identity checks evaluated in the construction
+field, at the recorded construction precision. The float64 route is kept for
 well-conditioned inputs but cannot meet tight tolerances once the window's
 conductances span many orders of magnitude.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,6 +50,7 @@ class OnbSystem:
     orth_dev: float
     pivot_min: float
     field: str                 # "float64", "mp", or "fraction-sourced mp"
+    dps: object = None         # mp construction precision (digits), if hi-built
     _hi: object = None         # (eps columns, M, E, V) in mp when hi-built
 
     @property
@@ -59,7 +62,8 @@ class OnbSystem:
         vals = np.zeros(self.net.n)
         vals[self.window.vertices] = self.eps[:, k - 1]
         hi = self._hi.eps[k - 1] if self._hi is not None else None
-        return Potential(self.net, vals, self.window, pinned=True, hi=hi)
+        return Potential(self.net, vals, self.window, pinned=True, hi=hi,
+                         dps=self.dps)
 
 
 class _MPOnb:
@@ -76,8 +80,7 @@ def _mp_edges(net, window):
     out = []
     for k in np.flatnonzero(window.edge_mask):
         c = net.exact_conductance(int(k))
-        out.append((pos[int(net.ei[k])], pos[int(net.ej[k])],
-                    mp.mpf(c.numerator) / mp.mpf(c.denominator)))
+        out.append((pos[int(net.ei[k])], pos[int(net.ej[k])], _hifi.to_mpf(c)))
     return out, pos
 
 
@@ -104,22 +107,23 @@ def gram_schmidt(kernels, enumeration, degeneracy_tol=DEGENERACY_TOL,
     net, window = kernels[0].net, kernels[0].window
     use_hi = all(k.hi is not None for k in kernels)
     if use_hi:
-        mp.mp.dps = _hifi.auto_dps(net, window.edge_mask,
-                                   len(window.vertices)) + 25
-        return _gram_schmidt_mp(kernels, enumeration, net, window,
-                                degeneracy_tol, reorth_threshold)
+        dps = _hifi.auto_dps(net, window.edge_mask, len(window.vertices)) + 25
+        with mp.workdps(dps):
+            return _gram_schmidt_mp(kernels, enumeration, net, window,
+                                    degeneracy_tol, reorth_threshold, dps)
     return _gram_schmidt_float(kernels, enumeration, net, window,
                                degeneracy_tol, reorth_threshold)
 
 
-def _gram_schmidt_mp(kernels, xs, net, window, degeneracy_tol, reorth_threshold):
+def _gram_schmidt_mp(kernels, xs, net, window, degeneracy_tol, reorth_threshold,
+                     dps):
     edges, pos = _mp_edges(net, window)
     N = len(kernels)
     cols = []
     for k in kernels:
         cols.append([v if isinstance(v, mp.mpf) else
-                     mp.mpf(v.numerator) / mp.mpf(v.denominator)
-                     if isinstance(v, Fraction) else mp.mpf(v) for v in k.hi])
+                     _hifi.to_mpf(v) if isinstance(v, Fraction) else mp.mpf(v)
+                     for v in k.hi])
     nv = len(window.vertices)
     V = [[_mp_energy(edges, cols[i], cols[j]) for j in range(N)] for i in range(N)]
     eps = []
@@ -175,7 +179,7 @@ def _gram_schmidt_mp(kernels, xs, net, window, degeneracy_tol, reorth_threshold)
     return OnbSystem(net=net, window=window, enumeration=list(map(int, xs)),
                      M=to_np(M), E=to_np(E), V=to_np(V), eps=epsf,
                      orth_dev=float(orth), pivot_min=float(pivot_min),
-                     field="mp", _hi=_MPOnb(eps, M, E, V))
+                     field="mp", dps=dps, _hi=_MPOnb(eps, M, E, V))
 
 
 def _gram_schmidt_float(kernels, xs, net, window, degeneracy_tol, reorth_threshold):
@@ -269,6 +273,15 @@ def build_onb(source, N, radius=None, lane="hi", margin=5):
 # -- identity checks ---------------------------------------------------------
 
 
+def _at_onb_precision(check):
+    """Run an identity check at the precision the ONB was built at."""
+    @functools.wraps(check)
+    def run(onb, *args, **kwargs):
+        with _hifi.workdps(onb.dps):
+            return check(onb, *args, **kwargs)
+    return run
+
+
 def _lap_rows_mp(onb):
     """Laplacian action of every eps_k at every enumerated vertex (mp)."""
     net, window = onb.net, onb.window
@@ -285,6 +298,7 @@ def _lap_rows_mp(onb):
     return [[lap[k][xp] for xp in xs] for k in range(N)]
 
 
+@_at_onb_precision
 def entries_M_via_laplacian(onb: OnbSystem):
     """Matrix (Lap eps_i)(x_j) for j <= i, zero above the diagonal.
 
@@ -313,6 +327,7 @@ def entries_M_via_laplacian(onb: OnbSystem):
     return out, float(np.abs(out - onb.M).max())
 
 
+@_at_onb_precision
 def entries_E_via_evaluation(onb: OnbSystem):
     """Matrix eps_j(x_i) - eps_j(o); equals M^{-1}. Returns (matrix, max dev)."""
     N = onb.N
@@ -334,6 +349,7 @@ def entries_E_via_evaluation(onb: OnbSystem):
     return out, float(np.abs(out - onb.E).max())
 
 
+@_at_onb_precision
 def gram_product_check(onb: OnbSystem):
     """Max |(E E^T - V)_{ij}|, E from the construction, V from edge sums."""
     if onb._hi is not None:
@@ -349,6 +365,7 @@ def gram_product_check(onb: OnbSystem):
     return float(np.abs(onb.E @ onb.E.T - onb.V).max())
 
 
+@_at_onb_precision
 def kronecker_sum_check(onb: OnbSystem):
     """Max |sum_{j<=k<=i} (eps_k(x_i)-eps_k(o)) (Lap eps_k)(x_j) - delta_ij|.
 
@@ -379,6 +396,7 @@ def kronecker_sum_check(onb: OnbSystem):
     return float(dev)
 
 
+@_at_onb_precision
 def reconstruction_check(onb: OnbSystem):
     """Max energy-norm error of v_{x_n} = sum_{j<=n} (eps_j(x_n)-eps_j(o)) eps_j.
 

@@ -13,10 +13,12 @@ harmonic inside), so the checks carry the convergence error only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .energy import Potential, energy
+from . import _hifi
+from .energy import Potential, energy, potential_difference
 from .errors import InvalidParameters
 from .network import default_exhaustion, generator_for
 from .solver import ConvergenceReport, energy_kernel, solve_dipole_level
@@ -95,12 +97,8 @@ def royden_split(source, x, exhaustion=None, levels=30, tol=1e-8,
             not np.array_equal(f.window.vertices, deeper.vertices):
         v = solve_dipole_level(deeper, x, bc="free", lane=lane)
         f = solve_dipole_level(deeper, x, bc="wired", lane=lane)
-    window = v.window
-    hvals = v.values - f.values
-    hi = None
-    if v.hi is not None and f.hi is not None:
-        hi = [a - b for a, b in zip(v.hi, f.hi)]
-    h = Potential(v.net, hvals, window, pinned=True, hi=hi)
+    h = potential_difference(v, f)
+    window = h.window
 
     ev, ef, eh = energy(v, v), energy(f, f), energy(h, h)
     cross = energy(f, h)
@@ -126,9 +124,10 @@ def royden_split(source, x, exhaustion=None, levels=30, tol=1e-8,
 def _harm_residual(h: Potential, check_vertices):
     """Max |Lap h| over the given interior vertices.
 
-    Uses the high-precision values when present: float64 Laplacian evaluation
-    loses all meaning once local conductances exceed ~1e12, since the residual
-    error scales like c(x) * eps * |h|.
+    Uses the high-precision values when present (mp values at
+    ``EDGE_SUM_DPS``): float64 Laplacian evaluation loses all meaning once
+    local conductances exceed ~1e12, since the residual error scales like
+    c(x) * eps * |h|.
     """
     if len(check_vertices) == 0:
         return 0.0
@@ -137,31 +136,20 @@ def _harm_residual(h: Potential, check_vertices):
         out = net.laplacian() @ h.values
         return float(np.max(np.abs(out[check_vertices])))
     pos = {int(v): i for i, v in enumerate(window.vertices)}
-    res = {int(v): None for v in check_vertices.tolist()}
-    zero_like = h.hi[0] * 0
-    for v in res:
-        res[v] = zero_like
-    for k in np.flatnonzero(window.edge_mask):
-        a, b = int(net.ei[k]), int(net.ej[k])
-        c = net.exact_conductance(int(k))
-        term = (h.hi[pos[a]] - h.hi[pos[b]])
-        if a in res or b in res:
-            cval = _to_field(c, h.hi[0])
-            flow = cval * term
-            if a in res:
-                res[a] = res[a] + flow
-            if b in res:
-                res[b] = res[b] - flow
-    return float(max(abs(val) for val in res.values()))
-
-
-def _to_field(frac, template):
-    """Fraction -> the field of `template` (mpf or Fraction)."""
-    from fractions import Fraction as _F
-    if isinstance(template, _F):
-        return frac
-    import mpmath as mp
-    return mp.mpf(frac.numerator) / mp.mpf(frac.denominator)
+    as_fraction = isinstance(h.hi[0], Fraction)
+    with _hifi.workdps(_hifi.EDGE_SUM_DPS):
+        res = dict.fromkeys(check_vertices.tolist(), h.hi[0] * 0)
+        for k in np.flatnonzero(window.edge_mask):
+            a, b = int(net.ei[k]), int(net.ej[k])
+            if a in res or b in res:
+                c = net.exact_conductance(int(k))
+                flow = (c if as_fraction else _hifi.to_mpf(c)) * \
+                    (h.hi[pos[a]] - h.hi[pos[b]])
+                if a in res:
+                    res[a] = res[a] + flow
+                if b in res:
+                    res[b] = res[b] - flow
+        return float(max(abs(val) for val in res.values()))
 
 
 def fin_projection(source, x, exhaustion=None, levels=30, tol=1e-8, lane="auto"):

@@ -130,16 +130,15 @@ def solve_dipole_level(window: SubgraphView, x, bc="free", rhs=None,
         field = (_hifi.FractionField() if lane == "fraction"
                  else _hifi.MPField(_hifi.auto_dps(net, window.edge_mask,
                                                    len(window.vertices))))
-        if isinstance(field, _hifi.MPField):
-            import mpmath as mp
-            mp.mp.dps = field.dps
-        sol = _hifi.hi_solve(net, window, rhs, dirichlet_zero=dirichlet,
-                             pin=pin, field=field)
-        off = sol[o]
-        hi = [sol[int(v)] - off for v in window.vertices]
+        with _hifi.workdps(field.dps):
+            sol = _hifi.hi_solve(net, window, rhs, dirichlet_zero=dirichlet,
+                                 pin=pin, field=field)
+            off = sol[o]
+            hi = [sol[int(v)] - off for v in window.vertices]
         for pos, v in enumerate(window.vertices):
             values[v] = field.to_float(hi[pos])
-        return Potential(net, values, window, pinned=True, hi=hi)
+        return Potential(net, values, window, pinned=True, hi=hi,
+                         dps=field.dps)
     pot = Potential(net, values, window, pinned=False)
     if values[o] != 0:
         return pot.pinned_copy()

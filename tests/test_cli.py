@@ -93,6 +93,30 @@ def test_walk_command(capsys):
     assert abs(rep["estimate"] - rep["reference"]) <= 4 * max(rep["stderr"], 1e-9)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def test_walk_with_no_absorbed_walk_fails(capsys):
+    code = main(["walk", "--network", "ladder", "--alpha", "5", "--beta", "0.9",
+                 "--radius", "8", "--start", "6", "--target", "12",
+                 "--max-steps", "1", "--trials", "100"])
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert code == 2
+    assert doc["pass"] is False
+    rep = doc["report"]
+    assert rep["absorbed"] == 0
+    assert rep["estimate"] is None and rep["stderr"] is None
+
+
+def test_recorded_workers_are_the_clamped_count(capsys, monkeypatch):
+    monkeypatch.setenv("RESBDY_THREADS", "500")
+    code, doc = run_cli(["wiener", "--check", "minlos", "--N", "4", "--samples",
+                         "2000", "--n-checks", "1"], capsys)
+    assert code == 0
+    assert doc["config"]["workers"] == 64
+
+
 def test_verify_all_small_network(capsys):
     code, doc = run_cli(["verify-all", "--network", TRIANGLE], capsys)
     assert code == 0

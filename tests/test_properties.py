@@ -94,12 +94,17 @@ def test_mu_negative_fraction_gaussian_oracle():
 
 
 def test_subgraph_view_boundary_matches_definition(grid44):
-    H = SubgraphView(grid44, [0, 1, 2, 4, 5, 6])
     inside = {0, 1, 2, 4, 5, 6}
     expected_bd = set()
     for v in inside:
         nbrs, _ = grid44.neighbors(v)
         if any(int(w) not in inside for w in nbrs):
             expected_bd.add(v)
-    assert set(H.bd.tolist()) == expected_bd
-    assert set(H.interior.tolist()) == inside - expected_bd
+    # sorted input, and unsorted input with a repeat
+    for verts in ([0, 1, 2, 4, 5, 6], [6, 0, 5, 1, 6, 2, 4]):
+        H = SubgraphView(grid44, verts)
+        assert H.vertices.tolist() == sorted(inside)
+        assert set(H.bd.tolist()) == expected_bd
+        assert set(H.interior.tolist()) == inside - expected_bd
+        assert H.edge_mask.tolist() == [a in inside and b in inside for a, b in
+                                         zip(grid44.ei.tolist(), grid44.ej.tolist())]
