@@ -7,11 +7,28 @@ like 1/sum c(x)). This lane runs field-generic Gaussian elimination over
 either exact rationals (Fraction) or mpmath floats whose working precision is
 chosen from the window's dynamic range, so deep windows stay meaningful.
 
-Elimination is sparse (dict rows) without pivoting; the systems are symmetric
-M-matrices, whose Schur complements stay M-matrices, so pivots never vanish.
+The elimination never subtracts (the GTH elimination: Grassmann, Taksar &
+Heyman, Oper. Res. 33, 1985; O'Cinneide, Numer. Math. 65, 1993). Each unknown
+keeps its conductances to the other unknowns and its conductance to the
+vertices held at 0, all >= 0, and its pivot is their sum. Eliminating an
+unknown adds nonnegative multiples of its row to its neighbours' rows, with
+one reciprocal per column, and back-substitution x_k = b_k / d_k +
+sum_j t_kj x_j only adds. The right-hand side's positive and negative parts
+are carried apart and subtracted once, at the end. With a right-hand side of
+one sign (a free dipole pinned at o, any monopole) every entry of the
+solution is therefore right to a few units in the last place, whatever the
+condition number; with both signs, each entry's error is a few units in the
+last place of the sum of the two parts there.
+
+The working precision still grows with log10(c_max/c_min) (``auto_dps``),
+because what is computed from a solution needs it: each edge term
+c (v(x) - v(y)) carries the potential's absolute error times c, so energies
+and residuals lose about log10(c_max) digits against the potential's values.
+
 Unknowns are eliminated far-to-near (descending level), which keeps layered
-families banded; a column-to-rows index makes each column visit only the rows
-that hold an entry in it, so elimination costs O(nnz + fill).
+families banded. Row k holds only its entries to the unknowns after k, so
+each column touches only its own neighbours and elimination costs
+O(nnz + fill).
 
 mpmath's precision is scoped to each step and never left changed: a solve
 runs at its field's precision, and edge sums over hi values run at
@@ -130,72 +147,77 @@ def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
     pos = {v: i for i, v in enumerate(unknown)}
     n = len(unknown)
 
-    emask = window.edge_mask
-    eidx = np.flatnonzero(emask)
-    exact_c = {int(k): field.conv(net.exact_conductance(int(k))) for k in eidx}
-    incident = {v: [] for v in unknown}
-    inside = window.mask
-    for k in eidx:
+    # row k holds the conductances c_kj to the unknowns j > k; g[k] is the
+    # conductance from k to the window vertices held at 0 (the Dirichlet set
+    # and the pin)
+    cond = [{} for _ in range(n)]
+    g = [zero] * n
+    for k in np.flatnonzero(window.edge_mask):
         a, b = int(net.ei[k]), int(net.ej[k])
-        if a in pos:
-            incident[a].append((b, exact_c[int(k)]))
-        if b in pos:
-            incident[b].append((a, exact_c[int(k)]))
+        c = field.conv(net.exact_conductance(int(k)))
+        i, j = pos.get(a), pos.get(b)
+        if i is None and j is None:
+            continue
+        if i is None or j is None:
+            m = j if i is None else i
+            g[m] = g[m] + c
+            continue
+        if i > j:
+            i, j = j, i
+        old = cond[i].get(j)
+        cond[i][j] = c if old is None else old + c
 
-    A = []
-    bvec = []
-    for v in unknown:
-        row = {}
-        tot = zero
-        for w, c in incident[v]:
-            if not inside[w]:
-                continue
-            tot = tot + c
-            j = pos.get(w)
-            if j is not None:
-                row[j] = row.get(j, zero) - c
-        row[pos[v]] = tot
-        A.append(row)
-        val = rhs.get(v, 0)
-        bvec.append(field.conv(Fraction(val)) if val else zero)
+    # the right-hand side's positive and negative parts, eliminated apart
+    parts = [[zero] * n, [zero] * n]
+    for v, val in rhs.items():
+        i = pos.get(int(v))
+        if i is not None and val:
+            fr = Fraction(val)
+            parts[1 if fr < 0 else 0][i] = field.conv(abs(fr))
+    if not any(parts[1]):
+        del parts[1]
 
-    # rows[c] lists the rows r > c that hold an entry in column c; fill-in is
-    # added as it is created, so each column visits only its own rows
-    rows = [[] for _ in range(n)]
-    for r, row in enumerate(A):
-        for c in row:
-            if c < r:
-                rows[c].append(r)
-    for col in range(n):
-        piv = A[col].get(col, zero)
-        if piv == 0:
+    # eliminate k: pivot d_k = g_k + sum_j c_kj; each neighbour i > k gains
+    # t_i = c_ik / d_k times row k, its conductance to 0 and its rhs
+    weights = [None] * n
+    for k in range(n):
+        row = sorted(cond[k].items())
+        gk = piv = g[k]
+        for _, c in row:
+            piv = piv + c
+        if not piv:
             raise SingularSystem("zero pivot; window may be disconnected")
-        pivot_row = [(c2, val) for c2, val in A[col].items() if c2 > col]
-        for r in sorted(rows[col]):
-            Ar = A[r]
-            f = Ar.get(col)
-            if not f:
-                continue
-            f = f / piv
-            for c2, val in pivot_row:
-                old = Ar.get(c2)
-                if old is None:
-                    Ar[c2] = zero - f * val
-                    if c2 < r:
-                        rows[c2].append(r)
-                else:
-                    Ar[c2] = old - f * val
-            del Ar[col]
-            bvec[r] = bvec[r] - f * bvec[col]
-        rows[col] = None
+        r = 1 / piv
+        ts = [(i, c * r) for i, c in row]
+        for a, (i, t) in enumerate(ts):
+            if gk:
+                g[i] = g[i] + t * gk
+            for p in parts:
+                if p[k]:
+                    p[i] = p[i] + t * p[k]
+            ci = cond[i]
+            for j, c in row[a + 1:]:
+                old = ci.get(j)
+                ci[j] = t * c if old is None else old + t * c
+        for p in parts:
+            if p[k]:
+                p[k] = p[k] * r
+        weights[k] = ts
+        cond[k] = g[k] = None
 
-    x = [zero] * n
-    for r in range(n - 1, -1, -1):
-        s = bvec[r]
-        for c2, val in A[r].items():
-            if c2 > r:
-                s = s - val * x[c2]
-        x[r] = s / A[r][r]
+    # back-substitution adds only: x_k = b_k / d_k + sum_j t_kj x_j; each
+    # row's weights are freed once used, so they never coexist with all of x
+    for k in range(n - 1, -1, -1):
+        for x in parts:
+            s = x[k]
+            for j, t in weights[k]:
+                s = s + t * x[j]
+            x[k] = s
+        weights[k] = None
+    x = parts[0]
+    if len(parts) > 1:
+        for k, m in enumerate(parts[1]):
+            x[k] = x[k] - m
 
     sol = {v: x[pos[v]] for v in unknown}
     for v in drop:
@@ -204,4 +226,3 @@ def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
     if pin is not None:
         sol[pin] = zero
     return sol
-

@@ -16,10 +16,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import __version__
 from . import boundary as bdy
 from . import onb as onbmod
 from . import wiener as wmod
@@ -36,30 +36,6 @@ from .solver import (effective_resistance, energy_kernel,
 from .walk import WalkConfig, hitting_probability_mc, hitting_reference
 
 SCHEMA = "1"
-
-
-@dataclass
-class RunConfig:
-    """Everything a report needs to be reproduced."""
-
-    network: object = None
-    tol_limit: float = 1e-8
-    harm_tol: float = 1e-6
-    path_tol: float = 1e-4
-    separation_tol: float = 1e-2
-    degeneracy_tol: float = 1e-12
-    divergence_threshold: float = 1e6
-    truncation_N: int = 20
-    mc_samples: int = 100_000
-    seed: int = 0
-    levels: int = 30
-    out: str = ""
-    workers: int = 1
-
-    def to_dict(self):
-        d = asdict(self)
-        d.pop("out", None)  # delivery path, not part of the run identity
-        return d
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,17 +82,7 @@ def resolve_network(args):
 
 
 def _emit(report, args, failed=False):
-    cfg = RunConfig(
-        network=getattr(args, "network", ""),
-        seed=getattr(args, "seed", 0),
-        levels=getattr(args, "levels", 30),
-        tol_limit=getattr(args, "tol", 1e-8),
-        mc_samples=getattr(args, "samples", 100_000),
-        truncation_N=getattr(args, "N", 20),
-        out=getattr(args, "out", ""),
-        workers=_workers(),
-    )
-    doc = {"schema": SCHEMA, "config": cfg.to_dict(), "report": report,
+    doc = {"schema": SCHEMA, "config": _run_config(args), "report": report,
            "pass": not failed}
     text = json.dumps(_finite(doc), sort_keys=True, indent=2, allow_nan=False,
                       default=_json_default)
@@ -126,6 +92,14 @@ def _emit(report, args, failed=False):
     else:
         print(text)
     return 2 if failed else 0
+
+
+def _run_config(args):
+    """Every parsed argument except the delivery path, with the subcommand,
+    the package version and the sampling workers."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("out", "fn", "cmd")}
+    cfg.update(subcommand=args.cmd, version=__version__, workers=_workers())
+    return cfg
 
 
 def _workers():

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 
 from . import _hifi
@@ -93,15 +94,12 @@ def royden_split(source, x, exhaustion=None, levels=30, tol=1e-8,
         if final_radius > have:
             ambient = gen.ball(int(final_radius) + 1)
             deeper = ambient.ball_view(int(final_radius))
-    if not np.array_equal(v.window.vertices, deeper.vertices) or \
-            not np.array_equal(f.window.vertices, deeper.vertices):
+    if not _solved_on(v, deeper):
         v = solve_dipole_level(deeper, x, bc="free", lane=lane)
+    if not _solved_on(f, deeper):
         f = solve_dipole_level(deeper, x, bc="wired", lane=lane)
     h = potential_difference(v, f)
     window = h.window
-
-    ev, ef, eh = energy(v, v), energy(f, f), energy(h, h)
-    cross = energy(f, h)
 
     if verification_radius is None:
         check_vertices = window.interior
@@ -110,7 +108,12 @@ def royden_split(source, x, exhaustion=None, levels=30, tol=1e-8,
         radius = int(verification_radius)
         check_vertices = window.interior[
             v.net.level[window.interior] <= radius]
-    resid = _harm_residual(h, check_vertices)
+    if h.hi is None:
+        ev, ef, eh = energy(v, v), energy(f, f), energy(h, h)
+        cross = energy(f, h)
+        resid = _harm_residual(h, check_vertices)
+    else:
+        ev, ef, eh, cross, resid = _split_sums_hi(v, f, h, check_vertices)
 
     return RoydenSplit(
         x=int(x), v=v, f=f, h=h,
@@ -121,35 +124,59 @@ def royden_split(source, x, exhaustion=None, levels=30, tol=1e-8,
     )
 
 
-def _harm_residual(h: Potential, check_vertices):
-    """Max |Lap h| over the given interior vertices.
+def _solved_on(pot: Potential, window):
+    """Whether ``pot`` was solved on ``window`` (same network, same vertices)."""
+    return pot.net is window.net and np.array_equal(pot.window.vertices,
+                                                    window.vertices)
 
-    Uses the high-precision values when present (mp values at
-    ``EDGE_SUM_DPS``): float64 Laplacian evaluation loses all meaning once
-    local conductances exceed ~1e12, since the residual error scales like
-    c(x) * eps * |h|.
-    """
+
+def _harm_residual(h: Potential, check_vertices):
+    """Max |Lap h| over the given interior vertices, from float64 values."""
     if len(check_vertices) == 0:
         return 0.0
+    out = h.net.laplacian() @ h.values
+    return float(np.max(np.abs(out[check_vertices])))
+
+
+def _split_sums_hi(v: Potential, f: Potential, h: Potential, check_vertices):
+    """E(v), E(f), E(h), E(f, h) and max |Lap h| in one pass over the edges.
+
+    Runs at ``EDGE_SUM_DPS`` on the high-precision values and converts each
+    exact conductance once. Each energy keeps the operation order of
+    ``energy``, so it equals a separate ``energy`` call bit for bit. The
+    residual needs these values too: float64 Laplacian evaluation loses all
+    meaning once local conductances exceed ~1e12, since its error scales like
+    c(x) * eps * |h|.
+    """
     net, window = h.net, h.window
-    if h.hi is None:
-        out = net.laplacian() @ h.values
-        return float(np.max(np.abs(out[check_vertices])))
-    pos = {int(v): i for i, v in enumerate(window.vertices)}
-    as_fraction = isinstance(h.hi[0], Fraction)
+    edges = np.flatnonzero(window.edge_mask)
+    ea, eb = net.ei[edges], net.ej[edges]
+    # hi values are aligned with the sorted window vertices
+    pa = np.searchsorted(window.vertices, ea).tolist()
+    pb = np.searchsorted(window.vertices, eb).tolist()
+    vh, fh, hh = v.hi, f.hi, h.hi
+    as_fraction = isinstance(hh[0], Fraction)
     with _hifi.workdps(_hifi.EDGE_SUM_DPS):
-        res = dict.fromkeys(check_vertices.tolist(), h.hi[0] * 0)
-        for k in np.flatnonzero(window.edge_mask):
-            a, b = int(net.ei[k]), int(net.ej[k])
-            if a in res or b in res:
-                c = net.exact_conductance(int(k))
-                flow = (c if as_fraction else _hifi.to_mpf(c)) * \
-                    (h.hi[pos[a]] - h.hi[pos[b]])
-                if a in res:
-                    res[a] = res[a] + flow
-                if b in res:
-                    res[b] = res[b] - flow
-        return float(max(abs(val) for val in res.values()))
+        zero = Fraction(0) if as_fraction else mp.mpf(0)
+        ev = ef = eh = cross = zero
+        res = dict.fromkeys(check_vertices.tolist(), zero)
+        for k, va, vb, a, b in zip(edges.tolist(), ea.tolist(), eb.tolist(),
+                                   pa, pb):
+            c = net.exact_conductance(k)
+            if not as_fraction:
+                c = _hifi.to_mpf(c)
+            dv, df, dh = vh[a] - vh[b], fh[a] - fh[b], hh[a] - hh[b]
+            ev = ev + c * dv * dv
+            cdf, cdh = c * df, c * dh
+            ef = ef + cdf * df
+            eh = eh + cdh * dh
+            cross = cross + cdf * dh
+            if va in res:
+                res[va] = res[va] + cdh
+            if vb in res:
+                res[vb] = res[vb] - cdh
+        resid = float(max(abs(val) for val in res.values())) if res else 0.0
+    return float(ev), float(ef), float(eh), float(cross), resid
 
 
 def fin_projection(source, x, exhaustion=None, levels=30, tol=1e-8, lane="auto"):

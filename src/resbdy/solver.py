@@ -33,25 +33,31 @@ DYNAMIC_RANGE_GUARD = 1e10
 
 
 def _window_subgraph_laplacian(net, window):
+    """Laplacian of the window's edges, indexed by position in ``window.vertices``."""
     m = window.edge_mask
-    ei, ej, ec = net.ei[m], net.ej[m], net.ec[m]
+    # window.vertices is sorted, so the relabelling is monotone
+    ei = np.searchsorted(window.vertices, net.ei[m])
+    ej = np.searchsorted(window.vertices, net.ej[m])
+    ec = net.ec[m]
+    w = len(window.vertices)
     adj = sp.coo_matrix(
         (np.concatenate([ec, ec]),
          (np.concatenate([ei, ej]), np.concatenate([ej, ei]))),
-        shape=(net.n, net.n)).tocsr()
+        shape=(w, w)).tocsr()
     c_w = np.asarray(adj.sum(axis=1)).ravel()
     return (sp.diags(c_w) - adj).tocsr()
 
 
-def _solve_float64(net, window, unknowns, rhs_vec):
+def _solve_float64(net, window, keep, rhs_vec):
+    """Solve on the window positions ``keep`` (a boolean mask over them)."""
     L = _window_subgraph_laplacian(net, window)
-    sub = L[unknowns][:, unknowns].tocsc()
+    sub = L[keep][:, keep].tocsc()
     d = sub.diagonal()
     if np.any(d <= 0):
         raise SolverFailure("window subgraph has an isolated unknown")
     s = 1.0 / np.sqrt(d)
     scaled = (sp.diags(s) @ sub @ sp.diags(s)).tocsc()
-    b = rhs_vec[unknowns]
+    b = rhs_vec[keep]
     try:
         w = spla.spsolve(scaled, s * b)
     except Exception as e:  # pragma: no cover
@@ -118,14 +124,15 @@ def solve_dipole_level(window: SubgraphView, x, bc="free", rhs=None,
     values = np.zeros(net.n)
     hi = None
     if lane == "float64":
-        keep = np.array(sorted(set(window.vertices.tolist())
-                               - set(int(v) for v in dirichlet) - {pin if pin is not None else -1}),
-                        dtype=np.int64)
-        rhs_vec = np.zeros(net.n)
-        for k, v in rhs.items():
-            rhs_vec[k] = v
+        verts = window.vertices
+        keep = np.ones(len(verts), dtype=bool)
+        keep[np.searchsorted(verts, dirichlet)] = False
+        if pin is not None:
+            keep[np.searchsorted(verts, pin)] = False
+        rhs_vec = np.zeros(len(verts))
+        rhs_vec[np.searchsorted(verts, list(rhs))] = list(rhs.values())
         sol = _solve_float64(net, window, keep, rhs_vec)
-        values[keep] = sol
+        values[verts[keep]] = sol
     else:
         field = (_hifi.FractionField() if lane == "fraction"
                  else _hifi.MPField(_hifi.auto_dps(net, window.edge_mask,

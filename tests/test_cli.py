@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import resbdy
 from resbdy.cli import main
 
 TRIANGLE = json.dumps({"edges": [[0, 1, 1], [1, 2, 1], [0, 2, 1]], "origin": 0})
@@ -115,6 +116,23 @@ def test_recorded_workers_are_the_clamped_count(capsys, monkeypatch):
                          "2000", "--n-checks", "1"], capsys)
     assert code == 0
     assert doc["config"]["workers"] == 64
+
+
+def test_config_records_every_parsed_argument(capsys):
+    configs = []
+    for alpha in ("5", "7"):
+        _, doc = run_cli(["decompose", "--network", "ladder", "--alpha", alpha,
+                          "--beta", "0.9", "--x", "2", "--levels", "6",
+                          "--tol", "1e-3", "--harm-tol", "1e-3"], capsys)
+        configs.append(doc["config"])
+    assert configs[0] != configs[1]
+    assert configs[0]["alpha"] == 5.0 and configs[1]["alpha"] == 7.0
+    cfg = configs[0]
+    assert cfg["harm_tol"] == 1e-3 and cfg["tol"] == 1e-3
+    assert (cfg["beta"], cfg["x"], cfg["lane"]) == (0.9, 2, "auto")
+    assert cfg["subcommand"] == "decompose"
+    assert cfg["version"] == resbdy.__version__
+    assert "out" not in cfg and "fn" not in cfg
 
 
 def test_verify_all_small_network(capsys):

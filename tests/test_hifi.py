@@ -1,16 +1,19 @@
 """The high-precision lane: sparse elimination against a dense exact oracle,
-and mpmath precision scoped to each step."""
+componentwise accuracy of the mp field, and mpmath precision scoped to each
+step."""
 
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+import pytest
 from hypothesis import example, given, strategies as st
 
 from resbdy import (LadderGenerator, boundary_sum_harmonic, build_finite,
                     build_onb, entries_E_via_evaluation, gram_product_check,
                     royden_split, solve_dipole_level)
-from resbdy import _hifi
+from resbdy import SubgraphView, _hifi
+from resbdy.errors import SingularSystem
 from resbdy.ladder import ladder_harmonic
 
 
@@ -97,6 +100,41 @@ def test_sparse_elimination_matches_dense_fraction_oracle(net):
             scale = max(abs(_hifi.to_mpf(oracle[v])) for v in unknowns)
             for v in unknowns:
                 assert abs(hi[v] - _hifi.to_mpf(oracle[v])) <= scale * mp.mpf(10) ** -30
+
+
+LADDER_1 = LadderGenerator(5, 1.0)
+R60 = LADDER_1.ball(61).ball_view(60)
+
+
+@pytest.mark.parametrize("case", ["free", "wired", "mixed-sign free",
+                                  "negative-only wired"])
+def test_mp_solve_is_componentwise_accurate(case):
+    # conductances 1 .. 5^60; an elimination that subtracts loses ~40 of the
+    # 86 digits in the free solves
+    net, o = R60.net, R60.net.origin
+    x1, x2 = LADDER_1.x(1), LADDER_1.x(2)
+    kw = {"free": dict(rhs={x1: 1, o: -1}, pin=o),
+          "wired": dict(rhs={x1: 1, o: -1}, dirichlet_zero=R60.bd),
+          "mixed-sign free": dict(rhs={x1: 1, x2: -1}, pin=o),
+          "negative-only wired": dict(rhs={x2: -1}, dirichlet_zero=R60.bd)}[case]
+    exact = _hifi.hi_solve(net, R60, field=_hifi.FractionField(), **kw)
+    dps = _hifi.auto_dps(net, R60.edge_mask, len(R60.vertices))
+    assert dps == 86
+    with mp.workdps(dps):
+        sol = _hifi.hi_solve(net, R60, field=_hifi.MPField(dps), **kw)
+    with mp.workdps(2 * dps):
+        for v, e in exact.items():
+            ref = _hifi.to_mpf(e)
+            assert abs(sol[v] - ref) <= abs(ref) * mp.mpf(10) ** -(dps - 5), (case, v)
+
+
+@pytest.mark.parametrize("field", [_hifi.FractionField(), _hifi.MPField(30)])
+def test_free_solve_on_disconnected_window_is_singular(field):
+    # the path 0-1-2-3-4 seen through {0, 1, 3, 4}: {3, 4} has no path to the pin
+    net = build_finite([(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 4)])
+    window = SubgraphView(net, [0, 1, 3, 4])
+    with _hifi.workdps(field.dps), pytest.raises(SingularSystem):
+        _hifi.hi_solve(net, window, {1: 1, 0: -1}, pin=0, field=field)
 
 
 def _assert_dps_kept(fn):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from resbdy import (GeometricHalfLineGenerator, IntegerLatticeGenerator,
-                    LadderGenerator, effective_resistance, energy,
-                    fin_projection, harm_kernel, monopole, royden_split,
-                    sup_norm)
+                    LadderGenerator, doubling_exhaustion, effective_resistance,
+                    energy, fin_projection, harm_kernel, monopole,
+                    royden_split, solve_dipole_level, sup_norm)
+from resbdy import _hifi, royden
 from resbdy.errors import InvalidParameters
 
 
@@ -41,6 +42,58 @@ def test_ladder_split_is_nontrivial():
     assert abs(split.cross_energy) <= 1e-8 * cross_scale
     assert split.harm_residual_max <= 1e-6
     assert not split.harmonicity_violated
+
+
+def _residual_by_vertex(h, check_vertices):
+    """max |Lap h| over check_vertices, summed edge by edge at EDGE_SUM_DPS."""
+    net, window = h.net, h.window
+    pos = {int(v): i for i, v in enumerate(window.vertices)}
+    with _hifi.workdps(_hifi.EDGE_SUM_DPS):
+        res = dict.fromkeys(check_vertices.tolist(), h.hi[0] * 0)
+        for k in np.flatnonzero(window.edge_mask):
+            a, b = int(net.ei[k]), int(net.ej[k])
+            flow = _hifi.to_mpf(net.exact_conductance(int(k))) * \
+                (h.hi[pos[a]] - h.hi[pos[b]])
+            if a in res:
+                res[a] = res[a] + flow
+            if b in res:
+                res[b] = res[b] - flow
+        return float(max(abs(val) for val in res.values()))
+
+
+def test_fused_split_pass_matches_separate_sums():
+    split = royden_split(LadderGenerator(5, 0.9), 2, levels=20, tol=1e-6)
+    v, f, h = split.v, split.f, split.h
+    assert h.hi is not None
+    assert split.energy_v == energy(v, v)
+    assert split.energy_f == energy(f, f)
+    assert split.energy_h == energy(h, h)
+    assert split.cross_energy == energy(f, h)
+    assert split.harm_residual_max == _residual_by_vertex(h, h.window.interior)
+
+
+def test_final_resolve_only_on_the_side_that_moved(monkeypatch):
+    # on Z^1 the free limit stops early and the wired limit runs to the last
+    # window, so only the free side is solved again there
+    gen = IntegerLatticeGenerator(1)
+    exh = doubling_exhaustion(gen, 8)
+    calls = []
+
+    def counting_solve(window, x, bc="free", **kw):
+        calls.append(bc)
+        return solve_dipole_level(window, x, bc=bc, **kw)
+
+    monkeypatch.setattr(royden, "solve_dipole_level", counting_solve)
+    split = royden_split(gen, 1, exhaustion=exh)
+    assert calls == ["free"]
+    assert split.free_report.radii[-1] < exh.radii[-1]
+    assert split.wired_report.radii[-1] == exh.radii[-1]
+    deeper = split.f.window
+    v = solve_dipole_level(deeper, 1, bc="free")
+    f = solve_dipole_level(deeper, 1, bc="wired")
+    assert np.array_equal(split.v.values, v.values)
+    assert np.array_equal(split.f.values, f.values)
+    assert split.energy_v == energy(v, v) and split.energy_f == energy(f, f)
 
 
 def test_ladder_fin_part_differs_from_kernel():
