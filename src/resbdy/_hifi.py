@@ -66,13 +66,6 @@ def to_mpf(fr: Fraction):
     return mp.mpf(fr.numerator) / mp.mpf(fr.denominator)
 
 
-def dynamic_range(net, edge_mask):
-    ec = net.ec[edge_mask]
-    if len(ec) == 0:
-        return 1.0
-    return float(ec.max() / ec.min())
-
-
 def _log10_fraction(fr: Fraction):
     return (fr.numerator.bit_length() - fr.denominator.bit_length()) * 0.30103
 
@@ -95,7 +88,7 @@ def auto_dps(net, edge_mask, n_unknowns):
 
 
 class FractionField:
-    name = "fraction"
+    number = Fraction
     zero = Fraction(0)
     dps = None
 
@@ -103,23 +96,15 @@ class FractionField:
     def conv(fr: Fraction):
         return fr
 
-    @staticmethod
-    def to_float(x):
-        return float(x)
-
 
 class MPField:
-    name = "mp"
+    number = mp.mpf
 
     def __init__(self, dps):
         self.dps = dps
         self.zero = mp.mpf(0)
 
     conv = staticmethod(to_mpf)
-
-    @staticmethod
-    def to_float(x):
-        return float(x)
 
 
 def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
@@ -150,22 +135,23 @@ def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
     # row k holds the conductances c_kj to the unknowns j > k; g[k] is the
     # conductance from k to the window vertices held at 0 (the Dirichlet set
     # and the pin)
+    from .energy import window_edges
     cond = [{} for _ in range(n)]
     g = [zero] * n
-    for k in np.flatnonzero(window.edge_mask):
-        a, b = int(net.ei[k]), int(net.ej[k])
-        c = field.conv(net.exact_conductance(int(k)))
-        i, j = pos.get(a), pos.get(b)
-        if i is None and j is None:
+    at = np.array([pos.get(v, -1) for v in window.vertices.tolist()])
+    conds, a, b = window_edges(window, field.number)
+    for i, j, c in zip(at[a].tolist(), at[b].tolist(), conds):
+        if i < 0 and j < 0:
             continue
-        if i is None or j is None:
-            m = j if i is None else i
+        if i < 0 or j < 0:
+            m = max(i, j)
             g[m] = g[m] + c
             continue
         if i > j:
             i, j = j, i
         old = cond[i].get(j)
         cond[i][j] = c if old is None else old + c
+    del conds
 
     # the right-hand side's positive and negative parts, eliminated apart
     parts = [[zero] * n, [zero] * n]

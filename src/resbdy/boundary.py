@@ -19,47 +19,16 @@ evaluations apart.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from . import _hifi
-from .energy import Potential, energy, potential_difference
+from .energy import (Potential, edge_energy, edge_laplacian, energy, field_of,
+                     potential_difference, value_getter, window_edges,
+                     window_values)
 from .errors import InvalidParameters, NotHarmonic
 from .network import default_exhaustion, generator_for
 from .solver import solve_dipole_level
-
-
-def _view_laplacian_values(pot: Potential, view):
-    """Window-restricted Laplacian of pot at every view vertex (float64)."""
-    net = pot.net
-    m = view.edge_mask
-    ei, ej = net.ei[m], net.ej[m]
-    signed = net.ec[m] * (pot.values[ei] - pot.values[ej])
-    out = np.zeros(net.n)
-    np.add.at(out, ei, signed)
-    np.add.at(out, ej, -signed)
-    return out
-
-
-def _view_laplacian_hi(pot: Potential, view):
-    """Same in the potential's hi field; returns dict vertex -> value.
-
-    Call it inside ``workdps(EDGE_SUM_DPS)``.
-    """
-    net = pot.net
-    verts = pot.window.vertices
-    pos = {int(v): i for i, v in enumerate(verts)}
-    out = {}
-    for k in np.flatnonzero(view.edge_mask):
-        a, b = int(net.ei[k]), int(net.ej[k])
-        c = net.exact_conductance(int(k))
-        cf = _hifi.to_mpf(c) if not isinstance(pot.hi[0], Fraction) else c
-        flow = cf * (pot.hi[pos[a]] - pot.hi[pos[b]])
-        out[a] = out.get(a, 0) + flow
-        out[b] = out.get(b, 0) - flow
-    return out
 
 
 @dataclass
@@ -115,13 +84,14 @@ def gauss_green_verify(u: Potential, v: Potential, exhaustion=None, levels=None)
     target = energy(u, v)
     rep = GaussGreenReport(target=target)
     for r, view in zip(radii, views):
-        lap_v = _view_laplacian_values(v, view)
-        interior = float(np.sum(u.values[view.interior] * lap_v[view.interior]))
-        bnd = float(np.sum(u.values[view.bd] * lap_v[view.bd]))
+        edges = window_edges(view)
+        uw, vw = u.values[view.vertices], v.values[view.vertices]
+        lap_v = edge_laplacian(*edges, vw)
+        bd = view.bd_mask[view.vertices]
+        interior = float(np.sum(uw[~bd] * lap_v[~bd]))
+        bnd = float(np.sum(uw[bd] * lap_v[bd]))
         total = interior + bnd
-        m = view.edge_mask
-        wen = float(np.sum(net.ec[m] * (u.values[net.ei[m]] - u.values[net.ej[m]])
-                           * (v.values[net.ei[m]] - v.values[net.ej[m]])))
+        wen = float(edge_energy(*edges, uw, vw))
         rep.radii.append(int(r))
         rep.interior.append(interior)
         rep.boundary.append(bnd)
@@ -176,7 +146,7 @@ def boundary_sum_harmonic(source, u_values, x, levels=30, exhaustion=None,
     if harm_residual is not None and harm_residual > harm_tol:
         raise NotHarmonic(
             f"u has harmonic residual {harm_residual:.3e} > {harm_tol:.1e}")
-    getter = _value_getter(u_values)
+    getter = value_getter(u_values)
     gen = generator_for(source)
     exh = exhaustion or default_exhaustion(gen, levels)
     net = exh.ambient
@@ -193,31 +163,15 @@ def boundary_sum_harmonic(source, u_values, x, levels=30, exhaustion=None,
         v = solve_dipole_level(view, x, bc="free", lane=lane)
         f = solve_dipole_level(view, x, bc="wired", lane=lane)
         h = potential_difference(v, f)
-        if h.hi is not None:
-            with _hifi.workdps(_hifi.EDGE_SUM_DPS):
-                lap = _view_laplacian_hi(h, view)
-                s = mp.mpf(0)
-                for bvert in view.bd:
-                    bv = int(bvert)
-                    if bv in lap:
-                        s += mp.mpf(float(getter(bv))) * lap[bv]
-            rep.radii.append(int(radius))
-            rep.sums.append(float(s))
-        else:
-            lap = _view_laplacian_values(h, view)
-            s = float(np.sum([float(getter(int(bv))) * lap[int(bv)]
-                              for bv in view.bd]))
-            rep.radii.append(int(radius))
-            rep.sums.append(s)
+        hw = window_values(h)
+        with _hifi.workdps(_hifi.EDGE_SUM_DPS):
+            lap = edge_laplacian(*window_edges(view, field_of(hw)), hw)
+            bd = view.bd_mask[view.vertices]
+            u_bd = np.array([float(getter(int(bv))) for bv in view.vertices[bd]])
+            s = np.sum(u_bd * lap[bd])
+        rep.radii.append(int(radius))
+        rep.sums.append(float(s))
     return rep
-
-
-def _value_getter(u_values):
-    if isinstance(u_values, Potential):
-        return u_values.value
-    if isinstance(u_values, dict):
-        return lambda v: u_values[v]
-    return u_values
 
 
 class PathToInfinity:

@@ -8,10 +8,9 @@ truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from . import _hifi
@@ -47,19 +46,77 @@ class SubgraphView:
         self.interior = np.flatnonzero(self.mask & ~bd_mask)
         self.edge_mask = in_i & in_j
 
-    @property
-    def n_inside(self):
-        return len(self.vertices)
-
-    def is_boundary(self, x):
-        return bool(self.bd_mask[x])
-
     def __contains__(self, x):
         return bool(self.mask[x])
 
     def __repr__(self):
         return (f"SubgraphView(|H|={len(self.vertices)}, |bd|={len(self.bd)}, "
                 f"|int|={len(self.interior)})")
+
+
+# -- edge sums ----------------------------------------------------------------
+#
+# Every window quantity is one of two sums over the window's edges: the energy
+# form and the window Laplacian. Both run in the field of the values they are
+# given: float64 arrays, or object arrays of mpf or Fraction, which add term by
+# term in edge order.
+
+
+def window_edges(window, field=float):
+    """(c, a, b) over the window's edges: conductances in ``field`` and both
+    endpoints as positions in ``window.vertices``.
+
+    float gives the float64 mirror ``ec``, Fraction the exact conductances,
+    and mp.mpf each exact conductance converted once, at the current mpmath
+    precision.
+    """
+    net = window.net
+    edges = np.flatnonzero(window.edge_mask)
+    pos = np.empty(net.n, dtype=np.int64)
+    pos[window.vertices] = np.arange(len(window.vertices))
+    if field is float:
+        c = net.ec[edges]
+    else:
+        conv = _hifi.to_mpf if field is not Fraction else (lambda x: x)
+        c = np.empty(len(edges), dtype=object)
+        c[:] = [conv(net.exact_conductance(k)) for k in edges.tolist()]
+    return c, pos[net.ei[edges]], pos[net.ej[edges]]
+
+
+def field_of(values):
+    """The number type of window values: float, Fraction or mp.mpf."""
+    return float if values.dtype != object else type(values.flat[0])
+
+
+def _blocks(values, n):
+    """Slices over n edges: one block for float64 values; blocks of 1024 for
+    object arrays, so that only one block's high-precision intermediates are
+    alive at a time."""
+    step = 1024 if values.dtype == object else max(n, 1)
+    return (slice(s, s + step) for s in range(0, n, step))
+
+
+def edge_energy(c, a, b, u, v):
+    """sum over edges of c (u_a - u_b)(v_a - v_b)."""
+    total = 0
+    for s in _blocks(u, len(a)):
+        du = u[a[s]] - u[b[s]]
+        dv = du if v is u else v[a[s]] - v[b[s]]
+        total = np.sum(c[s] * du * dv, initial=total)
+    return total
+
+
+def edge_laplacian(c, a, b, u):
+    """(Lap u) at every window position.
+
+    Edge by edge, the flow c (u_a - u_b) is added at a, then taken at b.
+    """
+    out = np.zeros(len(u), dtype=u.dtype)
+    for s in _blocks(u, len(a)):
+        flow = c[s] * (u[a[s]] - u[b[s]])
+        np.add.at(out, np.column_stack((a[s], b[s])).ravel(),
+                  np.column_stack((flow, -flow)).ravel())
+    return out
 
 
 @dataclass
@@ -85,12 +142,6 @@ class Potential:
             raise DomainMismatch(f"vertex {x} lies outside this potential's window")
         return float(self.values[x])
 
-    def hi_value(self, x):
-        if self.hi is None:
-            return self.value(x)
-        pos = np.searchsorted(self.window.vertices, x)
-        return self.hi[pos]
-
     def pinned_copy(self):
         off = self.values[self.net.origin]
         vals = self.values.copy()
@@ -106,6 +157,25 @@ class Potential:
     def to_rows(self):
         """(vertex_index, value) rows restricted to the window."""
         return [(int(v), float(self.values[v])) for v in self.window.vertices]
+
+
+def window_values(pot: Potential):
+    """The potential on its window in its own field: ``hi`` as an object
+    array, otherwise float64."""
+    if pot.hi is None:
+        return pot.values[pot.window.vertices]
+    out = np.empty(len(pot.hi), dtype=object)
+    out[:] = pot.hi
+    return out
+
+
+def value_getter(values):
+    """vertex -> value for a Potential, a dict, or a callable."""
+    if isinstance(values, Potential):
+        return values.value
+    if isinstance(values, dict):
+        return lambda v: values[v]
+    return values
 
 
 def potential_difference(u: Potential, v: Potential) -> Potential:
@@ -163,30 +233,18 @@ def energy(u: Potential, v: Potential) -> float:
     w = _common_window(u, v)
     if u.hi is not None and v.hi is not None:
         return float(_energy_hi(u, v, w))
-    ei, ej, ec = u.net.ei, u.net.ej, u.net.ec
-    m = w.edge_mask
-    du = u.values[ei[m]] - u.values[ej[m]]
-    dv = v.values[ei[m]] - v.values[ej[m]]
-    return float(np.sum(ec[m] * du * dv))
+    uw = u.values[w.vertices]
+    return float(_window_energy(w, uw, uw if v is u else v.values[w.vertices]))
 
 
 def _energy_hi(u: Potential, v: Potential, w):
-    net = u.net
-    edges = np.flatnonzero(w.edge_mask)
-    # hi values are aligned with the sorted window vertices
-    pa = np.searchsorted(w.vertices, net.ei[edges]).tolist()
-    pb = np.searchsorted(w.vertices, net.ej[edges]).tolist()
-    uh, vh = u.hi, v.hi
-    as_fraction = isinstance(uh[0], Fraction) and isinstance(vh[0], Fraction)
     with _hifi.workdps(_hifi.EDGE_SUM_DPS):
-        acc = Fraction(0) if as_fraction else mp.mpf(0)
-        for k, a, b in zip(edges.tolist(), pa, pb):
-            c = net.exact_conductance(k)
-            if not as_fraction:
-                c = _hifi.to_mpf(c)
-            du = uh[a] - uh[b]
-            acc = acc + c * du * (du if vh is uh else vh[a] - vh[b])
-    return acc
+        uh = window_values(u)
+        return _window_energy(w, uh, uh if v is u else window_values(v))
+
+
+def _window_energy(w, u, v):
+    return edge_energy(*window_edges(w, field_of(u)), u, v)
 
 
 @dataclass
@@ -198,26 +256,16 @@ class WindowDefect:
     boundary_flux: float
 
     def to_dict(self):
-        return {
-            "excluded_edges": self.excluded_edges,
-            "excluded_conductance": self.excluded_conductance,
-            "boundary_flux": self.boundary_flux,
-        }
+        return asdict(self)
 
 
 def window_defect(u: Potential) -> WindowDefect:
     """Quantify what the window truncation leaves out for this potential."""
-    w = u.window
-    net = u.net
+    w, net = u.window, u.net
     half_in = w.mask[net.ei] ^ w.mask[net.ej]
     # boundary flux: window-restricted Laplacian at boundary vertices
-    m = w.edge_mask
-    ei, ej = net.ei[m], net.ej[m]
-    signed = net.ec[m] * (u.values[ei] - u.values[ej])
-    per_vertex = np.zeros(net.n)
-    np.add.at(per_vertex, ei, signed)
-    np.add.at(per_vertex, ej, -signed)
-    flux = float(np.sum(np.abs(per_vertex[w.bd])))
+    lap = edge_laplacian(*window_edges(w), u.values[w.vertices])
+    flux = float(np.sum(np.abs(lap[w.bd_mask[w.vertices]])))
     return WindowDefect(
         excluded_edges=int(np.sum(half_in)),
         excluded_conductance=float(np.sum(net.ec[half_in])),

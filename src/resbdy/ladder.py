@@ -30,7 +30,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParameters
-from .network import LadderGenerator
 
 
 @dataclass
@@ -44,10 +43,6 @@ class LadderHarmonic:
     exact_du: list = None
 
     @property
-    def y_values(self):
-        return -1.0 - self.u
-
-    @property
     def sigma(self):
         return 2.0 * self.u + 1.0
 
@@ -57,19 +52,6 @@ class LadderHarmonic:
         if n > self.n_max:
             raise InvalidParameters(f"vertex level {n} beyond n_max={self.n_max}")
         return float(self.u[n]) if rail == 0 else float(-1.0 - self.u[n])
-
-    def exact_value(self, vertex):
-        n, rail = divmod(int(vertex), 2)
-        un = self.exact_u[n] if self.exact_u is not None else Fraction(float(self.u[n]))
-        return un if rail == 0 else -1 - un
-
-    def values_dict(self, up_to=None):
-        top = self.n_max if up_to is None else min(int(up_to), self.n_max)
-        out = {}
-        for n in range(top + 1):
-            out[2 * n] = float(self.u[n])
-            out[2 * n + 1] = float(-1.0 - self.u[n])
-        return out
 
 
 def ladder_harmonic(alpha, beta, N, exact=False) -> LadderHarmonic:
@@ -238,7 +220,3 @@ def ladder_ball_values(lh: LadderHarmonic, radius):
     vals[0::2] = lh.u[: r + 1]
     vals[1::2] = -1.0 - lh.u[: r + 1]
     return vals
-
-
-def ladder_generator(lh: LadderHarmonic) -> LadderGenerator:
-    return LadderGenerator(alpha=lh.alpha, beta=lh.beta)

@@ -107,7 +107,6 @@ class Network:
         self.frontier_mask = np.zeros(self.n, dtype=bool)
         self.frontier_mask[self.frontier] = True
         self._laplacian = None
-        self._pattern = None
 
     def _bfs_levels(self):
         indptr, indices = self.adjacency.indptr, self.adjacency.indices

@@ -13,13 +13,12 @@ harmonic inside), so the checks carry the convergence error only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from . import _hifi
-from .energy import Potential, energy, potential_difference
+from .energy import (Potential, edge_energy, edge_laplacian, energy, field_of,
+                     potential_difference, window_edges, window_values)
 from .errors import InvalidParameters
 from .network import default_exhaustion, generator_for
 from .solver import ConvergenceReport, energy_kernel, solve_dipole_level
@@ -108,12 +107,7 @@ def royden_split(source, x, exhaustion=None, levels=30, tol=1e-8,
         radius = int(verification_radius)
         check_vertices = window.interior[
             v.net.level[window.interior] <= radius]
-    if h.hi is None:
-        ev, ef, eh = energy(v, v), energy(f, f), energy(h, h)
-        cross = energy(f, h)
-        resid = _harm_residual(h, check_vertices)
-    else:
-        ev, ef, eh, cross, resid = _split_sums_hi(v, f, h, check_vertices)
+    ev, ef, eh, cross, resid = _split_sums(v, f, h, check_vertices)
 
     return RoydenSplit(
         x=int(x), v=v, f=f, h=h,
@@ -130,53 +124,26 @@ def _solved_on(pot: Potential, window):
                                                     window.vertices)
 
 
-def _harm_residual(h: Potential, check_vertices):
-    """Max |Lap h| over the given interior vertices, from float64 values."""
-    if len(check_vertices) == 0:
-        return 0.0
-    out = h.net.laplacian() @ h.values
-    return float(np.max(np.abs(out[check_vertices])))
+def _split_sums(v: Potential, f: Potential, h: Potential, check_vertices):
+    """E(v), E(f), E(h), E(f, h) and max |Lap h| over ``check_vertices``.
 
-
-def _split_sums_hi(v: Potential, f: Potential, h: Potential, check_vertices):
-    """E(v), E(f), E(h), E(f, h) and max |Lap h| in one pass over the edges.
-
-    Runs at ``EDGE_SUM_DPS`` on the high-precision values and converts each
-    exact conductance once. Each energy keeps the operation order of
-    ``energy``, so it equals a separate ``energy`` call bit for bit. The
-    residual needs these values too: float64 Laplacian evaluation loses all
-    meaning once local conductances exceed ~1e12, since its error scales like
+    The sums run in the potentials' field (mp values at ``EDGE_SUM_DPS``),
+    over one conversion of the window's conductances, and each energy equals
+    a separate ``energy`` call bit for bit. The residual needs the
+    high-precision values too: float64 Laplacian evaluation loses all meaning
+    once local conductances exceed ~1e12, since its error scales like
     c(x) * eps * |h|.
     """
-    net, window = h.net, h.window
-    edges = np.flatnonzero(window.edge_mask)
-    ea, eb = net.ei[edges], net.ej[edges]
-    # hi values are aligned with the sorted window vertices
-    pa = np.searchsorted(window.vertices, ea).tolist()
-    pb = np.searchsorted(window.vertices, eb).tolist()
-    vh, fh, hh = v.hi, f.hi, h.hi
-    as_fraction = isinstance(hh[0], Fraction)
+    window = h.window
+    vw, fw, hw = window_values(v), window_values(f), window_values(h)
     with _hifi.workdps(_hifi.EDGE_SUM_DPS):
-        zero = Fraction(0) if as_fraction else mp.mpf(0)
-        ev = ef = eh = cross = zero
-        res = dict.fromkeys(check_vertices.tolist(), zero)
-        for k, va, vb, a, b in zip(edges.tolist(), ea.tolist(), eb.tolist(),
-                                   pa, pb):
-            c = net.exact_conductance(k)
-            if not as_fraction:
-                c = _hifi.to_mpf(c)
-            dv, df, dh = vh[a] - vh[b], fh[a] - fh[b], hh[a] - hh[b]
-            ev = ev + c * dv * dv
-            cdf, cdh = c * df, c * dh
-            ef = ef + cdf * df
-            eh = eh + cdh * dh
-            cross = cross + cdf * dh
-            if va in res:
-                res[va] = res[va] + cdh
-            if vb in res:
-                res[vb] = res[vb] - cdh
-        resid = float(max(abs(val) for val in res.values())) if res else 0.0
-    return float(ev), float(ef), float(eh), float(cross), resid
+        edges = window_edges(window, field_of(hw))
+        sums = [float(edge_energy(*edges, x, y))
+                for x, y in ((vw, vw), (fw, fw), (hw, hw), (fw, hw))]
+        lap = edge_laplacian(*edges, hw)
+        check = np.searchsorted(window.vertices, check_vertices)
+        resid = float(np.max(np.abs(lap[check]))) if len(check) else 0.0
+    return (*sums, resid)
 
 
 def fin_projection(source, x, exhaustion=None, levels=30, tol=1e-8, lane="auto"):

@@ -24,7 +24,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import _hifi
-from .energy import Potential, SubgraphView, energy, window_defect
+from .energy import (Potential, SubgraphView, energy, window_defect,
+                     window_edges)
 from .errors import InvalidParameters, SolverFailure
 from .network import (Exhaustion, default_exhaustion, generator_for,
                       lazy_default_exhaustion, lazy_doubling_exhaustion)
@@ -34,11 +35,7 @@ DYNAMIC_RANGE_GUARD = 1e10
 
 def _window_subgraph_laplacian(net, window):
     """Laplacian of the window's edges, indexed by position in ``window.vertices``."""
-    m = window.edge_mask
-    # window.vertices is sorted, so the relabelling is monotone
-    ei = np.searchsorted(window.vertices, net.ei[m])
-    ej = np.searchsorted(window.vertices, net.ej[m])
-    ec = net.ec[m]
+    ec, ei, ej = window_edges(window)
     w = len(window.vertices)
     adj = sp.coo_matrix(
         (np.concatenate([ec, ec]),
@@ -80,7 +77,7 @@ def pick_lane(net, window, lane="auto"):
     ec = net.ec[window.edge_mask]
     if len(ec) and not np.all(np.isfinite(ec)):
         return "mp"
-    rng = _hifi.dynamic_range(net, window.edge_mask)
+    rng = ec.max() / ec.min() if len(ec) else 1.0
     return "float64" if rng <= DYNAMIC_RANGE_GUARD else "mp"
 
 
@@ -142,8 +139,7 @@ def solve_dipole_level(window: SubgraphView, x, bc="free", rhs=None,
                                  pin=pin, field=field)
             off = sol[o]
             hi = [sol[int(v)] - off for v in window.vertices]
-        for pos, v in enumerate(window.vertices):
-            values[v] = field.to_float(hi[pos])
+        values[window.vertices] = [float(x) for x in hi]
         return Potential(net, values, window, pinned=True, hi=hi,
                          dps=field.dps)
     pot = Potential(net, values, window, pinned=False)
@@ -222,12 +218,6 @@ class ConvergenceReport:
         }
 
 
-def _resolve_exhaustion(source, exhaustion, levels):
-    if exhaustion is not None:
-        return exhaustion
-    return default_exhaustion(source, levels)
-
-
 def _saturated(view):
     net = view.net
     return net.is_saturated and len(view.vertices) == net.n
@@ -241,7 +231,8 @@ def energy_kernel(source, x, bc="free", exhaustion=None, levels=30, tol=1e-8,
     saturation, and returns (Potential, ConvergenceReport). Non-convergence is
     flagged on the report, never raised.
     """
-    exh = _resolve_exhaustion(source, exhaustion, levels)
+    exh = (exhaustion if exhaustion is not None
+           else default_exhaustion(source, levels))
     report = ConvergenceReport(quantity=f"energy_kernel(x={x}, bc={bc})", tol=tol)
     pot = None
     for radius, view in exh:
@@ -250,7 +241,7 @@ def energy_kernel(source, x, bc="free", exhaustion=None, levels=30, tol=1e-8,
             int_mask[view.interior] = True
             if not (int_mask[x] and int_mask[exh.ambient.origin]):
                 continue
-        elif not window_contains(view, x):
+        elif not view.mask[x]:
             continue
         pot = solve_dipole_level(view, x, bc=bc, lane=lane)
         defect = window_defect(pot) if track_defect else None
@@ -264,10 +255,6 @@ def energy_kernel(source, x, bc="free", exhaustion=None, levels=30, tol=1e-8,
         and np.all(pot.values[pot.window.vertices] <= pot.value(x) + 1e-9)) \
         if bc == "free" else None
     return pot, report
-
-
-def window_contains(view, x):
-    return bool(view.mask[x])
 
 
 def effective_resistance(source, x, y=None, bc="free", exhaustion=None,
@@ -288,11 +275,12 @@ def effective_resistance(source, x, y=None, bc="free", exhaustion=None,
         report.stopping_rule = "identical-vertices"
         report.values = [0.0]
         return 0.0, report
-    exh = _resolve_exhaustion(source, exhaustion, levels)
+    exh = (exhaustion if exhaustion is not None
+           else default_exhaustion(source, levels))
     report = ConvergenceReport(quantity=f"resistance({x},{y}, bc={bc})", tol=tol)
     value = None
     for radius, view in exh:
-        if not (window_contains(view, x) and window_contains(view, y)):
+        if not (view.mask[x] and view.mask[y]):
             continue
         if bc == "wired":
             int_mask = np.zeros(exh.ambient.n, dtype=bool)

@@ -102,6 +102,13 @@ def _walk_tables(view):
     return offsets, nbr, flat
 
 
+def _check_target(target, absorber):
+    if target == absorber:
+        raise InvalidParameters(
+            f"target and absorber are both vertex {target}; the absorber "
+            "defaults to the origin")
+
+
 def hitting_probability_mc(view, start, target, absorber=None, config=None):
     """Monte Carlo estimate of P_start[hit target before absorber].
 
@@ -114,6 +121,7 @@ def hitting_probability_mc(view, start, target, absorber=None, config=None):
     config = config or WalkConfig()
     absorber = net.origin if absorber is None else int(absorber)
     start, target = int(start), int(target)
+    _check_target(target, absorber)
     for v in (start, target, absorber):
         if not view.mask[v]:
             raise InvalidParameters(f"vertex {v} is outside the window")
@@ -165,6 +173,7 @@ def hitting_reference(view, start, target, absorber=None, lane="auto"):
     """
     net = view.net
     absorber = net.origin if absorber is None else int(absorber)
+    _check_target(int(target), absorber)
     pot = solve_dipole_level(view, int(target), bc="free",
                              rhs={int(target): 1, absorber: -1}, lane=lane)
     denom = pot.value(int(target)) - pot.value(absorber)

@@ -110,6 +110,37 @@ def test_walk_with_no_absorbed_walk_fails(capsys):
     assert rep["estimate"] is None and rep["stderr"] is None
 
 
+def test_walk_with_target_at_the_absorber_is_a_clean_error(capsys):
+    # the default absorber is the origin, so --target 0 leaves no dipole
+    code = main(["walk", "--network", "ladder", "--alpha", "5", "--beta", "0.9",
+                 "--start", "2", "--target", "0", "--trials", "2000",
+                 "--radius", "6"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error [invalid-parameters]")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_onb_fraction_lane_reaches_the_solver(capsys, monkeypatch):
+    from resbdy import onb as onbmod
+    lanes = []
+    solve = onbmod.solve_dipole_level
+
+    def recording_solve(*args, lane="auto", **kwargs):
+        lanes.append(lane)
+        return solve(*args, lane=lane, **kwargs)
+
+    monkeypatch.setattr(onbmod, "solve_dipole_level", recording_solve)
+    path5 = json.dumps({"edges": [[i, i + 1, 1] for i in range(4)], "origin": 0})
+    code, doc = run_cli(["onb", "--network", path5, "--N", "4",
+                         "--lane", "fraction"], capsys)
+    assert code == 0
+    assert lanes == ["fraction"] * 4
+    assert doc["config"]["lane"] == "fraction"
+    # exact kernels are orthonormalized in mp
+    assert doc["report"]["field"] == "mp"
+
+
 def test_recorded_workers_are_the_clamped_count(capsys, monkeypatch):
     monkeypatch.setenv("RESBDY_THREADS", "500")
     code, doc = run_cli(["wiener", "--check", "minlos", "--N", "4", "--samples",

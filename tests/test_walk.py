@@ -4,7 +4,7 @@ import pytest
 from resbdy import (GeometricHalfLineGenerator, LadderGenerator, WalkConfig,
                     build_finite, hitting_probability_mc, hitting_reference,
                     transition_probabilities)
-from resbdy.errors import IsolatedVertex
+from resbdy.errors import InvalidParameters, IsolatedVertex
 
 
 def test_transition_probabilities_unit_path(path3):
@@ -113,3 +113,15 @@ def test_unmaterialized_vertex_raises():
     net = build_finite([(0, 1, 1)])
     with pytest.raises(IsolatedVertex):
         transition_probabilities(net, 2)
+
+
+@pytest.mark.parametrize("absorber", [None, 2])
+def test_target_equal_to_absorber_is_rejected(path3, absorber):
+    # the absorber defaults to the origin
+    view = path3.full_view()
+    target = 0 if absorber is None else absorber
+    with pytest.raises(InvalidParameters):
+        hitting_probability_mc(view, 1, target, absorber,
+                               WalkConfig(trials=10, seed=1))
+    with pytest.raises(InvalidParameters):
+        hitting_reference(view, 1, target, absorber)
