@@ -50,14 +50,13 @@ def test_edge_sums_agree_across_fields(net, data):
         np.add.at(lap_scale, b, c * (absv[a] + absv[b]))
 
         with mp.workdps(MP_DPS):
-            to_mp = np.vectorize(lambda x: mp.mpf(x.numerator) / x.denominator,
-                                 otypes=[object])
+            to_mp = np.vectorize(_hifi.to_mpf, otypes=[object])
             cm, am, bm = window_edges(window, mp.mpf)
             um, vm = to_mp(u), to_mp(v)
             em = edge_energy(cm, am, bm, um, vm)
             lapm = edge_laplacian(cm, am, bm, vm)
             tol = mp.mpf(10) ** -(MP_DPS - 5)
-            assert abs(em - to_mp(np.array([e]))[0]) <= tol * e_scale
+            assert abs(em - _hifi.to_mpf(e)) <= tol * e_scale
             for x in range(n):
                 assert abs(lapm[x] - lap[x]) <= tol * lap_scale[x]
 
