@@ -1,5 +1,6 @@
-"""Golden CLI reports: every number in these comes from mpmath or Fraction
-arithmetic, so the report bytes do not depend on BLAS or the CPU.
+"""Golden CLI reports: every solve in these runs in mpmath or Fraction
+arithmetic, and no number passes through BLAS, so the report bytes do not
+depend on the BLAS build or the CPU.
 
 Regenerate with ``PYTHONPATH=src python tests/test_golden.py`` and list the
 regeneration, with the values that moved, in CHANGES.md.
@@ -30,6 +31,11 @@ COMMANDS = {
     "paths": ["paths", *LADDER, "--horizon", "24", "--levels", "12", "--lane", "mp"],
     "monopole": ["monopole", "--network", "binary-tree", "--levels", "8",
                  "--schedule", "linear", "--tol", "1e-2", "--lane", "mp"],
+    "gauss-green": ["gauss-green", *LADDER, "--x", "2", "--levels", "8",
+                    "--lane", "mp"],
+    "monopole-doubling": ["monopole", "--network", "integer-lattice", "--dim", "1",
+                          "--levels", "10", "--schedule", "doubling",
+                          "--divergence-threshold", "20", "--lane", "mp"],
 }
 
 
