@@ -27,7 +27,7 @@ from .energy import (Potential, edge_energy, edge_laplacian, energy, field_of,
                      potential_difference, value_getter, window_edges,
                      window_values)
 from .errors import InvalidParameters, NotHarmonic
-from .network import default_exhaustion, generator_for
+from .network import default_exhaustion
 from .solver import solve_dipole_level
 
 
@@ -147,19 +147,16 @@ def boundary_sum_harmonic(source, u_values, x, levels=30, exhaustion=None,
         raise NotHarmonic(
             f"u has harmonic residual {harm_residual:.3e} > {harm_tol:.1e}")
     getter = value_getter(u_values)
-    gen = generator_for(source)
-    exh = exhaustion or default_exhaustion(gen, levels)
-    net = exh.ambient
-    o = net.origin
-    if target is None:
-        target = float(getter(int(x))) - float(getter(o))
-    rep = BoundarySumReport(x=int(x), target=float(target))
-    int_mask = np.zeros(net.n, dtype=bool)
+    exh = exhaustion or default_exhaustion(source, levels)
+    rep = None
     for radius, view in exh:
-        int_mask[:] = False
-        int_mask[view.interior] = True
-        if not (int_mask[x] and int_mask[o]):
+        o = view.net.origin
+        if not (view.is_interior(x) and view.is_interior(o)):
             continue
+        if rep is None:
+            if target is None:
+                target = float(getter(int(x))) - float(getter(o))
+            rep = BoundarySumReport(x=int(x), target=float(target))
         v = solve_dipole_level(view, x, bc="free", lane=lane)
         f = solve_dipole_level(view, x, bc="wired", lane=lane)
         h = potential_difference(v, f)
@@ -171,6 +168,8 @@ def boundary_sum_harmonic(source, u_values, x, levels=30, exhaustion=None,
             s = np.sum(u_bd * lap[bd])
         rep.radii.append(int(radius))
         rep.sums.append(float(s))
+    if rep is None:
+        raise InvalidParameters(f"vertex {x} never entered the exhaustion")
     return rep
 
 

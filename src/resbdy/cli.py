@@ -205,7 +205,7 @@ def cmd_decompose(args):
 def cmd_onb(args):
     src = resolve_network(args)
     onb = onbmod.build_onb(src, args.N, radius=args.radius,
-                           lane="hi" if args.lane in ("auto", "mp") else args.lane)
+                           lane="mp" if args.lane == "auto" else args.lane)
     _, dev_m = onbmod.entries_M_via_laplacian(onb)
     _, dev_e = onbmod.entries_E_via_evaluation(onb)
     dev_v = onbmod.gram_product_check(onb)

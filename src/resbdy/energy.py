@@ -47,7 +47,12 @@ class SubgraphView:
         self.edge_mask = in_i & in_j
 
     def __contains__(self, x):
-        return bool(self.mask[x])
+        """Whether vertex id x lies in H; ids outside the network never do."""
+        return 0 <= x < len(self.mask) and bool(self.mask[x])
+
+    def is_interior(self, x):
+        """Whether vertex id x lies in int H."""
+        return x in self and not self.bd_mask[x]
 
     def __repr__(self):
         return (f"SubgraphView(|H|={len(self.vertices)}, |bd|={len(self.bd)}, "

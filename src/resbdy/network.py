@@ -456,32 +456,46 @@ def generate_ball(gen, radius) -> Network:
 # -- exhaustions and enumerations -------------------------------------------
 
 
-@dataclass
 class Exhaustion:
-    """Increasing connected level sets G_1 c G_2 c ... inside one ambient ball.
+    """Increasing connected level sets G_1 c G_2 c ..., cut on demand.
 
-    The ambient ball is materialized one level past the deepest requested
-    radius so that boundaries of every level are known exactly.
+    Level r is cut from the current ambient ball, which reaches at least one
+    level past r so that the level's boundary is known exactly. A level that
+    outgrows the ambient replaces it by ``source.ball(r + 1)``: consecutive
+    levels share one ball while they fit, and one ball is held at a time. A
+    finite network is its own ambient. Reading ``ambient`` before iterating
+    materializes the ball for the deepest radius, which then holds every
+    level; during iteration it is the ``net`` of the view just yielded.
+    Vertex ids are stable across balls, but only potentials on one ``net``
+    combine.
     """
 
-    source: object
-    radii: list
-    ambient: Network
-    views: list
-
-    @classmethod
-    def build(cls, source, radii):
+    def __init__(self, source, radii):
         radii = [int(r) for r in radii]
         if not radii or any(r < 1 for r in radii) or any(
                 b <= a for a, b in zip(radii, radii[1:])):
             raise InvalidParameters("radii must be a strictly increasing list of ints >= 1")
-        gen = generator_for(source)
-        ambient = gen.ball(max(radii) + 1)
-        views = [ambient.ball_view(r) for r in radii]
-        return cls(source=gen, radii=radii, ambient=ambient, views=views)
+        self.source = generator_for(source)
+        self.radii = radii
+        self._ambient = (self.source.net if isinstance(self.source, FiniteGenerator)
+                         else None)
+
+    @classmethod
+    def build(cls, source, radii):
+        return cls(source, radii)
+
+    @property
+    def ambient(self) -> Network:
+        if self._ambient is None:
+            self._ambient = self.source.ball(self.radii[-1] + 1)
+        return self._ambient
 
     def __iter__(self):
-        return iter(zip(self.radii, self.views))
+        for r in self.radii:
+            net = self._ambient
+            if net is None or not (net.is_saturated or r < net.level.max()):
+                net = self._ambient = self.source.ball(r + 1)
+            yield r, net.ball_view(r)
 
     def __len__(self):
         return len(self.radii)
@@ -491,57 +505,13 @@ def default_exhaustion(source, levels):
     """Balls of radius 1..levels (saturating early on finite networks)."""
     if levels < 1:
         raise InvalidParameters("levels must be >= 1")
-    gen = generator_for(source)
-    if isinstance(gen, FiniteGenerator):
-        sat = int(gen.net.level.max())
-        radii = list(range(1, min(levels, max(sat, 1)) + 1))
-        radii += [sat + k for k in range(1, levels - len(radii) + 1)]
-        radii = sorted(set(radii))[:levels]
-    else:
-        radii = list(range(1, levels + 1))
-    return Exhaustion.build(source, radii)
+    return Exhaustion.build(source, range(1, levels + 1))
 
 
 def doubling_exhaustion(source, max_levels, start=1):
     """Radius schedule start, 2*start, 4*start, ... for divergence triage."""
     radii = [start * 2 ** k for k in range(max_levels)]
     return Exhaustion.build(source, radii)
-
-
-@dataclass
-class LazyExhaustion:
-    """Level views on per-level ambient balls, materialized on demand.
-
-    Vertex indices are stable across radii for every generator family, so
-    per-level potentials are individually consistent; they must not be
-    combined across levels (each references its own ambient Network). Used
-    by divergence triage, where one shared deep ambient would cost
-    O(levels * max_ball) instead of O(sum of ball sizes).
-    """
-
-    source: object
-    radii: list
-
-    def __iter__(self):
-        gen = generator_for(self.source)
-        for r in self.radii:
-            net = gen.ball(r + 1)
-            yield r, net.ball_view(r)
-
-    def __len__(self):
-        return len(self.radii)
-
-
-def lazy_doubling_exhaustion(source, max_levels, start=1):
-    return LazyExhaustion(source=generator_for(source),
-                          radii=[start * 2 ** k for k in range(max_levels)])
-
-
-def lazy_default_exhaustion(source, levels):
-    if levels < 1:
-        raise InvalidParameters("levels must be >= 1")
-    return LazyExhaustion(source=generator_for(source),
-                          radii=list(range(1, levels + 1)))
 
 
 def enumerate_vertices(net: Network):

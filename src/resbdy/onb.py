@@ -147,13 +147,13 @@ def gram_schmidt(kernels, enumeration, degeneracy_tol=DEGENERACY_TOL,
                      _work=(Q, M, E, V))
 
 
-def build_onb(source, N, radius=None, lane="hi", margin=5):
+def build_onb(source, N, radius=None, lane="mp", margin=5):
     """Solve N kernels along the BFS enumeration and orthonormalize them.
 
     The window is the ball of the requested radius (default: deep enough to
-    hold x_N plus ``margin`` levels). ``lane='hi'`` solves in mp and
-    'fraction' exactly, and either is orthonormalized in mp, which every
-    identity check then inherits; 'float64' uses the scipy lane.
+    hold x_N plus ``margin`` levels). ``lane`` is a solver lane: 'mp' solves
+    in mp and 'fraction' exactly, and either is orthonormalized in mp, which
+    every identity check then inherits; 'float64' uses the scipy lane.
     """
     if N < 1:
         raise InvalidParameters("N must be >= 1")
@@ -175,8 +175,7 @@ def build_onb(source, N, radius=None, lane="hi", margin=5):
             r *= 2
     xs = enum[:N]
     window = ambient.full_view()
-    solver_lane = {"hi": "mp", "float64": "float64", "fraction": "fraction"}[lane]
-    kernels = [solve_dipole_level(window, x, bc="free", lane=solver_lane)
+    kernels = [solve_dipole_level(window, x, bc="free", lane=lane)
                for x in xs]
     return gram_schmidt(kernels, xs)
 

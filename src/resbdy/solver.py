@@ -27,8 +27,8 @@ from . import _hifi
 from .energy import (Potential, SubgraphView, energy, window_defect,
                      window_edges)
 from .errors import InvalidParameters, SolverFailure
-from .network import (Exhaustion, default_exhaustion, generator_for,
-                      lazy_default_exhaustion, lazy_doubling_exhaustion)
+from .network import (Exhaustion, default_exhaustion, doubling_exhaustion,
+                      generator_for)
 
 DYNAMIC_RANGE_GUARD = 1e10
 
@@ -96,21 +96,19 @@ def solve_dipole_level(window: SubgraphView, x, bc="free", rhs=None,
         rhs = {int(x): 1, o: -1}
     rhs = {int(k): v for k, v in rhs.items() if v != 0}
     for v in rhs:
-        if not window.mask[v]:
+        if v not in window:
             raise InvalidParameters(f"rhs vertex {v} is outside the window")
     if bc == "wired" and len(window.bd) == 0:
         bc = "free"  # nothing to short: the window is a whole finite network
     if bc == "free":
-        if not window.mask[o]:
+        if o not in window:
             raise InvalidParameters("free solve needs the origin inside the window")
         dirichlet = ()
         pin = o
     elif bc == "wired":
         dirichlet = window.bd
         pin = None
-        int_mask = np.zeros(net.n, dtype=bool)
-        int_mask[window.interior] = True
-        bad = [v for v in rhs if not int_mask[v]]
+        bad = [v for v in rhs if not window.is_interior(v)]
         if bad:
             raise InvalidParameters(
                 f"wired solve needs charge vertices in the interior, got {bad}")
@@ -118,6 +116,8 @@ def solve_dipole_level(window: SubgraphView, x, bc="free", rhs=None,
         raise InvalidParameters(f"unknown boundary condition {bc!r}")
 
     lane = pick_lane(net, window, lane)
+    if lane not in ("float64", "mp", "fraction"):
+        raise InvalidParameters(f"unknown lane {lane!r}")
     values = np.zeros(net.n)
     hi = None
     if lane == "float64":
@@ -237,11 +237,9 @@ def energy_kernel(source, x, bc="free", exhaustion=None, levels=30, tol=1e-8,
     pot = None
     for radius, view in exh:
         if bc == "wired":
-            int_mask = np.zeros(exh.ambient.n, dtype=bool)
-            int_mask[view.interior] = True
-            if not (int_mask[x] and int_mask[exh.ambient.origin]):
+            if not (view.is_interior(x) and view.is_interior(view.net.origin)):
                 continue
-        elif not view.mask[x]:
+        elif x not in view:
             continue
         pot = solve_dipole_level(view, x, bc=bc, lane=lane)
         defect = window_defect(pot) if track_defect else None
@@ -280,13 +278,11 @@ def effective_resistance(source, x, y=None, bc="free", exhaustion=None,
     report = ConvergenceReport(quantity=f"resistance({x},{y}, bc={bc})", tol=tol)
     value = None
     for radius, view in exh:
-        if not (view.mask[x] and view.mask[y]):
-            continue
         if bc == "wired":
-            int_mask = np.zeros(exh.ambient.n, dtype=bool)
-            int_mask[view.interior] = True
-            if not (int_mask[x] and int_mask[y]):
+            if not (view.is_interior(x) and view.is_interior(y)):
                 continue
+        elif not (x in view and y in view):
+            continue
         pot = solve_dipole_level(view, x, bc=bc, rhs={x: 1, y: -1}, lane=lane)
         value = pot.value(x) - pot.value(y)
         # dual route: on the level network, energy(v) = v(x) - v(y) exactly
@@ -315,21 +311,19 @@ def monopole(source, x=None, exhaustion=None, levels=22, tol=1e-8,
     transient=True when the energies satisfy the convergence rule (bounded
     limit exists: the network supports a finite-energy monopole), False when
     they pass the divergence threshold with increasing trend, None otherwise.
-    Levels are solved on per-level ambient balls (generator indices are
-    stable), keeping divergence triage at deep radii affordable.
+    A doubling schedule cuts each level from its own ball (generator indices
+    are stable), keeping divergence triage at deep radii affordable.
     """
     gen = generator_for(source)
     if exhaustion is None:
-        exhaustion = (lazy_doubling_exhaustion(gen, levels)
+        exhaustion = (doubling_exhaustion(gen, levels)
                       if schedule == "doubling"
-                      else lazy_default_exhaustion(gen, levels))
+                      else default_exhaustion(gen, levels))
     x = int(x) if x is not None else gen.ball(1).origin
     report = ConvergenceReport(quantity=f"monopole_energy(x={x})", tol=tol)
     pot = None
     for radius, view in exhaustion:
-        int_mask = np.zeros(view.net.n, dtype=bool)
-        int_mask[view.interior] = True
-        if x >= view.net.n or not int_mask[x]:
+        if not view.is_interior(x):
             continue
         if _saturated(view) and len(view.bd) == 0:
             # a fully materialized finite network supports no monopole:
@@ -342,6 +336,8 @@ def monopole(source, x=None, exhaustion=None, levels=22, tol=1e-8,
         report.record(radius, len(view.vertices), e)
         if report.assess(divergence_threshold=divergence_threshold):
             break
+    if pot is None and not report.diverged:
+        raise InvalidParameters(f"vertex {x} never entered the exhaustion")
     transient = True if report.converged else (False if report.diverged else None)
     return MonopoleResult(potential=pot, report=report, transient=transient)
 

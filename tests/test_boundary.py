@@ -151,3 +151,11 @@ def test_boundary_sum_constant_u_on_finite_network(triangle):
     rep = boundary_sum_harmonic(triangle, lambda v: 4.0, 1, levels=5)
     assert rep.target == 0.0
     assert all(abs(s) <= 1e-12 for s in rep.sums)
+
+
+@pytest.mark.parametrize("x", [100, -3])
+def test_boundary_sum_rejects_a_vertex_outside_every_level(x):
+    gen = LadderGenerator(5, 0.9)
+    lh = ladder_harmonic(5, 0.9, 12)
+    with pytest.raises(InvalidParameters, match="never entered"):
+        boundary_sum_harmonic(gen, lh.value, x, levels=3)

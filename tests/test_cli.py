@@ -268,3 +268,22 @@ def test_unconverged_resist_exits_two(capsys):
     assert code == 2
     assert doc["pass"] is False
     assert doc["report"]["convergence"]["converged"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["resist", "--network", "integer-lattice", "--x", "100", "--levels", "3"],
+    ["resist", "--network", "integer-lattice", "--x", "-3", "--levels", "3"],
+    ["kernel", "--network", "integer-lattice", "--x", "100", "--levels", "3"],
+    ["kernel", "--network", "integer-lattice", "--x", "-3", "--levels", "3",
+     "--bc", "wired"],
+    ["boundary-sum", "--network", "ladder", "--alpha", "5", "--beta", "0.9",
+     "--x", "100", "--levels", "3"],
+    ["monopole", "--network", "integer-lattice", "--x", "100", "--levels", "3"],
+])
+def test_vertex_outside_the_exhaustion_is_a_clean_error(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error [invalid-parameters]")
+    assert "never entered the exhaustion" in captured.err

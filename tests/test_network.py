@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from resbdy import (BinaryTreeGenerator, GeometricHalfLineGenerator,
+from resbdy import (BinaryTreeGenerator, Exhaustion, GeometricHalfLineGenerator,
                     IntegerLatticeGenerator, LadderGenerator, build_finite,
-                    default_exhaustion, enumerate_vertices,
-                    generator_from_spec)
+                    default_exhaustion, doubling_exhaustion,
+                    enumerate_vertices, generator_from_spec)
 from resbdy.errors import (DisconnectedGraph, InvalidParameters,
                            NonpositiveConductance, SelfLoop)
 from tests.conftest import random_edge_list
@@ -172,3 +172,54 @@ def test_lattice_indexing_stable():
     gen2 = IntegerLatticeGenerator(2)
     b2 = gen2.ball(2)
     assert b2.n == 13  # 1 + 4 + 8 lattice points within L1 distance 2
+
+
+@pytest.mark.parametrize("gen", [IntegerLatticeGenerator(1), IntegerLatticeGenerator(2),
+                                 LadderGenerator(5, 0.9), BinaryTreeGenerator()])
+def test_doubling_levels_are_cut_from_their_own_ball(gen):
+    exh = doubling_exhaustion(gen, 4)
+    for r, view in exh:
+        assert view.net.n == gen.ball(r + 1).n
+        assert exh.ambient is view.net
+        assert np.array_equal(view.vertices, np.flatnonzero(view.net.level <= r))
+
+
+def test_ambient_read_before_iterating_holds_every_level():
+    gen = LadderGenerator(5, 0.9)
+    exh = default_exhaustion(gen, 5)
+    deepest = exh.ambient
+    assert deepest.n == gen.ball(6).n
+    assert all(view.net is deepest for _, view in exh)
+
+
+def test_second_pass_reuses_the_ambient_of_the_first():
+    exh = default_exhaustion(IntegerLatticeGenerator(1), 8)
+    for r, view in exh:
+        if r == 5:
+            reached = view.net
+            break
+    for r, view in exh:
+        assert view.net is reached
+        if r == 5:
+            break
+
+
+def test_finite_network_keeps_one_ambient(grid44):
+    exh = default_exhaustion(grid44, 3)
+    assert [r for r, _ in exh] == [1, 2, 3]
+    assert all(view.net is grid44 for _, view in exh)
+    assert exh.ambient is grid44
+
+
+def test_exhaustion_radii_must_increase():
+    for radii in ([], [0, 1], [2, 2], [3, 1]):
+        with pytest.raises(InvalidParameters):
+            Exhaustion.build(LadderGenerator(5, 0.9), radii)
+
+
+def test_view_membership_is_bounds_checked():
+    view = IntegerLatticeGenerator(1).ball(3).ball_view(2)
+    assert 0 in view and 4 in view and view.is_interior(0)
+    assert not view.is_interior(3) and 3 in view   # +2 lies on bd
+    for x in (-1, -3, 5, 6, 7, 100):
+        assert x not in view and not view.is_interior(x)

@@ -220,3 +220,29 @@ def test_float64_lane_refuses_overflowed_window():
 def test_energy_value_dual_route_recorded(triangle):
     _, rep = effective_resistance(triangle, 1, 2)
     assert rep.extra["max_energy_value_dev"] <= 1e-12
+
+
+@pytest.mark.parametrize("x", [100, -3])
+def test_vertex_outside_every_level_is_rejected(x):
+    gen = IntegerLatticeGenerator(1)
+    for bc in ("free", "wired"):
+        with pytest.raises(InvalidParameters, match="never entered"):
+            effective_resistance(gen, x, bc=bc, levels=3)
+        with pytest.raises(InvalidParameters, match="never entered"):
+            energy_kernel(gen, x, bc=bc, levels=3)
+    for schedule in ("doubling", "linear"):
+        with pytest.raises(InvalidParameters, match="never entered"):
+            monopole(gen, x=x, levels=3, schedule=schedule)
+
+
+def test_finite_kernel_keeps_vertex_ids_below_saturation(grid44):
+    # vertex 12 is the corner (3, 0), three levels from the origin
+    pot, rep = energy_kernel(grid44, 12, levels=3)
+    ref = solve_dipole_level(grid44.ball_view(3), 12, bc="free")
+    assert pot.net is grid44 and rep.radii[-1] == 3
+    assert pot.value(12) == ref.value(12)
+
+
+def test_unknown_lane_is_rejected(triangle):
+    with pytest.raises(InvalidParameters, match="unknown lane"):
+        solve_dipole_level(triangle.full_view(), 1, lane="hi")
