@@ -98,7 +98,9 @@ def gauss_green_verify(u: Potential, v: Potential, exhaustion=None, levels=None)
         rep.totals.append(total)
         rep.window_energies.append(wen)
         rep.deviations.append(total - target)
-        rep.split_identity_dev = max(rep.split_identity_dev, abs(total - wen))
+        # np.maximum keeps a NaN, which max() would drop
+        rep.split_identity_dev = float(np.maximum(rep.split_identity_dev,
+                                                  abs(total - wen)))
     return rep
 
 
@@ -143,7 +145,7 @@ def boundary_sum_harmonic(source, u_values, x, levels=30, exhaustion=None,
     design: h^(k) = v^(k) - f^(k) is exactly harmonic inside G_k and its
     normal derivative sums carry the boundary representation.
     """
-    if harm_residual is not None and harm_residual > harm_tol:
+    if harm_residual is not None and not (harm_residual <= harm_tol):
         raise NotHarmonic(
             f"u has harmonic residual {harm_residual:.3e} > {harm_tol:.1e}")
     getter = value_getter(u_values)

@@ -407,7 +407,11 @@ class BinaryTreeGenerator:
 
 @dataclass(frozen=True)
 class FiniteGenerator:
-    """Wraps an explicit finite network as a generator; balls saturate."""
+    """Wraps an explicit finite network as a generator.
+
+    Every ball is the network itself, so its vertex ids are the only ones;
+    smaller balls are cut as views (``Network.ball_view``).
+    """
 
     net: Network
     family: str = field(default="finite", init=False)
@@ -418,25 +422,7 @@ class FiniteGenerator:
     def ball(self, radius):
         if radius < 1:
             raise InvalidParameters("radius must be >= 1")
-        r = int(radius)
-        if r >= self.net.level.max():
-            return self.net
-        keep = np.flatnonzero(self.net.level <= r)
-        mask = np.zeros(self.net.n, dtype=bool)
-        mask[keep] = True
-        emask = mask[self.net.ei] & mask[self.net.ej]
-        remap = -np.ones(self.net.n, dtype=np.int64)
-        remap[keep] = np.arange(len(keep))
-        exact = [self.net.exact_conductance(k) for k in np.flatnonzero(emask)]
-        # frontier = kept vertices with at least one neighbor cut away
-        pattern = self.net.adjacency.copy()
-        pattern.data = np.ones_like(pattern.data)
-        outside = (pattern @ (~mask).astype(np.float64))[keep] > 0
-        return Network(remap[self.net.ei[emask]], remap[self.net.ej[emask]],
-                       self.net.ec[emask], origin=remap[self.net.origin],
-                       level=self.net.level[keep],
-                       frontier=np.flatnonzero(outside),
-                       exact=tuple(exact), family="finite")
+        return self.net
 
 
 def generator_for(net_or_gen):
@@ -447,7 +433,8 @@ def generator_for(net_or_gen):
 
 
 def generate_ball(gen, radius) -> Network:
-    """Materialize the ball of the given radius for any generator family."""
+    """Materialize the ball of the given radius for any generator family (a
+    finite network is its own ball)."""
     if radius < 1:
         raise InvalidParameters("radius must be >= 1")
     return generator_for(gen).ball(int(radius))
@@ -477,8 +464,7 @@ class Exhaustion:
             raise InvalidParameters("radii must be a strictly increasing list of ints >= 1")
         self.source = generator_for(source)
         self.radii = radii
-        self._ambient = (self.source.net if isinstance(self.source, FiniteGenerator)
-                         else None)
+        self._ambient = None
 
     @classmethod
     def build(cls, source, radii):

@@ -1,4 +1,4 @@
-"""Energy-orthonormal bases from dipole kernels via modified Gram-Schmidt.
+"""Energy-orthonormal bases from dipole kernels via Gram-Schmidt.
 
 Starting from the kernels v_{x_1}, ..., v_{x_N} along a BFS enumeration, the
 Gram-Schmidt process yields an orthonormal system eps_1..eps_N together with
@@ -11,12 +11,32 @@ construction self-checking: M[i, j] equals the Laplacian of eps_i at x_j,
 E[i, j] equals eps_j(x_i) - eps_j(o), E E^T reproduces the Gram matrix of the
 kernels, and the mixed sum over j <= k <= i collapses to the Kronecker delta.
 
+Every energy inner product is an edge sum <u, v> = sum c du dv over the
+window's edge increments du = u_a - u_b. The construction takes the kernels'
+increments dK once and carries the increments of every later vector
+alongside its values, so each step is a few matrix-vector products:
+
+* column n of the kernels' Gram matrix is (c dK[:, :n+1])^T dK[:, n];
+* E[n, j] = <v_n, eps_j> = sum_k M[j, k] V[k, n] for j < n, a product of M
+  with that column (the inner products of Cholesky-QR: Stathopoulos & Wu,
+  SIAM J. Sci. Comput. 23(6), 2002);
+* the residual w = v_n - sum_j E[n, j] eps_j and its increments dw each come
+  from one product, and the pivot is the edge sum (sum c dw^2)^(1/2), so a
+  kernel that depends on its predecessors leaves a pivot at rounding level;
+* column n of (c dQ)^T dQ, the Gram matrix of the eps_j, serves twice: when
+  it shows that eps_n has lost orthogonality to the earlier eps_j, one
+  second pass projects w again (one pass is enough: Giraud, Langou &
+  Rozloznik, Comput. Math. Appl. 50, 2005), and its final values give the
+  orthonormality deviation.
+
 The construction and every identity check are written once, over numpy
 arrays in the construction field: mpf object arrays at 25 digits above the
 kernels' solve precision whenever all kernels carry hi values (mp or
-Fraction), float64 arrays otherwise. The public matrices are float64; the
-deviations of the identity checks are evaluated in the construction field,
-at the recorded construction precision.
+Fraction), float64 arrays otherwise. In every product of an mpf with an
+array, the array stands on the left: an mpf on the left makes mpmath format
+the whole array before numpy takes over. The public matrices are float64;
+the deviations of the identity checks are evaluated in the construction
+field, at the recorded construction precision.
 """
 
 from __future__ import annotations
@@ -74,7 +94,8 @@ def _sqrt(x):
 
 def gram_schmidt(kernels, enumeration, degeneracy_tol=DEGENERACY_TOL,
                  reorth_threshold=REORTH_THRESHOLD):
-    """Modified Gram-Schmidt on dipole kernels in the energy inner product.
+    """Gram-Schmidt on dipole kernels in the energy inner product, over the
+    window's edge increments (see the module docstring).
 
     A second orthogonalization pass runs whenever the loss of orthogonality
     of the reduced vector exceeds ``reorth_threshold``. Raises GramDegenerate
@@ -95,50 +116,45 @@ def gram_schmidt(kernels, enumeration, degeneracy_tol=DEGENERACY_TOL,
         if field_of(K) is Fraction:
             # exact kernels are orthonormalized in mp
             K = np.vectorize(_hifi.to_mpf, otypes=[object])(K)
-        dot = functools.partial(edge_energy, *window_edges(window, field_of(K)))
+        c, a, b = window_edges(window, field_of(K))
+        dK = K[a] - K[b]
+        cdK = c[:, None] * dK
         N = len(kernels)
-        V = np.array([[dot(K[:, i], K[:, j]) for j in range(N)]
-                      for i in range(N)], dtype=K.dtype)
-        Q = np.zeros(K.shape, dtype=K.dtype)
-        E = np.zeros((N, N), dtype=K.dtype)
-        M = np.zeros((N, N), dtype=K.dtype)
-
-        def project_out(w, n):
-            for j in range(n):
-                r = dot(Q[:, j], w)
-                E[n, j] += r
-                w = w - r * Q[:, j]
-            return w
-
+        Q, dQ, cdQ = np.zeros_like(K), np.zeros_like(dK), np.zeros_like(dK)
+        V, E, M, G = (np.zeros((N, N), dtype=K.dtype) for _ in range(4))
         pivot_min = np.inf
         for n in range(N):
-            w = project_out(K[:, n], n)
-            wn = dot(w, w)
-            # one re-orthogonalization pass when orthogonality degrades
-            if n and wn > 0:
-                worst = max(abs(dot(Q[:, j], w)) for j in range(n))
-                if worst > reorth_threshold * _sqrt(wn):
-                    w = project_out(w, n)
-                    wn = dot(w, w)
-            if wn <= 0:
-                raise GramDegenerate(
-                    f"kernel {n + 1} is energy-dependent on its predecessors")
-            piv = _sqrt(wn)
+            # both Gram matrices are symmetric: one column of each per step
+            V[n, :n + 1] = V[:n + 1, n] = cdK[:, :n + 1].T @ dK[:, n]
+            # E[n, j] = <v_n, eps_j> = sum_k M[j, k] V[k, n]
+            e = M[:n, :n] @ V[:n, n]
+            w, dw = K[:, n] - Q[:, :n] @ e, dK[:, n] - dQ[:, :n] @ e
+            for second_pass in (False, True):
+                wn = (c * dw) @ dw
+                if not wn > 0:
+                    raise GramDegenerate(
+                        f"kernel {n + 1} is energy-dependent on its predecessors")
+                piv = _sqrt(wn)
+                Q[:, n], dQ[:, n] = w / piv, dw / piv
+                cdQ[:, n] = c * dQ[:, n]
+                # column n of the Gram matrix of eps_1..eps_n
+                G[:n + 1, n] = cdQ[:, :n + 1].T @ dQ[:, n]
+                # one re-orthogonalization pass when orthogonality degrades
+                if (second_pass or not n
+                        or not np.max(np.abs(G[:n, n])) > reorth_threshold):
+                    break
+                r = G[:n, n] * piv
+                e = e + r
+                w, dw = w - Q[:, :n] @ r, dw - dQ[:, :n] @ r
             if float(piv) < degeneracy_tol:
                 raise GramDegenerate(
                     f"pivot {float(piv):.3e} below degeneracy tol {degeneracy_tol:.1e}")
             pivot_min = min(pivot_min, piv)
-            Q[:, n] = w / piv
-            E[n, n] = piv
+            E[n, :n], E[n, n] = e, piv
             # forward recurrence for M = E^{-1}
-            for k2 in range(n + 1):
-                s = 1 if k2 == n else 0
-                for j in range(n):
-                    if E[n, j] and M[j, k2]:
-                        s -= E[n, j] * M[j, k2]
-                M[n, k2] = s / piv
-        orth = max(abs(dot(Q[:, i], Q[:, j]) - (1 if i == j else 0))
-                   for i in range(N) for j in range(i + 1))
+            M[n, :n + 1] = (np.eye(1, n + 1, n, dtype=K.dtype)[0]
+                            - E[n, :n] @ M[:n, :n + 1]) / piv
+        orth = np.max(np.abs(np.triu(G - np.eye(N))))
     return OnbSystem(net=net, window=window, enumeration=list(map(int, enumeration)),
                      M=M.astype(float), E=E.astype(float), V=V.astype(float),
                      eps=Q.astype(float), orth_dev=float(orth),
@@ -158,23 +174,26 @@ def build_onb(source, N, radius=None, lane="mp", margin=5):
     if N < 1:
         raise InvalidParameters("N must be >= 1")
     gen = generator_for(source)
-    r = 1
+    r = 1 if radius is None else radius
     while True:
-        ambient = gen.ball(r if radius is None else radius)
+        ambient = gen.ball(r)
         enum = enumerate_vertices(ambient)
         if len(enum) >= N:
             need = int(ambient.level[enum[:N]].max())
-            if radius is not None or r >= need + margin:
-                break
-            r = need + margin
-        else:
-            if radius is not None or ambient.is_saturated:
+            if radius is None and r < need + margin:
+                r = need + margin
+                continue
+            if need > r:
                 raise InvalidParameters(
-                    f"window holds only {len(enum)} enumerable vertices, "
-                    f"N={N} requested")
-            r *= 2
+                    f"x_{N} lies at level {need}, outside the radius-{r} window")
+            break
+        if radius is not None or ambient.is_saturated:
+            raise InvalidParameters(
+                f"window holds only {len(enum)} enumerable vertices, "
+                f"N={N} requested")
+        r *= 2
     xs = enum[:N]
-    window = ambient.full_view()
+    window = ambient.ball_view(r)
     kernels = [solve_dipole_level(window, x, bc="free", lane=lane)
                for x in xs]
     return gram_schmidt(kernels, xs)

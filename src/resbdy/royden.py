@@ -49,7 +49,7 @@ class RoydenSplit:
 
     @property
     def harmonicity_violated(self):
-        return self.harm_residual_max > self.harm_tol
+        return not (self.harm_residual_max <= self.harm_tol)
 
     def to_dict(self):
         return {

@@ -267,12 +267,6 @@ def effective_resistance(source, x, y=None, bc="free", exhaustion=None,
     if y is None:
         y = gen.ball(1).origin
     x, y = int(x), int(y)
-    if x == y:
-        report = ConvergenceReport(quantity=f"resistance({x},{y})", tol=tol)
-        report.converged = True
-        report.stopping_rule = "identical-vertices"
-        report.values = [0.0]
-        return 0.0, report
     exh = (exhaustion if exhaustion is not None
            else default_exhaustion(source, levels))
     report = ConvergenceReport(quantity=f"resistance({x},{y}, bc={bc})", tol=tol)
@@ -283,6 +277,11 @@ def effective_resistance(source, x, y=None, bc="free", exhaustion=None,
                 continue
         elif not (x in view and y in view):
             continue
+        if x == y:
+            report.converged = True
+            report.stopping_rule = "identical-vertices"
+            report.values = [0.0]
+            return 0.0, report
         pot = solve_dipole_level(view, x, bc=bc, rhs={x: 1, y: -1}, lane=lane)
         value = pot.value(x) - pot.value(y)
         # dual route: on the level network, energy(v) = v(x) - v(y) exactly

@@ -159,3 +159,16 @@ def test_boundary_sum_rejects_a_vertex_outside_every_level(x):
     lh = ladder_harmonic(5, 0.9, 12)
     with pytest.raises(InvalidParameters, match="never entered"):
         boundary_sum_harmonic(gen, lh.value, x, levels=3)
+
+
+def test_nan_harmonic_residual_is_not_harmonic(triangle):
+    with pytest.raises(NotHarmonic):
+        boundary_sum_harmonic(triangle, lambda v: 1.0, 1,
+                              harm_residual=float("nan"))
+
+
+def test_nan_split_identity_is_kept(triangle):
+    u = potential_from_values(triangle, [0.0, 1.0, float("nan")], pinned=True)
+    v = potential_from_values(triangle, [0.0, 1.0, 2.0], pinned=True)
+    rep = gauss_green_verify(u, v)
+    assert np.isnan(rep.split_identity_dev)

@@ -279,6 +279,8 @@ def test_unconverged_resist_exits_two(capsys):
     ["boundary-sum", "--network", "ladder", "--alpha", "5", "--beta", "0.9",
      "--x", "100", "--levels", "3"],
     ["monopole", "--network", "integer-lattice", "--x", "100", "--levels", "3"],
+    ["resist", "--network", "integer-lattice", "--x", "100", "--y", "100",
+     "--levels", "3"],
 ])
 def test_vertex_outside_the_exhaustion_is_a_clean_error(argv, capsys):
     code = main(argv)
@@ -287,3 +289,60 @@ def test_vertex_outside_the_exhaustion_is_a_clean_error(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error [invalid-parameters]")
     assert "never entered the exhaustion" in captured.err
+
+
+# -- no NaN passes a check ----------------------------------------------------
+
+NAN = float("nan")
+
+
+def _nan_gram_product(monkeypatch):
+    monkeypatch.setattr(resbdy.onb, "gram_product_check", lambda onb: NAN)
+
+
+def _nan_split_identity(monkeypatch):
+    verify = resbdy.boundary.gauss_green_verify
+
+    def nan_verify(*args, **kwargs):
+        rep = verify(*args, **kwargs)
+        rep.split_identity_dev = NAN
+        return rep
+    monkeypatch.setattr(resbdy.boundary, "gauss_green_verify", nan_verify)
+
+
+def test_nan_onb_deviation_fails_onb(monkeypatch, capsys):
+    _nan_gram_product(monkeypatch)
+    code, doc = run_cli(["onb", "--network", TRIANGLE, "--N", "2"], capsys)
+    assert code == 2 and doc["pass"] is False
+    assert doc["report"]["gram_product_dev"] is None
+
+
+def test_nan_deviations_fail_verify_all(monkeypatch, capsys):
+    _nan_gram_product(monkeypatch)
+    _nan_split_identity(monkeypatch)
+    monkeypatch.setattr(resbdy.cli, "energy", lambda u, v: NAN)
+    code, doc = run_cli(["verify-all", "--network", TRIANGLE], capsys)
+    assert code == 2
+    failed = [c["check"] for c in doc["report"]["checks"] if not c["pass"]]
+    assert failed == ["reproducing-identity", "gauss-green-window-identity",
+                      "onb-identities"]
+
+
+def test_nan_split_identity_fails_gauss_green(monkeypatch, capsys):
+    _nan_split_identity(monkeypatch)
+    code, doc = run_cli(["gauss-green", "--network", TRIANGLE, "--x", "1",
+                         "--u-kernel", "2"], capsys)
+    assert code == 2 and doc["pass"] is False
+
+
+def test_nan_boundary_sum_fails_boundary_sum(monkeypatch, capsys):
+    bsum = resbdy.boundary.boundary_sum_harmonic
+
+    def nan_bsum(*args, **kwargs):
+        rep = bsum(*args, **kwargs)
+        rep.target = NAN
+        return rep
+    monkeypatch.setattr(resbdy.boundary, "boundary_sum_harmonic", nan_bsum)
+    code, doc = run_cli(["boundary-sum", "--network", TRIANGLE, "--x", "1",
+                         "--u-kernel", "1"], capsys)
+    assert code == 2 and doc["pass"] is False

@@ -1,16 +1,21 @@
+import functools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from resbdy import (IntegerLatticeGenerator, LadderGenerator, build_finite,
+from resbdy import (GeometricHalfLineGenerator, IntegerLatticeGenerator,
+                    LadderGenerator, _hifi, build_finite,
                     build_onb, coefficient_vector, energy,
                     entries_E_via_evaluation, entries_M_via_laplacian,
                     gram_product_check, gram_schmidt, kronecker_sum_check,
                     number_operator, p_seminorm, reconstruction_check,
                     solve_dipole_level)
+from resbdy.energy import edge_energy, field_of, window_edges, window_values
 from resbdy.errors import GramDegenerate, InvalidParameters
-from resbdy.onb import number_pairing_check
+from resbdy.onb import (DEGENERACY_TOL, REORTH_THRESHOLD, _sqrt,
+                        number_pairing_check)
 
 
 def test_single_edge_onb():
@@ -161,3 +166,124 @@ def test_z1_identity_suite_moderate():
 def test_build_onb_rejects_oversized_N(triangle):
     with pytest.raises(InvalidParameters):
         build_onb(triangle, 5)
+
+
+# -- the edge-increment construction against the loop it replaced ------------
+
+
+def _reference_gram_schmidt(kernels, enumeration,
+                            degeneracy_tol=DEGENERACY_TOL,
+                            reorth_threshold=REORTH_THRESHOLD):
+    """The earlier construction, for mp and float64 kernels: modified
+    Gram-Schmidt with one edge sum per inner product. Returns (M, E, V, Q,
+    pivot_min, dps), the arrays in the construction field."""
+    net, window = kernels[0].net, kernels[0].window
+    hi = all(k.hi is not None for k in kernels)
+    dps = (_hifi.auto_dps(net, window.edge_mask, len(window.vertices)) + 25
+           if hi else None)
+    with _hifi.workdps(dps):
+        K = np.stack([window_values(k) if hi else k.values[window.vertices]
+                      for k in kernels], axis=1)
+        dot = functools.partial(edge_energy, *window_edges(window, field_of(K)))
+        N = len(kernels)
+        V = np.array([[dot(K[:, i], K[:, j]) for j in range(N)]
+                      for i in range(N)], dtype=K.dtype)
+        Q = np.zeros(K.shape, dtype=K.dtype)
+        E = np.zeros((N, N), dtype=K.dtype)
+        M = np.zeros((N, N), dtype=K.dtype)
+
+        def project_out(w, n):
+            for j in range(n):
+                r = dot(Q[:, j], w)
+                E[n, j] += r
+                w = w - r * Q[:, j]
+            return w
+
+        pivot_min = np.inf
+        for n in range(N):
+            w = project_out(K[:, n], n)
+            wn = dot(w, w)
+            if n and wn > 0:
+                worst = max(abs(dot(Q[:, j], w)) for j in range(n))
+                if worst > reorth_threshold * _sqrt(wn):
+                    w = project_out(w, n)
+                    wn = dot(w, w)
+            if wn <= 0:
+                raise GramDegenerate("dependent kernel")
+            piv = _sqrt(wn)
+            if float(piv) < degeneracy_tol:
+                raise GramDegenerate("small pivot")
+            pivot_min = min(pivot_min, piv)
+            Q[:, n] = w / piv
+            E[n, n] = piv
+            for k2 in range(n + 1):
+                s = 1 if k2 == n else 0
+                for j in range(n):
+                    if E[n, j] and M[j, k2]:
+                        s -= E[n, j] * M[j, k2]
+                M[n, k2] = s / piv
+    return M, E, V, Q, pivot_min, dps
+
+
+def _kernels_of(onb, lane):
+    return [solve_dipole_level(onb.window, x, bc="free", lane=lane)
+            for x in onb.enumeration]
+
+
+@pytest.mark.parametrize("gen, N, lane, rel", [
+    (LadderGenerator(5, 0.9), 12, "mp", 1e-60),
+    (IntegerLatticeGenerator(2), 10, "float64", 1e-12),
+])
+def test_gram_schmidt_matches_the_modified_gram_schmidt_loop(gen, N, lane, rel):
+    onb = build_onb(gen, N, lane=lane)
+    kernels = _kernels_of(onb, lane)
+    new = gram_schmidt(kernels, onb.enumeration)
+    M, E, V, Q, ref_pivot, dps = _reference_gram_schmidt(kernels,
+                                                         onb.enumeration)
+    assert new.dps == dps
+    with _hifi.workdps(dps):
+        for got, want in zip(new._work, (Q, M, E, V)):
+            assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+    if lane == "mp":
+        assert new.pivot_min == float(ref_pivot)
+    else:
+        assert new.pivot_min == pytest.approx(ref_pivot, rel=1e-12)
+
+
+@pytest.mark.parametrize("lane", ["float64", "mp"])
+def test_gram_degenerate_on_duplicate_kernels_with_non_unit_conductances(lane):
+    net = build_finite([(0, 1, 2.5), (1, 2, 0.3), (2, 3, 7.0), (1, 3, 0.45)])
+    window = net.full_view()
+    v = solve_dipole_level(window, 2, bc="free", lane=lane)
+    u = solve_dipole_level(window, 1, bc="free", lane=lane)
+    with pytest.raises(GramDegenerate):
+        gram_schmidt([u, v, v], [1, 2, 2])
+
+
+@pytest.mark.parametrize("N", [20, 25])
+def test_reorthogonalization_keeps_float64_half_line_orthonormal(N):
+    # without the second pass the float64 basis drifts to 5e-10 at N=20
+    # and to 7e-8 at N=25
+    onb = build_onb(GeometricHalfLineGenerator(2), N, lane="float64")
+    assert onb.orth_dev <= 1e-9
+
+
+def test_mp_build_never_formats_an_mpf(monkeypatch):
+    # an mpf on the left of an array product formats the whole array
+    # through repr() before numpy takes over
+    def refuse(self):
+        raise AssertionError("an mpf was formatted")
+    monkeypatch.setattr(mp.mpf, "__repr__", refuse)
+    onb = build_onb(LadderGenerator(5, 0.9), 8)
+    assert onb.field == "mp" and onb.orth_dev <= 1e-9
+
+
+def test_build_onb_keeps_the_ids_of_a_finite_network():
+    # 20 vertices, origin at the far end: the window is a ball inside the path
+    path = build_finite([(i, i + 1, 1) for i in range(19)], origin=19)
+    onb = build_onb(path, 2)
+    assert onb.enumeration == [18, 17]
+    assert onb.net is path
+    assert np.allclose(onb.V, [[1.0, 1.0], [1.0, 2.0]], atol=1e-12)
+    with pytest.raises(InvalidParameters):
+        build_onb(path, 5, radius=2)

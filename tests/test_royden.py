@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -149,3 +151,10 @@ def test_sup_norm_zero_potential(triangle):
     z = type(split.v)(split.v.net, np.zeros(split.v.net.n), split.v.window,
                       pinned=True)
     assert sup_norm(z) == 0.0
+
+
+def test_nan_residual_violates_harmonicity(triangle):
+    split = royden_split(triangle, 1)
+    assert not split.harmonicity_violated
+    split = dataclasses.replace(split, harm_residual_max=float("nan"))
+    assert split.harmonicity_violated

@@ -246,3 +246,20 @@ def test_finite_kernel_keeps_vertex_ids_below_saturation(grid44):
 def test_unknown_lane_is_rejected(triangle):
     with pytest.raises(InvalidParameters, match="unknown lane"):
         solve_dipole_level(triangle.full_view(), 1, lane="hi")
+
+
+def test_default_y_is_the_origin_of_a_finite_network():
+    # the origin sits at the far end of the path 0-1-2-3
+    net = build_finite([(i, i + 1, 1) for i in range(3)], origin=3)
+    r, _ = effective_resistance(net, 0)
+    assert r == pytest.approx(3.0, rel=1e-12)
+    assert effective_resistance(net, 0, 3)[0] == pytest.approx(r, rel=1e-12)
+
+
+@pytest.mark.parametrize("bc", ["free", "wired"])
+def test_identical_vertices_must_enter_the_exhaustion(bc):
+    gen = IntegerLatticeGenerator(1)
+    with pytest.raises(InvalidParameters, match="never entered"):
+        effective_resistance(gen, 100, 100, bc=bc, levels=3)
+    r, rep = effective_resistance(gen, 2, 2, bc=bc, levels=3)
+    assert r == 0.0 and rep.converged
