@@ -17,7 +17,7 @@ from .network import (BinaryTreeGenerator, Exhaustion, FiniteGenerator,
                       GeometricHalfLineGenerator, IntegerLatticeGenerator,
                       LadderGenerator, Network, build_finite,
                       default_exhaustion, doubling_exhaustion,
-                      enumerate_vertices, generate_ball, generator_from_spec)
+                      enumerate_vertices, generator_from_spec)
 from .onb import (OnbSystem, build_onb, coefficient_vector,
                   entries_E_via_evaluation, entries_M_via_laplacian,
                   gram_product_check, gram_schmidt, kronecker_sum_check,

@@ -30,6 +30,9 @@ from .errors import InvalidParameters, NotHarmonic
 from .network import default_exhaustion
 from .solver import solve_dipole_level
 
+# the largest harmonic residual of u that boundary_sum_harmonic accepts
+HARM_TOL = 1e-6
+
 
 @dataclass
 class GaussGreenReport:
@@ -134,9 +137,8 @@ class BoundarySumReport:
         }
 
 
-def boundary_sum_harmonic(source, u_values, x, levels=30, exhaustion=None,
-                          lane="auto", target=None, harm_residual=None,
-                          harm_tol=1e-6):
+def boundary_sum_harmonic(source, u_values, x, levels=30, lane="auto",
+                          target=None, harm_residual=None):
     """Per-level sums over bd G_k of u dn(h_x), converging to u(x) - u(o).
 
     ``u_values`` maps vertex id -> value of the harmonic function (callable,
@@ -145,13 +147,12 @@ def boundary_sum_harmonic(source, u_values, x, levels=30, exhaustion=None,
     design: h^(k) = v^(k) - f^(k) is exactly harmonic inside G_k and its
     normal derivative sums carry the boundary representation.
     """
-    if harm_residual is not None and not (harm_residual <= harm_tol):
+    if harm_residual is not None and not (harm_residual <= HARM_TOL):
         raise NotHarmonic(
-            f"u has harmonic residual {harm_residual:.3e} > {harm_tol:.1e}")
+            f"u has harmonic residual {harm_residual:.3e} > {HARM_TOL:.1e}")
     getter = value_getter(u_values)
-    exh = exhaustion or default_exhaustion(source, levels)
     rep = None
-    for radius, view in exh:
+    for radius, view in default_exhaustion(source, levels):
         o = view.net.origin
         if not (view.is_interior(x) and view.is_interior(o)):
             continue
@@ -189,9 +190,9 @@ class PathToInfinity:
             self._cache.append(int(self.vertex_fn(len(self._cache))))
         return self._cache[: n + 1]
 
-    def validate(self, horizon, net=None):
+    def validate(self, horizon):
         """Check successive adjacency and escape from every ball up to horizon."""
-        net = net or self.generator.ball(horizon + 2)
+        net = self.generator.ball(horizon + 2)
         ids = self.prefix(horizon)
         lev = net.level
         for a, b in zip(ids, ids[1:]):

@@ -9,7 +9,6 @@ truncation.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -82,7 +81,7 @@ def window_edges(window, field=float):
     if field is float:
         c = net.ec[edges]
     else:
-        conv = _hifi.to_mpf if field is not Fraction else (lambda x: x)
+        conv = _hifi.converter(field)
         c = np.empty(len(edges), dtype=object)
         c[:] = [conv(net.exact_conductance(k)) for k in edges.tolist()]
     return c, pos[net.ei[edges]], pos[net.ej[edges]]
@@ -147,18 +146,6 @@ class Potential:
             raise DomainMismatch(f"vertex {x} lies outside this potential's window")
         return float(self.values[x])
 
-    def pinned_copy(self):
-        off = self.values[self.net.origin]
-        vals = self.values.copy()
-        vals[self.window.vertices] -= off
-        hi = None
-        if self.hi is not None:
-            o_pos = np.searchsorted(self.window.vertices, self.net.origin)
-            with _hifi.workdps(self.dps):
-                hi = [v - self.hi[o_pos] for v in self.hi]
-        return Potential(self.net, vals, self.window, pinned=True, hi=hi,
-                         dps=self.dps)
-
     def to_rows(self):
         """(vertex_index, value) rows restricted to the window."""
         return [(int(v), float(self.values[v])) for v in self.window.vertices]
@@ -205,8 +192,9 @@ def potential_from_values(net, mapping, window=None, pinned=False):
     else:
         arr = np.asarray(mapping, dtype=np.float64)
         vals[: len(arr)] = arr
-    p = Potential(net, vals, window, pinned=pinned)
-    return p.pinned_copy() if pinned else p
+    if pinned:
+        vals[window.vertices] -= vals[net.origin]
+    return Potential(net, vals, window, pinned=pinned)
 
 
 def delta(net, x, window=None):

@@ -62,7 +62,7 @@ class Network:
     """
 
     def __init__(self, ei, ej, ec, origin=0, level=None, frontier=None,
-                 exact=None, names=None, family="finite", validate=True):
+                 exact=None, names=None, family="finite"):
         ei = np.asarray(ei, dtype=np.int64)
         ej = np.asarray(ej, dtype=np.int64)
         ec = np.asarray(ec, dtype=np.float64)
@@ -75,16 +75,15 @@ class Network:
         self.family = family
         self.names = names
         self._exact = exact
-        if validate:
-            # +inf is tolerated as the float mirror of exactly-stored huge
-            # conductances (deep geometric windows); nan and nonpositive are not
-            if np.any(ec <= 0) or np.any(np.isnan(ec)):
-                raise NonpositiveConductance("conductances must be positive")
-            if np.any(np.isinf(ec)) and exact is None:
-                raise NonpositiveConductance(
-                    "infinite conductance without exact backing values")
-            if np.any(ei == ej):
-                raise SelfLoop("c_xx = 0 is required; self-loops are not allowed")
+        # +inf is tolerated as the float mirror of exactly-stored huge
+        # conductances (deep geometric windows); nan and nonpositive are not
+        if np.any(ec <= 0) or np.any(np.isnan(ec)):
+            raise NonpositiveConductance("conductances must be positive")
+        if np.any(np.isinf(ec)) and exact is None:
+            raise NonpositiveConductance(
+                "infinite conductance without exact backing values")
+        if np.any(ei == ej):
+            raise SelfLoop("c_xx = 0 is required; self-loops are not allowed")
         adj = sp.coo_matrix(
             (np.concatenate([ec, ec]),
              (np.concatenate([ei, ej]), np.concatenate([ej, ei]))),
@@ -368,13 +367,6 @@ class IntegerLatticeGenerator:
                        frontier=frontier, exact=lambda k: Fraction(1),
                        names=[str(pt) for pt in coords], family="integer-lattice")
 
-    def axis_ray(self, sign=1):
-        from .boundary import PathToInfinity
-        if self.d == 1:
-            fn = (lambda n: 0 if n == 0 else (2 * n - 1 if sign > 0 else 2 * n))
-            return PathToInfinity(self, fn, name=f"axis{'+' if sign > 0 else '-'}")
-        raise InvalidParameters("axis_ray is only provided for d=1")
-
 
 @dataclass(frozen=True)
 class BinaryTreeGenerator:
@@ -399,10 +391,6 @@ class BinaryTreeGenerator:
         return Network(ei, ej, np.ones(len(ei)), origin=0, level=level,
                        frontier=frontier, exact=lambda k: Fraction(1),
                        family="binary-tree")
-
-    def leftmost_path(self):
-        from .boundary import PathToInfinity
-        return PathToInfinity(self, lambda n: 2 ** n - 1, name="leftmost")
 
 
 @dataclass(frozen=True)
@@ -430,14 +418,6 @@ def generator_for(net_or_gen):
     if isinstance(net_or_gen, Network):
         return FiniteGenerator(net_or_gen)
     return net_or_gen
-
-
-def generate_ball(gen, radius) -> Network:
-    """Materialize the ball of the given radius for any generator family (a
-    finite network is its own ball)."""
-    if radius < 1:
-        raise InvalidParameters("radius must be >= 1")
-    return generator_for(gen).ball(int(radius))
 
 
 # -- exhaustions and enumerations -------------------------------------------
@@ -494,9 +474,9 @@ def default_exhaustion(source, levels):
     return Exhaustion.build(source, range(1, levels + 1))
 
 
-def doubling_exhaustion(source, max_levels, start=1):
-    """Radius schedule start, 2*start, 4*start, ... for divergence triage."""
-    radii = [start * 2 ** k for k in range(max_levels)]
+def doubling_exhaustion(source, max_levels):
+    """Radius schedule 1, 2, 4, ... for divergence triage."""
+    radii = [2 ** k for k in range(max_levels)]
     return Exhaustion.build(source, radii)
 
 

@@ -92,14 +92,13 @@ def _sqrt(x):
     return mp.sqrt(x) if isinstance(x, mp.mpf) else np.sqrt(x)
 
 
-def gram_schmidt(kernels, enumeration, degeneracy_tol=DEGENERACY_TOL,
-                 reorth_threshold=REORTH_THRESHOLD):
+def gram_schmidt(kernels, enumeration):
     """Gram-Schmidt on dipole kernels in the energy inner product, over the
     window's edge increments (see the module docstring).
 
     A second orthogonalization pass runs whenever the loss of orthogonality
-    of the reduced vector exceeds ``reorth_threshold``. Raises GramDegenerate
-    when a pivot falls below ``degeneracy_tol`` (numerically dependent
+    of the reduced vector exceeds ``REORTH_THRESHOLD``. Raises GramDegenerate
+    when a pivot falls below ``DEGENERACY_TOL`` (numerically dependent
     kernels).
     """
     if not kernels:
@@ -141,14 +140,14 @@ def gram_schmidt(kernels, enumeration, degeneracy_tol=DEGENERACY_TOL,
                 G[:n + 1, n] = cdQ[:, :n + 1].T @ dQ[:, n]
                 # one re-orthogonalization pass when orthogonality degrades
                 if (second_pass or not n
-                        or not np.max(np.abs(G[:n, n])) > reorth_threshold):
+                        or not np.max(np.abs(G[:n, n])) > REORTH_THRESHOLD):
                     break
                 r = G[:n, n] * piv
                 e = e + r
                 w, dw = w - Q[:, :n] @ r, dw - dQ[:, :n] @ r
-            if float(piv) < degeneracy_tol:
+            if float(piv) < DEGENERACY_TOL:
                 raise GramDegenerate(
-                    f"pivot {float(piv):.3e} below degeneracy tol {degeneracy_tol:.1e}")
+                    f"pivot {float(piv):.3e} below degeneracy tol {DEGENERACY_TOL:.1e}")
             pivot_min = min(pivot_min, piv)
             E[n, :n], E[n, n] = e, piv
             # forward recurrence for M = E^{-1}
@@ -163,11 +162,11 @@ def gram_schmidt(kernels, enumeration, degeneracy_tol=DEGENERACY_TOL,
                      _work=(Q, M, E, V))
 
 
-def build_onb(source, N, radius=None, lane="mp", margin=5):
+def build_onb(source, N, radius=None, lane="mp"):
     """Solve N kernels along the BFS enumeration and orthonormalize them.
 
     The window is the ball of the requested radius (default: deep enough to
-    hold x_N plus ``margin`` levels). ``lane`` is a solver lane: 'mp' solves
+    hold x_N plus 5 levels). ``lane`` is a solver lane: 'mp' solves
     in mp and 'fraction' exactly, and either is orthonormalized in mp, which
     every identity check then inherits; 'float64' uses the scipy lane.
     """
@@ -180,8 +179,8 @@ def build_onb(source, N, radius=None, lane="mp", margin=5):
         enum = enumerate_vertices(ambient)
         if len(enum) >= N:
             need = int(ambient.level[enum[:N]].max())
-            if radius is None and r < need + margin:
-                r = need + margin
+            if radius is None and r < need + 5:
+                r = need + 5
                 continue
             if need > r:
                 raise InvalidParameters(
@@ -275,10 +274,11 @@ def reconstruction_check(onb: OnbSystem):
     Q, _, E, _ = onb._work
     ev = _evaluation_entries(onb)
     dot = functools.partial(edge_energy, *window_edges(onb.window, field_of(Q)))
-    worst = 0
+    worst = 0.0
     for n in range(onb.N):
         d = Q[:, :n + 1] @ ev[n, :n + 1] - Q[:, :n + 1] @ E[n, :n + 1]
-        worst = max(worst, _sqrt(abs(dot(d, d))))
+        # np.maximum keeps a NaN, which max() would drop
+        worst = np.maximum(worst, float(_sqrt(abs(dot(d, d)))))
     return float(worst)
 
 

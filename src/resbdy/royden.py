@@ -68,14 +68,12 @@ class RoydenSplit:
 
 
 def royden_split(source, x, exhaustion=None, levels=30, tol=1e-8,
-                 harm_tol=1e-6, lane="auto", verification_radius=None,
-                 final_radius=None):
+                 harm_tol=1e-6, lane="auto", final_radius=None):
     """Split the energy kernel at x into Fin and Harm parts.
 
     Both exhaustion limits run on the same schedule; the final free and wired
-    solutions share one window, where energies and residuals are evaluated.
-    ``verification_radius`` bounds the ball on which the harmonicity residual
-    of h is checked (defaults to the final window minus its boundary);
+    solutions share one window, where energies and residuals are evaluated;
+    the harmonicity residual of h is checked on the window's interior.
     ``final_radius`` forces one extra split on a window at least that deep,
     for consumers that need values far out (path evaluations).
     """
@@ -100,14 +98,8 @@ def royden_split(source, x, exhaustion=None, levels=30, tol=1e-8,
     h = potential_difference(v, f)
     window = h.window
 
-    if verification_radius is None:
-        check_vertices = window.interior
-        radius = int(v.net.level[window.interior].max()) if len(window.interior) else 0
-    else:
-        radius = int(verification_radius)
-        check_vertices = window.interior[
-            v.net.level[window.interior] <= radius]
-    ev, ef, eh, cross, resid = _split_sums(v, f, h, check_vertices)
+    radius = int(v.net.level[window.interior].max()) if len(window.interior) else 0
+    ev, ef, eh, cross, resid = _split_sums(v, f, h)
 
     return RoydenSplit(
         x=int(x), v=v, f=f, h=h,
@@ -124,8 +116,8 @@ def _solved_on(pot: Potential, window):
                                                     window.vertices)
 
 
-def _split_sums(v: Potential, f: Potential, h: Potential, check_vertices):
-    """E(v), E(f), E(h), E(f, h) and max |Lap h| over ``check_vertices``.
+def _split_sums(v: Potential, f: Potential, h: Potential):
+    """E(v), E(f), E(h), E(f, h) and max |Lap h| over the window's interior.
 
     The sums run in the potentials' field (mp values at ``EDGE_SUM_DPS``),
     over one conversion of the window's conductances, and each energy equals
@@ -141,37 +133,30 @@ def _split_sums(v: Potential, f: Potential, h: Potential, check_vertices):
         sums = [float(edge_energy(*edges, x, y))
                 for x, y in ((vw, vw), (fw, fw), (hw, hw), (fw, hw))]
         lap = edge_laplacian(*edges, hw)
-        check = np.searchsorted(window.vertices, check_vertices)
-        resid = float(np.max(np.abs(lap[check]))) if len(check) else 0.0
+        inner = ~window.bd_mask[window.vertices]
+        resid = float(np.max(np.abs(lap[inner]))) if inner.any() else 0.0
     return (*sums, resid)
 
 
-def fin_projection(source, x, exhaustion=None, levels=30, tol=1e-8, lane="auto"):
+def fin_projection(source, x, levels=30):
     """Wired exhaustion limit of the dipole solve: the Fin component of v_x."""
-    return energy_kernel(source, x, bc="wired", exhaustion=exhaustion,
-                         levels=levels, tol=tol, lane=lane)
+    return energy_kernel(source, x, bc="wired", levels=levels)
 
 
-def harm_kernel(source, x, exhaustion=None, levels=30, tol=1e-8,
-                harm_tol=1e-6, lane="auto", verification_radius=None):
+def harm_kernel(source, x, levels=30, tol=1e-8):
     """Harmonic kernel h_x = v_x - f_x, with its split telemetry."""
-    split = royden_split(source, x, exhaustion=exhaustion, levels=levels,
-                         tol=tol, harm_tol=harm_tol, lane=lane,
-                         verification_radius=verification_radius)
+    split = royden_split(source, x, levels=levels, tol=tol)
     return split.h, split
 
 
-def sup_norm(pot: Potential, ball_radius=None) -> float:
+def sup_norm(pot: Potential) -> float:
     """max |v(x) - v(o)| over the window (a lower bound for the true sup).
 
-    The potential must be the pinned representative; pass ``ball_radius`` to
-    restrict the scan.
+    The potential must be the pinned representative.
     """
     if not pot.pinned:
         raise InvalidParameters("sup_norm expects the pinned representative")
     verts = pot.window.vertices
-    if ball_radius is not None:
-        verts = verts[pot.net.level[verts] <= int(ball_radius)]
     if len(verts) == 0:
         return 0.0
     return float(np.max(np.abs(pot.values[verts])))

@@ -10,6 +10,14 @@ Level solves come in two boundary flavors:
   dipole charges this agrees with merging-without-grounding; for monopoles the
   grounded short is where the unit current exits.
 
+Either way the window gives one grounded system, built by
+``_hifi.grounded_system``: the unknowns are the window's vertices minus the
+held ones (o for free, bd G_k for wired), the operator comes from the
+window's edges and the right-hand side is signed. The float64 lane assembles
+the unknowns' block from it and solves it with SuperLU after Jacobi scaling;
+the mp and Fraction lanes eliminate it in ``_hifi.hi_solve``. Every lane
+returns the window solution minus its value at o, with a float64 mirror.
+
 Exhaustion drivers iterate windows, apply the stopping rule (three consecutive
 relative deltas below tol, or saturation on finite networks), and return the
 telemetry as a ConvergenceReport instead of raising on non-convergence.
@@ -24,8 +32,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import _hifi
-from .energy import (Potential, SubgraphView, energy, window_defect,
-                     window_edges)
+from .energy import Potential, SubgraphView, energy, window_defect
 from .errors import InvalidParameters, SolverFailure
 from .network import (Exhaustion, default_exhaustion, doubling_exhaustion,
                       generator_for)
@@ -33,42 +40,47 @@ from .network import (Exhaustion, default_exhaustion, doubling_exhaustion,
 DYNAMIC_RANGE_GUARD = 1e10
 
 
-def _window_subgraph_laplacian(net, window):
-    """Laplacian of the window's edges, indexed by position in ``window.vertices``."""
-    ec, ei, ej = window_edges(window)
-    w = len(window.vertices)
+def _solve_float64(window, held, rhs):
+    """The window solution over ``window.vertices``, 0 at the held vertices."""
+    unknown, (c, a, b), rhs_w = _hifi.grounded_system(window, held, rhs, float)
     adj = sp.coo_matrix(
-        (np.concatenate([ec, ec]),
-         (np.concatenate([ei, ej]), np.concatenate([ej, ei]))),
-        shape=(w, w)).tocsr()
-    c_w = np.asarray(adj.sum(axis=1)).ravel()
-    return (sp.diags(c_w) - adj).tocsr()
-
-
-def _solve_float64(net, window, keep, rhs_vec):
-    """Solve on the window positions ``keep`` (a boolean mask over them)."""
-    L = _window_subgraph_laplacian(net, window)
-    sub = L[keep][:, keep].tocsc()
-    d = sub.diagonal()
+        (np.concatenate([c, c]), (np.concatenate([a, b]), np.concatenate([b, a]))),
+        shape=(len(unknown),) * 2).tocsr()
+    del c, a, b
+    # the diagonal is the window c(x), summed in CSR row order
+    d = np.asarray(adj.sum(axis=1)).ravel()[unknown]
     if np.any(d <= 0):
         raise SolverFailure("window subgraph has an isolated unknown")
+    adj = adj.tocoo()
+    inner = unknown[adj.row] & unknown[adj.col]
+    at = np.cumsum(unknown) - 1
+    diag = np.arange(len(d))
+    rows = np.concatenate([diag, at[adj.row[inner]]])
+    cols = np.concatenate([diag, at[adj.col[inner]]])
+    vals = np.concatenate([d, -adj.data[inner]])
+    del adj, inner, at, diag
+    # Jacobi scaling s_i L_ij s_j, rounded as diag(s) @ L @ diag(s) rounds it
     s = 1.0 / np.sqrt(d)
-    scaled = (sp.diags(s) @ sub @ sp.diags(s)).tocsc()
-    b = rhs_vec[keep]
+    scaled = sp.csc_matrix(((s[rows] * vals) * s[cols], (rows, cols)),
+                           shape=(len(d), len(d)))
+    del rows, cols, vals
+    sb = s * rhs_w[unknown]
     try:
-        w = spla.spsolve(scaled, s * b)
+        w = spla.spsolve(scaled, sb)
     except Exception as e:  # pragma: no cover
         raise SolverFailure(str(e)) from None
     sol = s * w
-    resid = np.linalg.norm(scaled @ w - s * b)
+    resid = np.linalg.norm(scaled @ w - sb)
     if not np.isfinite(sol).all():
         raise SolverFailure("solver produced non-finite values")
     # backward-stable bound: ||r|| <= tol (||b|| + ||A|| ||x||); the Jacobi-scaled
     # operator has unit diagonal and row sums bounded by 2
-    guard = 1e-12 * (np.linalg.norm(s * b) + 2.0 * np.linalg.norm(w))
+    guard = 1e-12 * (np.linalg.norm(sb) + 2.0 * np.linalg.norm(w))
     if resid > max(guard, 1e-300):
         raise SolverFailure(f"residual {resid:.2e} above the stability guard")
-    return sol
+    x = np.zeros(len(unknown))
+    x[unknown] = sol
+    return x
 
 
 def pick_lane(net, window, lane="auto"):
@@ -82,7 +94,7 @@ def pick_lane(net, window, lane="auto"):
 
 
 def solve_dipole_level(window: SubgraphView, x, bc="free", rhs=None,
-                       lane="auto", net=None):
+                       lane="auto"):
     """Solve Lap v = rhs (default delta_x - delta_o) on one window.
 
     Returns a pinned Potential (value(o) = 0). With ``bc='wired'`` the window
@@ -90,23 +102,19 @@ def solve_dipole_level(window: SubgraphView, x, bc="free", rhs=None,
     'float64', 'mp', or 'fraction'; auto picks float64 until the window's
     conductance dynamic range passes 1e10.
     """
-    net = net or window.net
+    net = window.net
     o = net.origin
     if rhs is None:
         rhs = {int(x): 1, o: -1}
     rhs = {int(k): v for k, v in rhs.items() if v != 0}
-    for v in rhs:
-        if v not in window:
-            raise InvalidParameters(f"rhs vertex {v} is outside the window")
+    if o not in window:
+        raise InvalidParameters("the solve needs the origin inside the window")
     if bc == "wired" and len(window.bd) == 0:
         bc = "free"  # nothing to short: the window is a whole finite network
     if bc == "free":
-        if o not in window:
-            raise InvalidParameters("free solve needs the origin inside the window")
-        dirichlet = ()
-        pin = o
+        held, dirichlet, pin = [o], (), o
     elif bc == "wired":
-        dirichlet = window.bd
+        held = dirichlet = window.bd
         pin = None
         bad = [v for v in rhs if not window.is_interior(v)]
         if bad:
@@ -116,37 +124,27 @@ def solve_dipole_level(window: SubgraphView, x, bc="free", rhs=None,
         raise InvalidParameters(f"unknown boundary condition {bc!r}")
 
     lane = pick_lane(net, window, lane)
-    if lane not in ("float64", "mp", "fraction"):
-        raise InvalidParameters(f"unknown lane {lane!r}")
-    values = np.zeros(net.n)
-    hi = None
     if lane == "float64":
-        verts = window.vertices
-        keep = np.ones(len(verts), dtype=bool)
-        keep[np.searchsorted(verts, dirichlet)] = False
-        if pin is not None:
-            keep[np.searchsorted(verts, pin)] = False
-        rhs_vec = np.zeros(len(verts))
-        rhs_vec[np.searchsorted(verts, list(rhs))] = list(rhs.values())
-        sol = _solve_float64(net, window, keep, rhs_vec)
-        values[verts[keep]] = sol
-    else:
+        dps = None
+        sol = _solve_float64(window, held, rhs)
+    elif lane in ("mp", "fraction"):
         field = (_hifi.FractionField() if lane == "fraction"
                  else _hifi.MPField(_hifi.auto_dps(net, window.edge_mask,
                                                    len(window.vertices))))
-        with _hifi.workdps(field.dps):
+        dps = field.dps
+        with _hifi.workdps(dps):
             sol = _hifi.hi_solve(net, window, rhs, dirichlet_zero=dirichlet,
                                  pin=pin, field=field)
-            off = sol[o]
-            hi = [sol[int(v)] - off for v in window.vertices]
-        values[window.vertices] = [float(x) for x in hi]
-        return Potential(net, values, window, pinned=True, hi=hi,
-                         dps=field.dps)
-    pot = Potential(net, values, window, pinned=False)
-    if values[o] != 0:
-        return pot.pinned_copy()
-    pot.pinned = True
-    return pot
+        sol = np.array([sol[v] for v in window.vertices.tolist()], dtype=object)
+    else:
+        raise InvalidParameters(f"unknown lane {lane!r}")
+    # the window solution minus its value at o, with its float64 mirror
+    with _hifi.workdps(dps):
+        sol = sol - sol[np.searchsorted(window.vertices, o)]
+    values = np.zeros(net.n)
+    values[window.vertices] = sol
+    return Potential(net, values, window, pinned=True,
+                     hi=None if lane == "float64" else sol.tolist(), dps=dps)
 
 
 @dataclass
@@ -286,8 +284,9 @@ def effective_resistance(source, x, y=None, bc="free", exhaustion=None,
         value = pot.value(x) - pot.value(y)
         # dual route: on the level network, energy(v) = v(x) - v(y) exactly
         dev = abs(energy(pot, pot) - value)
-        report.extra["max_energy_value_dev"] = max(
-            report.extra.get("max_energy_value_dev", 0.0), dev)
+        # np.maximum keeps a NaN, which max() would drop
+        report.extra["max_energy_value_dev"] = float(np.maximum(
+            report.extra.get("max_energy_value_dev", 0.0), dev))
         report.record(radius, len(view.vertices), value)
         if report.assess(saturated=_saturated(view)):
             break
@@ -303,8 +302,8 @@ class MonopoleResult:
     transient: object  # True, False, or None for inconclusive
 
 
-def monopole(source, x=None, exhaustion=None, levels=22, tol=1e-8,
-             divergence_threshold=1e6, schedule="doubling", lane="auto"):
+def monopole(source, x=None, levels=22, tol=1e-8, divergence_threshold=1e6,
+             schedule="doubling", lane="auto"):
     """Wired exhaustion limit of Lap w = delta_x with per-level energies.
 
     transient=True when the energies satisfy the convergence rule (bounded
@@ -314,10 +313,8 @@ def monopole(source, x=None, exhaustion=None, levels=22, tol=1e-8,
     are stable), keeping divergence triage at deep radii affordable.
     """
     gen = generator_for(source)
-    if exhaustion is None:
-        exhaustion = (doubling_exhaustion(gen, levels)
-                      if schedule == "doubling"
-                      else default_exhaustion(gen, levels))
+    exhaustion = (doubling_exhaustion(gen, levels) if schedule == "doubling"
+                  else default_exhaustion(gen, levels))
     x = int(x) if x is not None else gen.ball(1).origin
     report = ConvergenceReport(quantity=f"monopole_energy(x={x})", tol=tol)
     pot = None
@@ -341,8 +338,8 @@ def monopole(source, x=None, exhaustion=None, levels=22, tol=1e-8,
     return MonopoleResult(potential=pot, report=report, transient=transient)
 
 
-def exhaustion_independence(source, x, y=None, tol=1e-8, levels=24, lane="auto"):
-    """Compare two radius schedules for the same limit.
+def exhaustion_independence(source, x, tol=1e-8, levels=24):
+    """Compare two radius schedules for the limit R(x, o).
 
     Declared limits must agree within 10*tol when both schedules converge;
     when either is still moving at its level budget, the comparison is
@@ -350,9 +347,9 @@ def exhaustion_independence(source, x, y=None, tol=1e-8, levels=24, lane="auto")
     prefixes carries no information about exhaustion independence).
     """
     gen = generator_for(source)
-    r1, rep1 = effective_resistance(gen, x, y, levels=levels, tol=tol, lane=lane)
+    r1, rep1 = effective_resistance(gen, x, levels=levels, tol=tol)
     alt = Exhaustion.build(gen, sorted({max(1, 2 * k) for k in range(1, levels // 2 + 2)}))
-    r2, rep2 = effective_resistance(gen, x, y, exhaustion=alt, tol=tol, lane=lane)
+    r2, rep2 = effective_resistance(gen, x, exhaustion=alt, tol=tol)
     both = rep1.converged and rep2.converged
     agree = abs(r1 - r2) <= 10 * tol * max(1.0, abs(r1))
     verdict = ("agree" if (both and agree) else

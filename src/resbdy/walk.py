@@ -165,7 +165,7 @@ def hitting_probability_mc(view, start, target, absorber=None, config=None):
     return HittingEstimate(float(p), stderr, config.trials, absorbed, unabsorbed)
 
 
-def hitting_reference(view, start, target, absorber=None, lane="auto"):
+def hitting_reference(view, start, target, absorber=None):
     """Solver-side value of P_start[hit target before absorber].
 
     Solves the dipole between target and absorber on the window and scales:
@@ -175,6 +175,6 @@ def hitting_reference(view, start, target, absorber=None, lane="auto"):
     absorber = net.origin if absorber is None else int(absorber)
     _check_target(int(target), absorber)
     pot = solve_dipole_level(view, int(target), bc="free",
-                             rhs={int(target): 1, absorber: -1}, lane=lane)
+                             rhs={int(target): 1, absorber: -1})
     denom = pot.value(int(target)) - pot.value(absorber)
     return (pot.value(int(start)) - pot.value(absorber)) / denom

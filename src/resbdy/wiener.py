@@ -25,6 +25,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameters, NotHarmonic
 
+# a Monte Carlo check passes when its error is within this many standard errors
+SIGMAS = 4.0
 
 @dataclass
 class GaussianEnsemble:
@@ -107,7 +109,7 @@ def _mc_mean(x):
     return m, se
 
 
-def minlos_check(u, ens: GaussianEnsemble, sigma=4.0) -> CheckResult:
+def minlos_check(u, ens: GaussianEnsemble) -> CheckResult:
     """Empirical characteristic functional against exp(-||u||^2 / 2)."""
     ut = wiener_transform(u, ens)
     z = np.exp(1j * ut)
@@ -117,11 +119,11 @@ def minlos_check(u, ens: GaussianEnsemble, sigma=4.0) -> CheckResult:
     target = math.exp(-norm2 / 2)
     err = abs(est - target)
     return CheckResult("minlos", est, target, se, err,
-                       passed=bool(err <= sigma * se + 1e-12),
+                       passed=bool(err <= SIGMAS * se + 1e-12),
                        extra={"norm2": norm2})
 
 
-def moment_check(u, ens: GaussianEnsemble, n: int, odd=False, sigma=4.0) -> CheckResult:
+def moment_check(u, ens: GaussianEnsemble, n: int, odd=False) -> CheckResult:
     """E[u~^{2n}] against (2n)!/(2^n n!) ||u||^{2n}; with odd=True, power 2n+1 against 0."""
     if n < 1:
         raise InvalidParameters("n must be >= 1")
@@ -135,25 +137,25 @@ def moment_check(u, ens: GaussianEnsemble, n: int, odd=False, sigma=4.0) -> Chec
         target = math.factorial(2 * n) / (2 ** n * math.factorial(n)) * norm2 ** n
     err = abs(est - target)
     return CheckResult(f"moment-{power}", est, target, se, err,
-                       passed=bool(err <= sigma * se + 1e-12))
+                       passed=bool(err <= SIGMAS * se + 1e-12))
 
 
-def isometry_check(u, ens: GaussianEnsemble, sigma=4.0) -> CheckResult:
+def isometry_check(u, ens: GaussianEnsemble) -> CheckResult:
     """E[u~^2] against the truncated energy norm sum u_n^2."""
     ut = wiener_transform(u, ens)
     est, se = _mc_mean(ut ** 2)
     target = float(np.sum(_coeffs(u, ens.N) ** 2))
     err = abs(est - target)
     return CheckResult("isometry", est, target, se, err,
-                       passed=bool(err <= sigma * se + 1e-12))
+                       passed=bool(err <= SIGMAS * se + 1e-12))
 
 
-def mean_check(u, ens: GaussianEnsemble, sigma=4.0) -> CheckResult:
+def mean_check(u, ens: GaussianEnsemble) -> CheckResult:
     """E[u~] against 0 (centered Gaussian)."""
     ut = wiener_transform(u, ens)
     est, se = _mc_mean(ut)
     return CheckResult("mean", est, 0.0, se, abs(est),
-                       passed=bool(abs(est) <= sigma * se + 1e-12))
+                       passed=bool(abs(est) <= SIGMAS * se + 1e-12))
 
 
 def kernel_coefficients(onb, x) -> np.ndarray:
@@ -169,7 +171,7 @@ def kernel_coefficients(onb, x) -> np.ndarray:
 
 
 def resistance_via_expectation(x, y, onb, ens: GaussianEnsemble,
-                               reference=None, sigma=4.0, atol=0.0):
+                               reference=None, atol=0.0):
     """Resistance between x and y in two Monte Carlo forms.
 
     Returns (quadratic CheckResult, exponential CheckResult): the quadratic
@@ -185,7 +187,7 @@ def resistance_via_expectation(x, y, onb, ens: GaussianEnsemble,
     est, se = _mc_mean(dt ** 2)
     err = abs(est - target)
     quad = CheckResult("resistance-quadratic", est, target, se, err,
-                       passed=bool(err <= max(sigma * se, atol) + 1e-12))
+                       passed=bool(err <= max(SIGMAS * se, atol) + 1e-12))
     z = np.exp(1j * dt)
     zbar = complex(np.mean(z))
     se_z = math.sqrt((np.var(z.real, ddof=1) + np.var(z.imag, ddof=1)) / len(dt))
@@ -194,13 +196,13 @@ def resistance_via_expectation(x, y, onb, ens: GaussianEnsemble,
     se_exp = 2.0 * se_z / re
     err_exp = abs(est_exp - target)
     expo = CheckResult("resistance-exponential", est_exp, target, se_exp, err_exp,
-                       passed=bool(err_exp <= max(sigma * se_exp, atol) + 1e-12),
+                       passed=bool(err_exp <= max(SIGMAS * se_exp, atol) + 1e-12),
                        extra={"char_fn": {"re": zbar.real, "im": zbar.imag}})
     return quad, expo
 
 
 def boundary_integral_check(u_coeffs, target, h_coeffs, ens: GaussianEnsemble,
-                            sigma=4.0, harm_residual=None, harm_tol=1e-6) -> CheckResult:
+                            harm_residual=None, harm_tol=1e-6) -> CheckResult:
     """E[u~ h_x~] against u(x) - u(o) for a harmonic u.
 
     ``target`` is the exact vertex difference u(x) - u(o). The truncation tail
@@ -218,7 +220,7 @@ def boundary_integral_check(u_coeffs, target, h_coeffs, ens: GaussianEnsemble,
     est, se = _mc_mean(prod)
     err = abs(est - float(target))
     return CheckResult("boundary-integral", est, float(target), se, err,
-                       passed=bool(err <= sigma * se + tail + 1e-12),
+                       passed=bool(err <= SIGMAS * se + tail + 1e-12),
                        extra={"truncated_target": truncated,
                               "truncation_tail": tail})
 

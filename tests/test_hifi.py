@@ -12,7 +12,7 @@ from hypothesis import example, given, strategies as st
 from resbdy import (LadderGenerator, boundary_sum_harmonic, build_finite,
                     build_onb, entries_E_via_evaluation, gram_product_check,
                     royden_split, solve_dipole_level)
-from resbdy import SubgraphView, _hifi
+from resbdy import SubgraphView, _hifi, solver
 from resbdy.errors import SingularSystem
 from resbdy.ladder import ladder_harmonic
 
@@ -79,19 +79,20 @@ def test_sparse_elimination_matches_dense_fraction_oracle(net):
             drop, pin = (), o
             rhs = {int(window.vertices[-1]): 1, o: -1}
         else:
-            drop, pin = window.bd, None
+            # a held vertex outside the window is ignored
+            outside = int(np.flatnonzero(~window.mask)[0])
+            drop, pin = [*window.bd.tolist(), outside], None
             rhs = {int(window.interior[-1]): 1}
-        dropped = {int(v) for v in drop}
-        unknowns = [int(v) for v in window.vertices if v != pin and v not in dropped]
+        held = [*drop, *([] if pin is None else [pin])]
+        unknowns = [int(v) for v in window.vertices if v not in held]
         sol = _hifi.hi_solve(net, window, rhs, dirichlet_zero=drop, pin=pin,
                              field=_hifi.FractionField())
         oracle = dense_fraction_solve(net, window, rhs, unknowns)
+        assert sol.keys() == set(window.vertices.tolist())
         for v in unknowns:
             assert sol[v] == oracle[v], (bc, v)
-        for v in dropped:
-            assert sol[v] == 0
-        if pin is not None:
-            assert sol[pin] == 0
+        for v in held:
+            assert sol.get(v, 0) == 0
         # the mp field at its automatic precision agrees to far beyond float64
         dps = _hifi.auto_dps(net, window.edge_mask, len(window.vertices))
         with mp.workdps(dps):
@@ -100,6 +101,17 @@ def test_sparse_elimination_matches_dense_fraction_oracle(net):
             scale = max(abs(_hifi.to_mpf(oracle[v])) for v in unknowns)
             for v in unknowns:
                 assert abs(hi[v] - _hifi.to_mpf(oracle[v])) <= scale * mp.mpf(10) ** -30
+        # the float64 lane, where it is picked, is right to 1e-10 relative, or
+        # to n eps (c_max / c_min) where the conductance range allows no better
+        if solver.pick_lane(net, window) == "float64":
+            x = dict(zip(window.vertices.tolist(),
+                         solver._solve_float64(window, held, rhs)))
+            ec = net.ec[window.edge_mask]
+            tol = max(1e-10, len(x) * np.finfo(float).eps * ec.max() / ec.min())
+            scale = max(abs(float(oracle[v])) for v in unknowns)
+            for v in unknowns:
+                assert abs(x[v] - float(oracle[v])) <= tol * scale, (bc, v)
+            assert all(x[v] == 0 for v in held if v in window)
 
 
 LADDER_1 = LadderGenerator(5, 1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -65,6 +66,17 @@ def test_identity_suite_small_ladder():
     assert number_pairing_check(onb) <= 1e-7
     # strict triangularity of the Laplacian entries
     assert np.allclose(np.triu(Mlap, 1), 0.0)
+
+
+@pytest.mark.parametrize("lane", ["float64", "mp"])
+def test_reconstruction_check_keeps_a_nan(path5, lane):
+    onb = build_onb(path5, 4, lane=lane)
+    Q, M, E, V = onb._work
+    E = E.copy()
+    # only the last kernel's reconstruction is NaN
+    E[-1, 0] = mp.nan if lane == "mp" else np.nan
+    onb = dataclasses.replace(onb, _work=(Q, M, E, V))
+    assert math.isnan(reconstruction_check(onb))
 
 
 def test_identity_suite_float64_lane(path5):

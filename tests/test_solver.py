@@ -6,6 +6,7 @@ from resbdy import (BinaryTreeGenerator, GeometricHalfLineGenerator,
                     default_exhaustion, effective_resistance, energy,
                     energy_kernel, exhaustion_independence, monopole,
                     potential_from_values, solve_dipole_level)
+from resbdy import solver
 from resbdy.errors import InvalidParameters
 from resbdy.solver import ConvergenceReport
 
@@ -220,6 +221,12 @@ def test_float64_lane_refuses_overflowed_window():
 def test_energy_value_dual_route_recorded(triangle):
     _, rep = effective_resistance(triangle, 1, 2)
     assert rep.extra["max_energy_value_dev"] <= 1e-12
+
+
+def test_energy_value_dual_route_keeps_a_nan(triangle, monkeypatch):
+    monkeypatch.setattr(solver, "energy", lambda u, v: float("nan"))
+    _, rep = effective_resistance(triangle, 1, 2)
+    assert np.isnan(rep.extra["max_energy_value_dev"])
 
 
 @pytest.mark.parametrize("x", [100, -3])
