@@ -3,15 +3,19 @@
 Subcommands: generate, kernel, resist, monopole, decompose, onb, gauss-green,
 boundary-sum, paths, wiener, ladder, walk, verify-all.
 
-Reports are JSON (schema "1"), embed the full run configuration including the
-seed, and are byte-identical for identical configurations. Exit codes: 0 all
-checks passed, 2 a check failed or a limit did not converge, 1 usage or
-solver error.
+Each subcommand declares only the options it reads: --seed and --out are on
+every one, --levels, --tol and --lane only where they reach the library.
+Reports are JSON (schema "1"). Their config holds every parsed option but
+--out, the subcommand, the package version, the sampling workers and the
+resolved network spec, and they are byte-identical for identical
+configurations. Exit codes: 0 all checks passed, 2 a check failed or a limit
+did not converge, 1 usage or solver error.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -43,50 +47,75 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _network_args(p):
-    p.add_argument("--network", required=True,
-                   help="family name, path to a JSON spec, or inline JSON")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--origin", type=int, default=0)
+# options read by several subcommands, each declared only where it is read
+SHARED = {
+    "levels": dict(type=int, default=30),
+    "tol": dict(type=float, default=1e-8),
+    "lane": dict(default="auto", choices=["auto", "float64", "mp", "fraction"]),
+}
 
 
-def _common_args(p):
-    p.add_argument("--levels", type=int, default=30)
-    p.add_argument("--tol", type=float, default=1e-8)
+def _subcommand(sub, name, fn, *shared, network=True):
+    """Subcommand ``name`` running fn, with --seed, --out, the named SHARED
+    options and, if ``network``, a required --network and its family flags."""
+    p = sub.add_parser(name)
+    p.set_defaults(fn=fn)
+    if network:
+        _network_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="")
-    p.add_argument("--lane", default="auto",
-                   choices=["auto", "float64", "mp", "fraction"])
+    for opt in shared:
+        p.add_argument(f"--{opt}", **SHARED[opt])
+    return p
+
+
+def _network_args(p, required=True):
+    p.add_argument("--network", required=required, default="",
+                   help="family name, path to a JSON spec, or inline JSON")
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--dim", type=int)
 
 
 def resolve_network(args):
-    """--network accepts a file path, inline JSON, or a bare family name."""
+    """--network accepts a file path, inline JSON, or a bare family name,
+    which alone takes --alpha/--beta/--dim; the family rejects a flag it has
+    no parameter for. The resolved spec is kept as ``args.network_spec``."""
     spec = args.network
-    if os.path.exists(spec):
+    flags = {"alpha": args.alpha, "beta": args.beta, "dim": args.dim}
+    params = {k: v for k, v in flags.items() if v is not None}
+    if spec in FAMILIES and not os.path.exists(spec):
+        src = generator_from_spec({"family": spec, "params": params})
+    elif params:
+        raise UsageError("--alpha/--beta/--dim go with a family name, "
+                         "not with a network spec")
+    elif os.path.exists(spec):
         with open(spec) as fh:
-            return generator_from_spec(json.load(fh))
-    if spec.strip().startswith("{"):
-        return generator_from_spec(json.loads(spec))
-    if spec in FAMILIES:
-        params = {}
-        if args.alpha is not None:
-            params["alpha"] = args.alpha
-        if args.beta is not None:
-            params["beta"] = args.beta
-        if spec == "integer-lattice":
-            params["d"] = args.dim if args.dim is not None else 1
-        return generator_from_spec({"family": spec, "params": params})
-    raise UsageError(f"cannot interpret --network {spec!r}")
+            src = generator_from_spec(json.load(fh))
+    elif spec.strip().startswith("{"):
+        src = generator_from_spec(json.loads(spec))
+    else:
+        raise UsageError(f"cannot interpret --network {spec!r}")
+    args.network_spec = _network_spec(src)
+    return src
+
+
+def _network_spec(src):
+    """Family and parameters, or a finite network's origin and the sha256 of
+    its exact (i, j, conductance) edge list."""
+    if isinstance(src, Network):
+        edges = "".join(f"{i} {j} {src.exact_conductance(k)}\n"
+                        for k, (i, j) in enumerate(zip(src.ei, src.ej)))
+        return {"family": "finite", "origin": src.origin,
+                "edges_sha256": hashlib.sha256(edges.encode()).hexdigest()}
+    return {"family": src.family, "params": src.params()}
 
 
 def _emit(report, args, failed=False):
     doc = {"schema": SCHEMA, "config": _run_config(args), "report": report,
            "pass": not failed}
-    text = json.dumps(_finite(doc), sort_keys=True, indent=2, allow_nan=False,
-                      default=_json_default)
-    if getattr(args, "out", ""):
+    text = json.dumps(_jsonable(doc), sort_keys=True, indent=2, allow_nan=False)
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -96,8 +125,10 @@ def _emit(report, args, failed=False):
 
 def _run_config(args):
     """Every parsed argument except the delivery path, with the subcommand,
-    the package version and the sampling workers."""
+    the package version, the sampling workers and the resolved network spec
+    (None when the command ran on no network)."""
     cfg = {k: v for k, v in vars(args).items() if k not in ("out", "fn", "cmd")}
+    cfg.setdefault("network_spec", None)
     cfg.update(subcommand=args.cmd, version=__version__, workers=_workers())
     return cfg
 
@@ -107,25 +138,34 @@ def _workers():
     return max(1, min(int(os.environ.get("RESBDY_THREADS", "1")), 64))
 
 
-def _finite(x):
-    """Copy of a report with every non-finite float replaced by None (JSON null)."""
+def _jsonable(x):
+    """Copy of a report in plain JSON types: numpy scalars and arrays become
+    Python numbers and lists, and every non-finite float None (JSON null)."""
     if isinstance(x, (float, np.floating)):
-        return x if math.isfinite(x) else None
+        return float(x) if math.isfinite(x) else None
+    if isinstance(x, np.integer):
+        return int(x)
     if isinstance(x, dict):
-        return {k: _finite(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_finite(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return _finite(x.tolist())
+        return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return [_jsonable(v) for v in x]
     return x
 
 
-def _json_default(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, complex):
-        return {"re": x.real, "im": x.imag}
-    raise TypeError(f"not JSON serializable: {type(x)}")
+def _build_onb(src, args, **kwargs):
+    """build_onb in --lane; auto means mp."""
+    return onbmod.build_onb(src, args.N, **kwargs,
+                            lane="mp" if args.lane == "auto" else args.lane)
+
+
+def _onb_suite(onb):
+    """The ONB identity deviations, and whether the basis passes: every
+    deviation <= 1e-7 and orthonormality <= 1e-9, so that a NaN fails."""
+    devs = {"laplacian_entries_dev": onbmod.entries_M_via_laplacian(onb)[1],
+            "evaluation_entries_dev": onbmod.entries_E_via_evaluation(onb)[1],
+            "gram_product_dev": onbmod.gram_product_check(onb),
+            "kronecker_sum_dev": onbmod.kronecker_sum_check(onb)}
+    return devs, all(d <= 1e-7 for d in devs.values()), onb.orth_dev <= 1e-9
 
 
 def _write_csv(path, header, rows):
@@ -204,25 +244,17 @@ def cmd_decompose(args):
 
 def cmd_onb(args):
     src = resolve_network(args)
-    onb = onbmod.build_onb(src, args.N, radius=args.radius,
-                           lane="mp" if args.lane == "auto" else args.lane)
-    _, dev_m = onbmod.entries_M_via_laplacian(onb)
-    _, dev_e = onbmod.entries_E_via_evaluation(onb)
-    dev_v = onbmod.gram_product_check(onb)
-    dev_k = onbmod.kronecker_sum_check(onb)
+    onb = _build_onb(src, args, radius=args.radius)
+    devs, identities_ok, orthonormal = _onb_suite(onb)
     report = {
         "N": onb.N,
         "enumeration": onb.enumeration,
         "orthonormality_dev": onb.orth_dev,
         "pivot_min": onb.pivot_min,
-        "laplacian_entries_dev": dev_m,
-        "evaluation_entries_dev": dev_e,
-        "gram_product_dev": dev_v,
-        "kronecker_sum_dev": dev_k,
+        **devs,
         "field": onb.field,
     }
-    failed = not (all(d <= 1e-7 for d in (dev_m, dev_e, dev_v, dev_k))
-                  and onb.orth_dev <= 1e-9)
+    failed = not (identities_ok and orthonormal)
     if args.csv_prefix:
         for name, mat in (("M", onb.M), ("E", onb.E), ("V", onb.V)):
             _write_csv(f"{args.csv_prefix}{name}.csv",
@@ -307,37 +339,34 @@ def cmd_wiener(args):
             results.append(wmod.isometry_check(u, ens).to_dict())
             results.append(wmod.moment_check(u, ens, 2).to_dict())
             results.append(wmod.moment_check(u, ens, 1, odd=True).to_dict())
-    elif args.check == "resistance":
-        if not args.network or args.x is None:
-            raise UsageError("--check resistance needs --network and --x")
-        src = resolve_network(args)
-        onb = onbmod.build_onb(src, args.N)
-        ref, rep = effective_resistance(src, args.x, y=args.y,
-                                        levels=args.levels, tol=args.tol)
-        quad, expo = wmod.resistance_via_expectation(
-            args.x, args.y if args.y is not None else onb.net.origin,
-            onb, ens, reference=ref, atol=1e-2)
-        results = [quad.to_dict(), expo.to_dict()]
-        failed = not rep.converged
-    elif args.check == "boundary":
-        if not args.network or args.x is None:
-            raise UsageError("--check boundary needs --network and --x")
-        src = resolve_network(args)
-        if not isinstance(src, LadderGenerator):
-            raise UsageError("--check boundary runs on the ladder family")
-        onb = onbmod.build_onb(src, args.N)
-        lh = ladder_harmonic(src.alpha, src.beta,
-                             int(onb.net.level.max()) + 2)
-        split = royden_split(src, args.x, levels=args.levels, tol=args.tol,
-                             lane=args.lane)
-        ucoef = onbmod.coefficient_vector(onb, lh.value)
-        hcoef = onbmod.coefficient_vector(onb, split.h)
-        target = lh.value(args.x) - lh.value(0)
-        res = wmod.boundary_integral_check(ucoef, target, hcoef, ens)
-        res2 = {"mu_negative_fraction": wmod.mu_negative_fraction(hcoef, ens)}
-        results = [res.to_dict(), res2]
     else:
-        raise UsageError(f"unknown --check {args.check}")
+        if not args.network or args.x is None:
+            raise UsageError(f"--check {args.check} needs --network and --x")
+        src = resolve_network(args)
+        if args.check == "boundary" and not isinstance(src, LadderGenerator):
+            raise UsageError("--check boundary runs on the ladder family")
+        onb = _build_onb(src, args)
+        if args.check == "resistance":
+            ref, rep = effective_resistance(src, args.x, y=args.y,
+                                            levels=args.levels, tol=args.tol,
+                                            lane=args.lane)
+            quad, expo = wmod.resistance_via_expectation(
+                args.x, args.y if args.y is not None else onb.net.origin,
+                onb, ens, reference=ref, atol=1e-2)
+            results = [quad.to_dict(), expo.to_dict()]
+            failed = not rep.converged
+        else:
+            lh = ladder_harmonic(src.alpha, src.beta,
+                                 int(onb.net.level.max()) + 2)
+            split = royden_split(src, args.x, levels=args.levels,
+                                 tol=args.tol, lane=args.lane)
+            ucoef = onbmod.coefficient_vector(onb, lh.value)
+            hcoef = onbmod.coefficient_vector(onb, split.h)
+            target = lh.value(args.x) - lh.value(0)
+            res = wmod.boundary_integral_check(ucoef, target, hcoef, ens)
+            res2 = {"mu_negative_fraction":
+                    wmod.mu_negative_fraction(hcoef, ens)}
+            results = [res.to_dict(), res2]
     failed = failed or any(not r.get("pass", True) for r in results)
     return _emit({"checks": results, "ensemble": ens.summary()}, args,
                  failed=failed)
@@ -427,13 +456,10 @@ def cmd_verify_all(args):
     # small onb identity suite
     n_small = min(8, ambient.n - 1)
     onb = onbmod.build_onb(gen, n_small)
-    _, dm = onbmod.entries_M_via_laplacian(onb)
-    _, de = onbmod.entries_E_via_evaluation(onb)
-    dv = onbmod.gram_product_check(onb)
-    dk = onbmod.kronecker_sum_check(onb)
-    check("onb-identities", all(d <= 1e-7 for d in (dm, de, dv, dk)),
-          f"dev=({dm:.1e},{de:.1e},{dv:.1e},{dk:.1e})")
-    check("onb-orthonormality", onb.orth_dev <= 1e-9, f"{onb.orth_dev:.2e}")
+    devs, identities_ok, orthonormal = _onb_suite(onb)
+    check("onb-identities", identities_ok,
+          "dev=(" + ",".join(f"{d:.1e}" for d in devs.values()) + ")")
+    check("onb-orthonormality", orthonormal, f"{onb.orth_dev:.2e}")
 
     # royden split sanity
     x1 = onb.enumeration[0]
@@ -465,82 +491,57 @@ def cmd_verify_all(args):
 def build_parser():
     ap = _Parser(prog="resbdy", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("generate");  _network_args(p); _common_args(p)
+    limit = ("levels", "tol", "lane")
+    p = _subcommand(sub, "generate", cmd_generate)
     p.add_argument("--radius", type=int, default=4)
-    p.set_defaults(fn=cmd_generate)
-
-    p = sub.add_parser("kernel");  _network_args(p); _common_args(p)
+    p = _subcommand(sub, "kernel", cmd_kernel, *limit)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--bc", default="free", choices=["free", "wired"])
     p.add_argument("--csv", default="")
-    p.set_defaults(fn=cmd_kernel)
-
-    p = sub.add_parser("resist");  _network_args(p); _common_args(p)
+    p = _subcommand(sub, "resist", cmd_resist, *limit)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, default=None)
     p.add_argument("--bc", default="free", choices=["free", "wired"])
-    p.set_defaults(fn=cmd_resist)
-
-    p = sub.add_parser("monopole");  _network_args(p); _common_args(p)
+    p = _subcommand(sub, "monopole", cmd_monopole, *limit)
     p.add_argument("--x", type=int, default=None)
     p.add_argument("--schedule", default="doubling", choices=["doubling", "linear"])
     p.add_argument("--divergence-threshold", type=float, default=1e6)
-    p.set_defaults(fn=cmd_monopole)
-
-    p = sub.add_parser("decompose");  _network_args(p); _common_args(p)
+    p = _subcommand(sub, "decompose", cmd_decompose, *limit)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--harm-tol", type=float, default=1e-6)
-    p.set_defaults(fn=cmd_decompose)
-
-    p = sub.add_parser("onb");  _network_args(p); _common_args(p)
+    p = _subcommand(sub, "onb", cmd_onb, "lane")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--radius", type=int, default=None)
     p.add_argument("--csv-prefix", default="")
-    p.set_defaults(fn=cmd_onb)
-
-    p = sub.add_parser("gauss-green");  _network_args(p); _common_args(p)
+    p = _subcommand(sub, "gauss-green", cmd_gauss_green, "levels", "lane")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--u-kernel", type=int, default=None)
-    p.set_defaults(fn=cmd_gauss_green)
-
-    p = sub.add_parser("boundary-sum");  _network_args(p); _common_args(p)
+    p = _subcommand(sub, "boundary-sum", cmd_boundary_sum, *limit)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--u-kernel", type=int, default=None)
     p.add_argument("--bs-tol", type=float, default=1e-3)
-    p.set_defaults(fn=cmd_boundary_sum)
-
-    p = sub.add_parser("paths");  _network_args(p); _common_args(p)
+    p = _subcommand(sub, "paths", cmd_paths, *limit)
     p.add_argument("--horizon", type=int, default=200)
     p.add_argument("--path-tol", type=float, default=1e-4)
     p.add_argument("--separation-tol", type=float, default=1e-2)
     p.add_argument("--probe-radius", type=int, default=None,
                    help="solve probes this deep (default: horizon + 1); "
                         "probe level error decays like 1/radius")
-    p.set_defaults(fn=cmd_paths)
-
-    p = sub.add_parser("wiener");  _common_args(p)
+    p = _subcommand(sub, "wiener", cmd_wiener, *limit, network=False)
+    _network_args(p, required=False)
     p.add_argument("--check", required=True,
                    choices=["minlos", "moments", "resistance", "boundary"])
     p.add_argument("--N", type=int, default=20)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--n-checks", type=int, default=10)
-    p.add_argument("--network", default="")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--dim", type=int, default=None)
     p.add_argument("--x", type=int, default=None)
     p.add_argument("--y", type=int, default=None)
-    p.set_defaults(fn=cmd_wiener)
-
-    p = sub.add_parser("ladder");  _common_args(p)
+    p = _subcommand(sub, "ladder", cmd_ladder, "tol", network=False)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--N", type=int, default=200)
     p.add_argument("--csv", default="")
-    p.set_defaults(fn=cmd_ladder)
-
-    p = sub.add_parser("walk");  _network_args(p); _common_args(p)
+    p = _subcommand(sub, "walk", cmd_walk)
     p.add_argument("--start", type=int, required=True)
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--absorber", type=int, default=None)
@@ -548,10 +549,7 @@ def build_parser():
     p.add_argument("--max-steps", type=int, default=1_000_000)
     p.add_argument("--boundary-mode", default="free", choices=["free", "wired"])
     p.add_argument("--radius", type=int, default=8)
-    p.set_defaults(fn=cmd_walk)
-
-    p = sub.add_parser("verify-all");  _network_args(p); _common_args(p)
-    p.set_defaults(fn=cmd_verify_all)
+    _subcommand(sub, "verify-all", cmd_verify_all, "levels", "tol")
     return ap
 
 

@@ -23,11 +23,12 @@ alongside its values, so each step is a few matrix-vector products:
 * the residual w = v_n - sum_j E[n, j] eps_j and its increments dw each come
   from one product, and the pivot is the edge sum (sum c dw^2)^(1/2), so a
   kernel that depends on its predecessors leaves a pivot at rounding level;
-* column n of (c dQ)^T dQ, the Gram matrix of the eps_j, serves twice: when
-  it shows that eps_n has lost orthogonality to the earlier eps_j, one
-  second pass projects w again (one pass is enough: Giraud, Langou &
-  Rozloznik, Comput. Math. Appl. 50, 2005), and its final values give the
-  orthonormality deviation.
+* column n of (c dQ)^T dQ, the Gram matrix of the eps_j, serves twice: it
+  drives one second pass that projects w again (one pass is enough: Giraud,
+  Langou & Rozloznik, Comput. Math. Appl. 50, 2005), and its final values
+  give the orthonormality deviation. In float64 the second pass runs at
+  every step, where it costs three more products; in mp it runs only when
+  the column shows that eps_n has lost orthogonality to the earlier eps_j.
 
 The construction and every identity check are written once, over numpy
 arrays in the construction field: mpf object arrays at 25 digits above the
@@ -96,8 +97,9 @@ def gram_schmidt(kernels, enumeration):
     """Gram-Schmidt on dipole kernels in the energy inner product, over the
     window's edge increments (see the module docstring).
 
-    A second orthogonalization pass runs whenever the loss of orthogonality
-    of the reduced vector exceeds ``REORTH_THRESHOLD``. Raises GramDegenerate
+    A second orthogonalization pass runs at every step in float64, and in mp
+    whenever the loss of orthogonality of the reduced vector exceeds
+    ``REORTH_THRESHOLD``. Raises GramDegenerate
     when a pivot falls below ``DEGENERACY_TOL`` (numerically dependent
     kernels).
     """
@@ -138,9 +140,10 @@ def gram_schmidt(kernels, enumeration):
                 cdQ[:, n] = c * dQ[:, n]
                 # column n of the Gram matrix of eps_1..eps_n
                 G[:n + 1, n] = cdQ[:, :n + 1].T @ dQ[:, n]
-                # one re-orthogonalization pass when orthogonality degrades
-                if (second_pass or not n
-                        or not np.max(np.abs(G[:n, n])) > REORTH_THRESHOLD):
+                # one re-orthogonalization pass: always in float64, in mp
+                # when orthogonality degrades
+                if (second_pass or not n or hi
+                        and not np.max(np.abs(G[:n, n])) > REORTH_THRESHOLD):
                     break
                 r = G[:n, n] * piv
                 e = e + r

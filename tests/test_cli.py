@@ -1,6 +1,10 @@
+import argparse
+import ast
+import inspect
 import json
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -346,3 +350,76 @@ def test_nan_boundary_sum_fails_boundary_sum(monkeypatch, capsys):
     code, doc = run_cli(["boundary-sum", "--network", TRIANGLE, "--x", "1",
                          "--u-kernel", "1"], capsys)
     assert code == 2 and doc["pass"] is False
+
+
+# -- the CLI declares only the options it reads -------------------------------
+
+
+def _args_read(fn, seen):
+    """Attributes read off ``args`` in fn and in the cli helpers it calls."""
+    reads = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id == "args"):
+            reads.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            helper = getattr(resbdy.cli, node.func.id, None)
+            if (inspect.isfunction(helper) and helper not in seen
+                    and helper.__module__ == resbdy.cli.__name__):
+                seen.add(helper)
+                reads |= _args_read(helper, seen)
+    return reads
+
+
+def test_every_declared_option_is_read():
+    parser = resbdy.cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for name, p in sub.choices.items():
+        reads = _args_read(p.get_default("fn"), set())
+        unread += [f"{name} --{a.dest}" for a in p._actions
+                   if a.dest not in ("help", "seed", "out", *reads)]
+    assert unread == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["walk", "--network", "integer-lattice", "--start", "1", "--target", "2",
+     "--trials", "10", "--lane", "mp"],
+    ["onb", "--network", TRIANGLE, "--N", "2", "--levels", "3"],
+    ["generate", "--network", "binary-tree", "--tol", "1"],
+    ["resist", "--network", TRIANGLE, "--x", "1", "--origin", "1"],
+])
+def test_an_option_the_command_does_not_read_is_a_usage_error(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage error")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["resist", "--network", "ladder", "--alpha", "5", "--beta", "0.9",
+      "--x", "1", "--dim", "7"], "error [invalid-parameters]"),
+    (["resist", "--network", TRIANGLE, "--x", "1", "--alpha", "5"],
+     "usage error"),
+])
+def test_a_family_flag_the_network_does_not_take_is_an_error(argv, err, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(err)
+
+
+def test_config_records_the_resolved_network_spec(tmp_path, capsys):
+    spec = tmp_path / "net.json"
+    configs = []
+    for c in (1, 2):
+        spec.write_text(json.dumps({"edges": [[0, 1, 1], [1, 2, c]]}))
+        code, doc = run_cli(["resist", "--network", str(spec), "--x", "1"],
+                            capsys)
+        assert code == 0
+        configs.append(doc["config"])
+    assert configs[0]["network"] == configs[1]["network"]
+    assert configs[0]["network_spec"] != configs[1]["network_spec"]
+    assert configs[0]["network_spec"]["family"] == "finite"
+    _, doc = run_cli(["resist", "--network", "integer-lattice", "--x", "1",
+                      "--levels", "3", "--tol", "1"], capsys)
+    assert doc["config"]["network_spec"] == {"family": "integer-lattice",
+                                             "params": {"d": 1}}

@@ -280,6 +280,14 @@ def test_reorthogonalization_keeps_float64_half_line_orthonormal(N):
     assert onb.orth_dev <= 1e-9
 
 
+@pytest.mark.parametrize("N", [20, 25, 30])
+def test_float64_basis_is_orthonormal_to_rounding(N):
+    # a second pass on every float64 step; one gated by REORTH_THRESHOLD
+    # left the half-line basis at 8e-11
+    onb = build_onb(GeometricHalfLineGenerator(2), N, lane="float64")
+    assert onb.orth_dev <= 1e-13
+
+
 def test_mp_build_never_formats_an_mpf(monkeypatch):
     # an mpf on the left of an array product formats the whole array
     # through repr() before numpy takes over
