@@ -423,3 +423,23 @@ def test_config_records_the_resolved_network_spec(tmp_path, capsys):
                       "--levels", "3", "--tol", "1"], capsys)
     assert doc["config"]["network_spec"] == {"family": "integer-lattice",
                                              "params": {"d": 1}}
+
+
+def test_wiener_lane_reaches_every_solve(capsys, monkeypatch):
+    lanes = {}
+
+    def recording(name, fn):
+        def run(*args, lane, **kwargs):
+            lanes[name] = lane
+            return fn(*args, lane=lane, **kwargs)
+        return run
+
+    monkeypatch.setattr(resbdy.cli, "effective_resistance", recording(
+        "resistance", resbdy.cli.effective_resistance))
+    monkeypatch.setattr(resbdy.onb, "build_onb",
+                        recording("onb", resbdy.onb.build_onb))
+    code, doc = run_cli(["wiener", "--check", "resistance", "--network",
+                         TRIANGLE, "--x", "1", "--y", "2", "--N", "2",
+                         "--samples", "2000", "--lane", "fraction"], capsys)
+    assert code in (0, 2)
+    assert lanes == {"resistance": "fraction", "onb": "fraction"}
