@@ -99,9 +99,8 @@ def gram_schmidt(kernels, enumeration):
 
     A second orthogonalization pass runs at every step in float64, and in mp
     whenever the loss of orthogonality of the reduced vector exceeds
-    ``REORTH_THRESHOLD``. Raises GramDegenerate
-    when a pivot falls below ``DEGENERACY_TOL`` (numerically dependent
-    kernels).
+    ``REORTH_THRESHOLD``. Raises GramDegenerate when a pivot falls below
+    ``DEGENERACY_TOL`` (numerically dependent kernels).
     """
     if not kernels:
         raise InvalidParameters("need at least one kernel")

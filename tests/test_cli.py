@@ -438,8 +438,8 @@ def test_wiener_lane_reaches_every_solve(capsys, monkeypatch):
         "resistance", resbdy.cli.effective_resistance))
     monkeypatch.setattr(resbdy.onb, "build_onb",
                         recording("onb", resbdy.onb.build_onb))
-    code, doc = run_cli(["wiener", "--check", "resistance", "--network",
-                         TRIANGLE, "--x", "1", "--y", "2", "--N", "2",
-                         "--samples", "2000", "--lane", "fraction"], capsys)
+    code, _ = run_cli(["wiener", "--check", "resistance", "--network",
+                       TRIANGLE, "--x", "1", "--y", "2", "--N", "2",
+                       "--samples", "2000", "--lane", "fraction"], capsys)
     assert code in (0, 2)
     assert lanes == {"resistance": "fraction", "onb": "fraction"}
