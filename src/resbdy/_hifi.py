@@ -39,7 +39,7 @@ each column touches only its own neighbours and elimination costs
 O(nnz + fill).
 
 mpmath's precision is scoped to each step and never left changed: a solve
-runs at its field's precision, and edge sums over hi values run at
+runs at its field's precision, and edge sums over mp values run at
 ``EDGE_SUM_DPS``.
 """
 
@@ -55,7 +55,7 @@ import numpy as np
 from .errors import InvalidParameters, SingularSystem
 
 
-# Edge sums over hi values (energies, Laplacian residuals, boundary sums) run
+# Edge sums over mp values (energies, Laplacian residuals, boundary sums) run
 # at this fixed precision. Their inputs keep the full solve precision and
 # mpmath rounds each difference of two inputs once, from its exact value, so
 # the float64 results keep every digit.
@@ -157,7 +157,8 @@ def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
     field : FractionField or MPField; run the solve inside
         ``workdps(field.dps)``.
 
-    Returns a dict vertex -> field value covering the window.
+    Returns the solution over ``window.vertices`` as an object array, 0 at
+    the held vertices, as the float64 lane's ``solver._solve_float64`` does.
     """
     zero = field.zero
     held = list(dirichlet_zero) + ([] if pin is None else [pin])
@@ -224,7 +225,6 @@ def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
         x[k] = s
         weights[k] = None
 
-    sol = [zero] * len(verts)
-    for k, p in enumerate(order.tolist()):
-        sol[p] = x[k]
-    return dict(zip(verts.tolist(), sol))
+    sol = np.full(len(verts), zero, dtype=object)
+    sol[order] = x
+    return sol

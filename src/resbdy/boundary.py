@@ -24,8 +24,7 @@ import numpy as np
 
 from . import _hifi
 from .energy import (Potential, edge_energy, edge_laplacian, energy, field_of,
-                     potential_difference, value_getter, window_edges,
-                     window_values)
+                     potential_difference, value_getter, window_edges)
 from .errors import InvalidParameters, NotHarmonic
 from .network import default_exhaustion
 from .solver import solve_dipole_level
@@ -162,8 +161,7 @@ def boundary_sum_harmonic(source, u_values, x, levels=30, lane="auto",
             rep = BoundarySumReport(x=int(x), target=float(target))
         v = solve_dipole_level(view, x, bc="free", lane=lane)
         f = solve_dipole_level(view, x, bc="wired", lane=lane)
-        h = potential_difference(v, f)
-        hw = window_values(h)
+        hw = potential_difference(v, f).w
         with _hifi.workdps(_hifi.EDGE_SUM_DPS):
             lap = edge_laplacian(*window_edges(view, field_of(hw)), hw)
             bd = view.bd_mask[view.vertices]

@@ -9,6 +9,7 @@ truncation.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -127,19 +128,27 @@ def edge_laplacian(c, a, b, u):
 class Potential:
     """Real-valued function on the vertices of a window, pinned at the origin.
 
-    ``values`` spans the whole ambient network for indexing convenience;
-    entries outside ``window`` are zero filler and carry no meaning. When the
-    high-precision lane produced the solution, ``hi`` holds exact/mp values
-    aligned with ``window.vertices``, and ``dps`` the precision (digits) at
-    which mp values were formed (None for Fraction values).
+    ``w`` holds the values on ``window.vertices`` in the field they were
+    formed in: a float64 array, or an object array of mp.mpf (formed at
+    ``dps`` digits) or of Fraction (``dps`` None). ``values`` is its float64
+    mirror over the whole ambient network, derived on first use for lookups
+    by vertex id; it is 0 outside the window.
     """
 
-    net: Network
-    values: np.ndarray
     window: SubgraphView
+    w: np.ndarray
     pinned: bool = True
-    hi: object = None
     dps: object = None
+
+    @property
+    def net(self) -> Network:
+        return self.window.net
+
+    @cached_property
+    def values(self):
+        vals = np.zeros(self.net.n)
+        vals[self.window.vertices] = self.w
+        return vals
 
     def value(self, x):
         if not self.window.mask[x]:
@@ -149,16 +158,6 @@ class Potential:
     def to_rows(self):
         """(vertex_index, value) rows restricted to the window."""
         return [(int(v), float(self.values[v])) for v in self.window.vertices]
-
-
-def window_values(pot: Potential):
-    """The potential on its window in its own field: ``hi`` as an object
-    array, otherwise float64."""
-    if pot.hi is None:
-        return pot.values[pot.window.vertices]
-    out = np.empty(len(pot.hi), dtype=object)
-    out[:] = pot.hi
-    return out
 
 
 def value_getter(values):
@@ -171,19 +170,15 @@ def value_getter(values):
 
 
 def potential_difference(u: Potential, v: Potential) -> Potential:
-    """u - v on their common window; hi values are formed at the solves' precision."""
+    """u - v on their common window, formed at the solves' precision."""
     w = _common_window(u, v)
-    hi = dps = None
-    if u.hi is not None and v.hi is not None:
-        dps = max((d for d in (u.dps, v.dps) if d is not None), default=None)
-        with _hifi.workdps(dps):
-            hi = [a - b for a, b in zip(u.hi, v.hi)]
-    return Potential(u.net, u.values - v.values, w, pinned=u.pinned and v.pinned,
-                     hi=hi, dps=dps)
+    dps = max((d for d in (u.dps, v.dps) if d is not None), default=None)
+    with _hifi.workdps(dps):
+        return Potential(w, u.w - v.w, pinned=u.pinned and v.pinned, dps=dps)
 
 
 def potential_from_values(net, mapping, window=None, pinned=False):
-    """Build a Potential from a dict or array of vertex values."""
+    """Build a float64 Potential from a dict or array of vertex values."""
     window = window or net.full_view()
     vals = np.zeros(net.n)
     if isinstance(mapping, dict):
@@ -192,17 +187,16 @@ def potential_from_values(net, mapping, window=None, pinned=False):
     else:
         arr = np.asarray(mapping, dtype=np.float64)
         vals[: len(arr)] = arr
+    w = vals[window.vertices]
     if pinned:
-        vals[window.vertices] -= vals[net.origin]
-    return Potential(net, vals, window, pinned=pinned)
+        w -= vals[net.origin]
+    return Potential(window, w, pinned=pinned)
 
 
 def delta(net, x, window=None):
     """Dirac mass at x as a Potential (not pinned; its class in H_E is what counts)."""
     window = window or net.full_view()
-    vals = np.zeros(net.n)
-    vals[x] = 1.0
-    return Potential(net, vals, window, pinned=False)
+    return Potential(window, (window.vertices == x).astype(float), pinned=False)
 
 
 def _common_window(u: Potential, v: Potential):
@@ -219,21 +213,22 @@ def energy(u: Potential, v: Potential) -> float:
 
     The double sum counts every edge twice, so this evaluates once per edge
     of the common window. Symmetric, bilinear, and nonnegative on u = v.
-    When both potentials carry high-precision values the edge sum runs in
+    When both potentials hold mp or Fraction values the edge sum runs in
     that field (mp values at ``EDGE_SUM_DPS``): float64 products c (du)(dv)
     lose all digits once the window's conductances span more than ~1e15.
+    Otherwise it runs over float64 values, mirrors of any mp or Fraction w.
     """
     w = _common_window(u, v)
-    if u.hi is not None and v.hi is not None:
+    if u.w.dtype == object and v.w.dtype == object:
         return float(_energy_hi(u, v, w))
-    uw = u.values[w.vertices]
-    return float(_window_energy(w, uw, uw if v is u else v.values[w.vertices]))
+    # a float64 w passes through astype uncopied: v is u keeps uw is vw
+    uw, vw = u.w.astype(float, copy=False), v.w.astype(float, copy=False)
+    return float(_window_energy(w, uw, vw))
 
 
 def _energy_hi(u: Potential, v: Potential, w):
     with _hifi.workdps(_hifi.EDGE_SUM_DPS):
-        uh = window_values(u)
-        return _window_energy(w, uh, uh if v is u else window_values(v))
+        return _window_energy(w, u.w, v.w)
 
 
 def _window_energy(w, u, v):

@@ -32,10 +32,10 @@ alongside its values, so each step is a few matrix-vector products:
 
 The construction and every identity check are written once, over numpy
 arrays in the construction field: mpf object arrays at 25 digits above the
-kernels' solve precision whenever all kernels carry hi values (mp or
-Fraction), float64 arrays otherwise. In every product of an mpf with an
-array, the array stands on the left: an mpf on the left makes mpmath format
-the whole array before numpy takes over. The public matrices are float64;
+kernels' solve precision whenever every kernel's ``w`` holds mp or Fraction
+values, float64 arrays otherwise. In every product of an mpf with an array,
+the array stands on the left: an mpf on the left makes mpmath format the
+whole array before numpy takes over. The public matrices are float64;
 the deviations of the identity checks are evaluated in the construction
 field, at the recorded construction precision.
 """
@@ -51,7 +51,7 @@ import numpy as np
 
 from . import _hifi
 from .energy import (Potential, edge_energy, edge_laplacian, energy, field_of,
-                     value_getter, window_edges, window_values)
+                     value_getter, window_edges)
 from .errors import DimensionMismatch, GramDegenerate, InvalidParameters
 from .network import enumerate_vertices, generator_for
 from .solver import solve_dipole_level
@@ -80,12 +80,8 @@ class OnbSystem:
         return len(self.enumeration)
 
     def eps_potential(self, k):
-        """eps_k as a Potential (1-indexed)."""
-        vals = np.zeros(self.net.n)
-        vals[self.window.vertices] = self.eps[:, k - 1]
-        hi = list(self._work[0][:, k - 1]) if self.dps is not None else None
-        return Potential(self.net, vals, self.window, pinned=True, hi=hi,
-                         dps=self.dps)
+        """eps_k as a Potential (1-indexed), in the construction field."""
+        return Potential(self.window, self._work[0][:, k - 1], dps=self.dps)
 
 
 def _sqrt(x):
@@ -107,12 +103,11 @@ def gram_schmidt(kernels, enumeration):
     if len(kernels) != len(enumeration):
         raise DimensionMismatch("one enumeration vertex per kernel")
     net, window = kernels[0].net, kernels[0].window
-    hi = all(k.hi is not None for k in kernels)
+    hi = all(k.w.dtype == object for k in kernels)
     dps = (_hifi.auto_dps(net, window.edge_mask, len(window.vertices)) + 25
            if hi else None)
     with _hifi.workdps(dps):
-        K = np.stack([window_values(k) if hi else k.values[window.vertices]
-                      for k in kernels], axis=1)
+        K = np.stack([k.w if hi else k.w.astype(float) for k in kernels], axis=1)
         if field_of(K) is Fraction:
             # exact kernels are orthonormalized in mp
             K = np.vectorize(_hifi.to_mpf, otypes=[object])(K)

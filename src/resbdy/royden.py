@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _hifi
 from .energy import (Potential, edge_energy, edge_laplacian, energy, field_of,
-                     potential_difference, window_edges, window_values)
+                     potential_difference, window_edges)
 from .errors import InvalidParameters
 from .network import default_exhaustion, generator_for
 from .solver import ConvergenceReport, energy_kernel, solve_dipole_level
@@ -127,7 +127,7 @@ def _split_sums(v: Potential, f: Potential, h: Potential):
     c(x) * eps * |h|.
     """
     window = h.window
-    vw, fw, hw = window_values(v), window_values(f), window_values(h)
+    vw, fw, hw = v.w, f.w, h.w
     with _hifi.workdps(_hifi.EDGE_SUM_DPS):
         edges = window_edges(window, field_of(hw))
         sums = [float(edge_energy(*edges, x, y))

@@ -15,8 +15,8 @@ Either way the window gives one grounded system, built by
 held ones (o for free, bd G_k for wired), the operator comes from the
 window's edges and the right-hand side is signed. The float64 lane assembles
 the unknowns' block from it and solves it with SuperLU after Jacobi scaling;
-the mp and Fraction lanes eliminate it in ``_hifi.hi_solve``. Every lane
-returns the window solution minus its value at o, with a float64 mirror.
+the mp and Fraction lanes eliminate it in ``_hifi.hi_solve``. The Potential
+keeps the window solution minus its value at o, in the lane's field.
 
 Exhaustion drivers iterate windows, apply the stopping rule (three consecutive
 relative deltas below tol, or saturation on finite networks), and return the
@@ -97,10 +97,10 @@ def solve_dipole_level(window: SubgraphView, x, bc="free", rhs=None,
                        lane="auto"):
     """Solve Lap v = rhs (default delta_x - delta_o) on one window.
 
-    Returns a pinned Potential (value(o) = 0). With ``bc='wired'`` the window
-    boundary is grounded and x, o must be interior. ``lane`` is 'auto',
-    'float64', 'mp', or 'fraction'; auto picks float64 until the window's
-    conductance dynamic range passes 1e10.
+    Returns a pinned Potential (value(o) = 0) in the lane's field. With
+    ``bc='wired'`` the window boundary is grounded and x, o must be
+    interior. ``lane`` is 'auto', 'float64', 'mp', or 'fraction'; auto picks
+    float64 until the window's conductance dynamic range passes 1e10.
     """
     net = window.net
     o = net.origin
@@ -135,16 +135,12 @@ def solve_dipole_level(window: SubgraphView, x, bc="free", rhs=None,
         with _hifi.workdps(dps):
             sol = _hifi.hi_solve(net, window, rhs, dirichlet_zero=dirichlet,
                                  pin=pin, field=field)
-        sol = np.array([sol[v] for v in window.vertices.tolist()], dtype=object)
     else:
         raise InvalidParameters(f"unknown lane {lane!r}")
-    # the window solution minus its value at o, with its float64 mirror
+    # the window solution minus its value at o
     with _hifi.workdps(dps):
         sol = sol - sol[np.searchsorted(window.vertices, o)]
-    values = np.zeros(net.n)
-    values[window.vertices] = sol
-    return Potential(net, values, window, pinned=True,
-                     hi=None if lane == "float64" else sol.tolist(), dps=dps)
+    return Potential(window, sol, dps=dps)
 
 
 @dataclass

@@ -9,8 +9,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from resbdy import LadderGenerator, _hifi, solve_dipole_level
-from resbdy.energy import (edge_energy, edge_laplacian, window_edges,
-                           window_values)
+from resbdy.energy import edge_energy, edge_laplacian, window_edges
 from tests.test_hifi import exact_networks
 
 MP_DPS = 40
@@ -72,7 +71,7 @@ def test_laplacian_adds_flows_edge_by_edge():
     # at EDGE_SUM_DPS the order of the additions shows in the last digits
     gen = LadderGenerator(5, 0.9)
     window = gen.ball(31).ball_view(30)
-    u = window_values(solve_dipole_level(window, gen.x(2), bc="free", lane="mp"))
+    u = solve_dipole_level(window, gen.x(2), bc="free", lane="mp").w
     for field, values in ((mp.mpf, u), (float, u.astype(float))):
         with mp.workdps(_hifi.EDGE_SUM_DPS):
             c, a, b = window_edges(window, field)

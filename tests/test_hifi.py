@@ -85,8 +85,9 @@ def test_sparse_elimination_matches_dense_fraction_oracle(net):
             rhs = {int(window.interior[-1]): 1}
         held = [*drop, *([] if pin is None else [pin])]
         unknowns = [int(v) for v in window.vertices if v not in held]
-        sol = _hifi.hi_solve(net, window, rhs, dirichlet_zero=drop, pin=pin,
-                             field=_hifi.FractionField())
+        sol = dict(zip(window.vertices.tolist(),
+                       _hifi.hi_solve(net, window, rhs, dirichlet_zero=drop,
+                                      pin=pin, field=_hifi.FractionField())))
         oracle = dense_fraction_solve(net, window, rhs, unknowns)
         assert sol.keys() == set(window.vertices.tolist())
         for v in unknowns:
@@ -96,8 +97,9 @@ def test_sparse_elimination_matches_dense_fraction_oracle(net):
         # the mp field at its automatic precision agrees to far beyond float64
         dps = _hifi.auto_dps(net, window.edge_mask, len(window.vertices))
         with mp.workdps(dps):
-            hi = _hifi.hi_solve(net, window, rhs, dirichlet_zero=drop, pin=pin,
-                                field=_hifi.MPField(dps))
+            hi = dict(zip(window.vertices.tolist(),
+                          _hifi.hi_solve(net, window, rhs, dirichlet_zero=drop,
+                                         pin=pin, field=_hifi.MPField(dps))))
             scale = max(abs(_hifi.to_mpf(oracle[v])) for v in unknowns)
             for v in unknowns:
                 assert abs(hi[v] - _hifi.to_mpf(oracle[v])) <= scale * mp.mpf(10) ** -30
@@ -129,11 +131,13 @@ def test_mp_solve_is_componentwise_accurate(case):
           "wired": dict(rhs={x1: 1, o: -1}, dirichlet_zero=R60.bd),
           "mixed-sign free": dict(rhs={x1: 1, x2: -1}, pin=o),
           "negative-only wired": dict(rhs={x2: -1}, dirichlet_zero=R60.bd)}[case]
-    exact = _hifi.hi_solve(net, R60, field=_hifi.FractionField(), **kw)
+    exact = dict(zip(R60.vertices.tolist(),
+                     _hifi.hi_solve(net, R60, field=_hifi.FractionField(), **kw)))
     dps = _hifi.auto_dps(net, R60.edge_mask, len(R60.vertices))
     assert dps == 86
     with mp.workdps(dps):
-        sol = _hifi.hi_solve(net, R60, field=_hifi.MPField(dps), **kw)
+        sol = dict(zip(R60.vertices.tolist(),
+                       _hifi.hi_solve(net, R60, field=_hifi.MPField(dps), **kw)))
     with mp.workdps(2 * dps):
         for v, e in exact.items():
             ref = _hifi.to_mpf(e)
@@ -164,11 +168,11 @@ def _assert_dps_kept(fn):
 def test_mp_precision_is_not_leaked():
     deep = LadderGenerator(5, 1.0).ball(301).ball_view(300)
     pot = _assert_dps_kept(lambda: solve_dipole_level(deep, 0, bc="wired", rhs={0: 1}))
-    assert pot.hi is not None and pot.dps > 200
+    assert pot.w is not None and pot.dps > 200
 
     gen = LadderGenerator(5, 0.9)
     split = _assert_dps_kept(lambda: royden_split(gen, 2, levels=20, tol=1e-6))
-    assert split.h.hi is not None and split.h.dps == split.v.dps
+    assert split.h.w is not None and split.h.dps == split.v.dps
 
     onb = _assert_dps_kept(lambda: build_onb(gen, 6))
     assert onb.field == "mp" and onb.dps > 23

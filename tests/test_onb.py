@@ -13,7 +13,7 @@ from resbdy import (GeometricHalfLineGenerator, IntegerLatticeGenerator,
                     gram_product_check, gram_schmidt, kronecker_sum_check,
                     number_operator, p_seminorm, reconstruction_check,
                     solve_dipole_level)
-from resbdy.energy import edge_energy, field_of, window_edges, window_values
+from resbdy.energy import edge_energy, field_of, window_edges
 from resbdy.errors import GramDegenerate, InvalidParameters
 from resbdy.onb import (DEGENERACY_TOL, REORTH_THRESHOLD, _sqrt,
                         number_pairing_check)
@@ -190,11 +190,11 @@ def _reference_gram_schmidt(kernels, enumeration,
     Gram-Schmidt with one edge sum per inner product. Returns (M, E, V, Q,
     pivot_min, dps), the arrays in the construction field."""
     net, window = kernels[0].net, kernels[0].window
-    hi = all(k.hi is not None for k in kernels)
+    hi = all(k.w.dtype == object for k in kernels)
     dps = (_hifi.auto_dps(net, window.edge_mask, len(window.vertices)) + 25
            if hi else None)
     with _hifi.workdps(dps):
-        K = np.stack([window_values(k) if hi else k.values[window.vertices]
+        K = np.stack([k.w if hi else k.values[window.vertices]
                       for k in kernels], axis=1)
         dot = functools.partial(edge_energy, *window_edges(window, field_of(K)))
         N = len(kernels)

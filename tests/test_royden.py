@@ -51,11 +51,11 @@ def _residual_by_vertex(h, check_vertices):
     net, window = h.net, h.window
     pos = {int(v): i for i, v in enumerate(window.vertices)}
     with _hifi.workdps(_hifi.EDGE_SUM_DPS):
-        res = dict.fromkeys(check_vertices.tolist(), h.hi[0] * 0)
+        res = dict.fromkeys(check_vertices.tolist(), h.w[0] * 0)
         for k in np.flatnonzero(window.edge_mask):
             a, b = int(net.ei[k]), int(net.ej[k])
             flow = _hifi.to_mpf(net.exact_conductance(int(k))) * \
-                (h.hi[pos[a]] - h.hi[pos[b]])
+                (h.w[pos[a]] - h.w[pos[b]])
             if a in res:
                 res[a] = res[a] + flow
             if b in res:
@@ -66,7 +66,7 @@ def _residual_by_vertex(h, check_vertices):
 def test_fused_split_pass_matches_separate_sums():
     split = royden_split(LadderGenerator(5, 0.9), 2, levels=20, tol=1e-6)
     v, f, h = split.v, split.f, split.h
-    assert h.hi is not None
+    assert h.w is not None
     assert split.energy_v == energy(v, v)
     assert split.energy_f == energy(f, f)
     assert split.energy_h == energy(h, h)
@@ -141,14 +141,14 @@ def test_monopole_representative_bounded_on_halfline():
 def test_sup_norm_requires_pinned(triangle):
     split = royden_split(triangle, 1)
     pot = split.v
-    pot2 = type(pot)(pot.net, pot.values + 1.0, pot.window, pinned=False)
+    pot2 = type(pot)(pot.window, pot.w + 1.0, pinned=False)
     with pytest.raises(InvalidParameters):
         sup_norm(pot2)
 
 
 def test_sup_norm_zero_potential(triangle):
     split = royden_split(triangle, 1)
-    z = type(split.v)(split.v.net, np.zeros(split.v.net.n), split.v.window,
+    z = type(split.v)(split.v.window, np.zeros(len(split.v.window.vertices)),
                       pinned=True)
     assert sup_norm(z) == 0.0
 
