@@ -130,9 +130,9 @@ class Potential:
 
     ``w`` holds the values on ``window.vertices`` in the field they were
     formed in: a float64 array, or an object array of mp.mpf (formed at
-    ``dps`` digits) or of Fraction (``dps`` None). ``values`` is its float64
-    mirror over the whole ambient network, derived on first use for lookups
-    by vertex id; it is 0 outside the window.
+    ``dps`` digits) or of Fraction (``dps`` None); ``value`` reads it.
+    ``values`` is its float64 mirror over the whole ambient network, derived
+    on first use for indexing by vertex id; it is 0 outside the window.
     """
 
     window: SubgraphView
@@ -153,7 +153,7 @@ class Potential:
     def value(self, x):
         if not self.window.mask[x]:
             raise DomainMismatch(f"vertex {x} lies outside this potential's window")
-        return float(self.values[x])
+        return float(self.w[np.searchsorted(self.window.vertices, x)])
 
     def to_rows(self):
         """(vertex_index, value) rows restricted to the window."""

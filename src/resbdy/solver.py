@@ -242,9 +242,9 @@ def energy_kernel(source, x, bc="free", exhaustion=None, levels=30, tol=1e-8,
             break
     if pot is None:
         raise InvalidParameters(f"vertex {x} never entered the exhaustion")
+    w = pot.w.astype(float, copy=False)  # the float64 mirror on the window
     report.extra["max_principle_ok"] = bool(
-        np.all(pot.values[pot.window.vertices] >= -1e-9)
-        and np.all(pot.values[pot.window.vertices] <= pot.value(x) + 1e-9)) \
+        np.all(w >= -1e-9) and np.all(w <= pot.value(x) + 1e-9)) \
         if bc == "free" else None
     return pot, report
 
