@@ -268,16 +268,18 @@ def path_equivalence(p1: PathToInfinity, p2: PathToInfinity, probes,
         q = max(1, len(gaps) // 4)
         last_q = gaps[-q:]
         final = gaps[-1]
-        spread = max(last_q) - min(last_q)
+        # np.max and np.min keep a NaN, which max() and min() would drop
+        top = np.max(last_q)
+        spread = top - np.min(last_q)
         stabilized = spread <= max(path_tol, 0.05 * max(final, 1e-300))
         ev = ProbeEvidence(probe=name, gaps=[float(g) for g in gaps],
                            final_gap=float(final),
-                           max_gap_last_quarter=float(max(last_q)),
+                           max_gap_last_quarter=float(top),
                            stabilized=bool(stabilized))
         evidences.append(ev)
         if stabilized and final > separation_tol and separated_by is None:
             separated_by = name
-        if max(last_q) >= path_tol:
+        if not (top < path_tol):
             all_small = False
     if separated_by is not None:
         verdict = "separated"
@@ -320,7 +322,8 @@ def boundary_point_eval(path: PathToInfinity, harm_part: Potential,
     series = [float(harm_part.values[v] - harm_part.values[o]) for v in ids]
     q = max(1, len(series) // 4)
     tail = series[-q:]
-    stabilized = (max(tail) - min(tail)) <= path_tol
+    # np.max and np.min keep a NaN, which max() and min() would drop
+    stabilized = (np.max(tail) - np.min(tail)) <= path_tol
     return BoundaryPointEval(path=path.name, value=series[-1],
                              stabilized=bool(stabilized),
                              series_tail=[float(t) for t in tail[-8:]])

@@ -209,7 +209,7 @@ def boundary_integral_check(u_coeffs, target, h_coeffs, ens: GaussianEnsemble,
     |sum_n u_n h_n - target| is measured directly and added to the Monte Carlo
     budget, since the sampler can only see the truncated coefficients.
     """
-    if harm_residual is not None and harm_residual > harm_tol:
+    if harm_residual is not None and not (harm_residual <= harm_tol):
         raise NotHarmonic(
             f"harmonic residual {harm_residual:.3e} exceeds {harm_tol:.1e}")
     uc = _coeffs(u_coeffs, ens.N)

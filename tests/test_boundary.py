@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from resbdy import (GeometricHalfLineGenerator, IntegerLatticeGenerator,
-                    LadderGenerator, boundary_point_eval,
+                    LadderGenerator, PathToInfinity, Potential,
+                    boundary_point_eval,
                     boundary_sum_harmonic, build_finite, default_exhaustion,
                     energy, finite_gauss_green_deviation, gauss_green_verify,
                     path_equivalence, potential_from_values, royden_split,
@@ -172,3 +173,35 @@ def test_nan_split_identity_is_kept(triangle):
     v = potential_from_values(triangle, [0.0, 1.0, 2.0], pinned=True)
     rep = gauss_green_verify(u, v)
     assert np.isnan(rep.split_identity_dev)
+
+
+NAN = float("nan")
+
+
+def _path_network(n):
+    """The path 0 - 1 - ... - n-1 and the ray along it."""
+    net = build_finite([(i, i + 1, 1) for i in range(n - 1)])
+    return net, PathToInfinity(None, lambda k: k, name="ray")
+
+
+@pytest.mark.parametrize("nan_at", [slice(None), slice(11, 12)])
+def test_nan_gaps_are_not_equivalence_evidence(nan_at):
+    # the probe sees the same path twice, so every gap is 0 except at NaN
+    # values: all of them, or one in the last quarter
+    net, ray = _path_network(13)
+    w = np.zeros(net.n)
+    w[nan_at] = NAN
+    probe = Potential(net.full_view(), w)
+    ev = path_equivalence(ray, ray, [("nan", probe)], horizon=12)
+    assert ev.verdict == "inconclusive"
+    assert not ev.probes[0].stabilized
+
+
+def test_nan_in_the_tail_is_not_stabilized():
+    # series tail [0, 0, 0, nan, 0, 0]
+    net, ray = _path_network(24)
+    w = np.zeros(net.n)
+    w[21] = NAN
+    ev = boundary_point_eval(ray, Potential(net.full_view(), w), horizon=23)
+    assert np.isnan(ev.series_tail).tolist() == [False] * 3 + [True] + [False] * 2
+    assert not ev.stabilized

@@ -157,6 +157,13 @@ def test_boundary_integral_rejects_nonharmonic():
                                 harm_residual=1.0, harm_tol=1e-6)
 
 
+def test_nan_harmonic_residual_is_not_harmonic():
+    ens = sample_ensemble(2, 100, seed=1)
+    with pytest.raises(NotHarmonic):
+        boundary_integral_check(np.ones(2), 0.0, np.ones(2), ens,
+                                harm_residual=float("nan"), harm_tol=1e-6)
+
+
 def test_polarization_identity(rng):
     ens = sample_ensemble(4, 10_000, seed=17)
     u, v = rng.standard_normal(4), rng.standard_normal(4)
