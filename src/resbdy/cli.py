@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import os
+import pathlib
 import sys
 
 import numpy as np
@@ -89,11 +90,13 @@ def resolve_network(args):
     elif params:
         raise UsageError("--alpha/--beta/--dim go with a family name, "
                          "not with a network spec")
-    elif os.path.exists(spec):
-        with open(spec) as fh:
-            src = generator_from_spec(json.load(fh))
-    elif spec.strip().startswith("{"):
-        src = generator_from_spec(json.loads(spec))
+    elif os.path.exists(spec) or spec.strip().startswith("{"):
+        text = pathlib.Path(spec).read_text() if os.path.exists(spec) else spec
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise UsageError(f"--network {spec!r} is not valid JSON: {e}") from None
+        src = generator_from_spec(doc)
     else:
         raise UsageError(f"cannot interpret --network {spec!r}")
     args.network_spec = _network_spec(src)
@@ -135,7 +138,11 @@ def _run_config(args):
 
 def _workers():
     """Sampling workers: RESBDY_THREADS clamped to [1, 64]."""
-    return max(1, min(int(os.environ.get("RESBDY_THREADS", "1")), 64))
+    threads = os.environ.get("RESBDY_THREADS", "1")
+    try:
+        return max(1, min(int(threads), 64))
+    except ValueError:
+        raise UsageError(f"RESBDY_THREADS={threads!r} is not an integer") from None
 
 
 def _jsonable(x):
@@ -556,6 +563,7 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
+        _workers()  # a malformed RESBDY_THREADS fails before any work
         return args.fn(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -407,6 +407,31 @@ def test_a_family_flag_the_network_does_not_take_is_an_error(argv, err, capsys):
     assert captured.out == "" and captured.err.startswith(err)
 
 
+MALFORMED = '{"edges": [[0,1,1]'
+
+
+@pytest.mark.parametrize("where", ["inline", "file"])
+def test_malformed_network_json_is_a_usage_error(where, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(MALFORMED)
+    network = MALFORMED if where == "inline" else str(spec)
+    assert main(["resist", "--network", network, "--x", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error")
+
+
+@pytest.mark.parametrize("argv", [
+    ["wiener", "--check", "minlos", "--N", "4", "--samples", "100",
+     "--n-checks", "1"],
+    ["resist", "--network", TRIANGLE, "--x", "1"],
+])
+def test_non_integer_threads_is_a_usage_error(argv, capsys, monkeypatch):
+    monkeypatch.setenv("RESBDY_THREADS", "x")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error")
+
+
 def test_config_records_the_resolved_network_spec(tmp_path, capsys):
     spec = tmp_path / "net.json"
     configs = []
