@@ -326,7 +326,7 @@ class IntegerLatticeGenerator:
             level[neg] = n
             return Network(ei, ej, np.ones(len(ei)), origin=0, level=level,
                            frontier=np.array([2 * r - 1, 2 * r]),
-                           exact=lambda k: Fraction(1), family="integer-lattice")
+                           family="integer-lattice")
         index = {}
         coords = []
 
@@ -364,8 +364,8 @@ class IntegerLatticeGenerator:
         level = np.array([sum(abs(t) for t in pt) for pt in coords])
         frontier = np.flatnonzero(level == r)
         return Network(ei, ej, np.ones(len(ei)), origin=0, level=level,
-                       frontier=frontier, exact=lambda k: Fraction(1),
-                       names=[str(pt) for pt in coords], family="integer-lattice")
+                       frontier=frontier, names=[str(pt) for pt in coords],
+                       family="integer-lattice")
 
 
 @dataclass(frozen=True)
@@ -389,8 +389,7 @@ class BinaryTreeGenerator:
         level = np.floor(np.log2(np.arange(nv) + 1)).astype(np.int64)
         frontier = np.arange(2 ** r - 1, nv)
         return Network(ei, ej, np.ones(len(ei)), origin=0, level=level,
-                       frontier=frontier, exact=lambda k: Fraction(1),
-                       family="binary-tree")
+                       frontier=frontier, family="binary-tree")
 
 
 @dataclass(frozen=True)
