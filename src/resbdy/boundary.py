@@ -25,7 +25,7 @@ import numpy as np
 from . import _hifi
 from .energy import (Potential, edge_energy, edge_laplacian, energy, field_of,
                      potential_difference, value_getter, window_edges)
-from .errors import InvalidParameters, NotHarmonic
+from .errors import DomainMismatch, InvalidParameters, NotHarmonic
 from .network import default_exhaustion
 from .solver import solve_dipole_level
 
@@ -62,57 +62,57 @@ class GaussGreenReport:
         }
 
 
-def gauss_green_verify(u: Potential, v: Potential, exhaustion=None, levels=None):
+def gauss_green_verify(u: Potential, v: Potential, exhaustion=None):
     """Decompose <u, v> into interior and boundary sums over an exhaustion.
 
-    Both potentials must live on one ambient window. ``levels`` may be a list
-    of SubgraphViews; by default the ambient's level structure is used. The
-    report carries, per level, the interior sum over int G_k of u Lap v, the
-    boundary sum of u dn v, their total, the window energy (equal to the total
-    up to roundoff: that is the split identity), and the deviation from the
-    full-window energy.
+    ``exhaustion`` is a sequence of (radius, SubgraphView) pairs, an
+    Exhaustion or a list, each view inside the potentials' window; by default
+    the balls of the potentials' network. The report carries, per level, the
+    interior sum over int G_k of u Lap v, the boundary sum of u dn v, their
+    total, the window energy (equal to the total up to roundoff: that is the
+    split identity), and the deviation from the full-window energy. When
+    both potentials hold mp or Fraction values every sum runs in that field
+    (mp values at ``EDGE_SUM_DPS``), as ``energy`` does; otherwise in float64.
     """
-    net = u.net
-    if exhaustion is not None:
-        views = [view for _, view in exhaustion]
-        radii = list(exhaustion.radii)
-    elif levels is not None:
-        views = list(levels)
-        radii = [int(net.level[w.vertices].max()) for w in views]
-    else:
-        rmax = int(net.level.max())
-        radii = list(range(1, rmax + 1))
-        views = [net.ball_view(r) for r in radii]
+    if exhaustion is None:
+        exhaustion = [(r, u.net.ball_view(r))
+                      for r in range(1, int(u.net.level.max()) + 1)]
     target = energy(u, v)
+    hi = u.w.dtype == object and v.w.dtype == object
+    uw, vw = (p.w if hi else p.w.astype(float) for p in (u, v))
     rep = GaussGreenReport(target=target)
-    for r, view in zip(radii, views):
-        edges = window_edges(view)
-        uw, vw = u.values[view.vertices], v.values[view.vertices]
-        lap_v = edge_laplacian(*edges, vw)
-        bd = view.bd_mask[view.vertices]
-        interior = float(np.sum(uw[~bd] * lap_v[~bd]))
-        bnd = float(np.sum(uw[bd] * lap_v[bd]))
-        total = interior + bnd
-        wen = float(edge_energy(*edges, uw, vw))
-        rep.radii.append(int(r))
-        rep.interior.append(interior)
-        rep.boundary.append(bnd)
-        rep.totals.append(total)
-        rep.window_energies.append(wen)
-        rep.deviations.append(total - target)
-        # np.maximum keeps a NaN, which max() would drop
-        rep.split_identity_dev = float(np.maximum(rep.split_identity_dev,
-                                                  abs(total - wen)))
+    with _hifi.workdps(_hifi.EDGE_SUM_DPS if hi else None):
+        for r, view in exhaustion:
+            at = u.window.index(view.vertices)
+            edges = window_edges(view, field_of(vw))
+            lap_v = edge_laplacian(*edges, vw[at])
+            bd = view.bd_mask[view.vertices]
+            interior = np.sum(uw[at][~bd] * lap_v[~bd])
+            bnd = np.sum(uw[at][bd] * lap_v[bd])
+            total = interior + bnd
+            wen = edge_energy(*edges, uw[at], vw[at])
+            rep.radii.append(int(r))
+            rep.interior.append(float(interior))
+            rep.boundary.append(float(bnd))
+            rep.totals.append(float(total))
+            rep.window_energies.append(float(wen))
+            rep.deviations.append(float(total - target))
+            # np.maximum keeps a NaN, which max() would drop
+            rep.split_identity_dev = float(np.maximum(rep.split_identity_dev,
+                                                      float(abs(total - wen))))
     return rep
 
 
 def finite_gauss_green_deviation(u: Potential, v: Potential) -> float:
-    """|energy(u, v) - sum_x u(x) Lap v(x)| on a fully materialized network."""
+    """|energy(u, v) - sum_x u(x) Lap v(x)| by the CSR Laplacian of a fully
+    materialized network; u and v must live on the whole network."""
     net = u.net
     if not net.is_saturated:
         raise InvalidParameters("finite form needs a fully materialized network")
-    lap_v = net.laplacian() @ v.values
-    return float(abs(energy(u, v) - np.sum(u.values * lap_v)))
+    if not all(len(p.window.vertices) == net.n for p in (u, v)):
+        raise DomainMismatch("finite form needs potentials on the whole network")
+    uw, vw = u.w.astype(float), v.w.astype(float)
+    return float(abs(energy(u, v) - np.sum(uw * (net.laplacian() @ vw))))
 
 
 @dataclass
@@ -251,20 +251,18 @@ def path_equivalence(p1: PathToInfinity, p2: PathToInfinity, probes,
     """Compare two paths through a finite probe list.
 
     ``probes`` is a list of (name, Potential) pairs, each covering both path
-    prefixes up to the horizon. A probe whose gap stabilizes above
-    separation_tol certifies inequivalence; all gaps staying below path_tol
-    near the horizon is evidence (never proof: the probe list is finite) for
-    equivalence. Anything else is inconclusive.
+    prefixes up to the horizon; an uncovered vertex raises DomainMismatch. A
+    probe whose gap stabilizes above separation_tol certifies inequivalence;
+    all gaps staying below path_tol near the horizon is evidence (never
+    proof: the probe list is finite) for equivalence. Anything else is
+    inconclusive.
     """
     ids1, ids2 = p1.prefix(horizon), p2.prefix(horizon)
     evidences = []
     separated_by = None
     all_small = True
     for name, pot in probes:
-        if not (pot.window.mask[ids1[-1]] and pot.window.mask[ids2[-1]]):
-            raise InvalidParameters(
-                f"probe {name} does not cover the horizon-{horizon} prefixes")
-        gaps = [abs(pot.values[a] - pot.values[b]) for a, b in zip(ids1, ids2)]
+        gaps = np.abs(pot.at(ids1) - pot.at(ids2)).tolist()
         q = max(1, len(gaps) // 4)
         last_q = gaps[-q:]
         final = gaps[-1]
@@ -272,7 +270,7 @@ def path_equivalence(p1: PathToInfinity, p2: PathToInfinity, probes,
         top = np.max(last_q)
         spread = top - np.min(last_q)
         stabilized = spread <= max(path_tol, 0.05 * max(final, 1e-300))
-        ev = ProbeEvidence(probe=name, gaps=[float(g) for g in gaps],
+        ev = ProbeEvidence(probe=name, gaps=gaps,
                            final_gap=float(final),
                            max_gap_last_quarter=float(top),
                            stabilized=bool(stabilized))
@@ -316,14 +314,12 @@ def boundary_point_eval(path: PathToInfinity, harm_part: Potential,
     flag, with the tail series returned as evidence).
     """
     ids = path.prefix(horizon)
-    if not all(harm_part.window.mask[v] for v in (ids[0], ids[-1])):
-        raise InvalidParameters("harmonic part does not cover the path prefix")
     o = harm_part.net.origin
-    series = [float(harm_part.values[v] - harm_part.values[o]) for v in ids]
+    series = (harm_part.at(ids) - harm_part.at(o)).tolist()
     q = max(1, len(series) // 4)
     tail = series[-q:]
     # np.max and np.min keep a NaN, which max() and min() would drop
     stabilized = (np.max(tail) - np.min(tail)) <= path_tol
     return BoundaryPointEval(path=path.name, value=series[-1],
                              stabilized=bool(stabilized),
-                             series_tail=[float(t) for t in tail[-8:]])
+                             series_tail=tail[-8:])

@@ -456,7 +456,7 @@ def cmd_verify_all(args):
                                   window=window, pinned=True)
         v = potential_from_values(ambient, rng.standard_normal(ambient.n),
                                   window=window, pinned=True)
-        rep = bdy.gauss_green_verify(u, v, levels=[window])
+        rep = bdy.gauss_green_verify(u, v, [(radius, window)])
         dev = np.maximum(dev, rep.split_identity_dev)
     check("gauss-green-window-identity", dev <= 1e-8, f"max_dev={dev:.2e}")
 

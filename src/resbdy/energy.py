@@ -9,7 +9,6 @@ truncation.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +48,15 @@ class SubgraphView:
     def __contains__(self, x):
         """Whether vertex id x lies in H; ids outside the network never do."""
         return 0 <= x < len(self.mask) and bool(self.mask[x])
+
+    def index(self, ids):
+        """Positions in ``vertices`` of vertex ids; DomainMismatch for any outside H."""
+        ids = np.asarray(ids, dtype=np.int64)
+        known = ids[(ids >= 0) & (ids < len(self.mask))]
+        if known.size < ids.size or not np.all(self.mask[known]):
+            bad = np.setdiff1d(ids, self.vertices).tolist()
+            raise DomainMismatch(f"vertices {bad} lie outside the window")
+        return self.vertices.searchsorted(ids)
 
     def is_interior(self, x):
         """Whether vertex id x lies in int H."""
@@ -130,9 +138,9 @@ class Potential:
 
     ``w`` holds the values on ``window.vertices`` in the field they were
     formed in: a float64 array, or an object array of mp.mpf (formed at
-    ``dps`` digits) or of Fraction (``dps`` None); ``value`` reads it.
-    ``values`` is its float64 mirror over the whole ambient network, derived
-    on first use for indexing by vertex id; it is 0 outside the window.
+    ``dps`` digits) or of Fraction (``dps`` None). It is the only copy: ``at``
+    reads it as float64 by vertex id, and a read outside the window raises
+    DomainMismatch.
     """
 
     window: SubgraphView
@@ -144,20 +152,17 @@ class Potential:
     def net(self) -> Network:
         return self.window.net
 
-    @cached_property
-    def values(self):
-        vals = np.zeros(self.net.n)
-        vals[self.window.vertices] = self.w
-        return vals
+    def at(self, ids):
+        """float64 values at a vertex id or an array of ids."""
+        return np.asarray(self.w[self.window.index(ids)], dtype=float)
 
     def value(self, x):
-        if not self.window.mask[x]:
-            raise DomainMismatch(f"vertex {x} lies outside this potential's window")
-        return float(self.w[np.searchsorted(self.window.vertices, x)])
+        return float(self.at(x))
 
     def to_rows(self):
         """(vertex_index, value) rows restricted to the window."""
-        return [(int(v), float(self.values[v])) for v in self.window.vertices]
+        return list(zip(self.window.vertices.tolist(),
+                        np.asarray(self.w, dtype=float).tolist()))
 
 
 def value_getter(values):
@@ -216,7 +221,7 @@ def energy(u: Potential, v: Potential) -> float:
     When both potentials hold mp or Fraction values the edge sum runs in
     that field (mp values at ``EDGE_SUM_DPS``): float64 products c (du)(dv)
     lose all digits once the window's conductances span more than ~1e15.
-    Otherwise it runs over float64 values, mirrors of any mp or Fraction w.
+    Otherwise it runs in float64, over each ``w`` read as float64.
     """
     w = _common_window(u, v)
     if u.w.dtype == object and v.w.dtype == object:
@@ -248,12 +253,13 @@ class WindowDefect:
 
 
 def window_defect(u: Potential) -> WindowDefect:
-    """Quantify what the window truncation leaves out for this potential."""
+    """Quantify what the window truncation leaves out, in the field of u.w."""
     w, net = u.window, u.net
     half_in = w.mask[net.ei] ^ w.mask[net.ej]
     # boundary flux: window-restricted Laplacian at boundary vertices
-    lap = edge_laplacian(*window_edges(w), u.values[w.vertices])
-    flux = float(np.sum(np.abs(lap[w.bd_mask[w.vertices]])))
+    with _hifi.workdps(_hifi.EDGE_SUM_DPS if u.w.dtype == object else None):
+        lap = edge_laplacian(*window_edges(w, field_of(u.w)), u.w)
+        flux = float(np.sum(np.abs(lap[w.bd_mask[w.vertices]])))
     return WindowDefect(
         excluded_edges=int(np.sum(half_in)),
         excluded_conductance=float(np.sum(net.ec[half_in])),
@@ -273,7 +279,7 @@ def laplacian(v: Potential, at: int) -> float:
     nbrs, conds = net.neighbors(at)
     if not np.all(v.window.mask[nbrs]):
         raise MissingNeighborValue(f"a neighbor of {at} lies outside the window")
-    return float(np.sum(conds * (v.values[at] - v.values[nbrs])))
+    return float(np.sum(conds * (v.at(at) - v.at(nbrs))))
 
 
 def dirac_pairing(u: Potential, at: int) -> float:
@@ -295,4 +301,4 @@ def normal_derivative(v: Potential, H: SubgraphView, at: int) -> float:
         raise NotBoundaryVertex(f"vertex {at} is not in bd H")
     nbrs, conds = v.net.neighbors(at)
     inside = H.mask[nbrs]
-    return float(np.sum(conds[inside] * (v.values[at] - v.values[nbrs[inside]])))
+    return float(np.sum(conds[inside] * (v.at(at) - v.at(nbrs[inside]))))

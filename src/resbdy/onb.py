@@ -215,7 +215,7 @@ def _laplacian_entries(onb):
     """(Lap eps_i)(x_j) for j <= i, zero above the diagonal (construction field)."""
     Q = onb._work[0]
     edges = window_edges(onb.window, field_of(Q))
-    xs = np.searchsorted(onb.window.vertices, onb.enumeration)
+    xs = onb.window.index(onb.enumeration)
     return np.tril(np.array([edge_laplacian(*edges, Q[:, k])[xs]
                              for k in range(onb.N)], dtype=Q.dtype))
 
@@ -223,7 +223,7 @@ def _laplacian_entries(onb):
 def _evaluation_entries(onb):
     """eps_j(x_i) - eps_j(o) for j <= i, zero above the diagonal (construction field)."""
     Q = onb._work[0]
-    return np.tril(Q[np.searchsorted(onb.window.vertices, onb.enumeration), :])
+    return np.tril(Q[onb.window.index(onb.enumeration), :])
 
 
 @_at_onb_precision

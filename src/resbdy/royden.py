@@ -156,7 +156,4 @@ def sup_norm(pot: Potential) -> float:
     """
     if not pot.pinned:
         raise InvalidParameters("sup_norm expects the pinned representative")
-    verts = pot.window.vertices
-    if len(verts) == 0:
-        return 0.0
-    return float(np.max(np.abs(pot.values[verts])))
+    return float(np.max(np.abs(pot.w.astype(float)), initial=0.0))

@@ -139,7 +139,7 @@ def solve_dipole_level(window: SubgraphView, x, bc="free", rhs=None,
         raise InvalidParameters(f"unknown lane {lane!r}")
     # the window solution minus its value at o
     with _hifi.workdps(dps):
-        sol = sol - sol[np.searchsorted(window.vertices, o)]
+        sol = sol - sol[window.index(o)]
     return Potential(window, sol, dps=dps)
 
 
@@ -242,7 +242,7 @@ def energy_kernel(source, x, bc="free", exhaustion=None, levels=30, tol=1e-8,
             break
     if pot is None:
         raise InvalidParameters(f"vertex {x} never entered the exhaustion")
-    w = pot.w.astype(float, copy=False)  # the float64 mirror on the window
+    w = pot.w.astype(float, copy=False)  # the window values as float64
     report.extra["max_principle_ok"] = bool(
         np.all(w >= -1e-9) and np.all(w <= pot.value(x) + 1e-9)) \
         if bc == "free" else None

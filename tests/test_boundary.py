@@ -8,7 +8,7 @@ from resbdy import (GeometricHalfLineGenerator, IntegerLatticeGenerator,
                     energy, finite_gauss_green_deviation, gauss_green_verify,
                     path_equivalence, potential_from_values, royden_split,
                     solve_dipole_level)
-from resbdy.errors import InvalidParameters, NotHarmonic
+from resbdy.errors import DomainMismatch, InvalidParameters, NotHarmonic
 from resbdy.ladder import ladder_harmonic
 from tests.conftest import random_edge_list
 
@@ -46,6 +46,25 @@ def test_dipole_interior_term_is_value_difference():
     for r, interior in zip(rep.radii, rep.interior):
         if r >= 2 and r <= 6:
             assert interior == pytest.approx(expected, abs=1e-9)
+
+
+def test_mp_interior_sum_is_the_energy_once_x_and_o_are_interior():
+    # sum_int u Lap(v) over G_k with u = v: E(v) = v(x) once x and o are
+    # interior; summed in the mp field it holds at every level
+    gen = LadderGenerator(5, 0.9)
+    exh = default_exhaustion(gen, 16)
+    v = solve_dipole_level(exh.ambient.full_view(), 2, bc="free", lane="mp")
+    rep = gauss_green_verify(v, v, exhaustion=exh)
+    assert rep.split_identity_dev <= 1e-40
+    for r, interior in zip(rep.radii, rep.interior):
+        if r >= 2:
+            assert interior == pytest.approx(rep.target, rel=0, abs=1e-12)
+
+
+def test_finite_form_needs_the_whole_network(path5):
+    u = potential_from_values(path5, np.arange(5.0), window=path5.ball_view(3))
+    with pytest.raises(DomainMismatch):
+        finite_gauss_green_deviation(u, u)
 
 
 def test_z1_boundary_term_shrinks():
@@ -129,6 +148,16 @@ def test_boundary_point_eval_halfline_trivial():
     ev = boundary_point_eval(gen.ray(), split.h, horizon=25)
     assert ev.stabilized
     assert ev.value == pytest.approx(0.0, abs=1e-8)
+
+
+def test_boundary_point_eval_raises_on_a_read_outside_the_window():
+    # the prefix's ends lie in the window, but 4 and 5 do not
+    net = build_finite([(i, i + 1, 1) for i in range(9)])
+    v = solve_dipole_level(net.ball_view(3), 2)
+    prefix = [0, 1, 2, 3, 4, 5, 4, 3]
+    path = PathToInfinity(net, lambda n: prefix[n], name="detour")
+    with pytest.raises(DomainMismatch):
+        boundary_point_eval(path, v, horizon=7)
 
 
 def test_boundary_point_eval_separates_ladder_rails():

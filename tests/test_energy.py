@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from resbdy import (build_finite, delta, dirac_pairing, energy, laplacian,
                     normal_derivative, potential_from_values, window_defect)
 from resbdy.energy import SubgraphView
+from resbdy.solver import solve_dipole_level
 from resbdy.errors import (DomainMismatch, MissingNeighborValue,
                            NotBoundaryVertex)
 from tests.conftest import random_edge_list
@@ -69,7 +70,7 @@ def test_energy_bilinear_symmetric_cauchy_schwarz(n, seed):
     v = potential_from_values(net, rng.standard_normal(net.n))
     w = potential_from_values(net, rng.standard_normal(net.n))
     a, b = rng.standard_normal(2)
-    comb = potential_from_values(net, a * u.values + b * v.values)
+    comb = potential_from_values(net, a * u.w + b * v.w)
     assert energy(comb, w) == pytest.approx(a * energy(u, w) + b * energy(v, w),
                                             rel=1e-9, abs=1e-9)
     assert energy(u, v) == pytest.approx(energy(v, u), rel=1e-12, abs=1e-14)
@@ -102,7 +103,7 @@ def test_normal_derivative_interior_equals_laplacian(grid44):
     H2 = SubgraphView(grid44, list(range(15)))
     for x in H2.interior:
         inner = sum(
-            c * (u.values[x] - u.values[y])
+            c * (u.at(x) - u.at(y))
             for y, c in zip(*grid44.neighbors(int(x))))
         assert inner == pytest.approx(laplacian(u, int(x)), rel=1e-12, abs=1e-12)
 
@@ -112,6 +113,25 @@ def test_domain_mismatch(triangle, path3):
     v = potential_from_values(path3, [0, 1, 2])
     with pytest.raises(DomainMismatch):
         energy(u, v)
+
+
+def test_value_outside_the_window_raises():
+    net = build_finite([(i, i + 1, 1) for i in range(3)])
+    u = potential_from_values(net, [0.0, 1.0, 2.0, 3.0])
+    assert u.value(3) == 3.0
+    for x in (-1, 7):
+        with pytest.raises(DomainMismatch):
+            u.value(x)
+    with pytest.raises(DomainMismatch):
+        u.at([1, 2, 4])
+
+
+def test_normal_derivative_raises_on_a_read_outside_the_window():
+    # v lives on the ball of radius 3; bd of the radius-4 ball needs v(4)
+    net = build_finite([(i, i + 1, 1) for i in range(9)])
+    v = solve_dipole_level(net.ball_view(3), 2)
+    with pytest.raises(DomainMismatch):
+        normal_derivative(v, net.ball_view(4), 4)
 
 
 def test_window_defect_counts_cut_edges(grid44):

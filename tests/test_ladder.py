@@ -140,7 +140,7 @@ def test_recursion_direction_matches_royden_harm_part():
     lh = ladder_harmonic(5, 0.9, 40)
     verts = split.h.window.vertices
     keep = verts[split.h.net.level[verts] <= 30]
-    hv = split.h.values[keep]
+    hv = split.h.at(keep)
     uv = np.array([lh.value(int(v)) for v in keep])
     A = np.stack([uv, np.ones_like(uv)], axis=1)
     coef, *_ = np.linalg.lstsq(A, hv, rcond=None)

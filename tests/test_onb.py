@@ -37,7 +37,7 @@ def test_path3_explicit_gram(path3):
     assert np.allclose(onb.E, [[1.0, 0.0], [1.0, 1.0]], atol=1e-12)
     # eps_2 = v_b - v_a (the increment ramp on the second edge)
     eps2 = onb.eps_potential(2)
-    assert np.allclose(eps2.values, [0.0, 0.0, 1.0], atol=1e-10)
+    assert np.allclose(eps2.at(eps2.window.vertices), [0.0, 0.0, 1.0], atol=1e-10)
 
 
 def test_inverse_pair(path5):
@@ -194,7 +194,7 @@ def _reference_gram_schmidt(kernels, enumeration,
     dps = (_hifi.auto_dps(net, window.edge_mask, len(window.vertices)) + 25
            if hi else None)
     with _hifi.workdps(dps):
-        K = np.stack([k.w if hi else k.values[window.vertices]
+        K = np.stack([k.w if hi else k.at(window.vertices)
                       for k in kernels], axis=1)
         dot = functools.partial(edge_energy, *window_edges(window, field_of(K)))
         N = len(kernels)

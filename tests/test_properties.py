@@ -71,7 +71,7 @@ def test_lattice_2d_kernel_smoke():
     pot, rep = energy_kernel(gen, 1, levels=14, tol=1e-4)
     # Z^2 is recurrent but the kernel itself converges; R(0, e_1) < 1
     assert 0.4 < pot.value(1) < 0.6
-    assert np.isfinite(pot.values[pot.window.vertices]).all()
+    assert np.isfinite(pot.at(pot.window.vertices)).all()
 
 
 def test_track_defect_telemetry():

@@ -13,7 +13,7 @@ from resbdy.errors import InvalidParameters
 
 def test_finite_network_split_is_trivial(triangle):
     split = royden_split(triangle, 1)
-    assert np.allclose(split.v.values, split.f.values, atol=1e-12)
+    assert np.allclose(split.v.w, split.f.w, atol=1e-12)
     assert split.energy_h <= 1e-12
     assert split.pythagoras_deviation <= 1e-12
     assert not split.harmonicity_violated
@@ -93,14 +93,15 @@ def test_final_resolve_only_on_the_side_that_moved(monkeypatch):
     deeper = split.f.window
     v = solve_dipole_level(deeper, 1, bc="free")
     f = solve_dipole_level(deeper, 1, bc="wired")
-    assert np.array_equal(split.v.values, v.values)
-    assert np.array_equal(split.f.values, f.values)
+    assert np.array_equal(split.v.w, v.w)
+    assert np.array_equal(split.f.w, f.w)
     assert split.energy_v == energy(v, v) and split.energy_f == energy(f, f)
 
 
 def test_ladder_fin_part_differs_from_kernel():
     split = royden_split(LadderGenerator(5, 0.9), 2, levels=30, tol=1e-6)
-    assert not np.allclose(split.v.values, split.f.values, atol=1e-6)
+    assert not np.allclose(split.v.at(split.v.window.vertices),
+                           split.f.at(split.f.window.vertices), atol=1e-6)
 
 
 def test_fin_projection_matches_split():
@@ -133,7 +134,7 @@ def test_monopole_representative_bounded_on_halfline():
     res = monopole(GeometricHalfLineGenerator(2), levels=35, schedule="linear")
     assert res.transient
     pot = res.potential
-    raw = pot.values[pot.window.vertices] - pot.values[pot.window.vertices].min()
+    raw = pot.at(pot.window.vertices) - pot.at(pot.window.vertices).min()
     w_at_o = raw[0]
     assert np.all(raw >= -1e-12) and np.all(raw <= w_at_o + 1e-12)
 

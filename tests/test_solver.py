@@ -25,20 +25,20 @@ def brute_force_dipole(net, x, o=0):
 
 def test_free_dipole_path_is_ramp(path3):
     v = solve_dipole_level(path3.full_view(), 2, bc="free")
-    assert np.allclose(v.values, [0.0, 1.0, 2.0], atol=1e-12)
+    assert np.allclose(v.w, [0.0, 1.0, 2.0], atol=1e-12)
 
 
 def test_free_dipole_triangle_oracle(triangle):
     v = solve_dipole_level(triangle.full_view(), 1, bc="free")
     oracle = brute_force_dipole(triangle, 1)
-    assert np.allclose(v.values, oracle, atol=1e-12)
+    assert np.allclose(v.w, oracle, atol=1e-12)
     assert v.value(1) == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
 def test_wired_equals_free_without_exterior(triangle):
     free = solve_dipole_level(triangle.full_view(), 1, bc="free")
     wired = solve_dipole_level(triangle.full_view(), 1, bc="wired")
-    assert np.allclose(free.values, wired.values, atol=1e-12)
+    assert np.allclose(free.w, wired.w, atol=1e-12)
 
 
 def test_lanes_agree(path5):
@@ -47,8 +47,8 @@ def test_lanes_agree(path5):
         a = solve_dipole_level(view, 3, bc=bc, lane="float64")
         b = solve_dipole_level(view, 3, bc=bc, lane="mp")
         c = solve_dipole_level(view, 3, bc=bc, lane="fraction")
-        assert np.allclose(a.values, b.values, atol=1e-12)
-        assert np.allclose(b.values, c.values, atol=1e-12)
+        assert np.allclose(a.at(view.vertices), b.at(view.vertices), atol=1e-12)
+        assert np.allclose(b.at(view.vertices), c.at(view.vertices), atol=1e-12)
 
 
 def test_lanes_agree_on_geometric_window():
@@ -56,7 +56,7 @@ def test_lanes_agree_on_geometric_window():
     view = gen.ball(8).full_view()
     a = solve_dipole_level(view, 2, bc="free", lane="float64")
     b = solve_dipole_level(view, 2, bc="free", lane="mp")
-    assert np.allclose(a.values, b.values, atol=1e-8)
+    assert np.allclose(a.at(view.vertices), b.at(view.vertices), atol=1e-8)
 
 
 def test_energy_kernel_finite_saturates(triangle):
@@ -69,7 +69,7 @@ def test_energy_kernel_halfline_flat_tail():
     gen = GeometricHalfLineGenerator(2)
     pot, rep = energy_kernel(gen, 1, levels=30)
     assert rep.converged
-    vals = pot.values[pot.window.vertices]
+    vals = pot.at(pot.window.vertices)
     # all current crosses the first edge; the tail is constant
     assert vals[0] == 0.0
     assert np.allclose(vals[1:], 0.5, atol=1e-10)
