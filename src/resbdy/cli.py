@@ -85,13 +85,13 @@ def resolve_network(args):
     spec = args.network
     flags = {"alpha": args.alpha, "beta": args.beta, "dim": args.dim}
     params = {k: v for k, v in flags.items() if v is not None}
-    if spec in FAMILIES and not os.path.exists(spec):
+    if spec in FAMILIES and not os.path.isfile(spec):
         src = generator_from_spec({"family": spec, "params": params})
     elif params:
         raise UsageError("--alpha/--beta/--dim go with a family name, "
                          "not with a network spec")
-    elif os.path.exists(spec) or spec.strip().startswith("{"):
-        text = pathlib.Path(spec).read_text() if os.path.exists(spec) else spec
+    elif os.path.isfile(spec) or spec.strip().startswith("{"):
+        text = pathlib.Path(spec).read_text() if os.path.isfile(spec) else spec
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as e:

@@ -516,13 +516,23 @@ def generator_from_spec(spec: dict):
     Accepts ``{"family": name, "params": {...}}`` or
     ``{"edges": [[i, j, c], ...], "origin": 0}``.
     """
+    if not isinstance(spec, dict):
+        raise InvalidParameters("a network spec must be an object")
     if "edges" in spec:
-        return build_finite([tuple(e) for e in spec["edges"]],
+        edges = spec["edges"]
+        if not isinstance(edges, list) or not all(
+                isinstance(e, (list, tuple)) and len(e) == 3
+                and all(isinstance(v, int) for v in e[:2]) for e in edges):
+            raise InvalidParameters("edges must be a list of [i, j, c] triples")
+        return build_finite([tuple(e) for e in edges],
                             origin=spec.get("origin", 0))
     family = spec.get("family")
     if family not in FAMILIES:
         raise InvalidParameters(f"unknown family {family!r}")
-    params = dict(spec.get("params", {}))
+    params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise InvalidParameters("params must be an object")
+    params = dict(params)
     if family == "integer-lattice" and "d" not in params and "dim" in params:
         params["d"] = params.pop("dim")
     try:

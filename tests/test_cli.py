@@ -420,6 +420,29 @@ def test_malformed_network_json_is_a_usage_error(where, tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("usage error")
 
 
+@pytest.mark.parametrize("spec, where", [
+    ("[1, 2]", "file"),
+    ('{"edges": 5}', "inline"),
+    ('{"edges": [[0, 1]]}', "inline"),
+    ('{"family": "ladder", "params": [5]}', "inline"),
+])
+def test_a_network_spec_of_the_wrong_shape_is_an_error(spec, where, tmp_path,
+                                                        capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    network = spec if where == "inline" else str(path)
+    assert main(["resist", "--network", network, "--x", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error [invalid-parameters]")
+
+
+def test_a_directory_as_the_network_spec_is_a_usage_error(tmp_path, capsys):
+    assert main(["resist", "--network", str(tmp_path), "--x", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error")
+
+
 @pytest.mark.parametrize("argv", [
     ["wiener", "--check", "minlos", "--N", "4", "--samples", "100",
      "--n-checks", "1"],

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from resbdy import (GeometricHalfLineGenerator, IntegerLatticeGenerator,
-                    LadderGenerator, _hifi, build_finite,
+                    LadderGenerator, Potential, _hifi, build_finite,
                     build_onb, coefficient_vector, energy,
                     entries_E_via_evaluation, entries_M_via_laplacian,
                     gram_product_check, gram_schmidt, kronecker_sum_check,
@@ -270,6 +270,26 @@ def test_gram_degenerate_on_duplicate_kernels_with_non_unit_conductances(lane):
     u = solve_dipole_level(window, 1, bc="free", lane=lane)
     with pytest.raises(GramDegenerate):
         gram_schmidt([u, v, v], [1, 2, 2])
+
+
+def test_float64_pivot_of_nearly_dependent_kernels_is_an_edge_sum():
+    # K2 = K1 + 1e-8 phi: the residual's edge sum keeps the pivot to ~1e-8
+    # relative, where the Gram route V[n, n] - e.e cancels to 0
+    net = build_finite([(0, 1, 2.5), (1, 2, 0.3), (2, 3, 7.0), (1, 3, 0.45),
+                        (0, 2, 1.7), (0, 3, 0.9)])
+    window = net.full_view()
+    k1 = solve_dipole_level(window, 2, bc="free", lane="float64")
+    phi = solve_dipole_level(window, 3, bc="free", lane="float64")
+    k2 = Potential(window, k1.w + 1e-8 * phi.w)
+    onb = gram_schmidt([k1, k2], [2, 3])
+    with mp.workdps(50):
+        edges = window_edges(window, mp.mpf)
+        K1, K2 = (np.array([mp.mpf(float(x)) for x in k.w], dtype=object)
+                  for k in (k1, k2))
+        e11, e12, e22 = (edge_energy(*edges, a, b)
+                         for a, b in ((K1, K1), (K1, K2), (K2, K2)))
+        ref = float(mp.sqrt(e22 - e12 ** 2 / e11))
+    assert onb.pivot_min == pytest.approx(ref, rel=1e-6)
 
 
 @pytest.mark.parametrize("N", [20, 25])
