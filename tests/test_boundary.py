@@ -150,7 +150,7 @@ def test_boundary_point_eval_halfline_trivial():
     assert ev.value == pytest.approx(0.0, abs=1e-8)
 
 
-def test_boundary_point_eval_raises_on_a_read_outside_the_window():
+def test_path_reads_outside_the_window_raise():
     # the prefix's ends lie in the window, but 4 and 5 do not
     net = build_finite([(i, i + 1, 1) for i in range(9)])
     v = solve_dipole_level(net.ball_view(3), 2)
@@ -158,6 +158,8 @@ def test_boundary_point_eval_raises_on_a_read_outside_the_window():
     path = PathToInfinity(net, lambda n: prefix[n], name="detour")
     with pytest.raises(DomainMismatch):
         boundary_point_eval(path, v, horizon=7)
+    with pytest.raises(DomainMismatch):
+        path_equivalence(path, path, [("v", v)], horizon=7)
 
 
 def test_boundary_point_eval_separates_ladder_rails():

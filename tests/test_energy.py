@@ -1,13 +1,15 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from resbdy import (build_finite, delta, dirac_pairing, energy, laplacian,
                     normal_derivative, potential_from_values, window_defect)
-from resbdy.energy import SubgraphView
-from resbdy.solver import solve_dipole_level
+from resbdy.energy import SubgraphView, edge_laplacian, window_edges
 from resbdy.errors import (DomainMismatch, MissingNeighborValue,
                            NotBoundaryVertex)
+from resbdy.solver import solve_dipole_level
 from tests.conftest import random_edge_list
 
 
@@ -141,6 +143,20 @@ def test_window_defect_counts_cut_edges(grid44):
     assert d.excluded_edges == 4
     assert d.excluded_conductance == pytest.approx(4.0)
     assert d.boundary_flux >= 0
+
+
+def test_window_defect_sums_in_the_potentials_field():
+    # the flux of a wired solve, exact in Fraction and rounded once
+    from resbdy import LadderGenerator
+    view = LadderGenerator(5, 0.9).ball(7).ball_view(6)
+    fr = solve_dipole_level(view, 2, "wired", lane="fraction")
+    lap = edge_laplacian(*window_edges(view, Fraction), fr.w)
+    exact = float(sum(abs(lap[view.bd_mask[view.vertices]])))
+    assert window_defect(fr).boundary_flux == exact
+    mp_pot = solve_dipole_level(view, 2, "wired", lane="mp")
+    assert window_defect(mp_pot).boundary_flux == pytest.approx(exact, rel=1e-15)
+    lo = solve_dipole_level(view, 2, "wired", lane="float64")
+    assert window_defect(lo).boundary_flux == pytest.approx(exact, rel=1e-9)
 
 
 def test_missing_neighbor_on_frontier():
