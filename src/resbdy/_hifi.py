@@ -10,8 +10,9 @@ chosen from the window's dynamic range, so deep windows stay meaningful.
 Both solve lanes take one system from ``grounded_system``: the window's
 vertices that are not held at 0 are the unknowns, the window's edges give
 the operator and the right-hand side is carried signed, in the lane's field.
-The float64 lane (``solver``) factors the unknowns' block with SuperLU; this
-lane eliminates it.
+This lane eliminates the unknowns' block one unknown at a time; the float64
+lane (``solver._solve_float64``) runs the same elimination in vectorized
+rounds of independent unknowns and hands what the rounds leave to SuperLU.
 
 The elimination never subtracts (the GTH elimination: Grassmann, Taksar &
 Heyman, Oper. Res. 33, 1985; O'Cinneide, Numer. Math. 65, 1993). Each unknown

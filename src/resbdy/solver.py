@@ -13,10 +13,14 @@ Level solves come in two boundary flavors:
 Either way the window gives one grounded system, built by
 ``_hifi.grounded_system``: the unknowns are the window's vertices minus the
 held ones (o for free, bd G_k for wired), the operator comes from the
-window's edges and the right-hand side is signed. The float64 lane assembles
-the unknowns' block from it and solves it with SuperLU after Jacobi scaling;
-the mp and Fraction lanes eliminate it in ``_hifi.hi_solve``. The Potential
-keeps the window solution minus its value at o, in the lane's field.
+window's edges and the right-hand side is signed. Every lane eliminates it
+without subtracting (the GTH elimination, see ``_hifi``): the mp and Fraction
+lanes one unknown at a time in ``_hifi.hi_solve``, the float64 lane in numpy
+rounds, each of which eliminates an independent set of unknowns of
+near-minimum degree at once (Luby, SIAM J. Comput. 15(4), 1986). When the
+rounds stop shrinking the system, its Schur complement goes to SuperLU. The
+Potential keeps the window solution minus its value at o, in the lane's
+field.
 
 Exhaustion drivers iterate windows, apply the stopping rule (three consecutive
 relative deltas below tol, or saturation on finite networks), and return the
@@ -40,47 +44,167 @@ from .network import (Exhaustion, default_exhaustion, doubling_exhaustion,
 DYNAMIC_RANGE_GUARD = 1e10
 
 
+# While more than SMALL unknowns are live, a round takes only unknowns of
+# degree at most DEGREE_CAP, so one elimination adds at most 15 fill edges;
+# the rounds stop when one would take fewer than 1/8 of the live unknowns.
+DEGREE_CAP = 6
+SMALL = 64
+
+
+def _hash(pos):
+    """A bijective 64-bit mix of window positions (the splitmix64 finalizer)."""
+    z = pos.astype(np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xbf58476d1ce4e5b9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94d049bb133111eb)
+    return z ^ (z >> np.uint64(31))
+
+
+def _merged(u, v, c, m):
+    """Edges u < v sorted by (u, v), with the conductances of repeats added."""
+    key = u * m + v
+    if np.any(key[1:] <= key[:-1]):
+        order = np.argsort(key, kind="stable")
+        key, u, v, c = key[order], u[order], v[order], c[order]
+        first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+        if len(first) < len(key):
+            u, v, c = u[first], v[first], np.add.reduceat(c, first)
+    return u, v, c
+
+
+def _ranks(mask):
+    """The positions where ``mask`` holds, and each one's rank among them."""
+    at = np.flatnonzero(mask)
+    rank = np.empty(len(mask), dtype=np.int64)
+    rank[at] = np.arange(len(at))
+    return at, rank
+
+
+def _independent_set(cand, u, v, prio):
+    """An independent set of candidates, by up to three Luby passes: each pass
+    takes the open candidates whose hash is below every open neighbour's, then
+    closes them and their neighbours."""
+    chosen = np.zeros(len(cand), dtype=bool)
+    open_ = cand.copy()
+    for _ in range(3):
+        both = np.flatnonzero(open_[u] & open_[v])
+        u, v = u[both], v[both]
+        win = open_.copy()
+        win[np.where(prio[u] < prio[v], v, u)] = False
+        chosen |= win
+        open_ &= ~win
+        open_[v[np.flatnonzero(win[u])]] = False
+        open_[u[np.flatnonzero(win[v])]] = False
+        if not open_.any():
+            break
+    return chosen
+
+
 def _solve_float64(window, held, rhs):
-    """The window solution over ``window.vertices``, 0 at the held vertices."""
+    """The window solution over ``window.vertices``, 0 at the held vertices.
+
+    GTH elimination (see ``_hifi``) in rounds of independent unknowns of
+    near-minimum degree; what the rounds leave goes to SuperLU.
+    """
     unknown, (c, a, b), rhs_w = _hifi.grounded_system(window, held, rhs, float)
-    adj = sp.coo_matrix(
-        (np.concatenate([c, c]), (np.concatenate([a, b]), np.concatenate([b, a]))),
-        shape=(len(unknown),) * 2).tocsr()
-    del c, a, b
-    # the diagonal is the window c(x), summed in CSR row order
-    d = np.asarray(adj.sum(axis=1)).ravel()[unknown]
+    if not np.isfinite(c).all():
+        raise SolverFailure("the window has a non-finite conductance")
+    live, at = _ranks(unknown)
+    n = len(live)
+    ua, ub = unknown[a], unknown[b]
+    # g: each unknown's conductance to the held vertices
+    ga, gb = np.flatnonzero(ua & ~ub), np.flatnonzero(ub & ~ua)
+    g = np.bincount(np.concatenate([at[a[ga]], at[b[gb]]]),
+                    np.concatenate([c[ga], c[gb]]), n)
+    both = np.flatnonzero(ua & ub)
+    i, j = at[a[both]], at[b[both]]
+    u, v, c = _merged(np.minimum(i, j), np.maximum(i, j), c[both], n)
+    del a, b, ua, ub, ga, gb, both, i, j, at
+    load = rhs_w[live]  # the carried right-hand side
+    gid = np.arange(n)
+    prio = _hash(live)
+    rounds = []
+    m = n
+    while m:
+        deg = np.bincount(u, minlength=m) + np.bincount(v, minlength=m)
+        top = max(2, deg.min())
+        if m > SMALL:
+            top = min(top, DEGREE_CAP)
+        chosen = _independent_set(deg <= top, u, v, prio)
+        ks, local = _ranks(chosen)
+        if not len(ks) or (m > SMALL and 8 * len(ks) < m):
+            break
+        # each edge at a chosen unknown k, as k, its other end j and c_kj,
+        # grouped by k
+        su, sv = chosen[u], chosen[v]
+        iu, iv = np.flatnonzero(su), np.flatnonzero(sv)
+        k = np.concatenate([u[iu], v[iv]])
+        order = np.argsort(k, kind="stable")
+        k = k[order]
+        j = np.concatenate([v[iu], u[iv]])[order]
+        ck = np.concatenate([c[iu], c[iv]])[order]
+        # pivot d_k = g_k + sum_j c_kj, and t_kj = c_kj / d_k
+        d = g + np.bincount(k, ck, m)
+        if not np.all(d[ks] > 0):
+            raise SolverFailure("zero pivot: the window may be disconnected")
+        t = ck / d[k]
+        rounds.append((gid[ks], load[ks] / d[ks], local[k], gid[j], t))
+        # each neighbour j gains t_kj g_k and t_kj b_k; each pair p < q of
+        # k's neighbours gains the fill edge t_kp c_kq
+        g = g + np.bincount(j, t * g[k], m)
+        load = load + np.bincount(j, t * load[k], m)
+        apart = range(1, deg[ks].max())
+        p = [np.flatnonzero(k[s:] == k[:-s]) for s in apart]
+        q = np.concatenate([np.arange(0)] + [ps + s for ps, s in zip(p, apart)])
+        p = np.concatenate([np.arange(0)] + p)
+        fu, fv, fc = j[p], j[q], t[p] * ck[q]
+        # renumber the live unknowns
+        kept, new = _ranks(~chosen)
+        m = len(kept)
+        old = np.flatnonzero(~(su | sv))
+        fu, fv = new[fu], new[fv]
+        u, v, c = _merged(np.concatenate([new[u[old]], np.minimum(fu, fv)]),
+                          np.concatenate([new[v[old]], np.maximum(fu, fv)]),
+                          np.concatenate([c[old], fc]), m)
+        g, load, gid, prio = g[kept], load[kept], gid[kept], prio[kept]
+    x = np.zeros(n)
+    if m:
+        x[gid] = _solve_remainder(g, u, v, c, load)
+    for ks, y, kl, jg, t in reversed(rounds):
+        x[ks] = y + np.bincount(kl, t * x[jg], len(ks))
+    if not np.isfinite(x).all():
+        raise SolverFailure("solver produced non-finite values")
+    out = np.zeros(len(unknown))
+    out[live] = x
+    return out
+
+
+def _solve_remainder(g, u, v, c, rhs):
+    """SuperLU on the Schur complement the rounds leave, an M-matrix whose
+    diagonal is g + sum c, after Jacobi scaling."""
+    m = len(g)
+    d = g + np.bincount(np.concatenate([u, v]), np.concatenate([c, c]), m)
     if np.any(d <= 0):
-        raise SolverFailure("window subgraph has an isolated unknown")
-    adj = adj.tocoo()
-    inner = unknown[adj.row] & unknown[adj.col]
-    at = np.cumsum(unknown) - 1
-    diag = np.arange(len(d))
-    rows = np.concatenate([diag, at[adj.row[inner]]])
-    cols = np.concatenate([diag, at[adj.col[inner]]])
-    vals = np.concatenate([d, -adj.data[inner]])
-    del adj, inner, at, diag
+        raise SolverFailure("zero pivot: the window may be disconnected")
+    diag = np.arange(m)
+    rows = np.concatenate([diag, u, v])
+    cols = np.concatenate([diag, v, u])
+    vals = np.concatenate([d, -c, -c])
     # Jacobi scaling s_i L_ij s_j, rounded as diag(s) @ L @ diag(s) rounds it
     s = 1.0 / np.sqrt(d)
     scaled = sp.csc_matrix(((s[rows] * vals) * s[cols], (rows, cols)),
-                           shape=(len(d), len(d)))
-    del rows, cols, vals
-    sb = s * rhs_w[unknown]
+                           shape=(m, m))
+    sb = s * rhs
     try:
         w = spla.spsolve(scaled, sb)
     except Exception as e:  # pragma: no cover
         raise SolverFailure(str(e)) from None
-    sol = s * w
     resid = np.linalg.norm(scaled @ w - sb)
-    if not np.isfinite(sol).all():
-        raise SolverFailure("solver produced non-finite values")
     # backward-stable bound: ||r|| <= tol (||b|| + ||A|| ||x||); the Jacobi-scaled
     # operator has unit diagonal and row sums bounded by 2
     guard = 1e-12 * (np.linalg.norm(sb) + 2.0 * np.linalg.norm(w))
     if resid > max(guard, 1e-300):
         raise SolverFailure(f"residual {resid:.2e} above the stability guard")
-    x = np.zeros(len(unknown))
-    x[unknown] = sol
-    return x
+    return s * w
 
 
 def pick_lane(net, window, lane="auto"):

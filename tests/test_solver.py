@@ -270,3 +270,59 @@ def test_identical_vertices_must_enter_the_exhaustion(bc):
         effective_resistance(gen, 100, 100, bc=bc, levels=3)
     r, rep = effective_resistance(gen, 2, 2, bc=bc, levels=3)
     assert r == 0.0 and rep.converged
+
+
+def test_z1_wired_monopole_energy_is_right_to_rounding():
+    # the wired monopole energy of the Z^1 ball of radius R is R/2
+    z1 = IntegerLatticeGenerator(1)
+    for k in range(10, 15):
+        r = 2 ** k
+        view = z1.ball(r + 1).ball_view(r)
+        o = view.net.origin
+        pot = solve_dipole_level(view, o, bc="wired", rhs={o: 1}, lane="float64")
+        assert abs(energy(pot, pot) - r / 2) <= 1e-14 * (r / 2), r
+
+
+@pytest.mark.parametrize("gen, levels, exact", [
+    (GeometricHalfLineGenerator(2), 33, 0.5),
+    (BinaryTreeGenerator(), 14, 1.0),
+])
+def test_float64_free_resistance_never_rises(gen, levels, exact):
+    # Rayleigh monotonicity: free R_k(1, 0) never rises with k; across a tree
+    # edge it is 1/c(0, 1) at every level. tol=0 runs every level.
+    _, rep = effective_resistance(gen, 1, levels=levels, tol=0.0, lane="float64")
+    assert rep.radii[-1] == levels
+    assert np.all(np.diff(rep.values) <= 0)
+    assert np.allclose(rep.values, exact, rtol=4 * np.finfo(float).eps, atol=0)
+
+
+def _remainder_sizes(monkeypatch):
+    """Record the number of unknowns of each SuperLU remainder solve."""
+    sizes = []
+    remainder = solver._solve_remainder
+
+    def spy(g, *args):
+        sizes.append(len(g))
+        return remainder(g, *args)
+
+    monkeypatch.setattr(solver, "_solve_remainder", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("bc", ["wired", "free"])
+@pytest.mark.parametrize("gen, radius, reaches_remainder", [
+    (IntegerLatticeGenerator(2), 8, True),
+    (BinaryTreeGenerator(), 8, False),
+])
+def test_float64_rounds_and_remainder_match_the_fraction_lane(
+        gen, radius, reaches_remainder, bc, monkeypatch):
+    view = gen.ball(radius + 1).ball_view(radius)
+    o = view.net.origin
+    x = o if bc == "wired" else int(view.vertices[-1])
+    rhs = {x: 1} if bc == "wired" else {x: 1, o: -1}
+    sizes = _remainder_sizes(monkeypatch)
+    fast = solve_dipole_level(view, x, bc=bc, rhs=rhs, lane="float64")
+    assert bool(sizes) == reaches_remainder
+    exact = solve_dipole_level(view, x, bc=bc, rhs=rhs, lane="fraction").w
+    exact = exact.astype(float)
+    assert np.max(np.abs(fast.w - exact)) <= 1e-10 * np.max(np.abs(exact))
