@@ -91,7 +91,11 @@ def resolve_network(args):
         raise UsageError("--alpha/--beta/--dim go with a family name, "
                          "not with a network spec")
     elif os.path.isfile(spec) or spec.strip().startswith("{"):
-        text = pathlib.Path(spec).read_text() if os.path.isfile(spec) else spec
+        try:
+            text = (pathlib.Path(spec).read_text() if os.path.isfile(spec)
+                    else spec)
+        except (OSError, UnicodeDecodeError) as e:
+            raise UsageError(f"cannot read --network {spec!r}: {e}") from None
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as e:

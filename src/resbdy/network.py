@@ -166,24 +166,29 @@ def build_finite(edge_list, origin=0):
 
     Parallel entries for the same unordered pair are merged by summing their
     conductances (conductors in parallel add). Raises SelfLoop, NonpositiveConductance,
-    or DisconnectedGraph when the input violates the network invariants.
+    or DisconnectedGraph when the input violates the network invariants, and
+    InvalidParameters for a conductance that is not a finite number (strings
+    such as "1/3" are read as exact rationals) or an origin off the network.
     """
     merged = {}
     for i, j, c in edge_list:
         i, j = int(i), int(j)
         if i == j:
             raise SelfLoop(f"edge ({i},{i}) is a self-loop")
-        if not (float(c) > 0):
+        try:
+            cf = (Fraction(c) if isinstance(c, (Fraction, str))
+                  else Fraction(float(c)))
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidParameters(
+                f"edge ({i},{j}) has conductance {c!r}, not a finite number"
+            ) from None
+        if not cf > 0:
             raise NonpositiveConductance(f"edge ({i},{j}) has conductance {c}")
-        if isinstance(c, Fraction):
-            cf = c
-        elif isinstance(c, str):
-            cf = Fraction(c)
-        else:
-            cf = Fraction(float(c))
         key = (min(i, j), max(i, j))
         merged[key] = merged.get(key, Fraction(0)) + cf
     keys = sorted(merged)
+    if keys and not any(origin in k for k in keys):
+        raise InvalidParameters(f"origin {origin} is not a vertex of the network")
     ei = [k[0] for k in keys]
     ej = [k[1] for k in keys]
     exact = [merged[k] for k in keys]
@@ -524,8 +529,10 @@ def generator_from_spec(spec: dict):
                 isinstance(e, (list, tuple)) and len(e) == 3
                 and all(isinstance(v, int) for v in e[:2]) for e in edges):
             raise InvalidParameters("edges must be a list of [i, j, c] triples")
-        return build_finite([tuple(e) for e in edges],
-                            origin=spec.get("origin", 0))
+        origin = spec.get("origin", 0)
+        if not isinstance(origin, int) or isinstance(origin, bool):
+            raise InvalidParameters("origin must be an integer vertex")
+        return build_finite([tuple(e) for e in edges], origin=origin)
     family = spec.get("family")
     if family not in FAMILIES:
         raise InvalidParameters(f"unknown family {family!r}")

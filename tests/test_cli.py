@@ -443,6 +443,48 @@ def test_a_directory_as_the_network_spec_is_a_usage_error(tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("usage error")
 
 
+def test_a_string_conductance_is_read_as_an_exact_rational(capsys):
+    code, doc = run_cli(["resist", "--network", '{"edges": [[0, 1, "1/3"]]}',
+                         "--x", "1"], capsys)
+    assert code == 0
+    assert doc["report"]["resistance"] == 3.0
+
+
+@pytest.mark.parametrize("spec", [
+    '{"edges": [[0, 1, "x"]]}',
+    '{"edges": [[0, 1, 1]], "origin": "a"}',
+    '{"edges": [[0, 1, 1]], "origin": 7}',
+])
+def test_a_conductance_or_origin_that_is_not_a_number_is_an_error(spec, capsys):
+    assert main(["resist", "--network", spec, "--x", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error [invalid-parameters]")
+
+
+def test_a_spec_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    spec = tmp_path / "bad.json"
+    spec.write_bytes(b"\xff\xfe{")
+    assert main(["resist", "--network", str(spec), "--x", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error")
+
+
+def test_an_unreadable_spec_file_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    import pathlib
+
+    spec = tmp_path / "net.json"
+    spec.write_text(TRIANGLE)
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(pathlib.Path, "read_text", denied)
+    assert main(["resist", "--network", str(spec), "--x", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error")
+
+
 @pytest.mark.parametrize("argv", [
     ["wiener", "--check", "minlos", "--N", "4", "--samples", "100",
      "--n-checks", "1"],
