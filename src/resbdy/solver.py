@@ -45,8 +45,9 @@ DYNAMIC_RANGE_GUARD = 1e10
 
 
 # While more than SMALL unknowns are live, a round takes only unknowns of
-# degree at most DEGREE_CAP, so one elimination adds at most 15 fill edges;
-# the rounds stop when one would take fewer than 1/8 of the live unknowns.
+# degree at most DEGREE_CAP, so that eliminating one adds at most 15 fill
+# edges, and the rounds stop once a round would take fewer than 1/8 of them:
+# SuperLU solves what is left.
 DEGREE_CAP = 6
 SMALL = 64
 
@@ -72,7 +73,8 @@ def _merged(u, v, c, m):
 
 
 def _ranks(mask):
-    """The positions where ``mask`` holds, and each one's rank among them."""
+    """The positions where ``mask`` holds, and each one's rank among them
+    (undefined at the other positions)."""
     at = np.flatnonzero(mask)
     rank = np.empty(len(mask), dtype=np.int64)
     rank[at] = np.arange(len(at))

@@ -313,6 +313,7 @@ def _remainder_sizes(monkeypatch):
 @pytest.mark.parametrize("gen, radius, reaches_remainder", [
     (IntegerLatticeGenerator(2), 8, True),
     (BinaryTreeGenerator(), 8, False),
+    (IntegerLatticeGenerator(1), 300, False),
 ])
 def test_float64_rounds_and_remainder_match_the_fraction_lane(
         gen, radius, reaches_remainder, bc, monkeypatch):
