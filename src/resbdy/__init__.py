@@ -22,7 +22,7 @@ from .onb import (OnbSystem, build_onb, coefficient_vector,
                   entries_E_via_evaluation, entries_M_via_laplacian,
                   gram_product_check, gram_schmidt, kronecker_sum_check,
                   number_operator, p_seminorm, reconstruction_check)
-from .royden import RoydenSplit, fin_projection, harm_kernel, royden_split, sup_norm
+from .royden import RoydenSplit, royden_split, sup_norm
 from .solver import (ConvergenceReport, MonopoleResult, effective_resistance,
                      energy_kernel, exhaustion_independence, monopole,
                      solve_dipole_level)
@@ -31,7 +31,6 @@ from .walk import (HittingEstimate, WalkConfig, hitting_probability_mc,
 from .wiener import (CheckResult, GaussianEnsemble, boundary_integral_check,
                      isometry_check, kernel_coefficients, minlos_check,
                      moment_check, mu_negative_fraction,
-                     polarization_identity_deviation,
                      resistance_via_expectation, sample_ensemble,
                      wiener_transform)
 from .boundary import (BoundaryPointEval, GaussGreenReport, PathToInfinity,

@@ -7,12 +7,14 @@ like 1/sum c(x)). This lane runs field-generic Gaussian elimination over
 either exact rationals (Fraction) or mpmath floats whose working precision is
 chosen from the window's dynamic range, so deep windows stay meaningful.
 
-Both solve lanes take one system from ``grounded_system``: the window's
-vertices that are not held at 0 are the unknowns, the window's edges give
-the operator and the right-hand side is carried signed, in the lane's field.
-This lane eliminates the unknowns' block one unknown at a time; the float64
-lane (``solver._solve_float64``) runs the same elimination in vectorized
-rounds of independent unknowns and hands what the rounds leave to SuperLU.
+Both solve lanes take one system from ``grounded_system``, already in the
+form they eliminate, in the lane's field: the window's vertices that are
+not held at 0 are the unknowns, each with its conductance g to the held
+vertices; the edges between unknowns come merged, one per pair; and the
+right-hand side is carried signed. This lane eliminates the unknowns one at
+a time; the float64 lane (``solver._solve_float64``) runs the same
+elimination in vectorized rounds of independent unknowns and hands what the
+rounds leave to SuperLU.
 
 The elimination never subtracts (the GTH elimination: Grassmann, Taksar &
 Heyman, Oper. Res. 33, 1985; O'Cinneide, Numer. Math. 65, 1993). Each unknown
@@ -116,15 +118,40 @@ class MPField:
         self.zero = mp.mpf(0)
 
 
-def grounded_system(window, held, rhs, field):
-    """The window's Laplace system with the ``held`` vertices grounded at 0.
+def ranks(mask):
+    """The positions where ``mask`` holds, and each one's rank among them
+    (undefined at the other positions)."""
+    at = np.flatnonzero(mask)
+    rank = np.empty(len(mask), dtype=np.int64)
+    rank[at] = np.arange(len(at))
+    return at, rank
 
-    Returns ``(unknown, edges, b)``: ``unknown`` masks the window positions
-    that are not held (held vertices outside the window are ignored),
-    ``edges`` is ``window_edges(window, field)`` and ``b`` is the signed
-    right-hand side ``rhs`` (vertex -> number) over the window positions, in
-    ``field``. Both solve lanes eliminate the unknowns' block of this system:
-    the diagonal is the window c(x), which counts the edges to held vertices.
+
+def merged(u, v, c, m):
+    """Edges u < v sorted by (u, v), with the conductances of repeats added
+    in their given order."""
+    key = u * m + v
+    if np.any(key[1:] <= key[:-1]):
+        order = np.argsort(key, kind="stable")
+        key, u, v, c = key[order], u[order], v[order], c[order]
+        first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+        if len(first) < len(key):
+            u, v, c = u[first], v[first], np.add.reduceat(c, first)
+    return u, v, c
+
+
+def grounded_system(window, held, rhs, field):
+    """The window's Laplace system with the ``held`` vertices grounded at 0,
+    in the form both solve lanes eliminate.
+
+    Returns ``(live, g, (u, v, c), b)``. ``live`` holds the window positions
+    of the unknowns, the window vertices that are not held (held vertices
+    outside the window are ignored), in ascending order; the unknowns are
+    numbered by their place in it. ``g`` is each unknown's conductance to the
+    held vertices, summed in window-edge order. ``(u, v, c)`` are the edges
+    between unknowns, u < v, sorted, with parallel edges added. ``b`` is the
+    right-hand side ``rhs`` (vertex -> number) at the unknowns. Everything
+    is in ``field``; an rhs vertex outside the window raises.
     """
     from .energy import window_edges
     verts = window.vertices
@@ -135,12 +162,21 @@ def grounded_system(window, held, rhs, field):
     outside = [v for v in rhs if v not in window]
     if outside:
         raise InvalidParameters(f"rhs vertex {outside[0]} is outside the window")
+    live, rank = ranks(unknown)
     conv = converter(field)
-    b = np.full(len(verts), conv(Fraction(0)),
-                dtype=float if field is float else object)
+    zero = conv(Fraction(0))
+    dtype = float if field is float else object
+    b = np.full(len(verts), zero, dtype=dtype)
     b[np.searchsorted(verts, list(rhs))] = [conv(Fraction(v))
                                             for v in rhs.values()]
-    return unknown, window_edges(window, field), b
+    c, ea, eb = window_edges(window, field)
+    ua, ub = unknown[ea], unknown[eb]
+    one = np.flatnonzero(ua != ub)
+    g = np.full(len(live), zero, dtype=dtype)
+    np.add.at(g, rank[np.where(ua[one], ea[one], eb[one])], c[one])
+    both = np.flatnonzero(ua & ub)
+    return live, g, merged(rank[ea[both]], rank[eb[both]], c[both],
+                           len(live)), b[live]
 
 
 def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
@@ -161,34 +197,22 @@ def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
     Returns the solution over ``window.vertices`` as an object array, 0 at
     the held vertices, as the float64 lane's ``solver._solve_float64`` does.
     """
-    zero = field.zero
     held = list(dirichlet_zero) + ([] if pin is None else [pin])
-    unknown, (conds, a, b), rhs_w = grounded_system(window, held, rhs,
-                                                    field.number)
-    verts = window.vertices
-    order = np.flatnonzero(unknown)
-    order = order[np.lexsort((verts[order], net.level[verts[order]]))[::-1]]
+    live, g, (u, v, c), b = grounded_system(window, held, rhs, field.number)
+    verts = window.vertices[live]
+    order = np.lexsort((verts, net.level[verts]))[::-1]
     n = len(order)
 
     # row k holds the conductances c_kj to the unknowns j > k; g[k] is the
     # conductance from k to the window vertices held at 0
-    cond = [{} for _ in range(n)]
-    g = [zero] * n
-    at = np.full(len(verts), -1)
+    at = np.empty(n, dtype=np.int64)
     at[order] = np.arange(n)
-    for i, j, c in zip(at[a].tolist(), at[b].tolist(), conds):
-        if i < 0 and j < 0:
-            continue
-        if i < 0 or j < 0:
-            m = max(i, j)
-            g[m] = g[m] + c
-            continue
-        if i > j:
-            i, j = j, i
-        old = cond[i].get(j)
-        cond[i][j] = c if old is None else old + c
-    del conds
-    x = rhs_w[order].tolist()
+    cond = [{} for _ in range(n)]
+    for i, j, cij in zip(at[u].tolist(), at[v].tolist(), c):
+        cond[min(i, j)][max(i, j)] = cij
+    del c
+    g = g[order].tolist()
+    x = b[order].tolist()
 
     # eliminate k: pivot d_k = g_k + sum_j c_kj; each neighbour i > k gains
     # t_i = c_ik / d_k times row k, its conductance to 0 and its rhs
@@ -226,6 +250,6 @@ def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
         x[k] = s
         weights[k] = None
 
-    sol = np.full(len(verts), zero, dtype=object)
-    sol[order] = x
+    sol = np.full(len(window.vertices), field.zero, dtype=object)
+    sol[live[order]] = x
     return sol

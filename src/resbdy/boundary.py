@@ -188,21 +188,6 @@ class PathToInfinity:
             self._cache.append(int(self.vertex_fn(len(self._cache))))
         return self._cache[: n + 1]
 
-    def validate(self, horizon):
-        """Check successive adjacency and escape from every ball up to horizon."""
-        net = self.generator.ball(horizon + 2)
-        ids = self.prefix(horizon)
-        lev = net.level
-        for a, b in zip(ids, ids[1:]):
-            na, ca = net.neighbors(a)
-            if b not in set(na.tolist()):
-                raise InvalidParameters(
-                    f"path {self.name}: {a} and {b} are not adjacent")
-        if not lev[ids[-1]] >= horizon - 1:
-            raise InvalidParameters(
-                f"path {self.name} does not leave the radius-{horizon} ball")
-        return True
-
 
 @dataclass
 class ProbeEvidence:
@@ -230,10 +215,6 @@ class PathEquivalenceEvidence:
     separation_tol: float
     probes: list
     certifying_probe: str = ""
-
-    @property
-    def equivalent(self):
-        return self.verdict == "equivalent-evidence"
 
     def to_dict(self):
         return {

@@ -63,11 +63,19 @@ def _subcommand(sub, name, fn, *shared, network=True):
     p.set_defaults(fn=fn)
     if network:
         _network_args(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--out", default="")
     for opt in shared:
         p.add_argument(f"--{opt}", **SHARED[opt])
     return p
+
+
+def seed(text):
+    """A --seed value: an integer in [0, 2^63)."""
+    value = int(text)
+    if not 0 <= value < 2 ** 63:
+        raise argparse.ArgumentTypeError(f"{value} is outside [0, 2^63)")
+    return value
 
 
 def _network_args(p, required=True):

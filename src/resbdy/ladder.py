@@ -44,6 +44,7 @@ class LadderHarmonic:
 
     @property
     def sigma(self):
+        """su(n) = u(n) - u(check n) = 2 u(n) + 1, the increment across rung n."""
         return 2.0 * self.u + 1.0
 
     def value(self, vertex):
@@ -101,12 +102,12 @@ def harmonic_residuals(lh: LadderHarmonic) -> np.ndarray:
     a, b = lh.alpha, lh.beta
     N = lh.n_max
     res = np.zeros(N)
-    res[0] = -a * lh.du[0] + (2.0 * lh.u[0] + 1.0)
+    res[0] = -a * lh.du[0] + lh.sigma[0]
     n = np.arange(1, N, dtype=np.float64)
     ni = np.arange(1, N)
     res[1:] = (a ** n * lh.du[ni - 1]
                - a ** (n + 1) * lh.du[ni]
-               + b ** n * (2.0 * lh.u[ni] + 1.0))
+               + b ** n * lh.sigma[ni])
     return res
 
 
@@ -145,7 +146,7 @@ def ladder_energy(lh: LadderHarmonic, tol=1e-8) -> LadderEnergy:
     n = np.arange(N, dtype=np.float64)
     rail_terms = a ** (n + 1) * lh.du ** 2
     m = np.arange(N + 1, dtype=np.float64)
-    rung_terms = b ** m * (2.0 * lh.u + 1.0) ** 2
+    rung_terms = b ** m * lh.sigma ** 2
     rail = np.cumsum(rail_terms)
     rung = np.cumsum(rung_terms)[: N]
     total = 2.0 * rail + rung
@@ -209,14 +210,3 @@ def ladder_vs_halfline_transitions(alpha, beta, n):
         "ladder": {"back": 1.0 / denom, "forward": a / denom, "rung": q / denom},
         "n": int(n),
     }
-
-
-def ladder_ball_values(lh: LadderHarmonic, radius):
-    """Values on the radius-r ladder ball, as a dense array in generator indexing."""
-    r = int(radius)
-    if r > lh.n_max:
-        raise InvalidParameters("recursion too short for this radius")
-    vals = np.zeros(2 * (r + 1))
-    vals[0::2] = lh.u[: r + 1]
-    vals[1::2] = -1.0 - lh.u[: r + 1]
-    return vals

@@ -97,8 +97,10 @@ class Network:
             np.add.at(c_of, ej, ec)
         self.c_of = c_of
         if level is None:
-            level = self._bfs_levels()
-            if np.any(level < 0):
+            from scipy.sparse import csgraph
+            level = csgraph.shortest_path(self.adjacency, unweighted=True,
+                                          indices=self.origin)
+            if np.any(np.isinf(level)):
                 raise DisconnectedGraph("every vertex must be reachable from the origin")
         self.level = np.asarray(level, dtype=np.int64)
         self.frontier = (np.asarray(frontier, dtype=np.int64)
@@ -106,23 +108,6 @@ class Network:
         self.frontier_mask = np.zeros(self.n, dtype=bool)
         self.frontier_mask[self.frontier] = True
         self._laplacian = None
-
-    def _bfs_levels(self):
-        indptr, indices = self.adjacency.indptr, self.adjacency.indices
-        dist = np.full(self.n, -1, dtype=np.int64)
-        dist[self.origin] = 0
-        frontier = [self.origin]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for v in frontier:
-                for w in indices[indptr[v]:indptr[v + 1]]:
-                    if dist[w] < 0:
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        return dist
 
     # -- structure ---------------------------------------------------------
 
@@ -485,26 +470,16 @@ def doubling_exhaustion(source, max_levels):
 
 
 def enumerate_vertices(net: Network):
-    """BFS order from the origin, ties broken by ascending vertex index.
+    """BFS order from the origin, ties broken by ascending vertex index (scipy's
+    BFS takes each vertex's neighbours in CSR order, which is ascending).
 
     Returns the enumeration x_1, x_2, ... (origin excluded). Every prefix,
     together with the origin, induces a connected subgraph because BFS only
     reaches vertices adjacent to already-visited ones.
     """
-    indptr, indices = net.adjacency.indptr, net.adjacency.indices
-    seen = np.zeros(net.n, dtype=bool)
-    seen[net.origin] = True
-    order = [net.origin]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        nbrs = np.sort(indices[indptr[v]:indptr[v + 1]])
-        for w in nbrs:
-            if not seen[w]:
-                seen[w] = True
-                order.append(int(w))
-    return order[1:]
+    from scipy.sparse import csgraph
+    return csgraph.breadth_first_order(net.adjacency, net.origin,
+                                       return_predecessors=False)[1:].tolist()
 
 
 FAMILIES = {

@@ -138,17 +138,6 @@ def _split_sums(v: Potential, f: Potential, h: Potential):
     return (*sums, resid)
 
 
-def fin_projection(source, x, levels=30):
-    """Wired exhaustion limit of the dipole solve: the Fin component of v_x."""
-    return energy_kernel(source, x, bc="wired", levels=levels)
-
-
-def harm_kernel(source, x, levels=30, tol=1e-8):
-    """Harmonic kernel h_x = v_x - f_x, with its split telemetry."""
-    split = royden_split(source, x, levels=levels, tol=tol)
-    return split.h, split
-
-
 def sup_norm(pot: Potential) -> float:
     """max |v(x) - v(o)| over the window (a lower bound for the true sup).
 

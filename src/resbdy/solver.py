@@ -11,16 +11,17 @@ Level solves come in two boundary flavors:
   grounded short is where the unit current exits.
 
 Either way the window gives one grounded system, built by
-``_hifi.grounded_system``: the unknowns are the window's vertices minus the
-held ones (o for free, bd G_k for wired), the operator comes from the
-window's edges and the right-hand side is signed. Every lane eliminates it
-without subtracting (the GTH elimination, see ``_hifi``): the mp and Fraction
-lanes one unknown at a time in ``_hifi.hi_solve``, the float64 lane in numpy
-rounds, each of which eliminates an independent set of unknowns of
-near-minimum degree at once (Luby, SIAM J. Comput. 15(4), 1986). When the
-rounds stop shrinking the system, its Schur complement goes to SuperLU. The
-Potential keeps the window solution minus its value at o, in the lane's
-field.
+``_hifi.grounded_system`` in the form every lane eliminates: the unknowns
+are the window's vertices minus the held ones (o for free, bd G_k for
+wired), each with its conductance g to the held ones, the edges between
+unknowns merged one per pair, and the right-hand side signed. Every lane
+eliminates it without subtracting (the GTH elimination, see ``_hifi``): the
+mp and Fraction lanes one unknown at a time in ``_hifi.hi_solve``, the
+float64 lane in numpy rounds, each of which eliminates an independent set of
+unknowns of near-minimum degree at once (Luby, SIAM J. Comput. 15(4), 1986).
+When the rounds stop shrinking the system, its Schur complement goes to
+SuperLU. The Potential keeps the window solution minus its value at o, in
+the lane's field.
 
 Exhaustion drivers iterate windows, apply the stopping rule (three consecutive
 relative deltas below tol, or saturation on finite networks), and return the
@@ -60,27 +61,6 @@ def _hash(pos):
     return z ^ (z >> np.uint64(31))
 
 
-def _merged(u, v, c, m):
-    """Edges u < v sorted by (u, v), with the conductances of repeats added."""
-    key = u * m + v
-    if np.any(key[1:] <= key[:-1]):
-        order = np.argsort(key, kind="stable")
-        key, u, v, c = key[order], u[order], v[order], c[order]
-        first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-        if len(first) < len(key):
-            u, v, c = u[first], v[first], np.add.reduceat(c, first)
-    return u, v, c
-
-
-def _ranks(mask):
-    """The positions where ``mask`` holds, and each one's rank among them
-    (undefined at the other positions)."""
-    at = np.flatnonzero(mask)
-    rank = np.empty(len(mask), dtype=np.int64)
-    rank[at] = np.arange(len(at))
-    return at, rank
-
-
 def _independent_set(cand, u, v, prio):
     """An independent set of candidates, by up to three Luby passes: each pass
     takes the open candidates whose hash is below every open neighbour's, then
@@ -107,21 +87,10 @@ def _solve_float64(window, held, rhs):
     GTH elimination (see ``_hifi``) in rounds of independent unknowns of
     near-minimum degree; what the rounds leave goes to SuperLU.
     """
-    unknown, (c, a, b), rhs_w = _hifi.grounded_system(window, held, rhs, float)
-    if not np.isfinite(c).all():
+    live, g, (u, v, c), load = _hifi.grounded_system(window, held, rhs, float)
+    if not np.isfinite(window.net.ec[window.edge_mask]).all():
         raise SolverFailure("the window has a non-finite conductance")
-    live, at = _ranks(unknown)
     n = len(live)
-    ua, ub = unknown[a], unknown[b]
-    # g: each unknown's conductance to the held vertices
-    ga, gb = np.flatnonzero(ua & ~ub), np.flatnonzero(ub & ~ua)
-    g = np.bincount(np.concatenate([at[a[ga]], at[b[gb]]]),
-                    np.concatenate([c[ga], c[gb]]), n)
-    both = np.flatnonzero(ua & ub)
-    i, j = at[a[both]], at[b[both]]
-    u, v, c = _merged(np.minimum(i, j), np.maximum(i, j), c[both], n)
-    del a, b, ua, ub, ga, gb, both, i, j, at
-    load = rhs_w[live]  # the carried right-hand side
     gid = np.arange(n)
     prio = _hash(live)
     rounds = []
@@ -132,7 +101,7 @@ def _solve_float64(window, held, rhs):
         if m > SMALL:
             top = min(top, DEGREE_CAP)
         chosen = _independent_set(deg <= top, u, v, prio)
-        ks, local = _ranks(chosen)
+        ks, local = _hifi.ranks(chosen)
         if not len(ks) or (m > SMALL and 8 * len(ks) < m):
             break
         # each edge at a chosen unknown k, as k, its other end j and c_kj,
@@ -160,11 +129,11 @@ def _solve_float64(window, held, rhs):
         p = np.concatenate([np.arange(0)] + p)
         fu, fv, fc = j[p], j[q], t[p] * ck[q]
         # renumber the live unknowns
-        kept, new = _ranks(~chosen)
+        kept, new = _hifi.ranks(~chosen)
         m = len(kept)
         old = np.flatnonzero(~(su | sv))
         fu, fv = new[fu], new[fv]
-        u, v, c = _merged(np.concatenate([new[u[old]], np.minimum(fu, fv)]),
+        u, v, c = _hifi.merged(np.concatenate([new[u[old]], np.minimum(fu, fv)]),
                           np.concatenate([new[v[old]], np.maximum(fu, fv)]),
                           np.concatenate([c[old], fc]), m)
         g, load, gid, prio = g[kept], load[kept], gid[kept], prio[kept]
@@ -175,7 +144,7 @@ def _solve_float64(window, held, rhs):
         x[ks] = y + np.bincount(kl, t * x[jg], len(ks))
     if not np.isfinite(x).all():
         raise SolverFailure("solver produced non-finite values")
-    out = np.zeros(len(unknown))
+    out = np.zeros(len(window.vertices))
     out[live] = x
     return out
 

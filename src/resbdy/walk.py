@@ -40,6 +40,8 @@ class WalkConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidParameters("trials must be >= 1")
+        if not 0 <= self.seed < 2 ** 128:
+            raise InvalidParameters("seed must be in [0, 2^128)")
         if self.boundary_mode not in ("free", "wired"):
             raise InvalidParameters("boundary_mode must be 'free' or 'wired'")
 

@@ -19,7 +19,7 @@ from Philox(key=seed).jumped(w).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,6 +49,8 @@ def sample_ensemble(N: int, S: int, seed: int, workers: int = 1) -> GaussianEnse
     """Draw S i.i.d. standard-normal coordinate vectors of length N."""
     if N < 1 or S < 1 or workers < 1:
         raise InvalidParameters("N, S, and workers must all be >= 1")
+    if not 0 <= seed < 2 ** 128:
+        raise InvalidParameters("seed must be in [0, 2^128)")
     blocks = []
     base, extra = divmod(S, workers)
     for w in range(workers):
@@ -109,12 +111,16 @@ def _mc_mean(x):
     return m, se
 
 
+def _char_fn(t):
+    """Sample mean of exp(i t) and its standard error."""
+    z = np.exp(1j * t)
+    se = math.sqrt((np.var(z.real, ddof=1) + np.var(z.imag, ddof=1)) / len(t))
+    return complex(np.mean(z)), se
+
+
 def minlos_check(u, ens: GaussianEnsemble) -> CheckResult:
     """Empirical characteristic functional against exp(-||u||^2 / 2)."""
-    ut = wiener_transform(u, ens)
-    z = np.exp(1j * ut)
-    est = complex(np.mean(z))
-    se = math.sqrt((np.var(z.real, ddof=1) + np.var(z.imag, ddof=1)) / len(ut))
+    est, se = _char_fn(wiener_transform(u, ens))
     norm2 = float(np.sum(_coeffs(u, ens.N) ** 2))
     target = math.exp(-norm2 / 2)
     err = abs(est - target)
@@ -141,21 +147,9 @@ def moment_check(u, ens: GaussianEnsemble, n: int, odd=False) -> CheckResult:
 
 
 def isometry_check(u, ens: GaussianEnsemble) -> CheckResult:
-    """E[u~^2] against the truncated energy norm sum u_n^2."""
-    ut = wiener_transform(u, ens)
-    est, se = _mc_mean(ut ** 2)
-    target = float(np.sum(_coeffs(u, ens.N) ** 2))
-    err = abs(est - target)
-    return CheckResult("isometry", est, target, se, err,
-                       passed=bool(err <= SIGMAS * se + 1e-12))
-
-
-def mean_check(u, ens: GaussianEnsemble) -> CheckResult:
-    """E[u~] against 0 (centered Gaussian)."""
-    ut = wiener_transform(u, ens)
-    est, se = _mc_mean(ut)
-    return CheckResult("mean", est, 0.0, se, abs(est),
-                       passed=bool(abs(est) <= SIGMAS * se + 1e-12))
+    """E[u~^2] against the truncated energy norm sum u_n^2: the second
+    moment, whose target (2)!/(2 1!) ||u||^2 is ||u||^2."""
+    return replace(moment_check(u, ens, 1), name="isometry")
 
 
 def kernel_coefficients(onb, x) -> np.ndarray:
@@ -188,9 +182,7 @@ def resistance_via_expectation(x, y, onb, ens: GaussianEnsemble,
     err = abs(est - target)
     quad = CheckResult("resistance-quadratic", est, target, se, err,
                        passed=bool(err <= max(SIGMAS * se, atol) + 1e-12))
-    z = np.exp(1j * dt)
-    zbar = complex(np.mean(z))
-    se_z = math.sqrt((np.var(z.real, ddof=1) + np.var(z.imag, ddof=1)) / len(dt))
+    zbar, se_z = _char_fn(dt)
     re = max(zbar.real, 1e-300)
     est_exp = -2.0 * math.log(re)
     se_exp = 2.0 * se_z / re
@@ -229,14 +221,3 @@ def mu_negative_fraction(h_coeffs, ens: GaussianEnsemble) -> float:
     """Fraction of samples with 1 + h_x~(xi) < 0 (density positivity probe)."""
     ht = wiener_transform(h_coeffs, ens)
     return float(np.mean(1.0 + ht < 0.0))
-
-
-def polarization_identity_deviation(u, v, ens: GaussianEnsemble) -> float:
-    """|mean(u~ v~) - (mean((u~+v~)^2) - mean((u~-v~)^2)) / 4| on the samples.
-
-    An algebraic identity of the sample set; deviations are pure roundoff.
-    """
-    ut, vt = wiener_transform(u, ens), wiener_transform(v, ens)
-    direct = np.mean(ut * vt)
-    pol = (np.mean((ut + vt) ** 2) - np.mean((ut - vt) ** 2)) / 4.0
-    return float(abs(direct - pol))

@@ -105,11 +105,14 @@ def test_boundary_sum_rejects_nonharmonic():
 
 def test_path_validation():
     gen = LadderGenerator(5, 0.9)
-    p = gen.x_rail_path()
-    assert p.validate(30)
-    bad = type(p)(gen, lambda n: 2 * (n % 3), name="loop")
-    with pytest.raises(InvalidParameters):
-        bad.validate(30)
+    net = gen.ball(32)
+
+    def adjacent(path):
+        ids = path.prefix(30)
+        return all(b in net.neighbors(a)[0] for a, b in zip(ids, ids[1:]))
+
+    assert adjacent(gen.x_rail_path()) and adjacent(gen.y_rail_path())
+    assert not adjacent(PathToInfinity(gen, lambda n: 2 * (n % 3), name="loop"))
 
 
 def test_path_equivalence_reflexive():

@@ -497,6 +497,20 @@ def test_non_integer_threads_is_a_usage_error(argv, capsys, monkeypatch):
     assert captured.out == "" and captured.err.startswith("usage error")
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["wiener", "--check", "minlos", "--N", "3", "--samples", "100",
+     "--n-checks", "1"],
+    ["walk", "--network", "integer-lattice", "--start", "1", "--target", "2",
+     "--trials", "10"],
+    ["verify-all", "--network", TRIANGLE],
+])
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 63)])
+def test_a_seed_outside_its_range_is_a_usage_error(argv, seed, capsys):
+    assert main([*argv, "--seed", seed]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error")
+
 def test_config_records_the_resolved_network_spec(tmp_path, capsys):
     spec = tmp_path / "net.json"
     configs = []

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from resbdy import (LadderGenerator, boundary_sum_harmonic, build_finite,
-                    build_onb, entries_E_via_evaluation, gram_product_check,
+from resbdy import (LadderGenerator, Network, boundary_sum_harmonic,
+                    build_finite, build_onb, entries_E_via_evaluation, gram_product_check,
                     royden_split, solve_dipole_level)
 from resbdy import SubgraphView, _hifi, solver
 from resbdy.errors import SingularSystem
@@ -112,6 +112,32 @@ def test_sparse_elimination_matches_dense_fraction_oracle(net):
                 assert abs(x[v] - float(oracle[v])) <= 1e-10 * scale, (bc, v)
             assert all(x[v] == 0 for v in held if v in window)
 
+
+
+PARALLEL = [(0, 1, 0.3), (1, 0, 0.7), (1, 2, 1.5), (1, 3, 2.5), (2, 3, 0.9),
+            (2, 4, 1.1), (3, 4, 0.6), (4, 5, 1.3)]
+
+
+@pytest.mark.parametrize("lane", ["float64", "mp", "fraction"])
+def test_grounded_system_adds_parallel_edges(lane):
+    # the pair (0, 1) twice, as a Network keeps it; build_finite merges it
+    raw = Network(*zip(*PARALLEL))
+    once = build_finite(PARALLEL)
+    assert len(raw.ei) == len(once.ei) + 1
+    # free on the whole network: both copies run to the pin; wired on the
+    # radius-2 ball: both copies join two unknowns, and the boundary {2, 3}
+    # holds the edge (2, 3) between two held vertices
+    for bc, x, view in (("free", 5, lambda net: net.full_view()),
+                        ("wired", 1, lambda net: net.ball_view(2))):
+        if bc == "wired":
+            assert view(raw).bd.tolist() == [2, 3]
+        got, want = (solve_dipole_level(view(net), x, bc=bc, lane=lane).w
+                     for net in (raw, once))
+        if lane == "fraction":
+            assert got.tolist() == want.tolist()
+        else:
+            got, want = got.astype(float), want.astype(float)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 LADDER_1 = LadderGenerator(5, 1.0)
 R60 = LADDER_1.ball(61).ball_view(60)

@@ -6,7 +6,6 @@ from resbdy import (LadderGenerator, du_bound_satisfied, du_upper_bounds,
                     ladder_vs_halfline_transitions, royden_split,
                     transition_probabilities)
 from resbdy.errors import InvalidParameters
-from resbdy.ladder import ladder_ball_values
 
 
 def test_seed_values():
@@ -43,7 +42,7 @@ def test_value_based_cross_check_on_short_prefix():
     # there as an independent route
     lh = ladder_harmonic(5, 0.9, 12)
     net = LadderGenerator(5, 0.9).ball(11)
-    vals = ladder_ball_values(lh, 11)
+    vals = np.array([lh.value(v) for v in range(net.n)])
     L = net.laplacian()
     resid = L @ vals
     inner = [2 * n for n in range(9)] + [2 * n + 1 for n in range(9)]

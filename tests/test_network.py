@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -137,6 +139,37 @@ def test_enumeration_prefixes_connected(n, seed):
         roots = {uf.find(v) for v in keep}
         assert len(roots) == 1
 
+
+
+def reference_bfs(edges, origin):
+    """Levels and visiting order of a BFS from origin that takes each
+    vertex's neighbours in ascending id order."""
+    nbrs = {}
+    for a, b, _ in edges:
+        nbrs.setdefault(a, set()).add(b)
+        nbrs.setdefault(b, set()).add(a)
+    level, order, queue = {origin: 0}, [], deque([origin])
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for w in sorted(nbrs[v]):
+            if w not in level:
+                level[w] = level[v] + 1
+                queue.append(w)
+    return level, order
+
+
+@given(st.integers(min_value=2, max_value=24), st.integers(min_value=0, max_value=2 ** 31))
+def test_levels_and_enumeration_are_the_ascending_bfs(n, seed):
+    # vertex ids permuted, so that BFS ties across parents come in any order
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(n).tolist()
+    edges = [(ids[a], ids[b], c) for a, b, c in random_edge_list(rng, n)]
+    origin = int(rng.integers(0, n))
+    net = build_finite(edges, origin=origin)
+    level, order = reference_bfs(edges, origin)
+    assert net.level.tolist() == [level[v] for v in range(n)]
+    assert enumerate_vertices(net) == order[1:]
 
 @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=2 ** 31))
 def test_cached_conductance_matches_recompute(n, seed):

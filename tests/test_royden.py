@@ -5,8 +5,8 @@ import pytest
 
 from resbdy import (GeometricHalfLineGenerator, IntegerLatticeGenerator,
                     LadderGenerator, doubling_exhaustion, effective_resistance,
-                    energy, fin_projection, harm_kernel, monopole,
-                    royden_split, solve_dipole_level, sup_norm)
+                    energy, energy_kernel, monopole, royden_split,
+                    solve_dipole_level, sup_norm)
 from resbdy import _hifi, royden
 from resbdy.errors import InvalidParameters
 
@@ -106,15 +106,10 @@ def test_ladder_fin_part_differs_from_kernel():
 
 def test_fin_projection_matches_split():
     gen = GeometricHalfLineGenerator(2)
-    f, rep = fin_projection(gen, 1, levels=30)
+    f, rep = energy_kernel(gen, 1, bc="wired", levels=30)
     split = royden_split(gen, 1, levels=30)
     assert rep.converged
     assert f.value(1) == pytest.approx(split.f.value(1), rel=1e-10)
-
-
-def test_harm_kernel_wrapper():
-    h, split = harm_kernel(LadderGenerator(5, 0.9), 2, levels=30, tol=1e-6)
-    assert energy(h, h) == pytest.approx(split.energy_h, rel=1e-12)
 
 
 def test_sup_norm_bounded_by_resistance():

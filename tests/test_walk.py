@@ -77,6 +77,12 @@ def test_deterministic_under_seed(path5):
     assert a.estimate == b.estimate
 
 
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 128])
+def test_a_seed_outside_philox_keys_is_invalid(seed):
+    with pytest.raises(InvalidParameters):
+        WalkConfig(seed=seed)
+
 def test_monotone_along_path(path5):
     view = path5.full_view()
     vals = []

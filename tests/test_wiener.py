@@ -6,7 +6,6 @@ import pytest
 from resbdy import (build_finite, build_onb, boundary_integral_check,
                     effective_resistance, isometry_check, kernel_coefficients,
                     minlos_check, moment_check, mu_negative_fraction,
-                    polarization_identity_deviation,
                     resistance_via_expectation, royden_split, sample_ensemble,
                     wiener_transform)
 from resbdy import LadderGenerator
@@ -96,13 +95,17 @@ def test_cross_moment_matches_inner_product(rng):
     assert abs(est - float(u @ v)) <= 4 * se
 
 
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 128])
+def test_a_seed_outside_philox_keys_is_invalid(seed):
+    with pytest.raises(InvalidParameters):
+        sample_ensemble(3, 10, seed=seed)
+
 def test_isometry_and_mean(rng):
     ens = sample_ensemble(8, 150_000, seed=13)
     for _ in range(3):
         u = rng.standard_normal(8) / 3
         assert isometry_check(u, ens).passed
-        from resbdy.wiener import mean_check
-        assert mean_check(u, ens).passed
 
 
 def test_resistance_expectation_path3(path3):
@@ -162,12 +165,6 @@ def test_nan_harmonic_residual_is_not_harmonic():
     with pytest.raises(NotHarmonic):
         boundary_integral_check(np.ones(2), 0.0, np.ones(2), ens,
                                 harm_residual=float("nan"), harm_tol=1e-6)
-
-
-def test_polarization_identity(rng):
-    ens = sample_ensemble(4, 10_000, seed=17)
-    u, v = rng.standard_normal(4), rng.standard_normal(4)
-    assert polarization_identity_deviation(u, v, ens) <= 1e-10
 
 
 def test_mu_negative_fraction_bounds():
