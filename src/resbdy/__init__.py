@@ -13,7 +13,7 @@ from .errors import *  # noqa: F401,F403
 from .ladder import (LadderHarmonic, du_bound_satisfied, du_upper_bounds,
                      harmonic_residuals, ladder_energy, ladder_harmonic,
                      ladder_vs_halfline_transitions)
-from .network import (BinaryTreeGenerator, Exhaustion, FiniteGenerator,
+from .network import (BinaryTreeGenerator, Exhaustion,
                       GeometricHalfLineGenerator, IntegerLatticeGenerator,
                       LadderGenerator, Network, build_finite,
                       default_exhaustion, doubling_exhaustion,

@@ -88,12 +88,15 @@ def _log10_fraction(fr: Fraction):
 
 
 def log10_range(net, edge_mask):
-    """log10 of cmax/cmin over the window, robust to an inf float mirror."""
+    """log10 of cmax/cmin over the window, from the exact conductances when
+    an inf float mirror or a ratio past the float range has no finite one."""
     ec = net.ec[edge_mask]
     if len(ec) == 0:
         return 0.0
-    if np.all(np.isfinite(ec)):
-        return math.log10(ec.max() / ec.min())
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = ec.max() / ec.min()
+    if np.isfinite(ratio):
+        return math.log10(ratio)
     idx = np.flatnonzero(edge_mask)
     logs = [_log10_fraction(net.exact_conductance(int(k))) for k in idx]
     return max(logs) - min(logs)

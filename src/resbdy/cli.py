@@ -34,7 +34,7 @@ from .ladder import (du_bound_satisfied, harmonic_residuals,
                      ladder_energy, ladder_harmonic,
                      ladder_vs_halfline_transitions)
 from .network import (FAMILIES, LadderGenerator, Network,
-                      default_exhaustion, generator_for, generator_from_spec)
+                      default_exhaustion, generator_from_spec)
 from .royden import royden_split, sup_norm
 from .solver import (effective_resistance, energy_kernel,
                      exhaustion_independence, monopole, solve_dipole_level)
@@ -200,7 +200,7 @@ def _write_csv(path, header, rows):
 
 def cmd_generate(args):
     src = resolve_network(args)
-    net = generator_for(src).ball(args.radius)
+    net = src.ball(args.radius)
     report = {
         "family": net.family,
         "n_vertices": net.n,
@@ -417,7 +417,7 @@ def cmd_ladder(args):
 
 def cmd_walk(args):
     src = resolve_network(args)
-    view = generator_for(src).ball(args.radius).full_view()
+    view = src.ball(args.radius).full_view()
     cfg = WalkConfig(trials=args.trials, seed=args.seed,
                      max_steps=args.max_steps, boundary_mode=args.boundary_mode)
     est = hitting_probability_mc(view, args.start, args.target,
@@ -433,9 +433,8 @@ def cmd_walk(args):
 
 def cmd_verify_all(args):
     src = resolve_network(args)
-    gen = generator_for(src)
     radius = min(args.levels, 8)
-    ambient = gen.ball(radius)
+    ambient = src.ball(radius)
     window = ambient.ball_view(radius)
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     lines = []
@@ -474,7 +473,7 @@ def cmd_verify_all(args):
 
     # small onb identity suite
     n_small = min(8, ambient.n - 1)
-    onb = onbmod.build_onb(gen, n_small)
+    onb = onbmod.build_onb(src, n_small)
     devs, identities_ok, orthonormal = _onb_suite(onb)
     check("onb-identities", identities_ok,
           "dev=(" + ",".join(f"{d:.1e}" for d in devs.values()) + ")")
@@ -482,7 +481,7 @@ def cmd_verify_all(args):
 
     # royden split sanity
     x1 = onb.enumeration[0]
-    split = royden_split(gen, x1, levels=args.levels, tol=args.tol)
+    split = royden_split(src, x1, levels=args.levels, tol=args.tol)
     check("royden-pythagoras", split.pythagoras_deviation <= 1e-6,
           f"{split.pythagoras_deviation:.2e}")
     check("royden-harmonicity", not split.harmonicity_violated,
@@ -496,7 +495,7 @@ def cmd_verify_all(args):
 
     # exhaustion independence
     if not isinstance(src, Network):
-        ind = exhaustion_independence(gen, x1, tol=args.tol,
+        ind = exhaustion_independence(src, x1, tol=args.tol,
                                       levels=min(args.levels, 24))
         check("exhaustion-independence", ind["verdict"] != "disagree",
               json.dumps(ind, sort_keys=True))

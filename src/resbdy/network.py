@@ -3,7 +3,9 @@
 A :class:`Network` is always a finite, materialized object. Infinite families
 are represented by generators that materialize balls lazily with stable vertex
 indices, so the same vertex keeps the same index across calls with different
-radii. All exhaustion limits are driven through such balls.
+radii. All exhaustion limits are driven through such balls. A finite network
+is its own source: its ``ball(r)`` is the network itself, so every driver
+takes a generator or a ``Network`` alike.
 
 Vertex indexing per family (deterministic, part of each object's identity):
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,6 +45,9 @@ from .errors import (
 
 class Network:
     """Finite weighted graph with symmetric positive conductances and an origin.
+
+    A network is its own source: ``ball(r)`` is the network itself. The CSR
+    ``adjacency`` and the totals ``c_of`` are built on first read.
 
     Parameters
     ----------
@@ -84,18 +90,6 @@ class Network:
                 "infinite conductance without exact backing values")
         if np.any(ei == ej):
             raise SelfLoop("c_xx = 0 is required; self-loops are not allowed")
-        adj = sp.coo_matrix(
-            (np.concatenate([ec, ec]),
-             (np.concatenate([ei, ej]), np.concatenate([ej, ei]))),
-            shape=(self.n, self.n),
-        )
-        self.adjacency = adj.tocsr()
-        # accumulate in edge order so c(x) is bit-for-bit recomputable
-        c_of = np.zeros(self.n)
-        with np.errstate(over="ignore"):
-            np.add.at(c_of, ei, ec)
-            np.add.at(c_of, ej, ec)
-        self.c_of = c_of
         if level is None:
             from scipy.sparse import csgraph
             level = csgraph.shortest_path(self.adjacency, unweighted=True,
@@ -107,9 +101,28 @@ class Network:
                          if frontier is not None else np.empty(0, dtype=np.int64))
         self.frontier_mask = np.zeros(self.n, dtype=bool)
         self.frontier_mask[self.frontier] = True
-        self._laplacian = None
 
-    # -- structure ---------------------------------------------------------
+    # -- structure (built on first read) -----------------------------------
+
+    @cached_property
+    def adjacency(self):
+        """Symmetric conductance matrix c_xy as CSR."""
+        ei, ej, ec = self.ei, self.ej, self.ec
+        return sp.coo_matrix(
+            (np.concatenate([ec, ec]),
+             (np.concatenate([ei, ej]), np.concatenate([ej, ei]))),
+            shape=(self.n, self.n),
+        ).tocsr()
+
+    @cached_property
+    def c_of(self):
+        """Total conductance c(x) per vertex."""
+        # accumulate in edge order so c(x) is bit-for-bit recomputable
+        c_of = np.zeros(self.n)
+        with np.errstate(over="ignore"):
+            np.add.at(c_of, self.ei, self.ec)
+            np.add.at(c_of, self.ej, self.ec)
+        return c_of
 
     def neighbors(self, x):
         """(indices, conductances) of the neighbors of x."""
@@ -118,9 +131,7 @@ class Network:
 
     def laplacian(self):
         """Graph Laplacian as CSR, physics sign: (Lv)(x) = sum c_xy (v(x)-v(y))."""
-        if self._laplacian is None:
-            self._laplacian = (sp.diags(self.c_of) - self.adjacency).tocsr()
-        return self._laplacian
+        return (sp.diags(self.c_of) - self.adjacency).tocsr()
 
     def exact_conductance(self, k):
         if self._exact is None:
@@ -132,6 +143,12 @@ class Network:
     @property
     def is_saturated(self):
         return len(self.frontier) == 0
+
+    def ball(self, radius):
+        """The ball of every radius >= 1; smaller balls are ``ball_view``s."""
+        if radius < 1:
+            raise InvalidParameters("radius must be >= 1")
+        return self
 
     def full_view(self):
         from .energy import SubgraphView
@@ -243,9 +260,8 @@ class LadderGenerator:
                 return a ** (k - n_rail + 1)
             return b ** (k - 2 * n_rail)
 
-        names = [f"{'xy'[i % 2]}{i // 2}" for i in range(2 * (r + 1))]
         return Network(ei, ej, ec, origin=0, level=level, frontier=frontier,
-                       exact=exact, names=names, family="ladder")
+                       exact=exact, family="ladder")
 
     def x_rail_path(self):
         from .boundary import PathToInfinity
@@ -382,33 +398,6 @@ class BinaryTreeGenerator:
                        frontier=frontier, family="binary-tree")
 
 
-@dataclass(frozen=True)
-class FiniteGenerator:
-    """Wraps an explicit finite network as a generator.
-
-    Every ball is the network itself, so its vertex ids are the only ones;
-    smaller balls are cut as views (``Network.ball_view``).
-    """
-
-    net: Network
-    family: str = field(default="finite", init=False)
-
-    def params(self):
-        return {"n": self.net.n}
-
-    def ball(self, radius):
-        if radius < 1:
-            raise InvalidParameters("radius must be >= 1")
-        return self.net
-
-
-def generator_for(net_or_gen):
-    """Coerce a Network to a FiniteGenerator; pass generators through."""
-    if isinstance(net_or_gen, Network):
-        return FiniteGenerator(net_or_gen)
-    return net_or_gen
-
-
 # -- exhaustions and enumerations -------------------------------------------
 
 
@@ -418,10 +407,11 @@ class Exhaustion:
     Level r is cut from the current ambient ball, which reaches at least one
     level past r so that the level's boundary is known exactly. A level that
     outgrows the ambient replaces it by ``source.ball(r + 1)``: consecutive
-    levels share one ball while they fit, and one ball is held at a time. A
-    finite network is its own ambient. Reading ``ambient`` before iterating
-    materializes the ball for the deepest radius, which then holds every
-    level; during iteration it is the ``net`` of the view just yielded.
+    levels share one ball while they fit, and one ball is held at a time.
+    ``source`` is a generator or a finite ``Network``, which is its own
+    ambient. Reading ``ambient`` before iterating materializes the ball for
+    the deepest radius, which then holds every level; during iteration it is
+    the ``net`` of the view just yielded.
     Vertex ids are stable across balls, but only potentials on one ``net``
     combine.
     """
@@ -431,7 +421,7 @@ class Exhaustion:
         if not radii or any(r < 1 for r in radii) or any(
                 b <= a for a, b in zip(radii, radii[1:])):
             raise InvalidParameters("radii must be a strictly increasing list of ints >= 1")
-        self.source = generator_for(source)
+        self.source = source
         self.radii = radii
         self._ambient = None
 

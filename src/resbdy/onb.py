@@ -53,7 +53,7 @@ from . import _hifi
 from .energy import (Potential, edge_energy, edge_laplacian, energy, field_of,
                      value_getter, window_edges)
 from .errors import DimensionMismatch, GramDegenerate, InvalidParameters
-from .network import enumerate_vertices, generator_for
+from .network import enumerate_vertices
 from .solver import solve_dipole_level
 
 DEGENERACY_TOL = 1e-12
@@ -169,10 +169,9 @@ def build_onb(source, N, radius=None, lane="mp"):
     """
     if N < 1:
         raise InvalidParameters("N must be >= 1")
-    gen = generator_for(source)
     r = 1 if radius is None else radius
     while True:
-        ambient = gen.ball(r)
+        ambient = source.ball(r)
         enum = enumerate_vertices(ambient)
         if len(enum) >= N:
             need = int(ambient.level[enum[:N]].max())

@@ -20,7 +20,7 @@ from . import _hifi
 from .energy import (Potential, edge_energy, edge_laplacian, energy, field_of,
                      potential_difference, window_edges)
 from .errors import InvalidParameters
-from .network import default_exhaustion, generator_for
+from .network import default_exhaustion
 from .solver import ConvergenceReport, energy_kernel, solve_dipole_level
 
 
@@ -77,11 +77,10 @@ def royden_split(source, x, exhaustion=None, levels=30, tol=1e-8,
     ``final_radius`` forces one extra split on a window at least that deep,
     for consumers that need values far out (path evaluations).
     """
-    gen = generator_for(source)
-    exh = exhaustion or default_exhaustion(gen, levels)
-    v, free_report = energy_kernel(gen, x, bc="free", exhaustion=exh,
+    exh = exhaustion or default_exhaustion(source, levels)
+    v, free_report = energy_kernel(source, x, bc="free", exhaustion=exh,
                                    tol=tol, lane=lane)
-    f, wired_report = energy_kernel(gen, x, bc="wired", exhaustion=exh,
+    f, wired_report = energy_kernel(source, x, bc="wired", exhaustion=exh,
                                     tol=tol, lane=lane)
     # re-solve both sides on one window: the deeper of where the two limits
     # stopped, or the requested final radius
@@ -89,7 +88,7 @@ def royden_split(source, x, exhaustion=None, levels=30, tol=1e-8,
     if final_radius is not None:
         have = int(v.net.level[deeper.vertices].max())
         if final_radius > have:
-            ambient = gen.ball(int(final_radius) + 1)
+            ambient = source.ball(int(final_radius) + 1)
             deeper = ambient.ball_view(int(final_radius))
     if not _solved_on(v, deeper):
         v = solve_dipole_level(deeper, x, bc="free", lane=lane)

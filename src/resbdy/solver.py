@@ -39,8 +39,7 @@ import scipy.sparse.linalg as spla
 from . import _hifi
 from .energy import Potential, SubgraphView, energy, window_defect
 from .errors import InvalidParameters, SolverFailure
-from .network import (Exhaustion, default_exhaustion, doubling_exhaustion,
-                      generator_for)
+from .network import Exhaustion, default_exhaustion, doubling_exhaustion
 
 DYNAMIC_RANGE_GUARD = 1e10
 
@@ -182,9 +181,9 @@ def pick_lane(net, window, lane="auto"):
     if lane != "auto":
         return lane
     ec = net.ec[window.edge_mask]
-    if len(ec) and not np.all(np.isfinite(ec)):
-        return "mp"
-    rng = ec.max() / ec.min() if len(ec) else 1.0
+    # an inf mirror or a ratio past the float range fails, as its exact range would
+    with np.errstate(over="ignore", invalid="ignore"):
+        rng = ec.max() / ec.min() if len(ec) else 1.0
     return "float64" if rng <= DYNAMIC_RANGE_GUARD else "mp"
 
 
@@ -352,9 +351,8 @@ def effective_resistance(source, x, y=None, bc="free", exhaustion=None,
     R_k = v(x) - v(y), which equals the energy of the solution. With y = o
     this is v_x(x), the energy of the kernel at x.
     """
-    gen = generator_for(source)
     if y is None:
-        y = gen.ball(1).origin
+        y = source.ball(1).origin
     x, y = int(x), int(y)
     exh = (exhaustion if exhaustion is not None
            else default_exhaustion(source, levels))
@@ -403,10 +401,9 @@ def monopole(source, x=None, levels=22, tol=1e-8, divergence_threshold=1e6,
     A doubling schedule cuts each level from its own ball (generator indices
     are stable), keeping divergence triage at deep radii affordable.
     """
-    gen = generator_for(source)
-    exhaustion = (doubling_exhaustion(gen, levels) if schedule == "doubling"
-                  else default_exhaustion(gen, levels))
-    x = int(x) if x is not None else gen.ball(1).origin
+    exhaustion = (doubling_exhaustion(source, levels) if schedule == "doubling"
+                  else default_exhaustion(source, levels))
+    x = int(x) if x is not None else source.ball(1).origin
     report = ConvergenceReport(quantity=f"monopole_energy(x={x})", tol=tol)
     pot = None
     for radius, view in exhaustion:
@@ -437,10 +434,9 @@ def exhaustion_independence(source, x, tol=1e-8, levels=24):
     inconclusive rather than a failure (the disagreement of two unconverged
     prefixes carries no information about exhaustion independence).
     """
-    gen = generator_for(source)
-    r1, rep1 = effective_resistance(gen, x, levels=levels, tol=tol)
-    alt = Exhaustion.build(gen, sorted({max(1, 2 * k) for k in range(1, levels // 2 + 2)}))
-    r2, rep2 = effective_resistance(gen, x, exhaustion=alt, tol=tol)
+    r1, rep1 = effective_resistance(source, x, levels=levels, tol=tol)
+    alt = Exhaustion.build(source, sorted({max(1, 2 * k) for k in range(1, levels // 2 + 2)}))
+    r2, rep2 = effective_resistance(source, x, exhaustion=alt, tol=tol)
     both = rep1.converged and rep2.converged
     agree = abs(r1 - r2) <= 10 * tol * max(1.0, abs(r1))
     verdict = ("agree" if (both and agree) else

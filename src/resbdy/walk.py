@@ -125,7 +125,7 @@ def hitting_probability_mc(view, start, target, absorber=None, config=None):
     start, target = int(start), int(target)
     _check_target(target, absorber)
     for v in (start, target, absorber):
-        if not view.mask[v]:
+        if v not in view:
             raise InvalidParameters(f"vertex {v} is outside the window")
     if start == target:
         return HittingEstimate(1.0, 0.0, config.trials, config.trials, 0)

@@ -547,3 +547,31 @@ def test_wiener_lane_reaches_every_solve(capsys, monkeypatch):
                        "--samples", "2000", "--lane", "fraction"], capsys)
     assert code in (0, 2)
     assert lanes == {"resistance": "fraction", "onb": "fraction"}
+
+
+def test_a_window_past_the_float_range_is_not_a_traceback(capsys):
+    # from radius ~52 the float ratio c_max/c_min of ladder(1000, 0.001)
+    # overflows; tol 0 never converges, so the run exits 2
+    code = main(["kernel", "--network", "ladder", "--alpha", "1000", "--beta",
+                 "0.001", "--x", "2", "--levels", "60", "--tol", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.err
+
+
+def test_walk_from_a_vertex_off_the_network_is_a_clean_error(capsys):
+    code = main(["walk", "--network", TRIANGLE, "--start", "999",
+                 "--target", "1", "--trials", "10"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error [invalid-parameters]")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_generate_radius_zero_of_a_finite_network_is_an_error(capsys):
+    code = main(["generate", "--network", '{"edges": [[0, 1, 1]]}',
+                 "--radius", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error [invalid-parameters]")
+    assert captured.out == ""

@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 from resbdy import (BinaryTreeGenerator, Exhaustion, GeometricHalfLineGenerator,
                     IntegerLatticeGenerator, LadderGenerator, build_finite,
                     default_exhaustion, doubling_exhaustion,
-                    enumerate_vertices, generator_from_spec)
+                    enumerate_vertices, generator_from_spec, monopole,
+                    royden_split)
 from resbdy.errors import (DisconnectedGraph, InvalidParameters,
                            NonpositiveConductance, SelfLoop)
 from tests.conftest import random_edge_list
@@ -256,3 +257,31 @@ def test_view_membership_is_bounds_checked():
     assert not view.is_interior(3) and 3 in view   # +2 lies on bd
     for x in (-1, -3, 5, 6, 7, 100):
         assert x not in view and not view.is_interior(x)
+
+
+def test_a_network_is_its_own_ball(grid44):
+    assert grid44.ball(1) is grid44 and grid44.ball(9) is grid44
+    with pytest.raises(InvalidParameters):
+        grid44.ball(0)
+
+
+def _record_balls(monkeypatch, cls):
+    balls = []
+    ball = cls.ball
+
+    def recording(self, radius):
+        balls.append(ball(self, radius))
+        return balls[-1]
+
+    monkeypatch.setattr(cls, "ball", recording)
+    return balls
+
+
+def test_exhaustion_balls_build_no_adjacency(monkeypatch):
+    z1_balls = _record_balls(monkeypatch, IntegerLatticeGenerator)
+    monopole(IntegerLatticeGenerator(1), levels=12, lane="float64")
+    line_balls = _record_balls(monkeypatch, GeometricHalfLineGenerator)
+    royden_split(GeometricHalfLineGenerator(2), 1, levels=20, lane="float64")
+    assert z1_balls and line_balls
+    for net in z1_balls + line_balls:
+        assert "adjacency" not in vars(net) and "c_of" not in vars(net)

@@ -218,6 +218,18 @@ def test_float64_lane_refuses_overflowed_window():
         solve_dipole_level(view, 2, bc="free", lane="float64")
 
 
+def test_auto_lane_takes_a_window_past_the_float_range_to_mp():
+    # alpha^55 / beta^55 = 1e330 overflows float64; the range comes from the
+    # exact conductances instead
+    view = LadderGenerator(1000, 0.001).ball(56).ball_view(55)
+    assert solver.pick_lane(view.net, view) == "mp"
+    v = solve_dipole_level(view, 2)
+    assert v.dps is not None and v.w.dtype == object   # the mp lane's field
+    value = v.value(2)
+    assert np.isfinite(value)
+    assert abs(energy(v, v) - value) <= 1e-12 * abs(value)
+
+
 def test_energy_value_dual_route_recorded(triangle):
     _, rep = effective_resistance(triangle, 1, 2)
     assert rep.extra["max_energy_value_dev"] <= 1e-12

@@ -131,3 +131,13 @@ def test_target_equal_to_absorber_is_rejected(path3, absorber):
                                WalkConfig(trials=10, seed=1))
     with pytest.raises(InvalidParameters):
         hitting_reference(view, 1, target, absorber)
+
+
+@pytest.mark.parametrize("role", ["start", "target", "absorber"])
+@pytest.mark.parametrize("vertex", [-1, 3])
+def test_a_vertex_off_the_network_is_rejected(path3, role, vertex):
+    # -1 must not wrap round to the last vertex, and n must not index past it
+    args = {"start": 1, "target": 2, "absorber": 0, role: vertex}
+    with pytest.raises(InvalidParameters):
+        hitting_probability_mc(path3.full_view(), config=WalkConfig(trials=10),
+                               **args)
