@@ -24,17 +24,28 @@ unknown adds nonnegative multiples of its row to its neighbours' rows, with
 one reciprocal per column, and back-substitution x_k = b_k / d_k +
 sum_j t_kj x_j adds the terms of one sign. With a right-hand side of one
 sign (a free dipole pinned at o, any monopole) every entry of the solution
-is therefore right to a few units in the last place, whatever the condition
-number. With both signs, terms of opposite sign meet in the carried
-right-hand side and in back-substitution. Measured against the Fraction
-solve on ladder(5, 1) at radius 60 (86 digits), the worst entry loses 0.20
-digits on the wired dipole delta_x - delta_o and 0.32 digits on a
-mixed-sign free solve.
+is therefore right to a few units in the last place of the precision it is
+computed at, whatever the condition number. With both signs, terms of
+opposite sign meet in the carried right-hand side and in back-substitution.
 
-The working precision still grows with log10(c_max/c_min) (``auto_dps``),
-because what is computed from a solution needs it: each edge term
-c (v(x) - v(y)) carries the potential's absolute error times c, so energies
-and residuals lose about log10(c_max) digits against the potential's values.
+What is computed from a solution needs digits in proportion to the
+conductances: each edge term c (v(x) - v(y)) carries the potential's
+absolute error times c, so energies and residuals lose about log10(c)
+digits against the potential's values. The field's precision (``auto_dps``)
+covers the window's largest conductance, but each unknown is eliminated and
+back-substituted at the precision its own conductances need
+(``unknown_dps``): 40 + log10(c_top / c_min) + 2 log10(n + 2) digits, where
+c_top is the largest of its conductances to the other unknowns and to the
+held vertices. Elimination never raises a row's largest conductance
+(t_ik c_kj = c_ik c_kj / d_k <= c_ik), so that precision holds for the whole
+solve, and every edge current c_e (x_a - x_b) keeps an error of about
+10^-40 c_min max|x|, as at the field's precision throughout. An entry is
+right only to the lowest precision among the unknowns its back-substitution
+reads (those eliminated after it, down to the ones near o). Measured on
+ladder(5, 1) at radius 60 (45 to 86 digits) against the Fraction solve, the
+worst entry is off by 6.9e-47 relative on the free dipole delta_x - delta_o,
+4.6e-47 on the wired one and 8.9e-47 on a mixed-sign free solve, and the
+worst edge current by 1.5e-45 c_min max|x|.
 
 Unknowns are eliminated far-to-near (descending level), which keeps layered
 families banded. Row k holds only its entries to the unknowns after k, so
@@ -42,8 +53,8 @@ each column touches only its own neighbours and elimination costs
 O(nnz + fill).
 
 mpmath's precision is scoped to each step and never left changed: a solve
-runs at its field's precision, and edge sums over mp values run at
-``EDGE_SUM_DPS``.
+builds its system at its field's precision and restores the caller's on
+every exit, and edge sums over mp values run at ``EDGE_SUM_DPS``.
 """
 
 from __future__ import annotations
@@ -54,6 +65,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import dps_to_prec
 
 from .errors import InvalidParameters, SingularSystem
 
@@ -87,6 +99,13 @@ def _log10_fraction(fr: Fraction):
     return (fr.numerator.bit_length() - fr.denominator.bit_length()) * 0.30103
 
 
+def _log10_mpf(x):
+    """log10 |x| from the mantissa and exponent (-inf at 0); a float
+    conversion overflows past 1e308."""
+    _, man, exp, _ = x._mpf_
+    return (math.log2(man) + exp) * math.log10(2) if man else -math.inf
+
+
 def log10_range(net, edge_mask):
     """log10 of cmax/cmin over the window, from the exact conductances when
     an inf float mirror or a ratio past the float range has no finite one."""
@@ -102,9 +121,38 @@ def log10_range(net, edge_mask):
     return max(logs) - min(logs)
 
 
+def log10_min(net, edge_mask):
+    """log10 of the window's smallest conductance (0 with no edges)."""
+    ec = net.ec[edge_mask]
+    if len(ec) == 0:
+        return 0.0
+    if ec.min() > 0:
+        return math.log10(ec.min())
+    return min(_log10_fraction(net.exact_conductance(int(k)))
+               for k in np.flatnonzero(edge_mask))
+
+
 def auto_dps(net, edge_mask, n_unknowns):
     return 40 + int(log10_range(net, edge_mask) + 1) + \
         int(2 * math.log10(n_unknowns + 2))
+
+
+def unknown_dps(window, g, edges, ceiling):
+    """Each unknown's working precision in digits, for the mp system
+    ``(g, edges)`` that ``grounded_system`` builds on ``window``:
+    40 + log10(c_top / c_min) + 2 log10(n + 2), at most ``ceiling``, with
+    c_top the largest of the unknown's conductances to the other unknowns
+    and to the held vertices, c_min the window's smallest conductance and n
+    its vertex count. The unknown that carries the window's largest
+    conductance gets ``auto_dps``."""
+    u, v, c = edges
+    top = np.array([_log10_mpf(x) for x in g], dtype=float)
+    logc = np.array([_log10_mpf(x) for x in c], dtype=float)
+    np.maximum.at(top, u, logc)
+    np.maximum.at(top, v, logc)
+    spread = np.maximum(top - log10_min(window.net, window.edge_mask), 0.0)
+    tail = int(2 * math.log10(len(window.vertices) + 2))
+    return np.minimum(40 + (spread + 1).astype(np.int64) + tail, ceiling)
 
 
 class FractionField:
@@ -194,17 +242,27 @@ def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
         the unknowns (wired semantics); ``pin`` fixes one vertex at 0 for the
         otherwise-singular free system.
     rhs : dict vertex -> number, every vertex inside the window
-    field : FractionField or MPField; run the solve inside
-        ``workdps(field.dps)``.
+    field : FractionField or MPField. An MPField's ``dps`` is the precision
+        the system is built at and the ceiling of each unknown's
+        ``unknown_dps``; mpmath's precision is restored on return.
 
     Returns the solution over ``window.vertices`` as an object array, 0 at
     the held vertices, as the float64 lane's ``solver._solve_float64`` does.
     """
     held = list(dirichlet_zero) + ([] if pin is None else [pin])
+    with workdps(field.dps):
+        return _eliminate(net, window, held, rhs, field)
+
+
+def _eliminate(net, window, held, rhs, field):
     live, g, (u, v, c), b = grounded_system(window, held, rhs, field.number)
     verts = window.vertices[live]
     order = np.lexsort((verts, net.level[verts]))[::-1]
     n = len(order)
+    # each unknown's precision in bits, in elimination order (mp only)
+    bits = ([] if field.dps is None else
+            [dps_to_prec(p) for p in
+             unknown_dps(window, g, (u, v, c), field.dps)[order].tolist()])
 
     # row k holds the conductances c_kj to the unknowns j > k; g[k] is the
     # conductance from k to the window vertices held at 0
@@ -217,10 +275,14 @@ def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
     g = g[order].tolist()
     x = b[order].tolist()
 
-    # eliminate k: pivot d_k = g_k + sum_j c_kj; each neighbour i > k gains
-    # t_i = c_ik / d_k times row k, its conductance to 0 and its rhs
+    # eliminate k at its own precision: pivot d_k = g_k + sum_j c_kj; each
+    # neighbour i > k gains t_i = c_ik / d_k times row k, its conductance to
+    # 0 and its rhs
     weights = [None] * n
+    prec = None
     for k in range(n):
+        if bits and bits[k] != prec:
+            mp.mp.prec = prec = bits[k]
         row = sorted(cond[k].items())
         gk = piv = g[k]
         for _, c in row:
@@ -244,9 +306,12 @@ def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
         weights[k] = ts
         cond[k] = g[k] = None
 
-    # back-substitution: x_k = b_k / d_k + sum_j t_kj x_j; each row's weights
-    # are freed once used, so they never coexist with all of x
+    # back-substitution, each x_k at its own precision: x_k = b_k / d_k +
+    # sum_j t_kj x_j; each row's weights are freed once used, so they never
+    # coexist with all of x
     for k in range(n - 1, -1, -1):
+        if bits and bits[k] != prec:
+            mp.mp.prec = prec = bits[k]
         s = x[k]
         for j, t in weights[k]:
             s = s + t * x[j]

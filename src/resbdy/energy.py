@@ -274,6 +274,8 @@ def laplacian(v: Potential, at: int) -> float:
     potential's window.
     """
     net = v.net
+    if not 0 <= at < net.n:
+        raise DomainMismatch(f"vertex {at} is not in the network")
     if net.frontier_mask[at]:
         raise MissingNeighborValue(f"vertex {at} is on the materialization frontier")
     nbrs, conds = net.neighbors(at)
@@ -297,6 +299,8 @@ def normal_derivative(v: Potential, H: SubgraphView, at: int) -> float:
 
     Defined for x in bd H; for interior x it would equal the full Laplacian.
     """
+    if not 0 <= at < len(H.mask):
+        raise DomainMismatch(f"vertex {at} is not in the network")
     if not H.bd_mask[at]:
         raise NotBoundaryVertex(f"vertex {at} is not in bd H")
     nbrs, conds = v.net.neighbors(at)

@@ -16,9 +16,10 @@ are the window's vertices minus the held ones (o for free, bd G_k for
 wired), each with its conductance g to the held ones, the edges between
 unknowns merged one per pair, and the right-hand side signed. Every lane
 eliminates it without subtracting (the GTH elimination, see ``_hifi``): the
-mp and Fraction lanes one unknown at a time in ``_hifi.hi_solve``, the
-float64 lane in numpy rounds, each of which eliminates an independent set of
-unknowns of near-minimum degree at once (Luby, SIAM J. Comput. 15(4), 1986).
+mp and Fraction lanes one unknown at a time in ``_hifi.hi_solve`` (in mp,
+each at the precision its own conductances need), the float64 lane in numpy
+rounds, each of which eliminates an independent set of unknowns of
+near-minimum degree at once (Luby, SIAM J. Comput. 15(4), 1986).
 When the rounds stop shrinking the system, its Schur complement goes to
 SuperLU. The Potential keeps the window solution minus its value at o, in
 the lane's field.
@@ -226,9 +227,8 @@ def solve_dipole_level(window: SubgraphView, x, bc="free", rhs=None,
                  else _hifi.MPField(_hifi.auto_dps(net, window.edge_mask,
                                                    len(window.vertices))))
         dps = field.dps
-        with _hifi.workdps(dps):
-            sol = _hifi.hi_solve(net, window, rhs, dirichlet_zero=dirichlet,
-                                 pin=pin, field=field)
+        sol = _hifi.hi_solve(net, window, rhs, dirichlet_zero=dirichlet,
+                             pin=pin, field=field)
     else:
         raise InvalidParameters(f"unknown lane {lane!r}")
     # the window solution minus its value at o

@@ -136,6 +136,21 @@ def test_normal_derivative_raises_on_a_read_outside_the_window():
         normal_derivative(v, net.ball_view(4), 4)
 
 
+@pytest.mark.parametrize("at", [3, -1])
+def test_laplacian_of_a_vertex_off_the_network_is_a_domain_mismatch(path3, at):
+    u = potential_from_values(path3, [0.0, 1.0, 2.0])
+    with pytest.raises(DomainMismatch):
+        laplacian(u, at)
+
+
+@pytest.mark.parametrize("at", [3, -1])
+def test_normal_derivative_at_a_vertex_off_the_network_is_a_domain_mismatch(path3, at):
+    H = SubgraphView(path3, [0, 1])
+    u = potential_from_values(path3, [0.0, 1.0, 2.0])
+    with pytest.raises(DomainMismatch):
+        normal_derivative(u, H, at)
+
+
 def test_window_defect_counts_cut_edges(grid44):
     view = SubgraphView(grid44, list(range(8)))  # two rows of the grid
     u = potential_from_values(grid44, np.arange(16, dtype=float), window=view)

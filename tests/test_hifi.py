@@ -13,6 +13,7 @@ from resbdy import (LadderGenerator, Network, boundary_sum_harmonic,
                     build_finite, build_onb, entries_E_via_evaluation, gram_product_check,
                     royden_split, solve_dipole_level)
 from resbdy import SubgraphView, _hifi, solver
+from resbdy.energy import window_edges
 from resbdy.errors import SingularSystem
 from resbdy.ladder import ladder_harmonic
 
@@ -141,30 +142,72 @@ def test_grounded_system_adds_parallel_edges(lane):
 
 LADDER_1 = LadderGenerator(5, 1.0)
 R60 = LADDER_1.ball(61).ball_view(60)
+R300 = LADDER_1.ball(301).ball_view(300)
+CASES = ["free", "wired", "mixed-sign free", "negative-only wired"]
 
 
-@pytest.mark.parametrize("case", ["free", "wired", "mixed-sign free",
-                                  "negative-only wired"])
+def ladder_case(window, case):
+    """The keyword arguments of one of ``CASES`` on a ladder(5, 1) window."""
+    o = window.net.origin
+    x1, x2 = LADDER_1.x(1), LADDER_1.x(2)
+    return {"free": dict(rhs={x1: 1, o: -1}, pin=o),
+            "wired": dict(rhs={x1: 1, o: -1}, dirichlet_zero=window.bd),
+            "mixed-sign free": dict(rhs={x1: 1, x2: -1}, pin=o),
+            "negative-only wired": dict(rhs={x2: -1}, dirichlet_zero=window.bd)}[case]
+
+
+def precisions(window, kw, dps):
+    """Each unknown's precision in digits, as ``hi_solve`` picks it."""
+    held = [*kw.get("dirichlet_zero", ()), *([kw["pin"]] if "pin" in kw else [])]
+    with mp.workdps(dps):
+        _, g, edges, _ = _hifi.grounded_system(window, held, kw["rhs"], mp.mpf)
+        return _hifi.unknown_dps(window, g, edges, dps)
+
+
+@pytest.mark.parametrize("case", CASES)
 def test_mp_solve_is_componentwise_accurate(case):
     # conductances 1 .. 5^60; an elimination that subtracts loses ~40 of the
-    # 86 digits in the free solves
-    net, o = R60.net, R60.net.origin
-    x1, x2 = LADDER_1.x(1), LADDER_1.x(2)
-    kw = {"free": dict(rhs={x1: 1, o: -1}, pin=o),
-          "wired": dict(rhs={x1: 1, o: -1}, dirichlet_zero=R60.bd),
-          "mixed-sign free": dict(rhs={x1: 1, x2: -1}, pin=o),
-          "negative-only wired": dict(rhs={x2: -1}, dirichlet_zero=R60.bd)}[case]
+    # 86 digits in the free solves. Each unknown runs at its own precision,
+    # and back-substitution reads the entries eliminated after it (the near
+    # ones, at the lowest precision), so every entry is right to that one
+    net = R60.net
+    kw = ladder_case(R60, case)
     exact = dict(zip(R60.vertices.tolist(),
                      _hifi.hi_solve(net, R60, field=_hifi.FractionField(), **kw)))
     dps = _hifi.auto_dps(net, R60.edge_mask, len(R60.vertices))
     assert dps == 86
-    with mp.workdps(dps):
-        sol = dict(zip(R60.vertices.tolist(),
-                       _hifi.hi_solve(net, R60, field=_hifi.MPField(dps), **kw)))
+    p = precisions(R60, kw, dps)
+    assert p.max() == dps and p.min() == 45
+    sol = dict(zip(R60.vertices.tolist(),
+                   _hifi.hi_solve(net, R60, field=_hifi.MPField(dps), **kw)))
     with mp.workdps(2 * dps):
+        tol = mp.mpf(10) ** -(int(p.min()) - 5)
         for v, e in exact.items():
             ref = _hifi.to_mpf(e)
-            assert abs(sol[v] - ref) <= abs(ref) * mp.mpf(10) ** -(dps - 5), (case, v)
+            assert abs(sol[v] - ref) <= abs(ref) * tol, (case, v)
+
+
+@pytest.mark.parametrize("window", [R60, R300], ids=["R60", "R300"])
+@pytest.mark.parametrize("case", CASES)
+def test_mp_edge_currents_are_accurate(case, window, monkeypatch):
+    # every edge current c_e (x_a - x_b) keeps an error of at most
+    # 10^-40 c_min max|x|, as at the field's precision throughout; the
+    # reference runs every unknown at twice the field's precision
+    net = window.net
+    kw = ladder_case(window, case)
+    dps = _hifi.auto_dps(net, window.edge_mask, len(window.vertices))
+    sol = _hifi.hi_solve(net, window, field=_hifi.MPField(dps), **kw)
+    with monkeypatch.context() as m:
+        m.setattr(_hifi, "unknown_dps",
+                  lambda window, g, edges, ceiling: np.full(len(g), ceiling))
+        ref = _hifi.hi_solve(net, window, field=_hifi.MPField(2 * dps), **kw)
+    c, a, b = window_edges(window, Fraction)
+    with mp.workdps(2 * dps):
+        c = [_hifi.to_mpf(ce) for ce in c]
+        bound = min(c) * max(abs(r) for r in ref) * mp.mpf(10) ** -40
+        worst = max(abs(ce * ((sol[i] - sol[j]) - (ref[i] - ref[j])))
+                    for ce, i, j in zip(c, a.tolist(), b.tolist()))
+        assert worst <= bound, (case, mp.nstr(worst / bound, 3))
 
 
 @pytest.mark.parametrize("field", [_hifi.FractionField(), _hifi.MPField(30)])
@@ -186,6 +229,28 @@ def _assert_dps_kept(fn):
     finally:
         mp.mp.dps = saved
     return out
+
+
+def test_hi_solve_restores_the_precision():
+    # no enclosing workdps: hi_solve sets the precision unknown by unknown
+    # and restores the caller's, also when it raises mid-elimination
+    saved = mp.mp.prec
+    try:
+        mp.mp.dps = 23
+        prec = mp.mp.prec
+        net = build_finite([(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 4)])
+        with pytest.raises(SingularSystem):
+            _hifi.hi_solve(net, SubgraphView(net, [0, 1, 3, 4]), {1: 1, 0: -1},
+                           pin=0, field=_hifi.MPField(30))
+        assert mp.mp.prec == prec
+        dps = _hifi.auto_dps(R300.net, R300.edge_mask, len(R300.vertices))
+        x1, o = LADDER_1.x(1), R300.net.origin
+        sol = _hifi.hi_solve(R300.net, R300, {x1: 1, o: -1}, dirichlet_zero=R300.bd,
+                             field=_hifi.MPField(dps))
+        assert mp.mp.prec == prec
+        assert sol[R300.index(x1)] > 0
+    finally:
+        mp.mp.prec = saved
 
 
 def test_mp_precision_is_not_leaked():
