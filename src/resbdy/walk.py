@@ -6,6 +6,14 @@ which gives an independent Monte Carlo route to kernel values. Windows of an
 infinite network are walked with either reflecting boundary (the window as a
 network in itself, matching the free solve) or boundary absorption into the
 grounded side (matching the wired solve).
+
+Walkers sit on window positions, the indices into ``view.vertices``. The
+window edges of a vertex, in edge order, are its slots 0, ..., deg - 1, and
+two tables per slot j hold, for every position, the neighbour's position and
+the cumulative step probability P_j = (c_0 + ... + c_j) / c(x). A step with
+uniform draw u takes slot sum_{j < deg - 1} [P_j <= u]. Past a vertex's last
+slot P_j = 1, which no draw in [0, 1) reaches, so one comparison per slot
+below the window's largest degree steps every walker at once.
 """
 
 from __future__ import annotations
@@ -18,16 +26,42 @@ from .errors import InvalidParameters, IsolatedVertex
 from .solver import solve_dipole_level
 
 
+def _step_weights(net, owner, edges):
+    """Float step weights of the entries (owner[i], edges[i]), in entry order.
+
+    owner numbers the vertices that step, edges holds network edge ids. A
+    weight is its edge's float conductance, unless its owner's weights do not
+    sum to a finite total: the float mirror saturates to inf on deep windows,
+    and such an owner's weights are its exact conductances divided by the
+    largest of them, each rounded once, which leaves its step probabilities as
+    they are.
+    """
+    w = net.ec[edges]
+    with np.errstate(over="ignore"):
+        total = np.bincount(owner, weights=w)
+    bad = np.flatnonzero(~np.isfinite(total[owner]))
+    if len(bad):
+        owners = owner[bad].tolist()
+        exact = [net.exact_conductance(k) for k in edges[bad].tolist()]
+        top = {}
+        for o, c in zip(owners, exact):
+            top[o] = max(top.get(o, c), c)
+        w = w.copy()
+        w[bad] = [float(c / top[o]) for o, c in zip(owners, exact)]
+    return w
+
+
 def transition_probabilities(net, x):
-    """Neighbor indices and step probabilities c_xy / c(x) at vertex x."""
+    """Neighbor indices and step probabilities c_xy / c(x) at vertex x, in edge
+    order."""
     x = int(x)
     if not (0 <= x < net.n):
         raise IsolatedVertex(f"vertex {x} is not materialized")
-    nbrs, conds = net.neighbors(x)
-    if len(nbrs) == 0:
+    edges = np.flatnonzero((net.ei == x) | (net.ej == x))
+    if len(edges) == 0:
         raise IsolatedVertex(f"vertex {x} has no neighbors")
-    p = conds / conds.sum()
-    return nbrs.copy(), p
+    w = _step_weights(net, np.zeros(len(edges), dtype=np.int64), edges)
+    return net.ei[edges] + net.ej[edges] - x, w / w.sum()
 
 
 @dataclass
@@ -40,6 +74,8 @@ class WalkConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidParameters("trials must be >= 1")
+        if self.max_steps < 1:
+            raise InvalidParameters("max_steps must be >= 1")
         if not 0 <= self.seed < 2 ** 128:
             raise InvalidParameters("seed must be in [0, 2^128)")
         if self.boundary_mode not in ("free", "wired"):
@@ -72,36 +108,40 @@ class HittingEstimate:
         }
 
 
-def _walk_tables(view):
-    """Flattened per-vertex cumulative step tables for the induced subgraph."""
+def _slot_tables(view):
+    """Per-slot tables over the window positions: nbr[j] holds each
+    position's slot-j neighbour as a position, cum[j] its P_j for j below the
+    largest degree minus 1, and deg its number of window edges."""
     net = view.net
-    m = view.edge_mask
-    ei, ej, ec = net.ei[m], net.ej[m], net.ec[m]
-    n = net.n
-    deg = np.zeros(n, dtype=np.int64)
-    np.add.at(deg, ei, 1)
-    np.add.at(deg, ej, 1)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=offsets[1:])
-    nbr = np.zeros(offsets[-1], dtype=np.int64)
-    wt = np.zeros(offsets[-1])
-    cursor = offsets[:-1].copy()
-    for a, b, c in zip(ei, ej, ec):
-        nbr[cursor[a]] = b
-        wt[cursor[a]] = c
-        cursor[a] += 1
-        nbr[cursor[b]] = a
-        wt[cursor[b]] = c
-        cursor[b] += 1
-    # cumulative probabilities, globally increasing when offset by the vertex id
-    flat = np.zeros(offsets[-1])
-    for v in view.vertices:
-        s, e = offsets[v], offsets[v + 1]
-        if s == e:
-            continue
-        c = np.cumsum(wt[s:e])
-        flat[s:e] = v + c / c[-1]
-    return offsets, nbr, flat
+    edges = np.flatnonzero(view.edge_mask)
+    a, b = view.index(net.ei[edges]), view.index(net.ej[edges])
+    # entry 2k is edge k seen from a, entry 2k + 1 from b; a stable sort by
+    # owner keeps each vertex's slots in edge order
+    owner = np.stack([a, b], axis=1).ravel()
+    order = np.argsort(owner, kind="stable")
+    owner = owner[order]
+    other = np.stack([b, a], axis=1).ravel()[order]
+    size = len(view.vertices)
+    deg = np.bincount(owner, minlength=size)
+    slot = np.arange(len(owner)) - (np.cumsum(deg) - deg)[owner]
+    width = max(int(deg.max(initial=0)), 1)
+    nbr = np.zeros((width, size), dtype=np.int64)
+    nbr[slot, owner] = other
+    wt = np.zeros((width, size))
+    wt[slot, owner] = _step_weights(net, owner, np.repeat(edges, 2)[order])
+    # the running sums go slot by slot, in the order np.cumsum adds a vertex's
+    # weights, and slots past a vertex's degree add 0, so P_j = 1 there
+    c = np.cumsum(wt, axis=0)
+    cum = c[:-1] / np.where(deg > 0, c[-1], 1.0)
+    return nbr, cum, deg
+
+
+def _step(nbr, cum, cur, u):
+    """Next window positions of walkers at positions cur with draws u in [0, 1)."""
+    slot = np.zeros(len(cur), dtype=np.int64)
+    for p in cum:
+        slot += p[cur] <= u
+    return nbr.ravel()[slot * nbr.shape[1] + cur]
 
 
 def _check_target(target, absorber):
@@ -118,6 +158,7 @@ def hitting_probability_mc(view, start, target, absorber=None, config=None):
     stepping onto a window-boundary vertex absorbs the walk on the absorber
     side (the shorted boundary is grounded with the origin). Walks that
     reach max_steps are counted separately and excluded from the estimate.
+    A start with no edge inside the window raises IsolatedVertex.
     """
     net = view.net
     config = config or WalkConfig()
@@ -132,34 +173,29 @@ def hitting_probability_mc(view, start, target, absorber=None, config=None):
     if start == absorber:
         return HittingEstimate(0.0, 0.0, config.trials, config.trials, 0)
 
-    offsets, nbr, flat = _walk_tables(view)
-    absorb = np.zeros(net.n, dtype=np.int8)   # 1 success, 2 fail
-    absorb[target] = 1
-    absorb[absorber] = 2
+    nbr, cum, deg = _slot_tables(view)
+    s, t, o = view.index([start, target, absorber]).tolist()
+    if deg[s] == 0:
+        raise IsolatedVertex(f"vertex {start} has no neighbors in the window")
+    absorb = np.zeros(len(view.vertices), dtype=np.int8)   # 1 success, 2 fail
+    absorb[t] = 1
+    absorb[o] = 2
     if config.boundary_mode == "wired":
-        absorb[view.bd[absorb[view.bd] == 0]] = 2
+        bd = view.index(view.bd)
+        absorb[bd[absorb[bd] == 0]] = 2
 
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    states = np.full(config.trials, start, dtype=np.int64)
+    cur = np.full(config.trials, s, dtype=np.int64)   # active walkers, start order
     success = 0
-    fail = 0
-    active = np.arange(config.trials)
     steps = 0
-    while len(active) and steps < config.max_steps:
-        u = rng.random(len(active))
-        cur = states[active]
-        # segment of vertex v holds values in (v, v+1]; side="right" keeps the
-        # u = 0 draw inside v's own segment
-        pos = np.searchsorted(flat, cur + u, side="right")
-        states[active] = nbr[pos]
-        cls = absorb[states[active]]
-        done = cls != 0
-        success += int(np.sum(cls == 1))
-        fail += int(np.sum(cls == 2))
-        active = active[~done]
+    while len(cur) and steps < config.max_steps:
+        nxt = _step(nbr, cum, cur, rng.random(len(cur)))
+        cls = absorb[nxt]
+        success += int(np.count_nonzero(cls == 1))
+        cur = nxt[cls == 0]
         steps += 1
-    absorbed = success + fail
-    unabsorbed = config.trials - absorbed
+    unabsorbed = len(cur)
+    absorbed = config.trials - unabsorbed
     if absorbed == 0:
         return HittingEstimate(np.nan, np.nan, config.trials, 0, unabsorbed)
     p = success / absorbed

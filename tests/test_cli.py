@@ -114,6 +114,16 @@ def test_walk_with_no_absorbed_walk_fails(capsys):
     assert rep["estimate"] is None and rep["stderr"] is None
 
 
+@pytest.mark.parametrize("max_steps", ["0", "-3"])
+def test_walk_with_max_steps_below_one_is_a_usage_error(capsys, max_steps):
+    code = main(["walk", "--network", TRIANGLE, "--start", "2", "--target", "1",
+                 "--trials", "10", "--max-steps", max_steps])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error [invalid-parameters]")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_walk_with_target_at_the_absorber_is_a_clean_error(capsys):
     # the default absorber is the origin, so --target 0 leaves no dipole
     code = main(["walk", "--network", "ladder", "--alpha", "5", "--beta", "0.9",
