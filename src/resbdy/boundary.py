@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _hifi
-from .energy import (Potential, edge_energy, edge_laplacian, energy, field_of,
-                     potential_difference, value_getter, window_edges)
+from .energy import (Potential, currents, edge_ends, energy, field_of,
+                     flow_laplacian, potential_difference, value_getter,
+                     window_edges, window_laplacian)
 from .errors import DomainMismatch, InvalidParameters, NotHarmonic
 from .network import default_exhaustion
 from .solver import solve_dipole_level
@@ -72,7 +73,9 @@ def gauss_green_verify(u: Potential, v: Potential, exhaustion=None):
     total, the window energy (equal to the total up to roundoff: that is the
     split identity), and the deviation from the full-window energy. When
     both potentials hold mp or Fraction values every sum runs in that field
-    (mp values at ``EDGE_SUM_DPS``), as ``energy`` does; otherwise in float64.
+    (mp at ``EDGE_SUM_DPS``) over their edge currents, as ``energy`` does: a
+    view's edges are some of the window's. Otherwise the sums run in float64
+    over the values.
     """
     if exhaustion is None:
         exhaustion = [(r, u.net.ball_view(r))
@@ -82,15 +85,26 @@ def gauss_green_verify(u: Potential, v: Potential, exhaustion=None):
     uw, vw = (p.w if hi else p.w.astype(float) for p in (u, v))
     rep = GaussGreenReport(target=target)
     with _hifi.workdps(_hifi.EDGE_SUM_DPS if hi else None):
+        # each window edge's current of v and energy term, formed once: a
+        # view's edges are some of the window's
+        c, a, b = window_edges(u.window, field_of(vw))
+        if hi:
+            iv = currents(v)
+            terms = currents(u) * iv / c
+        else:
+            du, dv = uw[a] - uw[b], vw[a] - vw[b]
+            iv, terms = c * dv, c * du * dv
+        ids = edge_ends(u.window)[0]
         for r, view in exhaustion:
             at = u.window.index(view.vertices)
-            edges = window_edges(view, field_of(vw))
-            lap_v = edge_laplacian(*edges, vw[at])
+            ends, a, b = edge_ends(view)
+            sel = np.searchsorted(ids, ends)
+            lap_v = flow_laplacian(a, b, iv[sel], len(at))
+            wen = np.sum(terms[sel], initial=0)
             bd = view.bd_mask[view.vertices]
             interior = np.sum(uw[at][~bd] * lap_v[~bd])
             bnd = np.sum(uw[at][bd] * lap_v[bd])
             total = interior + bnd
-            wen = edge_energy(*edges, uw[at], vw[at])
             rep.radii.append(int(r))
             rep.interior.append(float(interior))
             rep.boundary.append(float(bnd))
@@ -161,11 +175,10 @@ def boundary_sum_harmonic(source, u_values, x, levels=30, lane="auto",
             rep = BoundarySumReport(x=int(x), target=float(target))
         v = solve_dipole_level(view, x, bc="free", lane=lane)
         f = solve_dipole_level(view, x, bc="wired", lane=lane)
-        hw = potential_difference(v, f).w
+        lap = window_laplacian(potential_difference(v, f))
+        bd = view.bd_mask[view.vertices]
+        u_bd = np.array([float(getter(int(bv))) for bv in view.vertices[bd]])
         with _hifi.workdps(_hifi.EDGE_SUM_DPS):
-            lap = edge_laplacian(*window_edges(view, field_of(hw)), hw)
-            bd = view.bd_mask[view.vertices]
-            u_bd = np.array([float(getter(int(bv))) for bv in view.vertices[bd]])
             s = np.sum(u_bd * lap[bd])
         rep.radii.append(int(radius))
         rep.sums.append(float(s))

@@ -3,7 +3,9 @@
 All evaluations happen on a finite window (a :class:`SubgraphView`): sums run
 over edges with both endpoints in the window, and the edges that leave it are
 reported separately as the window defect so convergence drivers can monitor
-truncation.
+truncation. Every window quantity is a sum of edge currents c (u(x) - u(y)):
+mp and Fraction sums read the currents their solves carry, each right
+relative to itself; float64 sums form them from the values.
 """
 
 from __future__ import annotations
@@ -75,25 +77,31 @@ class SubgraphView:
 # term in edge order.
 
 
+def edge_ends(window):
+    """(edges, a, b): the window's edge ids, ascending, and both endpoints
+    of each as positions in ``window.vertices``."""
+    net = window.net
+    edges = np.flatnonzero(window.edge_mask)
+    pos = np.empty(net.n, dtype=np.int64)
+    pos[window.vertices] = np.arange(len(window.vertices))
+    return edges, pos[net.ei[edges]], pos[net.ej[edges]]
+
+
 def window_edges(window, field=float):
     """(c, a, b) over the window's edges: conductances in ``field`` and both
     endpoints as positions in ``window.vertices``.
 
     float gives the float64 mirror ``ec``, Fraction the exact conductances,
-    and mp.mpf each exact conductance converted once, at the current mpmath
-    precision.
+    and mp.mpf the exact conductances at the current mpmath precision, each
+    converted once per network and precision (``Network.exact_conductances``).
     """
-    net = window.net
-    edges = np.flatnonzero(window.edge_mask)
-    pos = np.empty(net.n, dtype=np.int64)
-    pos[window.vertices] = np.arange(len(window.vertices))
+    edges, a, b = edge_ends(window)
     if field is float:
-        c = net.ec[edges]
+        c = window.net.ec[edges]
     else:
-        conv = _hifi.converter(field)
         c = np.empty(len(edges), dtype=object)
-        c[:] = [conv(net.exact_conductance(k)) for k in edges.tolist()]
-    return c, pos[net.ei[edges]], pos[net.ej[edges]]
+        c[:] = window.net.exact_conductances(edges.tolist(), field)
+    return c, a, b
 
 
 def field_of(values):
@@ -101,35 +109,30 @@ def field_of(values):
     return float if values.dtype != object else type(values.flat[0])
 
 
-def _blocks(values, n):
-    """Slices over n edges: one block for float64 values; blocks of 1024 for
-    object arrays, so that only one block's high-precision intermediates are
-    alive at a time."""
-    step = 1024 if values.dtype == object else max(n, 1)
-    return (slice(s, s + step) for s in range(0, n, step))
-
-
 def edge_energy(c, a, b, u, v):
     """sum over edges of c (u_a - u_b)(v_a - v_b)."""
-    total = 0
-    for s in _blocks(u, len(a)):
-        du = u[a[s]] - u[b[s]]
-        dv = du if v is u else v[a[s]] - v[b[s]]
-        total = np.sum(c[s] * du * dv, initial=total)
-    return total
+    du = u[a] - u[b]
+    dv = du if v is u else v[a] - v[b]
+    return np.sum(c * du * dv, initial=0)
+
+
+def current_energy(c, i, j):
+    """sum over edges of i j / c, for the currents i and j of two potentials."""
+    return np.sum(i * j / c, initial=0)
+
+
+def flow_laplacian(a, b, flow, n):
+    """The divergence of the edge currents ``flow`` at n window positions:
+    each current is added at a, then taken at b, edge by edge."""
+    out = np.zeros(n, dtype=flow.dtype)
+    np.add.at(out, np.column_stack((a, b)).ravel(),
+              np.column_stack((flow, -flow)).ravel())
+    return out
 
 
 def edge_laplacian(c, a, b, u):
-    """(Lap u) at every window position.
-
-    Edge by edge, the flow c (u_a - u_b) is added at a, then taken at b.
-    """
-    out = np.zeros(len(u), dtype=u.dtype)
-    for s in _blocks(u, len(a)):
-        flow = c[s] * (u[a[s]] - u[b[s]])
-        np.add.at(out, np.column_stack((a[s], b[s])).ravel(),
-                  np.column_stack((flow, -flow)).ravel())
-    return out
+    """(Lap u) at every window position, from the currents c (u_a - u_b)."""
+    return flow_laplacian(a, b, c * (u[a] - u[b]), len(u))
 
 
 @dataclass
@@ -140,13 +143,16 @@ class Potential:
     formed in: a float64 array, or an object array of mp.mpf (formed at
     ``dps`` digits) or of Fraction (``dps`` None). It is the only copy: ``at``
     reads it as float64 by vertex id, and a read outside the window raises
-    DomainMismatch.
+    DomainMismatch. ``i`` holds the mp and Fraction solves' current
+    c (w_a - w_b) on each window edge, in ``window_edges`` order; it is None
+    in the float64 lane.
     """
 
     window: SubgraphView
     w: np.ndarray
     pinned: bool = True
     dps: object = None
+    i: np.ndarray = None
 
     @property
     def net(self) -> Network:
@@ -175,11 +181,31 @@ def value_getter(values):
 
 
 def potential_difference(u: Potential, v: Potential) -> Potential:
-    """u - v on their common window, formed at the solves' precision."""
+    """u - v on their common window, values and currents, formed at the
+    solves' precision."""
     w = _common_window(u, v)
     dps = max((d for d in (u.dps, v.dps) if d is not None), default=None)
     with _hifi.workdps(dps):
-        return Potential(w, u.w - v.w, pinned=u.pinned and v.pinned, dps=dps)
+        i = None if u.i is None or v.i is None else u.i - v.i
+        return Potential(w, u.w - v.w, pinned=u.pinned and v.pinned, dps=dps,
+                         i=i)
+
+
+def currents(u: Potential):
+    """u's current on each edge of its window, in ``window_edges`` order:
+    the carried ``i``, or c (w_a - w_b) formed from the values."""
+    if u.i is not None:
+        return u.i
+    c, a, b = window_edges(u.window, field_of(u.w))
+    return c * (u.w[a] - u.w[b])
+
+
+def window_laplacian(u: Potential):
+    """(Lap u) at every position of u's window, in the field of u.w (mp at
+    ``EDGE_SUM_DPS``), from u's currents."""
+    with _hifi.workdps(_hifi.EDGE_SUM_DPS if u.w.dtype == object else None):
+        _, a, b = edge_ends(u.window)
+        return flow_laplacian(a, b, currents(u), len(u.w))
 
 
 def potential_from_values(net, mapping, window=None, pinned=False):
@@ -218,26 +244,24 @@ def energy(u: Potential, v: Potential) -> float:
 
     The double sum counts every edge twice, so this evaluates once per edge
     of the common window. Symmetric, bilinear, and nonnegative on u = v.
-    When both potentials hold mp or Fraction values the edge sum runs in
-    that field (mp values at ``EDGE_SUM_DPS``): float64 products c (du)(dv)
-    lose all digits once the window's conductances span more than ~1e15.
-    Otherwise it runs in float64, over each ``w`` read as float64.
+    When both potentials hold mp or Fraction values it is the sum of
+    i_u i_v / c over their edge currents, in that field (mp at
+    ``EDGE_SUM_DPS``): float64 products c (du)(dv) lose all digits once the
+    window's conductances span more than ~1e15. Otherwise it runs in float64,
+    over each ``w`` read as float64.
     """
     w = _common_window(u, v)
     if u.w.dtype == object and v.w.dtype == object:
         return float(_energy_hi(u, v, w))
     # a float64 w passes through astype uncopied: v is u keeps uw is vw
     uw, vw = u.w.astype(float, copy=False), v.w.astype(float, copy=False)
-    return float(_window_energy(w, uw, vw))
+    return float(edge_energy(*window_edges(w), uw, vw))
 
 
 def _energy_hi(u: Potential, v: Potential, w):
     with _hifi.workdps(_hifi.EDGE_SUM_DPS):
-        return _window_energy(w, u.w, v.w)
-
-
-def _window_energy(w, u, v):
-    return edge_energy(*window_edges(w, field_of(u)), u, v)
+        c, _, _ = window_edges(w, field_of(u.w))
+        return current_energy(c, currents(u), currents(v))
 
 
 @dataclass
@@ -257,8 +281,8 @@ def window_defect(u: Potential) -> WindowDefect:
     w, net = u.window, u.net
     half_in = w.mask[net.ei] ^ w.mask[net.ej]
     # boundary flux: window-restricted Laplacian at boundary vertices
+    lap = window_laplacian(u)
     with _hifi.workdps(_hifi.EDGE_SUM_DPS if u.w.dtype == object else None):
-        lap = edge_laplacian(*window_edges(w, field_of(u.w)), u.w)
         flux = float(np.sum(np.abs(lap[w.bd_mask[w.vertices]])))
     return WindowDefect(
         excluded_edges=int(np.sum(half_in)),
@@ -268,7 +292,8 @@ def window_defect(u: Potential) -> WindowDefect:
 
 
 def laplacian(v: Potential, at: int) -> float:
-    """(Lap v)(x) = sum_{y ~ x} c_xy (v(x) - v(y)).
+    """(Lap v)(x) = sum_{y ~ x} c_xy (v(x) - v(y)), the sum of v's edge
+    currents at x (in mp at ``EDGE_SUM_DPS``).
 
     Requires every neighbor of ``at`` to be materialized and inside the
     potential's window.
@@ -278,10 +303,21 @@ def laplacian(v: Potential, at: int) -> float:
         raise DomainMismatch(f"vertex {at} is not in the network")
     if net.frontier_mask[at]:
         raise MissingNeighborValue(f"vertex {at} is on the materialization frontier")
-    nbrs, conds = net.neighbors(at)
-    if not np.all(v.window.mask[nbrs]):
+    if not np.all(v.window.mask[net.neighbors(at)[0]]):
         raise MissingNeighborValue(f"a neighbor of {at} lies outside the window")
-    return float(np.sum(conds * (v.at(at) - v.at(nbrs))))
+    v.window.index(at)
+    return _flow_out(v, at, v.window.mask)
+
+
+def _flow_out(v: Potential, at, into):
+    """The sum of v's currents out of ``at`` along its window edges to the
+    vertices of the mask ``into``, as float64."""
+    edges, _, _ = edge_ends(v.window)
+    ei, ej = v.net.ei[edges], v.net.ej[edges]
+    out, back = (ei == at) & into[ej], (ej == at) & into[ei]
+    with _hifi.workdps(_hifi.EDGE_SUM_DPS):
+        i = currents(v)
+        return float(np.sum(i[out], initial=0) - np.sum(i[back], initial=0))
 
 
 def dirac_pairing(u: Potential, at: int) -> float:
@@ -298,11 +334,13 @@ def normal_derivative(v: Potential, H: SubgraphView, at: int) -> float:
     """Sum of c_xy (v(x) - v(y)) over neighbors y of x that lie inside H.
 
     Defined for x in bd H; for interior x it would equal the full Laplacian.
+    It sums v's edge currents, as ``laplacian`` does, so x and its neighbors
+    in H must lie in the potential's window.
     """
     if not 0 <= at < len(H.mask):
         raise DomainMismatch(f"vertex {at} is not in the network")
     if not H.bd_mask[at]:
         raise NotBoundaryVertex(f"vertex {at} is not in bd H")
-    nbrs, conds = v.net.neighbors(at)
-    inside = H.mask[nbrs]
-    return float(np.sum(conds[inside] * (v.at(at) - v.at(nbrs[inside]))))
+    nbrs = v.net.neighbors(at)[0]
+    v.window.index([at, *nbrs[H.mask[nbrs]]])
+    return _flow_out(v, at, H.mask)

@@ -32,9 +32,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+import mpmath as mp
 import numpy as np
 import scipy.sparse as sp
 
+from ._hifi import to_mpf
 from .errors import (
     DisconnectedGraph,
     InvalidParameters,
@@ -81,6 +83,7 @@ class Network:
         self.family = family
         self.names = names
         self._exact = exact
+        self._converted = {}
         # +inf is tolerated as the float mirror of exactly-stored huge
         # conductances (deep geometric windows); nan and nonpositive are not
         if np.any(ec <= 0) or np.any(np.isnan(ec)):
@@ -139,6 +142,21 @@ class Network:
         if callable(self._exact):
             return self._exact(k)
         return self._exact[k]
+
+    def exact_conductances(self, edges, field=Fraction):
+        """The conductances of the edge ids ``edges`` (a list) in ``field``,
+        Fraction or mp.mpf at the current precision, each formed once per
+        network and precision when first asked for (equal ones shared)."""
+        key = mp.mp.prec if field is mp.mpf else field
+        memo = self._converted.setdefault(key, {})
+        shared = {}
+        for k in edges:
+            if k not in memo:
+                fr = self.exact_conductance(k)
+                if fr not in shared:
+                    shared[fr] = fr if field is Fraction else to_mpf(fr)
+                memo[k] = shared[fr]
+        return [memo[k] for k in edges]
 
     @property
     def is_saturated(self):

@@ -31,13 +31,15 @@ alongside its values, so each step is a few matrix-vector products:
   the column shows that eps_n has lost orthogonality to the earlier eps_j.
 
 The construction and every identity check are written once, over numpy
-arrays in the construction field: mpf object arrays at 25 digits above the
-kernels' solve precision whenever every kernel's ``w`` holds mp or Fraction
-values, float64 arrays otherwise. In every product of an mpf with an array,
-the array stands on the left: an mpf on the left makes mpmath format the
-whole array before numpy takes over. The public matrices are float64;
-the deviations of the identity checks are evaluated in the construction
-field, at the recorded construction precision.
+arrays in the construction field: mpf object arrays at the mp lane's one
+precision (``EDGE_SUM_DPS``) whenever every kernel's ``w`` holds mp or
+Fraction values, float64 arrays otherwise. In mp the kernels' increments are
+their edge currents over c, dK = i / c, right relative to themselves however
+large c is. The Laplacian check reads the carried c dQ. In every product of
+an mpf with an array, the array stands on the left: an mpf on the left makes
+mpmath format the whole array before numpy takes over. The public matrices
+are float64; the deviations of the identity checks are evaluated in the
+construction field, at the recorded construction precision.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ import mpmath as mp
 import numpy as np
 
 from . import _hifi
-from .energy import (Potential, edge_energy, edge_laplacian, energy, field_of,
-                     value_getter, window_edges)
+from .energy import (Potential, current_energy, currents, edge_ends, energy,
+                     field_of, flow_laplacian, value_getter, window_edges)
 from .errors import DimensionMismatch, GramDegenerate, InvalidParameters
 from .network import enumerate_vertices
 from .solver import solve_dipole_level
@@ -74,6 +76,7 @@ class OnbSystem:
     field: str                 # "float64" or "mp"
     dps: object = None         # mp construction precision (digits), if mp-built
     _work: tuple = None        # (eps, M, E, V) in the construction field
+    _flows: np.ndarray = None  # c d(eps): the eps_j's edge currents, likewise
 
     @property
     def N(self):
@@ -81,7 +84,8 @@ class OnbSystem:
 
     def eps_potential(self, k):
         """eps_k as a Potential (1-indexed), in the construction field."""
-        return Potential(self.window, self._work[0][:, k - 1], dps=self.dps)
+        return Potential(self.window, self._work[0][:, k - 1], dps=self.dps,
+                         i=self._flows[:, k - 1] if self.dps else None)
 
 
 def _sqrt(x):
@@ -104,16 +108,18 @@ def gram_schmidt(kernels, enumeration):
         raise DimensionMismatch("one enumeration vertex per kernel")
     net, window = kernels[0].net, kernels[0].window
     hi = all(k.w.dtype == object for k in kernels)
-    dps = (_hifi.auto_dps(net, window.edge_mask, len(window.vertices)) + 25
-           if hi else None)
+    dps = _hifi.EDGE_SUM_DPS if hi else None
     with _hifi.workdps(dps):
         K = np.stack([k.w if hi else k.w.astype(float) for k in kernels], axis=1)
+        c, a, b = window_edges(window, mp.mpf if hi else float)
+        # in mp the increments come from the kernels' currents
+        cdK = (np.stack([currents(k) for k in kernels], axis=1) if hi
+               else c[:, None] * (K[a] - K[b]))
         if field_of(K) is Fraction:
             # exact kernels are orthonormalized in mp
-            K = np.vectorize(_hifi.to_mpf, otypes=[object])(K)
-        c, a, b = window_edges(window, field_of(K))
-        dK = K[a] - K[b]
-        cdK = c[:, None] * dK
+            K, cdK = (np.vectorize(_hifi.to_mpf, otypes=[object])(A)
+                      for A in (K, cdK))
+        dK = cdK / c[:, None] if hi else K[a] - K[b]
         N = len(kernels)
         Q, dQ, cdQ = np.zeros_like(K), np.zeros_like(dK), np.zeros_like(dK)
         V, E, M, G = (np.zeros((N, N), dtype=K.dtype) for _ in range(4))
@@ -156,7 +162,7 @@ def gram_schmidt(kernels, enumeration):
                      eps=Q.astype(float), orth_dev=float(orth),
                      pivot_min=float(pivot_min),
                      field="float64" if dps is None else "mp", dps=dps,
-                     _work=(Q, M, E, V))
+                     _work=(Q, M, E, V), _flows=cdQ)
 
 
 def build_onb(source, N, radius=None, lane="mp"):
@@ -211,12 +217,12 @@ def _max_dev(A, B):
 
 
 def _laplacian_entries(onb):
-    """(Lap eps_i)(x_j) for j <= i, zero above the diagonal (construction field)."""
-    Q = onb._work[0]
-    edges = window_edges(onb.window, field_of(Q))
-    xs = onb.window.index(onb.enumeration)
-    return np.tril(np.array([edge_laplacian(*edges, Q[:, k])[xs]
-                             for k in range(onb.N)], dtype=Q.dtype))
+    """(Lap eps_i)(x_j) for j <= i, zero above the diagonal (construction
+    field), from the eps_i's edge currents."""
+    _, a, b = edge_ends(onb.window)
+    n, xs = len(onb.window.vertices), onb.window.index(onb.enumeration)
+    return np.tril(np.array([flow_laplacian(a, b, onb._flows[:, k], n)[xs]
+                             for k in range(onb.N)], dtype=onb._flows.dtype))
 
 
 def _evaluation_entries(onb):
@@ -267,14 +273,15 @@ def reconstruction_check(onb: OnbSystem):
     Reconstructs each kernel from evaluation coefficients and measures the
     energy norm of the difference against the kernel recovered from E.
     """
-    Q, _, E, _ = onb._work
+    E, flows = onb._work[2], onb._flows
     ev = _evaluation_entries(onb)
-    dot = functools.partial(edge_energy, *window_edges(onb.window, field_of(Q)))
+    c, _, _ = window_edges(onb.window, field_of(flows))
     worst = 0.0
     for n in range(onb.N):
-        d = Q[:, :n + 1] @ ev[n, :n + 1] - Q[:, :n + 1] @ E[n, :n + 1]
+        # the edge currents of the difference
+        d = flows[:, :n + 1] @ (ev[n, :n + 1] - E[n, :n + 1])
         # np.maximum keeps a NaN, which max() would drop
-        worst = np.maximum(worst, float(_sqrt(abs(dot(d, d)))))
+        worst = np.maximum(worst, float(_sqrt(abs(current_energy(c, d, d)))))
     return float(worst)
 
 

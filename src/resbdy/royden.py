@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _hifi
-from .energy import (Potential, edge_energy, edge_laplacian, energy, field_of,
+from .energy import (Potential, current_energy, currents, edge_energy,
+                     edge_laplacian, energy, field_of, flow_laplacian,
                      potential_difference, window_edges)
 from .errors import InvalidParameters
 from .network import default_exhaustion
@@ -118,23 +119,26 @@ def _solved_on(pot: Potential, window):
 def _split_sums(v: Potential, f: Potential, h: Potential):
     """E(v), E(f), E(h), E(f, h) and max |Lap h| over the window's interior.
 
-    The sums run in the potentials' field (mp values at ``EDGE_SUM_DPS``),
-    over one conversion of the window's conductances, and each energy equals
-    a separate ``energy`` call bit for bit. The residual needs the
-    high-precision values too: float64 Laplacian evaluation loses all meaning
-    once local conductances exceed ~1e12, since its error scales like
-    c(x) * eps * |h|.
+    The sums run in the potentials' field over one pass of the window's
+    edges, each energy bit for bit as ``energy``. mp and Fraction sums read
+    the solves' edge currents: formed from values, the residual's error
+    scales like c(x) * eps * |h|.
     """
     window = h.window
-    vw, fw, hw = v.w, f.w, h.w
-    with _hifi.workdps(_hifi.EDGE_SUM_DPS):
-        edges = window_edges(window, field_of(hw))
-        sums = [float(edge_energy(*edges, x, y))
-                for x, y in ((vw, vw), (fw, fw), (hw, hw), (fw, hw))]
-        lap = edge_laplacian(*edges, hw)
+    pairs = ((v, v), (f, f), (h, h), (f, h))
+    hi = h.w.dtype == object
+    with _hifi.workdps(_hifi.EDGE_SUM_DPS if hi else None):
+        c, a, b = window_edges(window, field_of(h.w))
+        if hi:
+            sums = [current_energy(c, currents(x), currents(y))
+                    for x, y in pairs]
+            lap = flow_laplacian(a, b, currents(h), len(h.w))
+        else:
+            sums = [edge_energy(c, a, b, x.w, y.w) for x, y in pairs]
+            lap = edge_laplacian(c, a, b, h.w)
         inner = ~window.bd_mask[window.vertices]
         resid = float(np.max(np.abs(lap[inner]))) if inner.any() else 0.0
-    return (*sums, resid)
+    return (*map(float, sums), resid)
 
 
 def sup_norm(pot: Potential) -> float:

@@ -16,13 +16,13 @@ are the window's vertices minus the held ones (o for free, bd G_k for
 wired), each with its conductance g to the held ones, the edges between
 unknowns merged one per pair, and the right-hand side signed. Every lane
 eliminates it without subtracting (the GTH elimination, see ``_hifi``): the
-mp and Fraction lanes one unknown at a time in ``_hifi.hi_solve`` (in mp,
-each at the precision its own conductances need), the float64 lane in numpy
-rounds, each of which eliminates an independent set of unknowns of
+mp and Fraction lanes one unknown at a time in ``_hifi.hi_solve`` (in mp, at
+one fixed precision), which also carries the current on every window edge,
+the float64 lane in numpy rounds, each of which eliminates an independent set of unknowns of
 near-minimum degree at once (Luby, SIAM J. Comput. 15(4), 1986).
 When the rounds stop shrinking the system, its Schur complement goes to
 SuperLU. The Potential keeps the window solution minus its value at o, in
-the lane's field.
+the lane's field, and in the mp and Fraction lanes the edge currents.
 
 Exhaustion drivers iterate windows, apply the stopping rule (three consecutive
 relative deltas below tol, or saturation on finite networks), and return the
@@ -220,21 +220,20 @@ def solve_dipole_level(window: SubgraphView, x, bc="free", rhs=None,
 
     lane = pick_lane(net, window, lane)
     if lane == "float64":
-        dps = None
+        dps, cur = None, None
         sol = _solve_float64(window, held, rhs)
     elif lane in ("mp", "fraction"):
         field = (_hifi.FractionField() if lane == "fraction"
-                 else _hifi.MPField(_hifi.auto_dps(net, window.edge_mask,
-                                                   len(window.vertices))))
+                 else _hifi.MPField(_hifi.EDGE_SUM_DPS))
         dps = field.dps
-        sol = _hifi.hi_solve(net, window, rhs, dirichlet_zero=dirichlet,
-                             pin=pin, field=field)
+        sol, cur = _hifi.hi_solve(net, window, rhs, dirichlet_zero=dirichlet,
+                                  pin=pin, field=field)
     else:
         raise InvalidParameters(f"unknown lane {lane!r}")
-    # the window solution minus its value at o
+    # the window solution minus its value at o; the currents do not change
     with _hifi.workdps(dps):
         sol = sol - sol[window.index(o)]
-    return Potential(window, sol, dps=dps)
+    return Potential(window, sol, dps=dps, i=cur)
 
 
 @dataclass

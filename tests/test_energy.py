@@ -180,3 +180,43 @@ def test_missing_neighbor_on_frontier():
     u = potential_from_values(net, [0.0, 1.0, 1.0, 1.0])
     with pytest.raises(MissingNeighborValue):
         laplacian(u, 3)  # frontier vertex: outside neighbor not materialized
+
+
+def _ladder_dipole(R, **kw):
+    """The free dipole delta_x1 - delta_o on ladder(5, 1) at radius R, the
+    ball of radius 20 in the same ambient, and x_20."""
+    from resbdy import LadderGenerator
+    gen = LadderGenerator(5, 1.0)
+    ambient = gen.ball(R + 1)
+    v = solve_dipole_level(ambient.ball_view(R), gen.x(1), **kw)
+    return v, ambient.ball_view(20), gen.x(20)
+
+
+@pytest.mark.parametrize("R", [40, 500])
+def test_laplacian_and_normal_derivative_read_the_currents(R, monkeypatch):
+    # conductances up to 5^R, past the float range at R=500: c (v(x) - v(y))
+    # formed in float64 gave -7.6e-3 at x_20 for R=40 and NaN at R=500
+    from resbdy import _hifi
+    v, H, x20 = _ladder_dipole(R)
+    assert v.i is not None
+    sums = [laplacian(v, x20), laplacian(v, 2), laplacian(v, 0),
+            *(normal_derivative(v, H, b) for b in H.bd.tolist())]
+    assert abs(sums[0]) <= 1e-45
+    assert sums[1:3] == [1.0, -1.0]
+    assert np.isfinite(sums).all()
+    # each value is the one the whole computation gives at twice the digits
+    monkeypatch.setattr(_hifi, "EDGE_SUM_DPS", 2 * _hifi.EDGE_SUM_DPS)
+    v2, _, _ = _ladder_dipole(R)
+    ref = [laplacian(v2, x20), laplacian(v2, 2), laplacian(v2, 0),
+           *(normal_derivative(v2, H, b) for b in H.bd.tolist())]
+    assert np.all(np.abs(np.subtract(sums, ref)) <= 1e-40 * np.abs(ref) + 1e-45)
+
+
+def test_normal_derivative_of_an_exact_potential_is_exact():
+    # the Fraction lane carries exact currents: dn v at bd H equals the
+    # exact Laplacian of v restricted to H
+    v, H, _ = _ladder_dipole(40, lane="fraction")
+    at = v.window.index(H.vertices)
+    lap = edge_laplacian(*window_edges(H, Fraction), v.w[at])
+    for b in H.bd.tolist():
+        assert normal_derivative(v, H, b) == float(lap[H.index(b)])

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from resbdy import (LadderGenerator, Network, boundary_sum_harmonic,
-                    build_finite, build_onb, entries_E_via_evaluation, gram_product_check,
-                    royden_split, solve_dipole_level)
-from resbdy import SubgraphView, _hifi, solver
-from resbdy.energy import window_edges
+from resbdy import (Exhaustion, LadderGenerator, Network, boundary_sum_harmonic,
+                    build_finite, build_onb, energy, entries_E_via_evaluation,
+                    gauss_green_verify, gram_product_check, royden_split,
+                    solve_dipole_level, window_defect)
+from resbdy import SubgraphView, _hifi, boundary, solver
+from resbdy.energy import potential_difference, window_edges
 from resbdy.errors import SingularSystem
 from resbdy.ladder import ladder_harmonic
 
@@ -88,19 +89,19 @@ def test_sparse_elimination_matches_dense_fraction_oracle(net):
         unknowns = [int(v) for v in window.vertices if v not in held]
         sol = dict(zip(window.vertices.tolist(),
                        _hifi.hi_solve(net, window, rhs, dirichlet_zero=drop,
-                                      pin=pin, field=_hifi.FractionField())))
+                                      pin=pin, field=_hifi.FractionField())[0]))
         oracle = dense_fraction_solve(net, window, rhs, unknowns)
         assert sol.keys() == set(window.vertices.tolist())
         for v in unknowns:
             assert sol[v] == oracle[v], (bc, v)
         for v in held:
             assert sol.get(v, 0) == 0
-        # the mp field at its automatic precision agrees to far beyond float64
-        dps = _hifi.auto_dps(net, window.edge_mask, len(window.vertices))
+        # the mp field at its fixed precision agrees to far beyond float64
+        dps = _hifi.EDGE_SUM_DPS
         with mp.workdps(dps):
             hi = dict(zip(window.vertices.tolist(),
                           _hifi.hi_solve(net, window, rhs, dirichlet_zero=drop,
-                                         pin=pin, field=_hifi.MPField(dps))))
+                                         pin=pin, field=_hifi.MPField(dps))[0]))
             scale = max(abs(_hifi.to_mpf(oracle[v])) for v in unknowns)
             for v in unknowns:
                 assert abs(hi[v] - _hifi.to_mpf(oracle[v])) <= scale * mp.mpf(10) ** -30
@@ -141,6 +142,7 @@ def test_grounded_system_adds_parallel_edges(lane):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 LADDER_1 = LadderGenerator(5, 1.0)
+LADDER_09 = LadderGenerator(5, 0.9)
 R60 = LADDER_1.ball(61).ball_view(60)
 R300 = LADDER_1.ball(301).ball_view(300)
 CASES = ["free", "wired", "mixed-sign free", "negative-only wired"]
@@ -156,58 +158,100 @@ def ladder_case(window, case):
             "negative-only wired": dict(rhs={x2: -1}, dirichlet_zero=window.bd)}[case]
 
 
-def precisions(window, kw, dps):
-    """Each unknown's precision in digits, as ``hi_solve`` picks it."""
-    held = [*kw.get("dirichlet_zero", ()), *([kw["pin"]] if "pin" in kw else [])]
-    with mp.workdps(dps):
-        _, g, edges, _ = _hifi.grounded_system(window, held, kw["rhs"], mp.mpf)
-        return _hifi.unknown_dps(window, g, edges, dps)
+P = _hifi.EDGE_SUM_DPS
+
+
+def mp_solve(window, dps, **kw):
+    """``hi_solve`` on a ladder window in an MPField of ``dps`` digits."""
+    return _hifi.hi_solve(window.net, window, field=_hifi.MPField(dps), **kw)
+
+
+@given(exact_networks())
+@example(SPREAD_1E24)
+def test_fraction_currents_are_exact(net):
+    # the Fraction field carries the same differences, exactly
+    window = net.full_view()
+    o = net.origin
+    x, i = _hifi.hi_solve(net, window, {int(window.vertices[-1]): 1, o: -1},
+                          pin=o, field=_hifi.FractionField())
+    c, a, b = window_edges(window, Fraction)
+    assert list(i) == list(c * (x[a] - x[b]))
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_mp_solve_is_componentwise_accurate(case):
-    # conductances 1 .. 5^60; an elimination that subtracts loses ~40 of the
-    # 86 digits in the free solves. Each unknown runs at its own precision,
-    # and back-substitution reads the entries eliminated after it (the near
-    # ones, at the lowest precision), so every entry is right to that one
+    # conductances 1 .. 5^60; an elimination that subtracts loses ~40 of
+    # the P digits in the free solves, this one a few units in the last place
     net = R60.net
     kw = ladder_case(R60, case)
     exact = dict(zip(R60.vertices.tolist(),
-                     _hifi.hi_solve(net, R60, field=_hifi.FractionField(), **kw)))
-    dps = _hifi.auto_dps(net, R60.edge_mask, len(R60.vertices))
-    assert dps == 86
-    p = precisions(R60, kw, dps)
-    assert p.max() == dps and p.min() == 45
-    sol = dict(zip(R60.vertices.tolist(),
-                   _hifi.hi_solve(net, R60, field=_hifi.MPField(dps), **kw)))
-    with mp.workdps(2 * dps):
-        tol = mp.mpf(10) ** -(int(p.min()) - 5)
+                     _hifi.hi_solve(net, R60, field=_hifi.FractionField(), **kw)[0]))
+    sol = dict(zip(R60.vertices.tolist(), mp_solve(R60, P, **kw)[0]))
+    with mp.workdps(2 * P):
+        tol = mp.mpf(10) ** -(P - 5)
         for v, e in exact.items():
             ref = _hifi.to_mpf(e)
             assert abs(sol[v] - ref) <= abs(ref) * tol, (case, v)
 
 
+def assert_currents_accurate(window, kw):
+    """Every current of the P-digit solve is within 10^-(P - 8) of itself
+    of the same solve at 2P digits."""
+    _, i = mp_solve(window, P, **kw)
+    _, ref = mp_solve(window, 2 * P, **kw)
+    with mp.workdps(2 * P):
+        tol = mp.mpf(10) ** -(P - 8)
+        worst = max(abs(a - r) / abs(r) if r else abs(a)
+                    for a, r in zip(i, ref))
+    assert worst <= tol, mp.nstr(worst, 3)
+
+
 @pytest.mark.parametrize("window", [R60, R300], ids=["R60", "R300"])
 @pytest.mark.parametrize("case", CASES)
-def test_mp_edge_currents_are_accurate(case, window, monkeypatch):
-    # every edge current c_e (x_a - x_b) keeps an error of at most
-    # 10^-40 c_min max|x|, as at the field's precision throughout; the
-    # reference runs every unknown at twice the field's precision
-    net = window.net
-    kw = ladder_case(window, case)
-    dps = _hifi.auto_dps(net, window.edge_mask, len(window.vertices))
-    sol = _hifi.hi_solve(net, window, field=_hifi.MPField(dps), **kw)
-    with monkeypatch.context() as m:
-        m.setattr(_hifi, "unknown_dps",
-                  lambda window, g, edges, ceiling: np.full(len(g), ceiling))
-        ref = _hifi.hi_solve(net, window, field=_hifi.MPField(2 * dps), **kw)
-    c, a, b = window_edges(window, Fraction)
-    with mp.workdps(2 * dps):
-        c = [_hifi.to_mpf(ce) for ce in c]
-        bound = min(c) * max(abs(r) for r in ref) * mp.mpf(10) ** -40
-        worst = max(abs(ce * ((sol[i] - sol[j]) - (ref[i] - ref[j])))
-                    for ce, i, j in zip(c, a.tolist(), b.tolist()))
-        assert worst <= bound, (case, mp.nstr(worst / bound, 3))
+def test_mp_edge_currents_are_accurate(case, window):
+    # conductances 1 .. 5^300; each current is right relative to itself
+    assert_currents_accurate(window, ladder_case(window, case))
+
+
+@pytest.mark.parametrize("window", [LADDER_1.ball(2501).ball_view(2500),
+                                    LADDER_09.ball(211).ball_view(210)],
+                         ids=["ladder(5,1)-R2500", "ladder(5,0.9)-R210"])
+@pytest.mark.parametrize("case", ["free", "wired"])
+def test_mp_edge_currents_are_accurate_on_deep_windows(window, case):
+    # criterion 9's windows: conductances up to 5^2500, and rungs down to
+    # 0.9^210 on ladder(5, 0.9)
+    assert_currents_accurate(window, ladder_case(window, case))
+
+
+def test_mp_edge_sums_read_the_currents(monkeypatch):
+    # ladder(5, 1) at R=500: the float mirror overflows (5^500 > 1e308), and
+    # sums formed from values at P digits would lose all of them; each value
+    # matches the same computation run at 2P digits throughout
+    gen = LADDER_1
+    ambient = gen.ball(501)
+    window = ambient.ball_view(500)
+    x = gen.x(1)
+    assert not np.isfinite(window.net.ec[window.edge_mask]).all()
+
+    def sums():
+        v = solve_dipole_level(window, x, bc="free", lane="mp")
+        f = solve_dipole_level(window, x, bc="wired", lane="mp")
+        h = potential_difference(v, f)
+        gg = gauss_green_verify(h, v, [(r, ambient.ball_view(r))
+                                       for r in (250, 499)])
+        bs = boundary_sum_harmonic(gen, lambda u: float(u % 2), x, lane="mp")
+        return [energy(v, v), energy(f, f), energy(h, h),
+                window_defect(f).boundary_flux, *gg.interior, *gg.boundary,
+                *gg.window_energies, *bs.sums]
+
+    monkeypatch.setattr(boundary, "default_exhaustion",
+                        lambda source, levels: Exhaustion.build(source, [500]))
+    got = sums()
+    monkeypatch.setattr(_hifi, "EDGE_SUM_DPS", 2 * P)
+    ref = sums()
+    assert np.isfinite(got).all()
+    assert np.all(np.abs(np.subtract(got, ref)) <= 1e-40 * np.abs(ref)), \
+        (got, ref)
 
 
 @pytest.mark.parametrize("field", [_hifi.FractionField(), _hifi.MPField(30)])
@@ -232,8 +276,8 @@ def _assert_dps_kept(fn):
 
 
 def test_hi_solve_restores_the_precision():
-    # no enclosing workdps: hi_solve sets the precision unknown by unknown
-    # and restores the caller's, also when it raises mid-elimination
+    # no enclosing workdps: hi_solve sets its field's precision and
+    # restores the caller's, also when it raises mid-elimination
     saved = mp.mp.prec
     try:
         mp.mp.dps = 23
@@ -243,10 +287,9 @@ def test_hi_solve_restores_the_precision():
             _hifi.hi_solve(net, SubgraphView(net, [0, 1, 3, 4]), {1: 1, 0: -1},
                            pin=0, field=_hifi.MPField(30))
         assert mp.mp.prec == prec
-        dps = _hifi.auto_dps(R300.net, R300.edge_mask, len(R300.vertices))
         x1, o = LADDER_1.x(1), R300.net.origin
-        sol = _hifi.hi_solve(R300.net, R300, {x1: 1, o: -1}, dirichlet_zero=R300.bd,
-                             field=_hifi.MPField(dps))
+        sol, _ = _hifi.hi_solve(R300.net, R300, {x1: 1, o: -1},
+                                dirichlet_zero=R300.bd, field=_hifi.MPField(P))
         assert mp.mp.prec == prec
         assert sol[R300.index(x1)] > 0
     finally:
@@ -256,7 +299,7 @@ def test_hi_solve_restores_the_precision():
 def test_mp_precision_is_not_leaked():
     deep = LadderGenerator(5, 1.0).ball(301).ball_view(300)
     pot = _assert_dps_kept(lambda: solve_dipole_level(deep, 0, bc="wired", rhs={0: 1}))
-    assert pot.w is not None and pot.dps > 200
+    assert pot.w is not None and pot.dps == P
 
     gen = LadderGenerator(5, 0.9)
     split = _assert_dps_kept(lambda: royden_split(gen, 2, levels=20, tol=1e-6))

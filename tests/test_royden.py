@@ -47,15 +47,13 @@ def test_ladder_split_is_nontrivial():
 
 
 def _residual_by_vertex(h, check_vertices):
-    """max |Lap h| over check_vertices, summed edge by edge at EDGE_SUM_DPS."""
+    """max |Lap h| over check_vertices, h's edge currents summed edge by edge
+    at EDGE_SUM_DPS."""
     net, window = h.net, h.window
-    pos = {int(v): i for i, v in enumerate(window.vertices)}
     with _hifi.workdps(_hifi.EDGE_SUM_DPS):
         res = dict.fromkeys(check_vertices.tolist(), h.w[0] * 0)
-        for k in np.flatnonzero(window.edge_mask):
+        for k, flow in zip(np.flatnonzero(window.edge_mask).tolist(), h.i):
             a, b = int(net.ei[k]), int(net.ej[k])
-            flow = _hifi.to_mpf(net.exact_conductance(int(k))) * \
-                (h.w[pos[a]] - h.w[pos[b]])
             if a in res:
                 res[a] = res[a] + flow
             if b in res:
