@@ -163,10 +163,11 @@ def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
         order = np.lexsort((verts, net.level[verts]))[::-1]
         n = len(order)
 
-        # row k holds the conductances c_kj to the unknowns j > k; g[k] is the
-        # conductance from k to the window vertices held at 0
-        at = np.empty(n, dtype=np.int64)
-        at[order] = np.arange(n)
+        # row k holds c_kj for the unknowns j > k in elimination order (elim,
+        # -1 at held positions); g[k] is k's conductance to the held vertices
+        elim = np.full(len(window.vertices), -1, dtype=np.int64)
+        elim[live[order]] = np.arange(n)
+        at = elim[live]
         cond = [{} for _ in range(n)]
         for i, j, cij in zip(at[u].tolist(), at[v].tolist(), c):
             cond[min(i, j)][max(i, j)] = cij
@@ -225,8 +226,6 @@ def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
 
         # the current on each window edge: c_e times the carried difference
         # between two unknowns, or c_e x at an edge to a held vertex
-        elim = np.full(len(window.vertices), -1, dtype=np.int64)
-        elim[live[order]] = np.arange(n)
         c, ea, eb = window_edges(window, field.number)
         i = np.empty(len(c), dtype=object)
         ends = zip(c, elim[ea].tolist(), elim[eb].tolist())

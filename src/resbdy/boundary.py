@@ -88,12 +88,9 @@ def gauss_green_verify(u: Potential, v: Potential, exhaustion=None):
         # each window edge's current of v and energy term, formed once: a
         # view's edges are some of the window's
         c, a, b = window_edges(u.window, field_of(vw))
-        if hi:
-            iv = currents(v)
-            terms = currents(u) * iv / c
-        else:
-            du, dv = uw[a] - uw[b], vw[a] - vw[b]
-            iv, terms = c * dv, c * du * dv
+        iu, iv = ((currents(p) for p in (u, v)) if hi
+                  else (c * (p[a] - p[b]) for p in (uw, vw)))
+        terms = iu * (iv / c if hi else vw[a] - vw[b])
         ids = edge_ends(u.window)[0]
         for r, view in exhaustion:
             at = u.window.index(view.vertices)

@@ -204,8 +204,10 @@ def window_laplacian(u: Potential):
     """(Lap u) at every position of u's window, in the field of u.w (mp at
     ``EDGE_SUM_DPS``), from u's currents."""
     with _hifi.workdps(_hifi.EDGE_SUM_DPS if u.w.dtype == object else None):
+        if u.i is None:
+            return edge_laplacian(*window_edges(u.window, field_of(u.w)), u.w)
         _, a, b = edge_ends(u.window)
-        return flow_laplacian(a, b, currents(u), len(u.w))
+        return flow_laplacian(a, b, u.i, len(u.w))
 
 
 def potential_from_values(net, mapping, window=None, pinned=False):
