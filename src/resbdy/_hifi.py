@@ -62,7 +62,6 @@ def to_mpf(fr: Fraction):
 
 class FractionField:
     number = Fraction
-    zero = Fraction(0)
     dps = None
 
 
@@ -71,7 +70,6 @@ class MPField:
 
     def __init__(self, dps):
         self.dps = dps
-        self.zero = mp.mpf(0)
 
 
 def ranks(mask):
@@ -227,15 +225,15 @@ def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
         # the current on each window edge: c_e times the carried difference
         # between two unknowns, or c_e x at an edge to a held vertex
         c, ea, eb = window_edges(window, field.number)
-        i = np.empty(len(c), dtype=object)
+        zero, i = field.number(0), np.empty(len(c), dtype=object)
         ends = zip(c, elim[ea].tolist(), elim[eb].tolist())
         for e, (ce, p, q) in enumerate(ends):
             if p < 0:
-                i[e] = field.zero if q < 0 else -(ce * x[q])
+                i[e] = zero if q < 0 else -(ce * x[q])
             elif q < 0:
                 i[e] = ce * x[p]
             else:
                 i[e] = ce * diff[p][q] if p < q else -(ce * diff[q][p])
-        sol = np.full(len(window.vertices), field.zero, dtype=object)
+        sol = np.full(len(window.vertices), zero, dtype=object)
         sol[live[order]] = x
         return sol, i

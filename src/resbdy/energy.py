@@ -294,8 +294,8 @@ def window_defect(u: Potential) -> WindowDefect:
 
 
 def laplacian(v: Potential, at: int) -> float:
-    """(Lap v)(x) = sum_{y ~ x} c_xy (v(x) - v(y)), the sum of v's edge
-    currents at x (in mp at ``EDGE_SUM_DPS``).
+    """(Lap v)(x) = sum_{y ~ x} c_xy (v(x) - v(y)): the sum of v's carried
+    currents at x (in mp at ``EDGE_SUM_DPS``), or its terms in float64.
 
     Requires every neighbor of ``at`` to be materialized and inside the
     potential's window.
@@ -305,21 +305,24 @@ def laplacian(v: Potential, at: int) -> float:
         raise DomainMismatch(f"vertex {at} is not in the network")
     if net.frontier_mask[at]:
         raise MissingNeighborValue(f"vertex {at} is on the materialization frontier")
-    if not np.all(v.window.mask[net.neighbors(at)[0]]):
+    nbrs, conds = net.neighbors(at)
+    if not np.all(v.window.mask[nbrs]):
         raise MissingNeighborValue(f"a neighbor of {at} lies outside the window")
-    v.window.index(at)
-    return _flow_out(v, at, v.window.mask)
+    if v.i is not None:
+        return _flow_out(v, at, nbrs)
+    return float(np.sum(conds * (v.at(at) - v.at(nbrs))))
 
 
-def _flow_out(v: Potential, at, into):
-    """The sum of v's currents out of ``at`` along its window edges to the
-    vertices of the mask ``into``, as float64."""
-    edges, _, _ = edge_ends(v.window)
+def _flow_out(v: Potential, at, nbrs):
+    """The sum of v's carried currents out of ``at`` along its window edges
+    to ``nbrs``, as float64; DomainMismatch for a vertex outside the window."""
+    into = np.zeros(len(v.window.mask), dtype=bool)
+    into[v.window.vertices[v.window.index([at, *nbrs])]] = True
+    edges = np.flatnonzero(v.window.edge_mask)
     ei, ej = v.net.ei[edges], v.net.ej[edges]
     out, back = (ei == at) & into[ej], (ej == at) & into[ei]
     with _hifi.workdps(_hifi.EDGE_SUM_DPS):
-        i = currents(v)
-        return float(np.sum(i[out], initial=0) - np.sum(i[back], initial=0))
+        return float(np.sum(v.i[out], initial=0) - np.sum(v.i[back], initial=0))
 
 
 def dirac_pairing(u: Potential, at: int) -> float:
@@ -336,13 +339,15 @@ def normal_derivative(v: Potential, H: SubgraphView, at: int) -> float:
     """Sum of c_xy (v(x) - v(y)) over neighbors y of x that lie inside H.
 
     Defined for x in bd H; for interior x it would equal the full Laplacian.
-    It sums v's edge currents, as ``laplacian`` does, so x and its neighbors
-    in H must lie in the potential's window.
+    Summed as ``laplacian`` sums, so x and its neighbors in H must lie in the
+    potential's window.
     """
     if not 0 <= at < len(H.mask):
         raise DomainMismatch(f"vertex {at} is not in the network")
     if not H.bd_mask[at]:
         raise NotBoundaryVertex(f"vertex {at} is not in bd H")
-    nbrs = v.net.neighbors(at)[0]
-    v.window.index([at, *nbrs[H.mask[nbrs]]])
-    return _flow_out(v, at, H.mask)
+    nbrs, conds = v.net.neighbors(at)
+    inside = H.mask[nbrs]
+    if v.i is not None:
+        return _flow_out(v, at, nbrs[inside])
+    return float(np.sum(conds[inside] * (v.at(at) - v.at(nbrs[inside]))))
