@@ -180,8 +180,8 @@ def test_fraction_currents_are_exact(net):
 
 @pytest.mark.parametrize("case", CASES)
 def test_mp_solve_is_componentwise_accurate(case):
-    # conductances 1 .. 5^60; an elimination that subtracts loses ~40 of
-    # the P digits in the free solves, this one a few units in the last place
+    # conductances 1 .. 5^60; an elimination that subtracts loses ~40 digits
+    # in the free solves, this one a few units in the last place
     net = R60.net
     kw = ladder_case(R60, case)
     exact = dict(zip(R60.vertices.tolist(),
@@ -195,8 +195,8 @@ def test_mp_solve_is_componentwise_accurate(case):
 
 
 def assert_currents_accurate(window, kw):
-    """Every current of the P-digit solve is within 10^-(P - 8) of itself
-    of the same solve at 2P digits."""
+    """Every current of the P-digit solve matches the same solve at 2P
+    digits to within 10^-(P - 8) of itself."""
     _, i = mp_solve(window, P, **kw)
     _, ref = mp_solve(window, 2 * P, **kw)
     with mp.workdps(2 * P):
