@@ -152,10 +152,11 @@ class Network:
         shared = {}
         for k in edges:
             if k not in memo:
-                fr = self.exact_conductance(k)
-                if fr not in shared:
-                    shared[fr] = fr if field is Fraction else to_mpf(fr)
-                memo[k] = shared[fr]
+                x = self.exact_conductance(k)
+                if field is not Fraction:
+                    x = to_mpf(x)
+                    x = shared.setdefault(x._mpf_, x)
+                memo[k] = x
         return [memo[k] for k in edges]
 
     @property
