@@ -169,7 +169,6 @@ def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
         cond = [{} for _ in range(n)]
         for i, j, cij in zip(at[u].tolist(), at[v].tolist(), c):
             cond[min(i, j)][max(i, j)] = cij
-        del c
         g = g[order].tolist()
         x = b[order].tolist()
 

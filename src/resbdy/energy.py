@@ -117,7 +117,7 @@ def edge_energy(c, a, b, u, v):
 
 
 def current_energy(c, i, j):
-    """sum over edges of i j / c, for the currents i and j of two potentials."""
+    """sum over edges of i j / c, for the currents i, j of two potentials."""
     return np.sum(i * j / c, initial=0)
 
 
@@ -316,13 +316,12 @@ def laplacian(v: Potential, at: int) -> float:
 def _flow_out(v: Potential, at, nbrs):
     """The sum of v's carried currents out of ``at`` along its window edges
     to ``nbrs``, as float64; DomainMismatch for a vertex outside the window."""
-    into = np.zeros(len(v.window.mask), dtype=bool)
-    into[v.window.vertices[v.window.index([at, *nbrs])]] = True
+    v.window.index([at, *nbrs])
     edges = np.flatnonzero(v.window.edge_mask)
     ei, ej = v.net.ei[edges], v.net.ej[edges]
-    out, back = (ei == at) & into[ej], (ej == at) & into[ei]
+    out, back = (ei == at) & np.isin(ej, nbrs), (ej == at) & np.isin(ei, nbrs)
     with _hifi.workdps(_hifi.EDGE_SUM_DPS):
-        return float(np.sum(v.i[out], initial=0) - np.sum(v.i[back], initial=0))
+        return float(np.sum(v.i[out]) - np.sum(v.i[back]))
 
 
 def dirac_pairing(u: Potential, at: int) -> float:

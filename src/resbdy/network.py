@@ -146,7 +146,8 @@ class Network:
     def exact_conductances(self, edges, field=Fraction):
         """The conductances of the edge ids ``edges`` (a list) in ``field``,
         Fraction or mp.mpf at the current precision, each formed once per
-        network and precision when first asked for (equal ones shared)."""
+        network and precision when first asked for (in one call, equal mpf
+        values are one object)."""
         key = mp.mp.prec if field is mp.mpf else field
         memo = self._converted.setdefault(key, {})
         shared = {}
