@@ -17,11 +17,11 @@ wired), each with its conductance g to the held ones, the edges between
 unknowns merged one per pair, and the right-hand side signed. Every lane
 eliminates it without subtracting (the GTH elimination, see ``_hifi``): the
 mp and Fraction lanes one unknown at a time in ``_hifi.hi_solve`` (in mp, at
-one fixed precision), which also carries the current on every window edge,
-the float64 lane in numpy rounds, each of which eliminates an independent set of unknowns of
-near-minimum degree at once (Luby, SIAM J. Comput. 15(4), 1986).
-When the rounds stop shrinking the system, its Schur complement goes to
-SuperLU. The Potential keeps the window solution minus its value at o, in
+one fixed precision), which also carries the current on every window edge;
+the float64 lane in numpy rounds, each of which eliminates an independent
+set of unknowns of near-minimum degree at once (Luby, SIAM J. Comput. 15(4),
+1986). When the rounds stop shrinking the system, its Schur complement goes
+to SuperLU. The Potential keeps the window solution minus its value at o, in
 the lane's field, and in the mp and Fraction lanes the edge currents.
 
 Exhaustion drivers iterate windows, apply the stopping rule (three consecutive
