@@ -189,7 +189,7 @@ def _reference_gram_schmidt(kernels, enumeration,
     """The earlier construction, for mp and float64 kernels: modified
     Gram-Schmidt with one edge sum per inner product. Returns (M, E, V, Q,
     pivot_min, dps), the arrays in the construction field."""
-    net, window = kernels[0].net, kernels[0].window
+    window = kernels[0].window
     hi = all(k.w.dtype == object for k in kernels)
     dps = _hifi.EDGE_SUM_DPS if hi else None
     with _hifi.workdps(dps):
