@@ -48,9 +48,11 @@ from .errors import InvalidParameters, SingularSystem
 EDGE_SUM_DPS = 50
 
 
-def workdps(dps):
-    """Scope mpmath's precision to ``dps`` digits; None scopes nothing."""
-    return nullcontext() if dps is None else mp.workdps(dps)
+def precision(*arrays):
+    """The precision of an edge sum over ``arrays``: ``EDGE_SUM_DPS`` digits
+    when any of them holds objects (mp or Fraction values), none otherwise."""
+    hi = any(x.dtype == object for x in arrays)
+    return mp.workdps(EDGE_SUM_DPS) if hi else nullcontext()
 
 
 def to_mpf(fr: Fraction):
@@ -154,7 +156,7 @@ def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
     """
     from .energy import window_edges
     held = list(dirichlet_zero) + ([] if pin is None else [pin])
-    with workdps(field.dps):
+    with mp.workdps(field.dps) if field.dps else nullcontext():
         live, g, (u, v, c), b = grounded_system(window, held, rhs,
                                                 field.number)
         verts = window.vertices[live]

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _hifi
-from .energy import (Potential, currents, edge_ends, energy, field_of,
+from .energy import (Potential, edge_currents, edge_ends, energy,
                      flow_laplacian, potential_difference, value_getter,
-                     window_edges, window_laplacian)
+                     window_laplacian)
 from .errors import DomainMismatch, InvalidParameters, NotHarmonic
 from .network import default_exhaustion
 from .solver import solve_dipole_level
@@ -71,26 +71,20 @@ def gauss_green_verify(u: Potential, v: Potential, exhaustion=None):
     the balls of the potentials' network. The report carries, per level, the
     interior sum over int G_k of u Lap v, the boundary sum of u dn v, their
     total, the window energy (equal to the total up to roundoff: that is the
-    split identity), and the deviation from the full-window energy. When
-    both potentials hold mp or Fraction values every sum runs in that field
-    (mp at ``EDGE_SUM_DPS``) over their edge currents, as ``energy`` does: a
-    view's edges are some of the window's. Otherwise the sums run in float64
-    over the values.
+    split identity), and the deviation from the full-window energy. Every
+    sum runs over the potentials' ``edge_currents``, in their field, as
+    ``energy`` does: a view's edges are some of the window's.
     """
     if exhaustion is None:
         exhaustion = [(r, u.net.ball_view(r))
                       for r in range(1, int(u.net.level.max()) + 1)]
     target = energy(u, v)
-    hi = u.w.dtype == object and v.w.dtype == object
-    uw, vw = (p.w if hi else p.w.astype(float) for p in (u, v))
     rep = GaussGreenReport(target=target)
-    with _hifi.workdps(_hifi.EDGE_SUM_DPS if hi else None):
-        # each window edge's current of v and energy term, formed once: a
-        # view's edges are some of the window's
-        c, a, b = window_edges(u.window, field_of(vw))
-        iu, iv = ((currents(p) for p in (u, v)) if hi
-                  else (c * (p[a] - p[b]) for p in (uw, vw)))
-        terms = iu * (iv / c if hi else vw[a] - vw[b])
+    with _hifi.precision(u.w, v.w):
+        # each window edge's current of v and energy term, formed once
+        c, a, b, (iu, iv) = edge_currents(u.window, u, v)
+        uw = u.w.astype(c.dtype, copy=False)
+        terms = iu * (iv / c)
         ids = edge_ends(u.window)[0]
         for r, view in exhaustion:
             at = u.window.index(view.vertices)
@@ -175,7 +169,7 @@ def boundary_sum_harmonic(source, u_values, x, levels=30, lane="auto",
         lap = window_laplacian(potential_difference(v, f))
         bd = view.bd_mask[view.vertices]
         u_bd = np.array([float(getter(int(bv))) for bv in view.vertices[bd]])
-        with _hifi.workdps(_hifi.EDGE_SUM_DPS):
+        with _hifi.precision(lap):
             s = np.sum(u_bd * lap[bd])
         rep.radii.append(int(radius))
         rep.sums.append(float(s))

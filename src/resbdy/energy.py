@@ -3,9 +3,10 @@
 All evaluations happen on a finite window (a :class:`SubgraphView`): sums run
 over edges with both endpoints in the window, and the edges that leave it are
 reported separately as the window defect so convergence drivers can monitor
-truncation. Every window quantity is a sum of edge currents c (u(x) - u(y)):
-mp and Fraction sums read the currents their solves carry, each right
-relative to itself; float64 sums form them from the values.
+truncation. Every window quantity is a sum of edge currents c (u(x) - u(y)),
+taken by ``edge_currents`` in one field: mp and Fraction sums read the
+currents their solves carry, each right relative to itself; float64 sums
+read a carried current as float64 and form the others from the values.
 """
 
 from __future__ import annotations
@@ -71,10 +72,11 @@ class SubgraphView:
 
 # -- edge sums ----------------------------------------------------------------
 #
-# Every window quantity is one of two sums over the window's edges: the energy
-# form and the window Laplacian. Both run in the field of the values they are
-# given: float64 arrays, or object arrays of mpf or Fraction, which add term by
-# term in edge order.
+# Every window quantity is one of two sums over the window's edge currents:
+# the energy form and the window Laplacian. ``edge_currents`` gives the
+# currents of several potentials in one field, and both sums run in it:
+# float64 arrays, or object arrays of mpf or Fraction, which add term by term
+# in edge order.
 
 
 def edge_ends(window):
@@ -88,32 +90,27 @@ def edge_ends(window):
 
 
 def window_edges(window, field=float):
-    """(c, a, b) over the window's edges: conductances in ``field`` and both
-    endpoints as positions in ``window.vertices``.
-
-    float gives the float64 mirror ``ec``, Fraction the exact conductances,
-    and mp.mpf the exact conductances at the current mpmath precision, each
-    converted once per network and precision (``Network.exact_conductances``).
-    """
+    """(c, a, b) over the window's edges: their ``conductances`` in ``field``
+    and both endpoints as positions in ``window.vertices``."""
     edges, a, b = edge_ends(window)
+    return conductances(window.net, edges, field), a, b
+
+
+def conductances(net, edges, field=float):
+    """The conductances of the edge ids ``edges``: float gives the float64
+    mirror ``ec``, Fraction the exact conductances, and mp.mpf the exact
+    conductances at the current mpmath precision, each converted once per
+    network and precision (``Network.exact_conductances``)."""
     if field is float:
-        c = window.net.ec[edges]
-    else:
-        c = np.empty(len(edges), dtype=object)
-        c[:] = window.net.exact_conductances(edges.tolist(), field)
-    return c, a, b
+        return net.ec[edges]
+    c = np.empty(len(edges), dtype=object)
+    c[:] = net.exact_conductances(edges.tolist(), field)
+    return c
 
 
 def field_of(values):
     """The number type of window values: float, Fraction or mp.mpf."""
     return float if values.dtype != object else type(values.flat[0])
-
-
-def edge_energy(c, a, b, u, v):
-    """sum over edges of c (u_a - u_b)(v_a - v_b)."""
-    du = u[a] - u[b]
-    dv = du if v is u else v[a] - v[b]
-    return np.sum(c * du * dv, initial=0)
 
 
 def current_energy(c, i, j):
@@ -130,28 +127,22 @@ def flow_laplacian(a, b, flow, n):
     return out
 
 
-def edge_laplacian(c, a, b, u):
-    """(Lap u) at every window position, from the currents c (u_a - u_b)."""
-    return flow_laplacian(a, b, c * (u[a] - u[b]), len(u))
-
-
 @dataclass
 class Potential:
     """Real-valued function on the vertices of a window, pinned at the origin.
 
     ``w`` holds the values on ``window.vertices`` in the field they were
-    formed in: a float64 array, or an object array of mp.mpf (formed at
-    ``dps`` digits) or of Fraction (``dps`` None). It is the only copy: ``at``
-    reads it as float64 by vertex id, and a read outside the window raises
-    DomainMismatch. ``i`` holds the mp and Fraction solves' current
-    c (w_a - w_b) on each window edge, in ``window_edges`` order; it is None
-    in the float64 lane.
+    formed in: a float64 array, or an object array of mp.mpf or of Fraction.
+    It is the only copy: ``at`` reads it as float64 by vertex id, and a read
+    outside the window raises DomainMismatch. ``i`` holds the current
+    c (w_a - w_b) on each window edge, in ``window_edges`` order, as the mp
+    and Fraction solves carry it; it is None in the float64 lane, whose edge
+    sums form the currents from the values.
     """
 
     window: SubgraphView
     w: np.ndarray
     pinned: bool = True
-    dps: object = None
     i: np.ndarray = None
 
     @property
@@ -182,32 +173,45 @@ def value_getter(values):
 
 def potential_difference(u: Potential, v: Potential) -> Potential:
     """u - v on their common window, values and currents, formed at the
-    solves' precision."""
+    precision of their field."""
     w = _common_window(u, v)
-    dps = max((d for d in (u.dps, v.dps) if d is not None), default=None)
-    with _hifi.workdps(dps):
+    with _hifi.precision(u.w, v.w):
         i = None if u.i is None or v.i is None else u.i - v.i
-        return Potential(w, u.w - v.w, pinned=u.pinned and v.pinned, dps=dps,
-                         i=i)
+        return Potential(w, u.w - v.w, pinned=u.pinned and v.pinned, i=i)
 
 
-def currents(u: Potential):
-    """u's current on each edge of its window, in ``window_edges`` order:
-    the carried ``i``, or c (w_a - w_b) formed from the values."""
-    if u.i is not None:
-        return u.i
-    c, a, b = window_edges(u.window, field_of(u.w))
-    return c * (u.w[a] - u.w[b])
+def _current(p: Potential, edges, c, a, b):
+    """p's current on the window edges ``edges`` (an index into
+    ``window_edges`` order), whose conductances are c and endpoints a, b, in
+    the field of c: the carried ``i``, or c (w_a - w_b) formed from the
+    values."""
+    if p.i is not None:
+        return p.i[edges].astype(c.dtype, copy=False)
+    w = p.w.astype(c.dtype, copy=False)
+    return c * (w[a] - w[b])
+
+
+def edge_currents(window, *pots):
+    """(c, a, b, currents): ``window_edges`` and each potential's current on
+    every window edge, all in one field.
+
+    When every potential holds mp or Fraction values that is their field,
+    and the currents are the ones their solves carry; otherwise it is
+    float64, where a carried current is read as float64 and the others are
+    formed from the values. Call it inside ``_hifi.precision`` of the
+    potentials' values, so that mp conductances and sums carry its digits.
+    """
+    hi = all(p.w.dtype == object for p in pots)
+    c, a, b = window_edges(window, field_of(pots[0].w) if hi else float)
+    return c, a, b, [_current(p, slice(None), c, a, b) for p in pots]
 
 
 def window_laplacian(u: Potential):
-    """(Lap u) at every position of u's window, in the field of u.w (mp at
-    ``EDGE_SUM_DPS``), from u's currents."""
-    with _hifi.workdps(_hifi.EDGE_SUM_DPS if u.w.dtype == object else None):
-        if u.i is None:
-            return edge_laplacian(*window_edges(u.window, field_of(u.w)), u.w)
-        _, a, b = edge_ends(u.window)
-        return flow_laplacian(a, b, u.i, len(u.w))
+    """(Lap u) at every position of u's window: the divergence of u's
+    ``edge_currents``, in their field (mp at ``EDGE_SUM_DPS``)."""
+    with _hifi.precision(u.w):
+        _, a, b, (i,) = edge_currents(u.window, u)
+        return flow_laplacian(a, b, i, len(u.w))
 
 
 def potential_from_values(net, mapping, window=None, pinned=False):
@@ -245,25 +249,21 @@ def energy(u: Potential, v: Potential) -> float:
     """Dirichlet form (1/2) sum_x sum_y c_xy (u(x)-u(y))(v(x)-v(y)).
 
     The double sum counts every edge twice, so this evaluates once per edge
-    of the common window. Symmetric, bilinear, and nonnegative on u = v.
-    When both potentials hold mp or Fraction values it is the sum of
-    i_u i_v / c over their edge currents, in that field (mp at
-    ``EDGE_SUM_DPS``): float64 products c (du)(dv) lose all digits once the
-    window's conductances span more than ~1e15. Otherwise it runs in float64,
-    over each ``w`` read as float64.
+    of the common window, as the sum of i_u i_v / c over the potentials'
+    ``edge_currents``. When both hold mp or Fraction values it runs in that
+    field (mp at ``EDGE_SUM_DPS``): products c (du)(dv) formed from values
+    lose all digits once the window's conductances span more than ~1e15.
+    Otherwise it runs in float64. Symmetric, bilinear, and nonnegative on
+    u = v.
     """
-    w = _common_window(u, v)
-    if u.w.dtype == object and v.w.dtype == object:
-        return float(_energy_hi(u, v, w))
-    # a float64 w passes through astype uncopied: v is u keeps uw is vw
-    uw, vw = u.w.astype(float, copy=False), v.w.astype(float, copy=False)
-    return float(edge_energy(*window_edges(w), uw, vw))
+    return float(_energy_hi(u, v, _common_window(u, v)))
 
 
 def _energy_hi(u: Potential, v: Potential, w):
-    with _hifi.workdps(_hifi.EDGE_SUM_DPS):
-        c, _, _ = window_edges(w, field_of(u.w))
-        return current_energy(c, currents(u), currents(v))
+    with _hifi.precision(u.w, v.w):
+        # v is u forms its currents once
+        c, _, _, i = edge_currents(w, *((u,) if v is u else (u, v)))
+        return current_energy(c, i[0], i[-1])
 
 
 @dataclass
@@ -284,7 +284,7 @@ def window_defect(u: Potential) -> WindowDefect:
     half_in = w.mask[net.ei] ^ w.mask[net.ej]
     # boundary flux: window-restricted Laplacian at boundary vertices
     lap = window_laplacian(u)
-    with _hifi.workdps(_hifi.EDGE_SUM_DPS if u.w.dtype == object else None):
+    with _hifi.precision(lap):
         flux = float(np.sum(np.abs(lap[w.bd_mask[w.vertices]])))
     return WindowDefect(
         excluded_edges=int(np.sum(half_in)),
@@ -294,8 +294,8 @@ def window_defect(u: Potential) -> WindowDefect:
 
 
 def laplacian(v: Potential, at: int) -> float:
-    """(Lap v)(x) = sum_{y ~ x} c_xy (v(x) - v(y)): the sum of v's carried
-    currents at x (in mp at ``EDGE_SUM_DPS``), or its terms in float64.
+    """(Lap v)(x) = sum_{y ~ x} c_xy (v(x) - v(y)): the sum of v's currents
+    out of x, in the field of v.w (mp at ``EDGE_SUM_DPS``).
 
     Requires every neighbor of ``at`` to be materialized and inside the
     potential's window.
@@ -305,23 +305,29 @@ def laplacian(v: Potential, at: int) -> float:
         raise DomainMismatch(f"vertex {at} is not in the network")
     if net.frontier_mask[at]:
         raise MissingNeighborValue(f"vertex {at} is on the materialization frontier")
-    nbrs, conds = net.neighbors(at)
+    nbrs, _ = net.neighbors(at)
     if not np.all(v.window.mask[nbrs]):
         raise MissingNeighborValue(f"a neighbor of {at} lies outside the window")
-    if v.i is not None:
-        return _flow_out(v, at, nbrs)
-    return float(np.sum(conds * (v.at(at) - v.at(nbrs))))
+    return _flow_out(v, at, nbrs)
 
 
 def _flow_out(v: Potential, at, nbrs):
-    """The sum of v's carried currents out of ``at`` along its window edges
-    to ``nbrs``, as float64; DomainMismatch for a vertex outside the window."""
+    """The sum of v's currents out of ``at`` along its window edges to
+    ``nbrs``, as float64, formed on those edges alone; DomainMismatch for a
+    vertex outside the window."""
     v.window.index([at, *nbrs])
-    edges = np.flatnonzero(v.window.edge_mask)
-    ei, ej = v.net.ei[edges], v.net.ej[edges]
-    out, back = (ei == at) & np.isin(ej, nbrs), (ej == at) & np.isin(ei, nbrs)
-    with _hifi.workdps(_hifi.EDGE_SUM_DPS):
-        return float(np.sum(v.i[out]) - np.sum(v.i[back]))
+    net, mask = v.net, v.window.edge_mask
+    touch = np.flatnonzero(((net.ei == at) | (net.ej == at)) & mask)
+    out = touch[(net.ei[touch] == at) & np.isin(net.ej[touch], nbrs)]
+    e = np.concatenate(
+        [out, touch[(net.ej[touch] == at) & np.isin(net.ei[touch], nbrs)]])
+    # their positions in window_edges order
+    sel = np.array([np.count_nonzero(mask[:k]) for k in e], dtype=np.int64)
+    with _hifi.precision(v.w):
+        c = conductances(net, e, field_of(v.w))
+        i = _current(v, sel, c, v.window.index(net.ei[e]),
+                     v.window.index(net.ej[e]))
+        return float(np.sum(i[:len(out)]) - np.sum(i[len(out):]))
 
 
 def dirac_pairing(u: Potential, at: int) -> float:
@@ -345,8 +351,5 @@ def normal_derivative(v: Potential, H: SubgraphView, at: int) -> float:
         raise DomainMismatch(f"vertex {at} is not in the network")
     if not H.bd_mask[at]:
         raise NotBoundaryVertex(f"vertex {at} is not in bd H")
-    nbrs, conds = v.net.neighbors(at)
-    inside = H.mask[nbrs]
-    if v.i is not None:
-        return _flow_out(v, at, nbrs[inside])
-    return float(np.sum(conds[inside] * (v.at(at) - v.at(nbrs[inside]))))
+    nbrs, _ = v.net.neighbors(at)
+    return _flow_out(v, at, nbrs[H.mask[nbrs]])

@@ -31,15 +31,16 @@ alongside its values, so each step is a few matrix-vector products:
   the column shows that eps_n has lost orthogonality to the earlier eps_j.
 
 The construction and every identity check are written once, over numpy
-arrays in the construction field: mpf object arrays at the mp lane's one
-precision (``EDGE_SUM_DPS``) whenever every kernel's ``w`` holds mp or
-Fraction values, float64 arrays otherwise. In mp the kernels' increments are
-their edge currents over c, dK = i / c, right relative to themselves however
-large c is. The Laplacian check reads the carried c dQ. In every product of
-an mpf with an array, the array stands on the left: an mpf on the left makes
-mpmath format the whole array before numpy takes over. The public matrices
-are float64; the deviations of the identity checks are evaluated in the
-construction field, at the recorded construction precision.
+arrays in the construction field, the field of the kernels'
+``edge_currents``: mpf object arrays at the mp lane's one precision
+(``EDGE_SUM_DPS``) whenever every kernel's ``w`` holds mp or Fraction values,
+float64 arrays otherwise. In both the kernels' increments are their edge
+currents over c, dK = c dK / c; in mp the currents are the solves' own,
+right relative to themselves however large c is. The Laplacian check reads
+the carried c dQ. In every product of an mpf with an array, the array stands
+on the left: an mpf on the left makes mpmath format the whole array before
+numpy takes over. The public matrices are float64; the deviations of the
+identity checks are evaluated in the construction field, at its precision.
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ import mpmath as mp
 import numpy as np
 
 from . import _hifi
-from .energy import (Potential, current_energy, currents, edge_ends, energy,
-                     field_of, flow_laplacian, value_getter, window_edges)
+from .energy import (Potential, current_energy, edge_currents, edge_ends,
+                     energy, field_of, flow_laplacian, value_getter,
+                     window_edges)
 from .errors import DimensionMismatch, GramDegenerate, InvalidParameters
 from .network import enumerate_vertices
 from .solver import solve_dipole_level
@@ -74,7 +76,6 @@ class OnbSystem:
     orth_dev: float
     pivot_min: float
     field: str                 # "float64" or "mp"
-    dps: object = None         # mp construction precision (digits), if mp-built
     _work: tuple = None        # (eps, M, E, V) in the construction field
     _flows: np.ndarray = None  # c d(eps): the eps_j's edge currents, likewise
 
@@ -84,8 +85,8 @@ class OnbSystem:
 
     def eps_potential(self, k):
         """eps_k as a Potential (1-indexed), in the construction field."""
-        return Potential(self.window, self._work[0][:, k - 1], dps=self.dps,
-                         i=self._flows[:, k - 1] if self.dps else None)
+        return Potential(self.window, self._work[0][:, k - 1],
+                         i=self._flows[:, k - 1])
 
 
 def _sqrt(x):
@@ -107,19 +108,18 @@ def gram_schmidt(kernels, enumeration):
     if len(kernels) != len(enumeration):
         raise DimensionMismatch("one enumeration vertex per kernel")
     net, window = kernels[0].net, kernels[0].window
-    hi = all(k.w.dtype == object for k in kernels)
-    dps = _hifi.EDGE_SUM_DPS if hi else None
-    with _hifi.workdps(dps):
-        K = np.stack([k.w if hi else k.w.astype(float) for k in kernels], axis=1)
-        c, a, b = window_edges(window, mp.mpf if hi else float)
-        # in mp the increments come from the kernels' currents
-        cdK = (np.stack([currents(k) for k in kernels], axis=1) if hi
-               else c[:, None] * (K[a] - K[b]))
+    with _hifi.precision(*(k.w for k in kernels)):
+        c, a, b, cur = edge_currents(window, *kernels)
+        hi = c.dtype == object
+        K = np.stack([k.w.astype(c.dtype, copy=False) for k in kernels],
+                     axis=1)
+        cdK = np.stack(cur, axis=1)
         if field_of(K) is Fraction:
             # exact kernels are orthonormalized in mp
-            K, cdK = (np.vectorize(_hifi.to_mpf, otypes=[object])(A)
-                      for A in (K, cdK))
-        dK = cdK / c[:, None] if hi else K[a] - K[b]
+            K, cdK, c = (np.vectorize(_hifi.to_mpf, otypes=[object])(A)
+                         for A in (K, cdK, c))
+        # the increments come from the kernels' currents
+        dK = cdK / c[:, None]
         N = len(kernels)
         Q, dQ, cdQ = np.zeros_like(K), np.zeros_like(dK), np.zeros_like(dK)
         V, E, M, G = (np.zeros((N, N), dtype=K.dtype) for _ in range(4))
@@ -161,7 +161,7 @@ def gram_schmidt(kernels, enumeration):
                      M=M.astype(float), E=E.astype(float), V=V.astype(float),
                      eps=Q.astype(float), orth_dev=float(orth),
                      pivot_min=float(pivot_min),
-                     field="float64" if dps is None else "mp", dps=dps,
+                     field="mp" if hi else "float64",
                      _work=(Q, M, E, V), _flows=cdQ)
 
 
@@ -204,10 +204,11 @@ def build_onb(source, N, radius=None, lane="mp"):
 
 
 def _at_onb_precision(check):
-    """Run an identity check at the precision the ONB was built at."""
+    """Run an identity check at the precision of the ONB's construction
+    field."""
     @functools.wraps(check)
     def run(onb, *args, **kwargs):
-        with _hifi.workdps(onb.dps):
+        with _hifi.precision(onb._flows):
             return check(onb, *args, **kwargs)
     return run
 

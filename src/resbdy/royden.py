@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _hifi
-from .energy import (Potential, current_energy, currents, edge_energy,
-                     edge_laplacian, energy, field_of, flow_laplacian,
-                     potential_difference, window_edges)
+from .energy import (Potential, current_energy, edge_currents, energy,
+                     flow_laplacian, potential_difference)
 from .errors import InvalidParameters
 from .network import default_exhaustion
 from .solver import ConvergenceReport, energy_kernel, solve_dipole_level
@@ -119,23 +118,17 @@ def _solved_on(pot: Potential, window):
 def _split_sums(v: Potential, f: Potential, h: Potential):
     """E(v), E(f), E(h), E(f, h) and max |Lap h| over the window's interior.
 
-    The sums run in the potentials' field over one pass of the window's
-    edges, each energy bit for bit as ``energy``. mp and Fraction sums read
-    the solves' edge currents: formed from values, the residual's error
-    scales like c(x) * eps * |h|.
+    The sums run over the potentials' ``edge_currents``, taken in one pass
+    of the window's edges, each energy bit for bit as ``energy``. In mp and
+    Fraction they are the solves' carried currents: formed from values, the
+    residual's error would scale like c(x) * eps * |h|.
     """
     window = h.window
-    pairs = ((v, v), (f, f), (h, h), (f, h))
-    hi = h.w.dtype == object
-    with _hifi.workdps(_hifi.EDGE_SUM_DPS if hi else None):
-        c, a, b = window_edges(window, field_of(h.w))
-        if hi:
-            sums = [current_energy(c, currents(x), currents(y))
-                    for x, y in pairs]
-            lap = flow_laplacian(a, b, currents(h), len(h.w))
-        else:
-            sums = [edge_energy(c, a, b, x.w, y.w) for x, y in pairs]
-            lap = edge_laplacian(c, a, b, h.w)
+    with _hifi.precision(v.w, f.w, h.w):
+        c, a, b, (iv, i_f, ih) = edge_currents(window, v, f, h)
+        sums = [current_energy(c, x, y)
+                for x, y in ((iv, iv), (i_f, i_f), (ih, ih), (i_f, ih))]
+        lap = flow_laplacian(a, b, ih, len(h.w))
         inner = ~window.bd_mask[window.vertices]
         resid = float(np.max(np.abs(lap[inner]))) if inner.any() else 0.0
     return (*map(float, sums), resid)

@@ -220,20 +220,18 @@ def solve_dipole_level(window: SubgraphView, x, bc="free", rhs=None,
 
     lane = pick_lane(net, window, lane)
     if lane == "float64":
-        dps, cur = None, None
-        sol = _solve_float64(window, held, rhs)
+        sol, cur = _solve_float64(window, held, rhs), None
     elif lane in ("mp", "fraction"):
         field = (_hifi.FractionField() if lane == "fraction"
                  else _hifi.MPField(_hifi.EDGE_SUM_DPS))
-        dps = field.dps
         sol, cur = _hifi.hi_solve(net, window, rhs, dirichlet_zero=dirichlet,
                                   pin=pin, field=field)
     else:
         raise InvalidParameters(f"unknown lane {lane!r}")
     # the window solution minus its value at o; the currents do not change
-    with _hifi.workdps(dps):
+    with _hifi.precision(sol):
         sol = sol - sol[window.index(o)]
-    return Potential(window, sol, dps=dps, i=cur)
+    return Potential(window, sol, i=cur)
 
 
 @dataclass

@@ -1,6 +1,7 @@
-"""The window edge sums in float64, mp and Fraction, with Fraction as the
-oracle: the finite Gauss-Green identity holds exactly, and the other fields
-agree with the exact sums to their precision."""
+"""The window edge sums (``edge_currents`` with ``current_energy`` and
+``flow_laplacian``) in float64, mp and Fraction, with Fraction as the oracle:
+the finite Gauss-Green identity holds exactly, and the other fields agree
+with the exact sums to their precision."""
 
 from fractions import Fraction
 
@@ -8,8 +9,8 @@ import mpmath as mp
 import numpy as np
 from hypothesis import given, strategies as st
 
-from resbdy import LadderGenerator, _hifi, solve_dipole_level
-from resbdy.energy import edge_energy, edge_laplacian, window_edges
+from resbdy import LadderGenerator, Potential, _hifi, solve_dipole_level
+from resbdy.energy import current_energy, edge_currents, flow_laplacian
 from tests.test_hifi import exact_networks
 
 MP_DPS = 40
@@ -21,6 +22,14 @@ def _objects(values):
     out = np.empty(len(values), dtype=object)
     out[:] = values
     return out
+
+
+def _sums(window, u, v):
+    """(c, a, b, E(u, v), Lap v) over the window's edge currents of the
+    values u and v, in the field ``edge_currents`` takes them in."""
+    c, a, b, (iu, iv) = edge_currents(window, Potential(window, u),
+                                      Potential(window, v))
+    return c, a, b, current_energy(c, iu, iv), flow_laplacian(a, b, iv, len(v))
 
 
 def _windows(net):
@@ -35,9 +44,7 @@ def test_edge_sums_agree_across_fields(net, data):
         n = len(window.vertices)
         u, v = (_objects(data.draw(st.lists(RATIONALS, min_size=n, max_size=n)))
                 for _ in range(2))
-        c, a, b = window_edges(window, Fraction)
-        e = edge_energy(c, a, b, u, v)
-        lap = edge_laplacian(c, a, b, v)
+        c, a, b, e, lap = _sums(window, u, v)
         # finite Gauss-Green: E(u, v) = sum_x u(x) (Lap v)(x), exactly
         assert sum(u * lap) == e
         assert sum(lap) == 0
@@ -50,35 +57,37 @@ def test_edge_sums_agree_across_fields(net, data):
 
         with mp.workdps(MP_DPS):
             to_mp = np.vectorize(_hifi.to_mpf, otypes=[object])
-            cm, am, bm = window_edges(window, mp.mpf)
-            um, vm = to_mp(u), to_mp(v)
-            em = edge_energy(cm, am, bm, um, vm)
-            lapm = edge_laplacian(cm, am, bm, vm)
+            _, _, _, em, lapm = _sums(window, to_mp(u), to_mp(v))
             tol = mp.mpf(10) ** -(MP_DPS - 5)
             assert abs(em - _hifi.to_mpf(e)) <= tol * e_scale
             for x in range(n):
                 assert abs(lapm[x] - lap[x]) <= tol * lap_scale[x]
 
-        cf, af, bf = window_edges(window)
-        uf, vf = u.astype(float), v.astype(float)
-        assert abs(edge_energy(cf, af, bf, uf, vf) - e) <= 1e-12 * e_scale
-        lapf = edge_laplacian(cf, af, bf, vf)
+        _, _, _, ef, lapf = _sums(window, u.astype(float), v.astype(float))
+        assert abs(ef - e) <= 1e-12 * e_scale
         for x in range(n):
             assert abs(lapf[x] - lap[x]) <= 1e-12 * lap_scale[x]
+
+        # an exact potential carrying its currents, paired with a float64
+        # one: both currents are read in float64
+        exact = Potential(window, u, i=c * (u[a] - u[b]))
+        cf, _, _, (iu, iv) = edge_currents(window, exact,
+                                           Potential(window, v.astype(float)))
+        assert cf.dtype == iu.dtype == iv.dtype == float
+        assert abs(current_energy(cf, iu, iv) - e) <= 1e-12 * e_scale
 
 
 def test_laplacian_adds_flows_edge_by_edge():
     # at EDGE_SUM_DPS the order of the additions shows in the last digits
     gen = LadderGenerator(5, 0.9)
     window = gen.ball(31).ball_view(30)
-    u = solve_dipole_level(window, gen.x(2), bc="free", lane="mp").w
-    for field, values in ((mp.mpf, u), (float, u.astype(float))):
-        with mp.workdps(_hifi.EDGE_SUM_DPS):
-            c, a, b = window_edges(window, field)
-            lap = edge_laplacian(c, a, b, values)
-            ref = [0] * len(values)
-            for ck, ak, bk in zip(c, a, b):
-                flow = ck * (values[ak] - values[bk])
+    u = solve_dipole_level(window, gen.x(2), bc="free", lane="mp")
+    for pot in (u, Potential(window, u.w.astype(float))):
+        with _hifi.precision(pot.w):
+            _, a, b, (flows,) = edge_currents(window, pot)
+            lap = flow_laplacian(a, b, flows, len(pot.w))
+            ref = [0] * len(pot.w)
+            for flow, ak, bk in zip(flows, a, b):
                 ref[ak] = ref[ak] + flow
                 ref[bk] = ref[bk] - flow
         assert list(lap) == ref

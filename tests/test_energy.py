@@ -6,11 +6,19 @@ from hypothesis import given, strategies as st
 
 from resbdy import (build_finite, delta, dirac_pairing, energy, laplacian,
                     normal_derivative, potential_from_values, window_defect)
-from resbdy.energy import SubgraphView, edge_laplacian, window_edges
+from resbdy.energy import SubgraphView, flow_laplacian, window_edges
 from resbdy.errors import (DomainMismatch, MissingNeighborValue,
                            NotBoundaryVertex)
 from resbdy.solver import solve_dipole_level
 from tests.conftest import random_edge_list
+
+
+def _exact_laplacian(window, w):
+    """The window Laplacian of the exact values w, from the currents
+    c (w_a - w_b) formed from them: the reference the carried currents
+    must reproduce."""
+    c, a, b = window_edges(window, Fraction)
+    return flow_laplacian(a, b, c * (w[a] - w[b]), len(w))
 
 
 def test_energy_of_dirac_is_total_conductance(triangle, star4):
@@ -165,7 +173,7 @@ def test_window_defect_sums_in_the_potentials_field():
     from resbdy import LadderGenerator
     view = LadderGenerator(5, 0.9).ball(7).ball_view(6)
     fr = solve_dipole_level(view, 2, "wired", lane="fraction")
-    lap = edge_laplacian(*window_edges(view, Fraction), fr.w)
+    lap = _exact_laplacian(view, fr.w)
     exact = float(sum(abs(lap[view.bd_mask[view.vertices]])))
     assert window_defect(fr).boundary_flux == exact
     mp_pot = solve_dipole_level(view, 2, "wired", lane="mp")
@@ -217,6 +225,18 @@ def test_normal_derivative_of_an_exact_potential_is_exact():
     # exact Laplacian of v restricted to H
     v, H, _ = _ladder_dipole(40, lane="fraction")
     at = v.window.index(H.vertices)
-    lap = edge_laplacian(*window_edges(H, Fraction), v.w[at])
+    lap = _exact_laplacian(H, v.w[at])
     for b in H.bd.tolist():
         assert normal_derivative(v, H, b) == float(lap[H.index(b)])
+
+
+def test_dirac_pairing_of_an_mp_potential_reads_its_currents():
+    # delta_x is float64 and u is mp: the pairing runs in float64 over u's
+    # carried currents, where reading u's values as float64 gave -7.6e-3 at
+    # x_20 against a Laplacian of 1.7e-52
+    from resbdy import LadderGenerator
+    gen = LadderGenerator(5, 1)
+    window = gen.ball(41).ball_view(40)
+    u = solve_dipole_level(window, gen.x(1), lane="mp")
+    for at in (gen.x(1), gen.x(20), window.net.origin):
+        assert abs(dirac_pairing(u, at) - laplacian(u, at)) <= 1e-12

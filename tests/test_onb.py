@@ -13,7 +13,7 @@ from resbdy import (GeometricHalfLineGenerator, IntegerLatticeGenerator,
                     gram_product_check, gram_schmidt, kronecker_sum_check,
                     number_operator, p_seminorm, reconstruction_check,
                     solve_dipole_level)
-from resbdy.energy import edge_energy, field_of, window_edges
+from resbdy.energy import field_of, window_edges
 from resbdy.errors import GramDegenerate, InvalidParameters
 from resbdy.onb import (DEGENERACY_TOL, REORTH_THRESHOLD, _sqrt,
                         number_pairing_check)
@@ -183,19 +183,24 @@ def test_build_onb_rejects_oversized_N(triangle):
 # -- the edge-increment construction against the loop it replaced ------------
 
 
+def _edge_energy(c, a, b, u, v):
+    """sum over edges of c (u_a - u_b)(v_a - v_b), formed from the values."""
+    return np.sum(c * (u[a] - u[b]) * (v[a] - v[b]), initial=0)
+
+
 def _reference_gram_schmidt(kernels, enumeration,
                             degeneracy_tol=DEGENERACY_TOL,
                             reorth_threshold=REORTH_THRESHOLD):
     """The earlier construction, for mp and float64 kernels: modified
-    Gram-Schmidt with one edge sum per inner product. Returns (M, E, V, Q,
-    pivot_min, dps), the arrays in the construction field."""
+    Gram-Schmidt with one edge sum of values per inner product. Returns (M,
+    E, V, Q, pivot_min), the arrays in the construction field."""
     window = kernels[0].window
     hi = all(k.w.dtype == object for k in kernels)
-    dps = _hifi.EDGE_SUM_DPS if hi else None
-    with _hifi.workdps(dps):
+    with _hifi.precision(*(k.w for k in kernels)):
         K = np.stack([k.w if hi else k.at(window.vertices)
                       for k in kernels], axis=1)
-        dot = functools.partial(edge_energy, *window_edges(window, field_of(K)))
+        dot = functools.partial(_edge_energy,
+                                *window_edges(window, field_of(K)))
         N = len(kernels)
         V = np.array([[dot(K[:, i], K[:, j]) for j in range(N)]
                       for i in range(N)], dtype=K.dtype)
@@ -233,7 +238,7 @@ def _reference_gram_schmidt(kernels, enumeration,
                     if E[n, j] and M[j, k2]:
                         s -= E[n, j] * M[j, k2]
                 M[n, k2] = s / piv
-    return M, E, V, Q, pivot_min, dps
+    return M, E, V, Q, pivot_min
 
 
 def _kernels_of(onb, lane):
@@ -249,10 +254,10 @@ def test_gram_schmidt_matches_the_modified_gram_schmidt_loop(gen, N, lane, rel):
     onb = build_onb(gen, N, lane=lane)
     kernels = _kernels_of(onb, lane)
     new = gram_schmidt(kernels, onb.enumeration)
-    M, E, V, Q, ref_pivot, dps = _reference_gram_schmidt(kernels,
-                                                         onb.enumeration)
-    assert new.dps == dps
-    with _hifi.workdps(dps):
+    M, E, V, Q, ref_pivot = _reference_gram_schmidt(kernels, onb.enumeration)
+    assert new.field == ("mp" if Q.dtype == object else "float64")
+    assert all(got.dtype == Q.dtype for got in new._work)
+    with _hifi.precision(Q):
         for got, want in zip(new._work, (Q, M, E, V)):
             assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
     if lane == "mp":
@@ -285,7 +290,7 @@ def test_float64_pivot_of_nearly_dependent_kernels_is_an_edge_sum():
         edges = window_edges(window, mp.mpf)
         K1, K2 = (np.array([mp.mpf(float(x)) for x in k.w], dtype=object)
                   for k in (k1, k2))
-        e11, e12, e22 = (edge_energy(*edges, a, b)
+        e11, e12, e22 = (_edge_energy(*edges, a, b)
                          for a, b in ((K1, K1), (K1, K2), (K2, K2)))
         ref = float(mp.sqrt(e22 - e12 ** 2 / e11))
     assert onb.pivot_min == pytest.approx(ref, rel=1e-6)

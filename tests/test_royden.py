@@ -1,5 +1,6 @@
 import dataclasses
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -50,7 +51,7 @@ def _residual_by_vertex(h, check_vertices):
     """max |Lap h| over check_vertices, h's edge currents summed edge by edge
     at EDGE_SUM_DPS."""
     net, window = h.net, h.window
-    with _hifi.workdps(_hifi.EDGE_SUM_DPS):
+    with mp.workdps(_hifi.EDGE_SUM_DPS):
         res = dict.fromkeys(check_vertices.tolist(), h.w[0] * 0)
         for k, flow in zip(np.flatnonzero(window.edge_mask).tolist(), h.i):
             a, b = int(net.ei[k]), int(net.ej[k])

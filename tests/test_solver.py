@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -224,7 +225,8 @@ def test_auto_lane_takes_a_window_past_the_float_range_to_mp():
     view = LadderGenerator(1000, 0.001).ball(56).ball_view(55)
     assert solver.pick_lane(view.net, view) == "mp"
     v = solve_dipole_level(view, 2)
-    assert v.dps is not None and v.w.dtype == object   # the mp lane's field
+    # the mp lane's field, with the currents the mp solve carries
+    assert isinstance(v.w[0], mp.mpf) and isinstance(v.i[0], mp.mpf)
     value = v.value(2)
     assert np.isfinite(value)
     assert abs(energy(v, v) - value) <= 1e-12 * abs(value)
