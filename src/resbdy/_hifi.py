@@ -29,13 +29,21 @@ eliminated row (see ``hi_solve``), at the cost of the sum of the squared row
 lengths, and the solve returns the current on every window edge, right
 relative to itself: against a solve at twice the precision on ladder(5, 1),
 off by at most 1.2e-49 at radius 300 and 1.3e-48 at radius 2500
-(conductances up to 5^2500). A solve restores mpmath's precision on exit.
+(conductances up to 5^2500).
+
+Precision belongs to the numbers. An ``MPField`` makes its mpf values from a
+private mpmath context at its digit count, one context per count, so every
+mpf the lane forms (solve values, currents, converted conductances and
+whatever is computed from them) rounds at that precision whatever
+``mpmath.mp.dps`` is. The library never reads or writes ``mpmath.mp``. An
+operation between mpf values of two contexts runs at the precision of the
+left operand's.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -48,30 +56,31 @@ from .errors import InvalidParameters, SingularSystem
 EDGE_SUM_DPS = 50
 
 
-def precision(*arrays):
-    """The precision of an edge sum over ``arrays``: ``EDGE_SUM_DPS`` digits
-    when any of them holds objects (mp or Fraction values), none otherwise."""
-    hi = any(x.dtype == object for x in arrays)
-    return mp.workdps(EDGE_SUM_DPS) if hi else nullcontext()
-
-
-def to_mpf(fr: Fraction):
-    """Fraction -> mpf at the current precision."""
+def to_mpf(fr: Fraction, mpf):
+    """Fraction -> the mpf type ``mpf``, rounded at its precision."""
     if fr.denominator == 1:
-        return mp.mpf(fr.numerator)
-    return mp.mpf(fr.numerator) / mp.mpf(fr.denominator)
+        return mpf(fr.numerator)
+    return mpf(fr.numerator) / mpf(fr.denominator)
 
 
 class FractionField:
     number = Fraction
-    dps = None
+
+
+@lru_cache(maxsize=None)
+def _context(dps):
+    ctx = mp.MPContext()
+    ctx.dps = dps
+    return ctx
 
 
 class MPField:
-    number = mp.mpf
+    """mpf values at ``dps`` digits, from a private context shared by every
+    field of that digit count."""
 
     def __init__(self, dps):
         self.dps = dps
+        self.number = _context(dps).mpf
 
 
 def ranks(mask):
@@ -119,7 +128,8 @@ def grounded_system(window, held, rhs, field):
     if outside:
         raise InvalidParameters(f"rhs vertex {outside[0]} is outside the window")
     live, rank = ranks(unknown)
-    conv = {float: float, Fraction: Fraction}.get(field, to_mpf)
+    conv = {float: float, Fraction: Fraction}.get(
+        field, lambda fr: to_mpf(fr, field))
     zero = conv(Fraction(0))
     dtype = float if field is float else object
     b = np.full(len(verts), zero, dtype=dtype)
@@ -147,8 +157,8 @@ def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
         the unknowns (wired semantics); ``pin`` fixes one vertex at 0 for the
         otherwise-singular free system.
     rhs : dict vertex -> number, every vertex inside the window
-    field : FractionField or MPField. An MPField's ``dps`` is the precision
-        of the whole solve; mpmath's precision is restored on return.
+    field : FractionField or MPField. The solve runs in its number type,
+        an MPField's at its ``dps`` digits.
 
     Returns ``(x, i)``: the solution over ``window.vertices``, 0 at the
     held vertices, and the current c_e (x_a - x_b) on every window edge in
@@ -156,85 +166,83 @@ def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
     """
     from .energy import window_edges
     held = list(dirichlet_zero) + ([] if pin is None else [pin])
-    with mp.workdps(field.dps) if field.dps else nullcontext():
-        live, g, (u, v, c), b = grounded_system(window, held, rhs,
-                                                field.number)
-        verts = window.vertices[live]
-        order = np.lexsort((verts, net.level[verts]))[::-1]
-        n = len(order)
+    live, g, (u, v, c), b = grounded_system(window, held, rhs, field.number)
+    verts = window.vertices[live]
+    order = np.lexsort((verts, net.level[verts]))[::-1]
+    n = len(order)
 
-        # row k holds c_kj for the unknowns j > k in elimination order (elim,
-        # -1 at held positions); g[k] is k's conductance to the held vertices
-        elim = np.full(len(window.vertices), -1, dtype=np.int64)
-        elim[live[order]] = np.arange(n)
-        at = elim[live]
-        cond = [{} for _ in range(n)]
-        for i, j, cij in zip(at[u].tolist(), at[v].tolist(), c):
-            cond[min(i, j)][max(i, j)] = cij
-        g = g[order].tolist()
-        x = b[order].tolist()
+    # row k holds c_kj for the unknowns j > k in elimination order (elim,
+    # -1 at held positions); g[k] is k's conductance to the held vertices
+    elim = np.full(len(window.vertices), -1, dtype=np.int64)
+    elim[live[order]] = np.arange(n)
+    at = elim[live]
+    cond = [{} for _ in range(n)]
+    for i, j, cij in zip(at[u].tolist(), at[v].tolist(), c):
+        cond[min(i, j)][max(i, j)] = cij
+    g = g[order].tolist()
+    x = b[order].tolist()
 
-        # eliminate k: pivot d_k = g_k + sum_j c_kj; each neighbour i > k gains
-        # t_i = c_ik / d_k times row k, its conductance to 0 and its rhs. Row k
-        # keeps y_k = b_k / d_k in x[k] and q_k = g_k / d_k in g[k]
-        weights = [None] * n
-        for k in range(n):
-            row = sorted(cond[k].items())
-            gk = piv = g[k]
-            for _, c in row:
-                piv = piv + c
-            if not piv:
-                raise SingularSystem("zero pivot; window may be disconnected")
-            r = 1 / piv
-            ts = [(i, c * r) for i, c in row]
-            bk = x[k]
-            for a, (i, t) in enumerate(ts):
-                if gk:
-                    g[i] = g[i] + t * gk
-                if bk:
-                    x[i] = x[i] + t * bk
-                ci = cond[i]
-                for j, c in row[a + 1:]:
-                    old = ci.get(j)
-                    ci[j] = t * c if old is None else old + t * c
-            x[k], g[k] = bk * r, gk * r
-            weights[k] = ts
-            cond[k] = None
+    # eliminate k: pivot d_k = g_k + sum_j c_kj; each neighbour i > k gains
+    # t_i = c_ik / d_k times row k, its conductance to 0 and its rhs. Row k
+    # keeps y_k = b_k / d_k in x[k] and q_k = g_k / d_k in g[k]
+    weights = [None] * n
+    for k in range(n):
+        row = sorted(cond[k].items())
+        gk = piv = g[k]
+        for _, c in row:
+            piv = piv + c
+        if not piv:
+            raise SingularSystem("zero pivot; window may be disconnected")
+        r = 1 / piv
+        ts = [(i, c * r) for i, c in row]
+        bk = x[k]
+        for a, (i, t) in enumerate(ts):
+            if gk:
+                g[i] = g[i] + t * gk
+            if bk:
+                x[i] = x[i] + t * bk
+            ci = cond[i]
+            for j, c in row[a + 1:]:
+                old = ci.get(j)
+                ci[j] = t * c if old is None else old + t * c
+        x[k], g[k] = bk * r, gk * r
+        weights[k] = ts
+        cond[k] = None
 
-        # back-substitution: x_k = y_k + sum_j t_kj x_j, and across each pair
-        # (k, m) of row k the difference x_k - x_m = y_k - q_k x_m +
-        # sum_{j != m} t_kj (x_j - x_m), since sum_j t_kj = 1 - q_k. Each pair
-        # (j, m) is a pair of a later row, whose difference is already known.
-        diff = [None] * n
-        for k in range(n - 1, -1, -1):
-            ts, y, q = weights[k], x[k], g[k]
-            s = y
+    # back-substitution: x_k = y_k + sum_j t_kj x_j, and across each pair
+    # (k, m) of row k the difference x_k - x_m = y_k - q_k x_m +
+    # sum_{j != m} t_kj (x_j - x_m), since sum_j t_kj = 1 - q_k. Each pair
+    # (j, m) is a pair of a later row, whose difference is already known.
+    diff = [None] * n
+    for k in range(n - 1, -1, -1):
+        ts, y, q = weights[k], x[k], g[k]
+        s = y
+        for j, t in ts:
+            s = s + t * x[j]
+        dk = diff[k] = {}
+        for m, _ in ts:
+            d = y - q * x[m] if q else y
             for j, t in ts:
-                s = s + t * x[j]
-            dk = diff[k] = {}
-            for m, _ in ts:
-                d = y - q * x[m] if q else y
-                for j, t in ts:
-                    if j < m:
-                        d = d + t * diff[j][m]
-                    elif j > m:
-                        d = d - t * diff[m][j]
-                dk[m] = d
-            x[k] = s
-            weights[k] = None
+                if j < m:
+                    d = d + t * diff[j][m]
+                elif j > m:
+                    d = d - t * diff[m][j]
+            dk[m] = d
+        x[k] = s
+        weights[k] = None
 
-        # the current on each window edge: c_e times the carried difference
-        # between two unknowns, or c_e x at an edge to a held vertex
-        c, ea, eb = window_edges(window, field.number)
-        zero, i = field.number(0), np.empty(len(c), dtype=object)
-        ends = zip(c, elim[ea].tolist(), elim[eb].tolist())
-        for e, (ce, p, q) in enumerate(ends):
-            if p < 0:
-                i[e] = zero if q < 0 else -(ce * x[q])
-            elif q < 0:
-                i[e] = ce * x[p]
-            else:
-                i[e] = ce * diff[p][q] if p < q else -(ce * diff[q][p])
-        sol = np.full(len(window.vertices), zero, dtype=object)
-        sol[live[order]] = x
-        return sol, i
+    # the current on each window edge: c_e times the carried difference
+    # between two unknowns, or c_e x at an edge to a held vertex
+    c, ea, eb = window_edges(window, field.number)
+    zero, i = field.number(0), np.empty(len(c), dtype=object)
+    ends = zip(c, elim[ea].tolist(), elim[eb].tolist())
+    for e, (ce, p, q) in enumerate(ends):
+        if p < 0:
+            i[e] = zero if q < 0 else -(ce * x[q])
+        elif q < 0:
+            i[e] = ce * x[p]
+        else:
+            i[e] = ce * diff[p][q] if p < q else -(ce * diff[q][p])
+    sol = np.full(len(window.vertices), zero, dtype=object)
+    sol[live[order]] = x
+    return sol, i

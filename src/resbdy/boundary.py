@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _hifi
 from .energy import (Potential, edge_currents, edge_ends, energy,
                      flow_laplacian, potential_difference, value_getter,
                      window_laplacian)
@@ -80,31 +79,30 @@ def gauss_green_verify(u: Potential, v: Potential, exhaustion=None):
                       for r in range(1, int(u.net.level.max()) + 1)]
     target = energy(u, v)
     rep = GaussGreenReport(target=target)
-    with _hifi.precision(u.w, v.w):
-        # each window edge's current of v and energy term, formed once
-        c, a, b, (iu, iv) = edge_currents(u.window, u, v)
-        uw = u.w.astype(c.dtype, copy=False)
-        terms = iu * (iv / c)
-        ids = edge_ends(u.window)[0]
-        for r, view in exhaustion:
-            at = u.window.index(view.vertices)
-            ends, a, b = edge_ends(view)
-            sel = np.searchsorted(ids, ends)
-            lap_v = flow_laplacian(a, b, iv[sel], len(at))
-            wen = np.sum(terms[sel], initial=0)
-            bd = view.bd_mask[view.vertices]
-            interior = np.sum(uw[at][~bd] * lap_v[~bd])
-            bnd = np.sum(uw[at][bd] * lap_v[bd])
-            total = interior + bnd
-            rep.radii.append(int(r))
-            rep.interior.append(float(interior))
-            rep.boundary.append(float(bnd))
-            rep.totals.append(float(total))
-            rep.window_energies.append(float(wen))
-            rep.deviations.append(float(total - target))
-            # np.maximum keeps a NaN, which max() would drop
-            rep.split_identity_dev = float(np.maximum(rep.split_identity_dev,
-                                                      float(abs(total - wen))))
+    # each window edge's current of v and energy term, formed once
+    c, a, b, (iu, iv) = edge_currents(u.window, u, v)
+    uw = u.w.astype(c.dtype, copy=False)
+    terms = iu * (iv / c)
+    ids = edge_ends(u.window)[0]
+    for r, view in exhaustion:
+        at = u.window.index(view.vertices)
+        ends, a, b = edge_ends(view)
+        sel = np.searchsorted(ids, ends)
+        lap_v = flow_laplacian(a, b, iv[sel], len(at))
+        wen = np.sum(terms[sel], initial=0)
+        bd = view.bd_mask[view.vertices]
+        interior = np.sum(uw[at][~bd] * lap_v[~bd])
+        bnd = np.sum(uw[at][bd] * lap_v[bd])
+        total = interior + bnd
+        rep.radii.append(int(r))
+        rep.interior.append(float(interior))
+        rep.boundary.append(float(bnd))
+        rep.totals.append(float(total))
+        rep.window_energies.append(float(wen))
+        rep.deviations.append(float(total - target))
+        # np.maximum keeps a NaN, which max() would drop
+        rep.split_identity_dev = float(np.maximum(rep.split_identity_dev,
+                                                  float(abs(total - wen))))
     return rep
 
 
@@ -169,8 +167,7 @@ def boundary_sum_harmonic(source, u_values, x, levels=30, lane="auto",
         lap = window_laplacian(potential_difference(v, f))
         bd = view.bd_mask[view.vertices]
         u_bd = np.array([float(getter(int(bv))) for bv in view.vertices[bd]])
-        with _hifi.precision(lap):
-            s = np.sum(u_bd * lap[bd])
+        s = np.sum(u_bd * lap[bd])
         rep.radii.append(int(radius))
         rep.sums.append(float(s))
     if rep is None:

@@ -318,7 +318,8 @@ def cmd_paths(args):
     if not isinstance(src, LadderGenerator):
         raise UsageError("canonical path pairs are defined for the ladder family")
     p1, p2 = src.x_rail_path(), src.y_rail_path()
-    probe_radius = args.probe_radius or args.horizon + 1
+    probe_radius = (args.horizon + 1 if args.probe_radius is None
+                    else args.probe_radius)
     if probe_radius < args.horizon + 1:
         raise UsageError("--probe-radius must reach past the horizon")
     probes = []

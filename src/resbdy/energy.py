@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import _hifi
 from .errors import DomainMismatch, MissingNeighborValue, NotBoundaryVertex
 from .network import Network
 
@@ -98,9 +97,9 @@ def window_edges(window, field=float):
 
 def conductances(net, edges, field=float):
     """The conductances of the edge ids ``edges``: float gives the float64
-    mirror ``ec``, Fraction the exact conductances, and mp.mpf the exact
-    conductances at the current mpmath precision, each converted once per
-    network and precision (``Network.exact_conductances``)."""
+    mirror ``ec``, Fraction the exact conductances, and an mpf type the exact
+    conductances at its precision, each converted once per network and
+    precision (``Network.exact_conductances``)."""
     if field is float:
         return net.ec[edges]
     c = np.empty(len(edges), dtype=object)
@@ -109,7 +108,7 @@ def conductances(net, edges, field=float):
 
 
 def field_of(values):
-    """The number type of window values: float, Fraction or mp.mpf."""
+    """The number type of window values: float, Fraction or an mpf type."""
     return float if values.dtype != object else type(values.flat[0])
 
 
@@ -132,7 +131,7 @@ class Potential:
     """Real-valued function on the vertices of a window, pinned at the origin.
 
     ``w`` holds the values on ``window.vertices`` in the field they were
-    formed in: a float64 array, or an object array of mp.mpf or of Fraction.
+    formed in: a float64 array, or an object array of mpf or of Fraction.
     It is the only copy: ``at`` reads it as float64 by vertex id, and a read
     outside the window raises DomainMismatch. ``i`` holds the current
     c (w_a - w_b) on each window edge, in ``window_edges`` order, as the mp
@@ -172,12 +171,11 @@ def value_getter(values):
 
 
 def potential_difference(u: Potential, v: Potential) -> Potential:
-    """u - v on their common window, values and currents, formed at the
-    precision of their field."""
+    """u - v on their common window, values and currents, formed in their
+    field."""
     w = _common_window(u, v)
-    with _hifi.precision(u.w, v.w):
-        i = None if u.i is None or v.i is None else u.i - v.i
-        return Potential(w, u.w - v.w, pinned=u.pinned and v.pinned, i=i)
+    i = None if u.i is None or v.i is None else u.i - v.i
+    return Potential(w, u.w - v.w, pinned=u.pinned and v.pinned, i=i)
 
 
 def _current(p: Potential, edges, c, a, b):
@@ -198,8 +196,8 @@ def edge_currents(window, *pots):
     When every potential holds mp or Fraction values that is their field,
     and the currents are the ones their solves carry; otherwise it is
     float64, where a carried current is read as float64 and the others are
-    formed from the values. Call it inside ``_hifi.precision`` of the
-    potentials' values, so that mp conductances and sums carry its digits.
+    formed from the values. mp conductances come in the values' mpf type, so
+    they and every sum over them carry its digits.
     """
     hi = all(p.w.dtype == object for p in pots)
     c, a, b = window_edges(window, field_of(pots[0].w) if hi else float)
@@ -208,10 +206,9 @@ def edge_currents(window, *pots):
 
 def window_laplacian(u: Potential):
     """(Lap u) at every position of u's window: the divergence of u's
-    ``edge_currents``, in their field (mp at ``EDGE_SUM_DPS``)."""
-    with _hifi.precision(u.w):
-        _, a, b, (i,) = edge_currents(u.window, u)
-        return flow_laplacian(a, b, i, len(u.w))
+    ``edge_currents``, in their field."""
+    _, a, b, (i,) = edge_currents(u.window, u)
+    return flow_laplacian(a, b, i, len(u.w))
 
 
 def potential_from_values(net, mapping, window=None, pinned=False):
@@ -251,19 +248,18 @@ def energy(u: Potential, v: Potential) -> float:
     The double sum counts every edge twice, so this evaluates once per edge
     of the common window, as the sum of i_u i_v / c over the potentials'
     ``edge_currents``. When both hold mp or Fraction values it runs in that
-    field (mp at ``EDGE_SUM_DPS``): products c (du)(dv) formed from values
-    lose all digits once the window's conductances span more than ~1e15.
-    Otherwise it runs in float64. Symmetric, bilinear, and nonnegative on
-    u = v.
+    field, mp at the precision its numbers carry (``EDGE_SUM_DPS`` digits
+    from the mp lane): products c (du)(dv) formed from values lose all
+    digits once the window's conductances span more than ~1e15. Otherwise it
+    runs in float64. Symmetric, bilinear, and nonnegative on u = v.
     """
     return float(_energy_hi(u, v, _common_window(u, v)))
 
 
 def _energy_hi(u: Potential, v: Potential, w):
-    with _hifi.precision(u.w, v.w):
-        # v is u forms its currents once
-        c, _, _, i = edge_currents(w, *((u,) if v is u else (u, v)))
-        return current_energy(c, i[0], i[-1])
+    # v is u forms its currents once
+    c, _, _, i = edge_currents(w, *((u,) if v is u else (u, v)))
+    return current_energy(c, i[0], i[-1])
 
 
 @dataclass
@@ -284,8 +280,7 @@ def window_defect(u: Potential) -> WindowDefect:
     half_in = w.mask[net.ei] ^ w.mask[net.ej]
     # boundary flux: window-restricted Laplacian at boundary vertices
     lap = window_laplacian(u)
-    with _hifi.precision(lap):
-        flux = float(np.sum(np.abs(lap[w.bd_mask[w.vertices]])))
+    flux = float(np.sum(np.abs(lap[w.bd_mask[w.vertices]])))
     return WindowDefect(
         excluded_edges=int(np.sum(half_in)),
         excluded_conductance=float(np.sum(net.ec[half_in])),
@@ -295,7 +290,7 @@ def window_defect(u: Potential) -> WindowDefect:
 
 def laplacian(v: Potential, at: int) -> float:
     """(Lap v)(x) = sum_{y ~ x} c_xy (v(x) - v(y)): the sum of v's currents
-    out of x, in the field of v.w (mp at ``EDGE_SUM_DPS``).
+    out of x, in the field of v.w.
 
     Requires every neighbor of ``at`` to be materialized and inside the
     potential's window.
@@ -323,11 +318,10 @@ def _flow_out(v: Potential, at, nbrs):
         [out, touch[(net.ej[touch] == at) & np.isin(net.ei[touch], nbrs)]])
     # their positions in window_edges order
     sel = np.array([np.count_nonzero(mask[:k]) for k in e], dtype=np.int64)
-    with _hifi.precision(v.w):
-        c = conductances(net, e, field_of(v.w))
-        i = _current(v, sel, c, v.window.index(net.ei[e]),
-                     v.window.index(net.ej[e]))
-        return float(np.sum(i[:len(out)]) - np.sum(i[len(out):]))
+    c = conductances(net, e, field_of(v.w))
+    i = _current(v, sel, c, v.window.index(net.ei[e]),
+                 v.window.index(net.ej[e]))
+    return float(np.sum(i[:len(out)]) - np.sum(i[len(out):]))
 
 
 def dirac_pairing(u: Potential, at: int) -> float:

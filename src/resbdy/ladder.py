@@ -30,6 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParameters
+from .solver import ConvergenceReport
 
 
 @dataclass
@@ -138,8 +139,8 @@ class LadderEnergy:
 def ladder_energy(lh: LadderHarmonic, tol=1e-8) -> LadderEnergy:
     """Partial energy sums, itemized as one-rail display, both rails, rungs.
 
-    Convergence of the totals is declared by the three-consecutive-deltas
-    rule used by the exhaustion drivers.
+    Convergence of the totals is declared by the exhaustion drivers'
+    stopping rule, ``ConvergenceReport.assess`` over the partial totals.
     """
     a, b = lh.alpha, lh.beta
     N = lh.n_max
@@ -150,8 +151,10 @@ def ladder_energy(lh: LadderHarmonic, tol=1e-8) -> LadderEnergy:
     rail = np.cumsum(rail_terms)
     rung = np.cumsum(rung_terms)[: N]
     total = 2.0 * rail + rung
-    deltas = np.abs(np.diff(total)) / np.maximum(np.abs(total[1:]), 1e-300)
-    converged = bool(len(deltas) >= 3 and np.all(deltas[-3:] < tol))
+    report = ConvergenceReport(quantity="ladder_energy", tol=tol)
+    for n, value in enumerate(total.tolist()):
+        report.record(n, n + 1, value)
+    converged = report.assess()
     return LadderEnergy(rail_partial=rail, rails_partial=2.0 * rail,
                         rung_partial=rung, total_partial=total,
                         converged=converged, tol=tol)

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-import mpmath as mp
 import numpy as np
 import scipy.sparse as sp
 
@@ -145,17 +144,18 @@ class Network:
 
     def exact_conductances(self, edges, field=Fraction):
         """The conductances of the edge ids ``edges`` (a list) in ``field``,
-        Fraction or mp.mpf at the current precision, each formed once per
-        network and precision when first asked for (in one call, equal mpf
-        values are one object)."""
-        key = mp.mp.prec if field is mp.mpf else field
+        Fraction or an mpf type at its context's precision, each formed once
+        per network, type and precision when first asked for (in one call,
+        equal mpf values are one object). The precision is part of the key:
+        a context's precision can change, mpmath's global one included."""
+        key = field if field is Fraction else (field, field.context.prec)
         memo = self._converted.setdefault(key, {})
         shared = {}
         for k in edges:
             if k not in memo:
                 x = self.exact_conductance(k)
                 if field is not Fraction:
-                    x = to_mpf(x)
+                    x = to_mpf(x, field)
                     x = shared.setdefault(x._mpf_, x)
                 memo[k] = x
         return [memo[k] for k in edges]

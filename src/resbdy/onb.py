@@ -45,11 +45,9 @@ identity checks are evaluated in the construction field, at its precision.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from . import _hifi
@@ -90,8 +88,9 @@ class OnbSystem:
 
 
 def _sqrt(x):
-    """Square root in the field of x (mpf or float)."""
-    return mp.sqrt(x) if isinstance(x, mp.mpf) else np.sqrt(x)
+    """Square root in the field of x (mpf or float): an mpf's at its own
+    context's precision."""
+    return x.context.sqrt(x) if hasattr(x, "context") else np.sqrt(x)
 
 
 def gram_schmidt(kernels, enumeration):
@@ -108,55 +107,55 @@ def gram_schmidt(kernels, enumeration):
     if len(kernels) != len(enumeration):
         raise DimensionMismatch("one enumeration vertex per kernel")
     net, window = kernels[0].net, kernels[0].window
-    with _hifi.precision(*(k.w for k in kernels)):
-        c, a, b, cur = edge_currents(window, *kernels)
-        hi = c.dtype == object
-        K = np.stack([k.w.astype(c.dtype, copy=False) for k in kernels],
-                     axis=1)
-        cdK = np.stack(cur, axis=1)
-        if field_of(K) is Fraction:
-            # exact kernels are orthonormalized in mp
-            K, cdK, c = (np.vectorize(_hifi.to_mpf, otypes=[object])(A)
-                         for A in (K, cdK, c))
-        # the increments come from the kernels' currents
-        dK = cdK / c[:, None]
-        N = len(kernels)
-        Q, dQ, cdQ = np.zeros_like(K), np.zeros_like(dK), np.zeros_like(dK)
-        V, E, M, G = (np.zeros((N, N), dtype=K.dtype) for _ in range(4))
-        pivot_min = np.inf
-        for n in range(N):
-            # both Gram matrices are symmetric: one column of each per step
-            V[n, :n + 1] = V[:n + 1, n] = cdK[:, :n + 1].T @ dK[:, n]
-            # E[n, j] = <v_n, eps_j> = sum_k M[j, k] V[k, n]
-            e = M[:n, :n] @ V[:n, n]
-            w, dw = K[:, n] - Q[:, :n] @ e, dK[:, n] - dQ[:, :n] @ e
-            for second_pass in (False, True):
-                wn = (c * dw) @ dw
-                if not wn > 0:
-                    raise GramDegenerate(
-                        f"kernel {n + 1} is energy-dependent on its predecessors")
-                piv = _sqrt(wn)
-                Q[:, n], dQ[:, n] = w / piv, dw / piv
-                cdQ[:, n] = c * dQ[:, n]
-                # column n of the Gram matrix of eps_1..eps_n
-                G[:n + 1, n] = cdQ[:, :n + 1].T @ dQ[:, n]
-                # one re-orthogonalization pass: always in float64, in mp
-                # when orthogonality degrades
-                if (second_pass or not n or hi
-                        and not np.max(np.abs(G[:n, n])) > REORTH_THRESHOLD):
-                    break
-                r = G[:n, n] * piv
-                e = e + r
-                w, dw = w - Q[:, :n] @ r, dw - dQ[:, :n] @ r
-            if float(piv) < DEGENERACY_TOL:
+    c, a, b, cur = edge_currents(window, *kernels)
+    hi = c.dtype == object
+    K = np.stack([k.w.astype(c.dtype, copy=False) for k in kernels], axis=1)
+    cdK = np.stack(cur, axis=1)
+    if field_of(K) is Fraction:
+        # exact kernels are orthonormalized in the mp lane's field
+        mpf = _hifi.MPField(_hifi.EDGE_SUM_DPS).number
+        to_mpf = np.vectorize(lambda x: _hifi.to_mpf(x, mpf),
+                              otypes=[object])
+        K, cdK, c = (to_mpf(A) for A in (K, cdK, c))
+    # the increments come from the kernels' currents
+    dK = cdK / c[:, None]
+    N = len(kernels)
+    Q, dQ, cdQ = np.zeros_like(K), np.zeros_like(dK), np.zeros_like(dK)
+    V, E, M, G = (np.zeros((N, N), dtype=K.dtype) for _ in range(4))
+    pivot_min = np.inf
+    for n in range(N):
+        # both Gram matrices are symmetric: one column of each per step
+        V[n, :n + 1] = V[:n + 1, n] = cdK[:, :n + 1].T @ dK[:, n]
+        # E[n, j] = <v_n, eps_j> = sum_k M[j, k] V[k, n]
+        e = M[:n, :n] @ V[:n, n]
+        w, dw = K[:, n] - Q[:, :n] @ e, dK[:, n] - dQ[:, :n] @ e
+        for second_pass in (False, True):
+            wn = (c * dw) @ dw
+            if not wn > 0:
                 raise GramDegenerate(
-                    f"pivot {float(piv):.3e} below degeneracy tol {DEGENERACY_TOL:.1e}")
-            pivot_min = min(pivot_min, piv)
-            E[n, :n], E[n, n] = e, piv
-            # forward recurrence for M = E^{-1}
-            M[n, :n + 1] = (np.eye(1, n + 1, n, dtype=K.dtype)[0]
-                            - E[n, :n] @ M[:n, :n + 1]) / piv
-        orth = np.max(np.abs(np.triu(G - np.eye(N))))
+                    f"kernel {n + 1} is energy-dependent on its predecessors")
+            piv = _sqrt(wn)
+            Q[:, n], dQ[:, n] = w / piv, dw / piv
+            cdQ[:, n] = c * dQ[:, n]
+            # column n of the Gram matrix of eps_1..eps_n
+            G[:n + 1, n] = cdQ[:, :n + 1].T @ dQ[:, n]
+            # one re-orthogonalization pass: always in float64, in mp
+            # when orthogonality degrades
+            if (second_pass or not n or hi
+                    and not np.max(np.abs(G[:n, n])) > REORTH_THRESHOLD):
+                break
+            r = G[:n, n] * piv
+            e = e + r
+            w, dw = w - Q[:, :n] @ r, dw - dQ[:, :n] @ r
+        if float(piv) < DEGENERACY_TOL:
+            raise GramDegenerate(
+                f"pivot {float(piv):.3e} below degeneracy tol {DEGENERACY_TOL:.1e}")
+        pivot_min = min(pivot_min, piv)
+        E[n, :n], E[n, n] = e, piv
+        # forward recurrence for M = E^{-1}
+        M[n, :n + 1] = (np.eye(1, n + 1, n, dtype=K.dtype)[0]
+                        - E[n, :n] @ M[:n, :n + 1]) / piv
+    orth = np.max(np.abs(np.triu(G - np.eye(N))))
     return OnbSystem(net=net, window=window, enumeration=list(map(int, enumeration)),
                      M=M.astype(float), E=E.astype(float), V=V.astype(float),
                      eps=Q.astype(float), orth_dev=float(orth),
@@ -203,16 +202,6 @@ def build_onb(source, N, radius=None, lane="mp"):
 # -- identity checks ---------------------------------------------------------
 
 
-def _at_onb_precision(check):
-    """Run an identity check at the precision of the ONB's construction
-    field."""
-    @functools.wraps(check)
-    def run(onb, *args, **kwargs):
-        with _hifi.precision(onb._flows):
-            return check(onb, *args, **kwargs)
-    return run
-
-
 def _max_dev(A, B):
     return float(np.max(np.abs(A - B)))
 
@@ -232,7 +221,6 @@ def _evaluation_entries(onb):
     return np.tril(Q[onb.window.index(onb.enumeration), :])
 
 
-@_at_onb_precision
 def entries_M_via_laplacian(onb: OnbSystem):
     """Matrix (Lap eps_i)(x_j) for j <= i, zero above the diagonal.
 
@@ -242,21 +230,18 @@ def entries_M_via_laplacian(onb: OnbSystem):
     return lap.astype(float), _max_dev(lap, onb._work[1])
 
 
-@_at_onb_precision
 def entries_E_via_evaluation(onb: OnbSystem):
     """Matrix eps_j(x_i) - eps_j(o); equals M^{-1}. Returns (matrix, max dev)."""
     ev = _evaluation_entries(onb)
     return ev.astype(float), _max_dev(ev, onb._work[2])
 
 
-@_at_onb_precision
 def gram_product_check(onb: OnbSystem):
     """Max |(E E^T - V)_{ij}|, E from the construction, V from edge sums."""
     _, _, E, V = onb._work
     return _max_dev(E @ E.T, V)
 
 
-@_at_onb_precision
 def kronecker_sum_check(onb: OnbSystem):
     """Max |sum_{j<=k<=i} (eps_k(x_i)-eps_k(o)) (Lap eps_k)(x_j) - delta_ij|.
 
@@ -267,7 +252,6 @@ def kronecker_sum_check(onb: OnbSystem):
                     np.eye(onb.N))
 
 
-@_at_onb_precision
 def reconstruction_check(onb: OnbSystem):
     """Max energy-norm error of v_{x_n} = sum_{j<=n} (eps_j(x_n)-eps_j(o)) eps_j.
 

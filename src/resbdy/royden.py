@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _hifi
 from .energy import (Potential, current_energy, edge_currents, energy,
                      flow_laplacian, potential_difference)
 from .errors import InvalidParameters
@@ -124,13 +123,12 @@ def _split_sums(v: Potential, f: Potential, h: Potential):
     residual's error would scale like c(x) * eps * |h|.
     """
     window = h.window
-    with _hifi.precision(v.w, f.w, h.w):
-        c, a, b, (iv, i_f, ih) = edge_currents(window, v, f, h)
-        sums = [current_energy(c, x, y)
-                for x, y in ((iv, iv), (i_f, i_f), (ih, ih), (i_f, ih))]
-        lap = flow_laplacian(a, b, ih, len(h.w))
-        inner = ~window.bd_mask[window.vertices]
-        resid = float(np.max(np.abs(lap[inner]))) if inner.any() else 0.0
+    c, a, b, (iv, i_f, ih) = edge_currents(window, v, f, h)
+    sums = [current_energy(c, x, y)
+            for x, y in ((iv, iv), (i_f, i_f), (ih, ih), (i_f, ih))]
+    lap = flow_laplacian(a, b, ih, len(h.w))
+    inner = ~window.bd_mask[window.vertices]
+    resid = float(np.max(np.abs(lap[inner]))) if inner.any() else 0.0
     return (*map(float, sums), resid)
 
 

@@ -229,8 +229,7 @@ def solve_dipole_level(window: SubgraphView, x, bc="free", rhs=None,
     else:
         raise InvalidParameters(f"unknown lane {lane!r}")
     # the window solution minus its value at o; the currents do not change
-    with _hifi.precision(sol):
-        sol = sol - sol[window.index(o)]
+    sol = sol - sol[window.index(o)]
     return Potential(window, sol, i=cur)
 
 

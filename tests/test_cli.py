@@ -10,6 +10,7 @@ import pytest
 
 import resbdy
 from resbdy.cli import main
+from resbdy.ladder import ladder_energy, ladder_harmonic
 
 TRIANGLE = json.dumps({"edges": [[0, 1, 1], [1, 2, 1], [0, 2, 1]], "origin": 0})
 
@@ -68,6 +69,21 @@ def test_ladder_command(tmp_path, capsys):
     assert rep["u1"] == pytest.approx(0.2)
     assert rep["du_positive"] and rep["du_bound_holds"]
     assert rep["energy"]["converged"]
+
+
+def test_ladder_csv(tmp_path, capsys):
+    csv = tmp_path / "ladder.csv"
+    code, doc = run_cli(["ladder", "--alpha", "5", "--beta", "0.9", "--N", "20",
+                         "--csv", str(csv)], capsys)
+    assert code == 2  # 20 levels are too few for the energy to converge
+    assert doc["report"]["csv"] == str(csv)
+    header, *rows = csv.read_text().strip().splitlines()
+    assert header == "n,u,du,partial_energy"
+    assert len(rows) == 21
+    assert rows[0] == "0,0.0,0.2," + repr(float(
+        ladder_energy(ladder_harmonic(5, 0.9, 20)).total_partial[0]))
+    # u(N) has no increment and no partial energy after it
+    assert rows[-1].startswith("20,") and rows[-1].endswith(",,")
 
 
 def test_monopole_halfline(capsys):
@@ -184,6 +200,15 @@ def test_verify_all_small_network(capsys):
     code, doc = run_cli(["verify-all", "--network", TRIANGLE], capsys)
     assert code == 0
     assert all(c["pass"] for c in doc["report"]["checks"])
+
+
+def test_verify_all_checks_exhaustion_independence_on_a_family(capsys):
+    code, doc = run_cli(["verify-all", "--network", "binary-tree",
+                         "--levels", "12", "--tol", "1e-4"], capsys)
+    assert code == 0 and doc["pass"] is True
+    checks = {c["check"]: c for c in doc["report"]["checks"]}
+    ind = checks["exhaustion-independence"]
+    assert ind["pass"] and json.loads(ind["detail"])["verdict"] == "agree"
 
 
 def test_paths_command_ladder(capsys):
@@ -403,6 +428,27 @@ def test_every_declared_option_is_read():
 def test_an_option_the_command_does_not_read_is_a_usage_error(argv, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("usage error")
+
+
+LADDER_09 = ["--network", "ladder", "--alpha", "5", "--beta", "0.9"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["paths", "--network", TRIANGLE],
+    ["paths", *LADDER_09, "--horizon", "24", "--levels", "12",
+     "--probe-radius", "0"],
+    ["boundary-sum", "--network", TRIANGLE, "--x", "1"],
+    ["wiener", "--check", "resistance", "--x", "1", "--N", "2",
+     "--samples", "10"],
+    ["wiener", "--check", "boundary", "--network", TRIANGLE, "--x", "1",
+     "--N", "2", "--samples", "10"],
+], ids=["paths-off-the-ladder", "paths-probe-radius-0",
+        "boundary-sum-without-u-kernel", "wiener-resistance-without-network",
+        "wiener-boundary-off-the-ladder"])
+def test_a_command_outside_its_domain_is_a_usage_error(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error")
 
 
 @pytest.mark.parametrize("argv, err", [

@@ -5,7 +5,6 @@ with the exact sums to their precision."""
 
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 from hypothesis import given, strategies as st
 
@@ -55,13 +54,13 @@ def test_edge_sums_agree_across_fields(net, data):
         np.add.at(lap_scale, a, c * (absv[a] + absv[b]))
         np.add.at(lap_scale, b, c * (absv[a] + absv[b]))
 
-        with mp.workdps(MP_DPS):
-            to_mp = np.vectorize(_hifi.to_mpf, otypes=[object])
-            _, _, _, em, lapm = _sums(window, to_mp(u), to_mp(v))
-            tol = mp.mpf(10) ** -(MP_DPS - 5)
-            assert abs(em - _hifi.to_mpf(e)) <= tol * e_scale
-            for x in range(n):
-                assert abs(lapm[x] - lap[x]) <= tol * lap_scale[x]
+        mpf = _hifi.MPField(MP_DPS).number
+        to_mp = np.vectorize(lambda x: _hifi.to_mpf(x, mpf), otypes=[object])
+        _, _, _, em, lapm = _sums(window, to_mp(u), to_mp(v))
+        tol = mpf(10) ** -(MP_DPS - 5)
+        assert abs(em - _hifi.to_mpf(e, mpf)) <= tol * e_scale
+        for x in range(n):
+            assert abs(lapm[x] - lap[x]) <= tol * lap_scale[x]
 
         _, _, _, ef, lapf = _sums(window, u.astype(float), v.astype(float))
         assert abs(ef - e) <= 1e-12 * e_scale
@@ -83,11 +82,10 @@ def test_laplacian_adds_flows_edge_by_edge():
     window = gen.ball(31).ball_view(30)
     u = solve_dipole_level(window, gen.x(2), bc="free", lane="mp")
     for pot in (u, Potential(window, u.w.astype(float))):
-        with _hifi.precision(pot.w):
-            _, a, b, (flows,) = edge_currents(window, pot)
-            lap = flow_laplacian(a, b, flows, len(pot.w))
-            ref = [0] * len(pot.w)
-            for flow, ak, bk in zip(flows, a, b):
-                ref[ak] = ref[ak] + flow
-                ref[bk] = ref[bk] - flow
+        _, a, b, (flows,) = edge_currents(window, pot)
+        lap = flow_laplacian(a, b, flows, len(pot.w))
+        ref = [0] * len(pot.w)
+        for flow, ak, bk in zip(flows, a, b):
+            ref[ak] = ref[ak] + flow
+            ref[bk] = ref[bk] - flow
         assert list(lap) == ref

@@ -125,6 +125,13 @@ def test_domain_mismatch(triangle, path3):
         energy(u, v)
 
 
+def test_potentials_on_two_windows_are_a_domain_mismatch(path3):
+    u = potential_from_values(path3, [0, 1, 2], window=SubgraphView(path3, [0, 1]))
+    v = potential_from_values(path3, [0, 1, 2], window=SubgraphView(path3, [1, 2]))
+    with pytest.raises(DomainMismatch):
+        energy(u, v)
+
+
 def test_value_outside_the_window_raises():
     net = build_finite([(i, i + 1, 1) for i in range(3)])
     u = potential_from_values(net, [0.0, 1.0, 2.0, 3.0])
@@ -188,6 +195,13 @@ def test_missing_neighbor_on_frontier():
     u = potential_from_values(net, [0.0, 1.0, 1.0, 1.0])
     with pytest.raises(MissingNeighborValue):
         laplacian(u, 3)  # frontier vertex: outside neighbor not materialized
+
+
+def test_laplacian_with_a_neighbor_outside_the_window_is_missing(path3):
+    # vertex 1 is in the window {0, 1}, its neighbour 2 is not
+    u = potential_from_values(path3, [0, 1, 2], window=SubgraphView(path3, [0, 1]))
+    with pytest.raises(MissingNeighborValue):
+        laplacian(u, 1)
 
 
 def _ladder_dipole(R, **kw):

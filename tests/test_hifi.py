@@ -1,6 +1,6 @@
 """The high-precision lane: sparse elimination against a dense exact oracle,
-componentwise accuracy of the mp field, and mpmath precision scoped to each
-step."""
+componentwise accuracy of the mp field, and mp numbers that carry their own
+precision, whatever mpmath's global one is."""
 
 from fractions import Fraction
 
@@ -11,8 +11,10 @@ from hypothesis import example, given, strategies as st
 
 from resbdy import (Exhaustion, LadderGenerator, Network, boundary_sum_harmonic,
                     build_finite, build_onb, energy, entries_E_via_evaluation,
-                    gauss_green_verify, gram_product_check, royden_split,
-                    solve_dipole_level, window_defect)
+                    entries_M_via_laplacian, gauss_green_verify,
+                    gram_product_check, kronecker_sum_check,
+                    reconstruction_check, royden_split, solve_dipole_level,
+                    window_defect)
 from resbdy import SubgraphView, _hifi, boundary, solver
 from resbdy.energy import potential_difference, window_edges
 from resbdy.errors import SingularSystem
@@ -97,14 +99,14 @@ def test_sparse_elimination_matches_dense_fraction_oracle(net):
         for v in held:
             assert sol.get(v, 0) == 0
         # the mp field at its fixed precision agrees to far beyond float64
-        dps = _hifi.EDGE_SUM_DPS
-        with mp.workdps(dps):
-            hi = dict(zip(window.vertices.tolist(),
-                          _hifi.hi_solve(net, window, rhs, dirichlet_zero=drop,
-                                         pin=pin, field=_hifi.MPField(dps))[0]))
-            scale = max(abs(_hifi.to_mpf(oracle[v])) for v in unknowns)
-            for v in unknowns:
-                assert abs(hi[v] - _hifi.to_mpf(oracle[v])) <= scale * mp.mpf(10) ** -30
+        field = _hifi.MPField(_hifi.EDGE_SUM_DPS)
+        hi = dict(zip(window.vertices.tolist(),
+                      _hifi.hi_solve(net, window, rhs, dirichlet_zero=drop,
+                                     pin=pin, field=field)[0]))
+        exact = {v: _hifi.to_mpf(oracle[v], field.number) for v in unknowns}
+        scale = max(abs(x) for x in exact.values())
+        for v in unknowns:
+            assert abs(hi[v] - exact[v]) <= scale * field.number(10) ** -30
         # the float64 lane, where it is picked, is right to 1e-10 relative
         if solver.pick_lane(net, window) == "float64":
             x = dict(zip(window.vertices.tolist(),
@@ -187,11 +189,12 @@ def test_mp_solve_is_componentwise_accurate(case):
     exact = dict(zip(R60.vertices.tolist(),
                      _hifi.hi_solve(net, R60, field=_hifi.FractionField(), **kw)[0]))
     sol = dict(zip(R60.vertices.tolist(), mp_solve(R60, P, **kw)[0]))
-    with mp.workdps(2 * P):
-        tol = mp.mpf(10) ** -(P - 5)
-        for v, e in exact.items():
-            ref = _hifi.to_mpf(e)
-            assert abs(sol[v] - ref) <= abs(ref) * tol, (case, v)
+    # the reference and every difference (its left operand) at 2P digits
+    mpf2 = _hifi.MPField(2 * P).number
+    tol = mpf2(10) ** -(P - 5)
+    for v, e in exact.items():
+        ref = _hifi.to_mpf(e, mpf2)
+        assert abs(ref - sol[v]) <= abs(ref) * tol, (case, v)
 
 
 def assert_currents_accurate(window, kw):
@@ -199,10 +202,9 @@ def assert_currents_accurate(window, kw):
     digits to within 10^-(P - 8) of itself."""
     _, i = mp_solve(window, P, **kw)
     _, ref = mp_solve(window, 2 * P, **kw)
-    with mp.workdps(2 * P):
-        tol = mp.mpf(10) ** -(P - 8)
-        worst = max(abs(a - r) / abs(r) if r else abs(a)
-                    for a, r in zip(i, ref))
+    # each difference at 2P digits, the precision of its left operand
+    tol = _hifi.MPField(2 * P).number(10) ** -(P - 8)
+    worst = max(abs(r - a) / abs(r) if r else abs(a) for a, r in zip(i, ref))
     assert worst <= tol, mp.nstr(worst, 3)
 
 
@@ -263,21 +265,36 @@ def test_free_solve_on_disconnected_window_is_singular(field):
         _hifi.hi_solve(net, window, {1: 1, 0: -1}, pin=0, field=field)
 
 
-def _assert_dps_kept(fn):
-    """Run fn at an unusual precision and check it leaves mp.mp.dps alone."""
+def _at_caller_precisions(fn):
+    """fn() run with mpmath's global precision at 5 and at 200 digits: both
+    results, each run checked to leave that precision as it found it."""
     saved = mp.mp.dps
+    out = []
     try:
-        mp.mp.dps = 23
-        out = fn()
-        assert mp.mp.dps == 23
+        for dps in (5, 200):
+            mp.mp.dps = dps
+            out.append(fn())
+            assert mp.mp.dps == dps
     finally:
         mp.mp.dps = saved
     return out
 
 
-def test_hi_solve_restores_the_precision():
-    # no enclosing workdps: hi_solve sets its field's precision and
-    # restores the caller's, also when it raises mid-elimination
+def _bits(x):
+    """x as data that compares equal only when it is bit for bit the same:
+    a number array by its dtype and bytes, or by each entry's type and mpf
+    mantissa and exponent (a Fraction by its value); a tuple part by part."""
+    if isinstance(x, tuple):
+        return [_bits(part) for part in x]
+    x = np.asarray(x)
+    if x.dtype != object:
+        return x.dtype.str, x.shape, x.tobytes()
+    return x.shape, [(type(v), getattr(v, "_mpf_", v)) for v in x.ravel()]
+
+
+def test_hi_solve_never_touches_the_global_precision():
+    # a solve that raises mid-elimination and one that returns both leave
+    # mpmath's global precision where the caller set it
     saved = mp.mp.prec
     try:
         mp.mp.dps = 23
@@ -297,21 +314,40 @@ def test_hi_solve_restores_the_precision():
 
 
 def test_mp_precision_is_not_leaked():
+    # every call gives the same bits at caller precisions of 5 and 200
+    # digits, in the lane's own mpf type
+    mpf = _hifi.MPField(P).number
     deep = LadderGenerator(5, 1.0).ball(301).ball_view(300)
-    pot = _assert_dps_kept(lambda: solve_dipole_level(deep, 0, bc="wired", rhs={0: 1}))
-    assert isinstance(pot.w[0], mp.mpf) and isinstance(pot.i[0], mp.mpf)
+    for lane, window, number in (("mp", deep, mpf), ("fraction", R60, Fraction)):
+        pots = _at_caller_precisions(lambda: solve_dipole_level(
+            window, 0, bc="wired", rhs={0: 1}, lane=lane))
+        assert type(pots[0].w[0]) is number and type(pots[0].i[0]) is number
+        a, b = ([_bits(p.w), _bits(p.i)] for p in pots)
+        assert a == b
 
     gen = LadderGenerator(5, 0.9)
-    split = _assert_dps_kept(lambda: royden_split(gen, 2, levels=20, tol=1e-6))
-    assert isinstance(split.h.w[0], mp.mpf) and split.h.i is not None
+    splits = _at_caller_precisions(
+        lambda: royden_split(gen, 2, levels=20, tol=1e-6))
+    assert type(splits[0].h.w[0]) is mpf and splits[0].h.i is not None
+    a, b = ([repr(s.to_dict()), _bits(s.h.w), _bits(s.h.i)] for s in splits)
+    assert a == b
 
-    onb = _assert_dps_kept(lambda: build_onb(gen, 6))
-    assert onb.field == "mp" and isinstance(onb._flows[0, 0], mp.mpf)
+    checks = (entries_M_via_laplacian, entries_E_via_evaluation,
+              gram_product_check, kronecker_sum_check, reconstruction_check)
+
+    def onb_run():
+        onb = build_onb(gen, 6)
+        assert onb.field == "mp" and type(onb._flows[0, 0]) is mpf
+        return [_bits((*onb._work, onb._flows, onb.M, onb.E, onb.orth_dev,
+                       onb.pivot_min)), *(_bits(check(onb)) for check in checks)]
+    a, b = _at_caller_precisions(onb_run)
+    assert a == b
 
     lh = ladder_harmonic(5, 0.9, 20)
-    rep = _assert_dps_kept(
+    reps = _at_caller_precisions(
         lambda: boundary_sum_harmonic(gen, lh.value, gen.x(1), levels=12))
-    assert rep.sums
+    assert reps[0].sums
+    assert repr(reps[0].to_dict()) == repr(reps[1].to_dict())
 
 
 def test_onb_checks_run_at_construction_precision():

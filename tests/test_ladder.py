@@ -88,6 +88,16 @@ def test_du_bound_holds():
     assert np.all(lh.du <= bounds * (1 + 1e-12) + 1e-300)
 
 
+def test_du_bound_at_beta_one_half_is_the_limit_of_its_neighbours():
+    # at 2 beta = 1 the geometric sum sum_{k<n} (2 beta)^k is n
+    lh = ladder_harmonic(5, 0.5, 60)
+    assert du_bound_satisfied(lh) == (True, -1)
+    bounds = du_upper_bounds(lh)
+    for beta in (0.5 - 1e-9, 0.5 + 1e-9):
+        near = du_upper_bounds(ladder_harmonic(5, beta, 60))
+        assert np.allclose(bounds, near, rtol=1e-6, atol=0)
+
+
 def test_du_bound_requires_condition():
     lh = ladder_harmonic(1.2, 0.9, 20)
     with pytest.raises(InvalidParameters):

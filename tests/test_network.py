@@ -1,9 +1,11 @@
 from collections import deque
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from resbdy import _hifi
 from resbdy import (BinaryTreeGenerator, Exhaustion, GeometricHalfLineGenerator,
                     IntegerLatticeGenerator, LadderGenerator, build_finite,
                     default_exhaustion, doubling_exhaustion,
@@ -186,6 +188,23 @@ def test_cached_conductance_matches_recompute(n, seed):
         alt[a] += c
         alt[b] += c
     assert np.allclose(alt, net.c_of, rtol=1e-14)
+
+
+def test_exact_conductances_are_served_at_their_conversion_precision():
+    # 1/3 rounds differently at every precision, so an entry served at
+    # another precision than it was converted at shows
+    net = build_finite([(0, 1, "1/3"), (1, 2, 5)])
+    for dps in (20, 60):
+        mpf = _hifi.MPField(dps).number
+        third = net.exact_conductances([0], mpf)[0]
+        assert type(third) is mpf and third == mpf(1) / 3
+    # the precision of mpmath's global mpf moves with mp.mp
+    thirds = []
+    for dps in (20, 60, 20):
+        with mp.workdps(dps):
+            thirds.append(net.exact_conductances([0], mp.mpf)[0])
+            assert thirds[-1] == mp.mpf(1) / 3
+    assert thirds[0] != thirds[1] and thirds[0] is thirds[2]
 
 
 def test_generator_from_spec_roundtrip():

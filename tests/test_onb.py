@@ -196,48 +196,47 @@ def _reference_gram_schmidt(kernels, enumeration,
     E, V, Q, pivot_min), the arrays in the construction field."""
     window = kernels[0].window
     hi = all(k.w.dtype == object for k in kernels)
-    with _hifi.precision(*(k.w for k in kernels)):
-        K = np.stack([k.w if hi else k.at(window.vertices)
-                      for k in kernels], axis=1)
-        dot = functools.partial(_edge_energy,
-                                *window_edges(window, field_of(K)))
-        N = len(kernels)
-        V = np.array([[dot(K[:, i], K[:, j]) for j in range(N)]
-                      for i in range(N)], dtype=K.dtype)
-        Q = np.zeros(K.shape, dtype=K.dtype)
-        E = np.zeros((N, N), dtype=K.dtype)
-        M = np.zeros((N, N), dtype=K.dtype)
+    K = np.stack([k.w if hi else k.at(window.vertices)
+                  for k in kernels], axis=1)
+    dot = functools.partial(_edge_energy,
+                            *window_edges(window, field_of(K)))
+    N = len(kernels)
+    V = np.array([[dot(K[:, i], K[:, j]) for j in range(N)]
+                  for i in range(N)], dtype=K.dtype)
+    Q = np.zeros(K.shape, dtype=K.dtype)
+    E = np.zeros((N, N), dtype=K.dtype)
+    M = np.zeros((N, N), dtype=K.dtype)
 
-        def project_out(w, n):
+    def project_out(w, n):
+        for j in range(n):
+            r = dot(Q[:, j], w)
+            E[n, j] += r
+            w = w - r * Q[:, j]
+        return w
+
+    pivot_min = np.inf
+    for n in range(N):
+        w = project_out(K[:, n], n)
+        wn = dot(w, w)
+        if n and wn > 0:
+            worst = max(abs(dot(Q[:, j], w)) for j in range(n))
+            if worst > reorth_threshold * _sqrt(wn):
+                w = project_out(w, n)
+                wn = dot(w, w)
+        if wn <= 0:
+            raise GramDegenerate("dependent kernel")
+        piv = _sqrt(wn)
+        if float(piv) < degeneracy_tol:
+            raise GramDegenerate("small pivot")
+        pivot_min = min(pivot_min, piv)
+        Q[:, n] = w / piv
+        E[n, n] = piv
+        for k2 in range(n + 1):
+            s = 1 if k2 == n else 0
             for j in range(n):
-                r = dot(Q[:, j], w)
-                E[n, j] += r
-                w = w - r * Q[:, j]
-            return w
-
-        pivot_min = np.inf
-        for n in range(N):
-            w = project_out(K[:, n], n)
-            wn = dot(w, w)
-            if n and wn > 0:
-                worst = max(abs(dot(Q[:, j], w)) for j in range(n))
-                if worst > reorth_threshold * _sqrt(wn):
-                    w = project_out(w, n)
-                    wn = dot(w, w)
-            if wn <= 0:
-                raise GramDegenerate("dependent kernel")
-            piv = _sqrt(wn)
-            if float(piv) < degeneracy_tol:
-                raise GramDegenerate("small pivot")
-            pivot_min = min(pivot_min, piv)
-            Q[:, n] = w / piv
-            E[n, n] = piv
-            for k2 in range(n + 1):
-                s = 1 if k2 == n else 0
-                for j in range(n):
-                    if E[n, j] and M[j, k2]:
-                        s -= E[n, j] * M[j, k2]
-                M[n, k2] = s / piv
+                if E[n, j] and M[j, k2]:
+                    s -= E[n, j] * M[j, k2]
+            M[n, k2] = s / piv
     return M, E, V, Q, pivot_min
 
 
@@ -257,9 +256,8 @@ def test_gram_schmidt_matches_the_modified_gram_schmidt_loop(gen, N, lane, rel):
     M, E, V, Q, ref_pivot = _reference_gram_schmidt(kernels, onb.enumeration)
     assert new.field == ("mp" if Q.dtype == object else "float64")
     assert all(got.dtype == Q.dtype for got in new._work)
-    with _hifi.precision(Q):
-        for got, want in zip(new._work, (Q, M, E, V)):
-            assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+    for got, want in zip(new._work, (Q, M, E, V)):
+        assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
     if lane == "mp":
         assert new.pivot_min == float(ref_pivot)
     else:
@@ -317,7 +315,8 @@ def test_mp_build_never_formats_an_mpf(monkeypatch):
     # through repr() before numpy takes over
     def refuse(self):
         raise AssertionError("an mpf was formatted")
-    monkeypatch.setattr(mp.mpf, "__repr__", refuse)
+    monkeypatch.setattr(_hifi.MPField(_hifi.EDGE_SUM_DPS).number, "__repr__",
+                        refuse)
     onb = build_onb(LadderGenerator(5, 0.9), 8)
     assert onb.field == "mp" and onb.orth_dev <= 1e-9
 

@@ -1,6 +1,5 @@
 import dataclasses
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -8,7 +7,7 @@ from resbdy import (GeometricHalfLineGenerator, IntegerLatticeGenerator,
                     LadderGenerator, doubling_exhaustion, effective_resistance,
                     energy, energy_kernel, monopole, royden_split,
                     solve_dipole_level, sup_norm)
-from resbdy import _hifi, royden
+from resbdy import royden
 from resbdy.errors import InvalidParameters
 
 
@@ -51,15 +50,14 @@ def _residual_by_vertex(h, check_vertices):
     """max |Lap h| over check_vertices, h's edge currents summed edge by edge
     at EDGE_SUM_DPS."""
     net, window = h.net, h.window
-    with mp.workdps(_hifi.EDGE_SUM_DPS):
-        res = dict.fromkeys(check_vertices.tolist(), h.w[0] * 0)
-        for k, flow in zip(np.flatnonzero(window.edge_mask).tolist(), h.i):
-            a, b = int(net.ei[k]), int(net.ej[k])
-            if a in res:
-                res[a] = res[a] + flow
-            if b in res:
-                res[b] = res[b] - flow
-        return float(max(abs(val) for val in res.values()))
+    res = dict.fromkeys(check_vertices.tolist(), h.w[0] * 0)
+    for k, flow in zip(np.flatnonzero(window.edge_mask).tolist(), h.i):
+        a, b = int(net.ei[k]), int(net.ej[k])
+        if a in res:
+            res[a] = res[a] + flow
+        if b in res:
+            res[b] = res[b] - flow
+    return float(max(abs(val) for val in res.values()))
 
 
 def test_fused_split_pass_matches_separate_sums():

@@ -1,4 +1,3 @@
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -7,7 +6,7 @@ from resbdy import (BinaryTreeGenerator, GeometricHalfLineGenerator,
                     default_exhaustion, effective_resistance, energy,
                     energy_kernel, exhaustion_independence, monopole,
                     potential_from_values, solve_dipole_level)
-from resbdy import solver
+from resbdy import _hifi, solver
 from resbdy.errors import InvalidParameters
 from resbdy.solver import ConvergenceReport
 
@@ -226,7 +225,8 @@ def test_auto_lane_takes_a_window_past_the_float_range_to_mp():
     assert solver.pick_lane(view.net, view) == "mp"
     v = solve_dipole_level(view, 2)
     # the mp lane's field, with the currents the mp solve carries
-    assert isinstance(v.w[0], mp.mpf) and isinstance(v.i[0], mp.mpf)
+    mpf = _hifi.MPField(_hifi.EDGE_SUM_DPS).number
+    assert isinstance(v.w[0], mpf) and isinstance(v.i[0], mpf)
     value = v.value(2)
     assert np.isfinite(value)
     assert abs(energy(v, v) - value) <= 1e-12 * abs(value)

@@ -52,6 +52,14 @@ def test_transform_linear_per_sample(rng):
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+def test_a_short_coefficient_vector_is_padded_with_zeros():
+    ens = sample_ensemble(4, 200, seed=3)
+    short, full = np.array([0.5, -1.0]), np.array([0.5, -1.0, 0.0, 0.0])
+    assert np.array_equal(wiener_transform(short, ens),
+                          wiener_transform(full, ens))
+    assert minlos_check(short, ens).to_dict() == minlos_check(full, ens).to_dict()
+
+
 def test_transform_dimension_mismatch():
     ens = sample_ensemble(3, 10, seed=0)
     with pytest.raises(DimensionMismatch):
