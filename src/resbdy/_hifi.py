@@ -38,15 +38,28 @@ whatever is computed from them) rounds at that precision whatever
 ``mpmath.mp.dps`` is. The library never reads or writes ``mpmath.mp``. An
 operation between mpf values of two contexts runs at the precision of the
 left operand's.
+
+The elimination, back-substitution and current assembly run on raw numbers,
+in each field's own arithmetic (``add``, ``sub``, ``mul``, ``neg``,
+``inv``). A Fraction is its own raw number, with Python's operators. An mpf's
+raw number is its ``_mpf_`` tuple, and the field calls the libmp functions
+that mpf's own operators call (``mpf_add``, ``mpf_sub``, ``mpf_mul``,
+``mpf_neg``, and ``mpf_rdiv_int`` for ``1 / x``) at its context's precision,
+rounding to nearest, as those operators do for two operands of one context.
+So every value and current keeps the bits the operators would give, without
+their per-call type dispatch and object creation: g, b and the conductances
+are unwrapped once, and the values and currents are wrapped once.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
+from mpmath import libmp
 
 from .errors import InvalidParameters, SingularSystem
 
@@ -64,7 +77,24 @@ def to_mpf(fr: Fraction, mpf):
 
 
 class FractionField:
+    """Exact rationals. A Fraction is its own raw number, and the arithmetic
+    is Python's operators."""
+
     number = Fraction
+    zero = Fraction(0)
+    add, sub, mul, neg = operator.add, operator.sub, operator.mul, operator.neg
+
+    @staticmethod
+    def inv(x):
+        return 1 / x
+
+    @staticmethod
+    def unwrap(values):
+        return list(values)
+
+    @staticmethod
+    def wrap(raw):
+        return raw
 
 
 @lru_cache(maxsize=None)
@@ -76,11 +106,28 @@ def _context(dps):
 
 class MPField:
     """mpf values at ``dps`` digits, from a private context shared by every
-    field of that digit count."""
+    field of that digit count. Its raw numbers are ``_mpf_`` tuples, and its
+    arithmetic on them rounds as the context's mpf operators do."""
 
     def __init__(self, dps):
         self.dps = dps
-        self.number = _context(dps).mpf
+        ctx = _context(dps)
+        self.number = ctx.mpf
+        self.zero = libmp.fzero
+        prec, rnd = ctx.prec, libmp.round_nearest
+        add, sub, mul = libmp.mpf_add, libmp.mpf_sub, libmp.mpf_mul
+        neg, rdiv = libmp.mpf_neg, libmp.mpf_rdiv_int
+        self.add = lambda a, b: add(a, b, prec, rnd)
+        self.sub = lambda a, b: sub(a, b, prec, rnd)
+        self.mul = lambda a, b: mul(a, b, prec, rnd)
+        self.neg = lambda a: neg(a, prec, rnd)
+        self.inv = lambda a: rdiv(1, a, prec, rnd)
+        make = ctx.make_mpf
+        self.wrap = lambda raw: [make(v) for v in raw]
+
+    @staticmethod
+    def unwrap(values):
+        return [v._mpf_ for v in values]
 
 
 def ranks(mask):
@@ -170,6 +217,8 @@ def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
     verts = window.vertices[live]
     order = np.lexsort((verts, net.level[verts]))[::-1]
     n = len(order)
+    add, sub, mul, neg = field.add, field.sub, field.mul, field.neg
+    zero = field.zero
 
     # row k holds c_kj for the unknowns j > k in elimination order (elim,
     # -1 at held positions); g[k] is k's conductance to the held vertices
@@ -177,10 +226,10 @@ def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
     elim[live[order]] = np.arange(n)
     at = elim[live]
     cond = [{} for _ in range(n)]
-    for i, j, cij in zip(at[u].tolist(), at[v].tolist(), c):
+    for i, j, cij in zip(at[u].tolist(), at[v].tolist(), field.unwrap(c)):
         cond[min(i, j)][max(i, j)] = cij
-    g = g[order].tolist()
-    x = b[order].tolist()
+    g = field.unwrap(g[order])
+    x = field.unwrap(b[order])
 
     # eliminate k: pivot d_k = g_k + sum_j c_kj; each neighbour i > k gains
     # t_i = c_ik / d_k times row k, its conductance to 0 and its rhs. Row k
@@ -190,22 +239,22 @@ def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
         row = sorted(cond[k].items())
         gk = piv = g[k]
         for _, c in row:
-            piv = piv + c
-        if not piv:
+            piv = add(piv, c)
+        if piv == zero:
             raise SingularSystem("zero pivot; window may be disconnected")
-        r = 1 / piv
-        ts = [(i, c * r) for i, c in row]
+        r = field.inv(piv)
+        ts = [(i, mul(c, r)) for i, c in row]
         bk = x[k]
         for a, (i, t) in enumerate(ts):
-            if gk:
-                g[i] = g[i] + t * gk
-            if bk:
-                x[i] = x[i] + t * bk
+            if gk != zero:
+                g[i] = add(g[i], mul(t, gk))
+            if bk != zero:
+                x[i] = add(x[i], mul(t, bk))
             ci = cond[i]
             for j, c in row[a + 1:]:
                 old = ci.get(j)
-                ci[j] = t * c if old is None else old + t * c
-        x[k], g[k] = bk * r, gk * r
+                ci[j] = mul(t, c) if old is None else add(old, mul(t, c))
+        x[k], g[k] = mul(bk, r), mul(gk, r)
         weights[k] = ts
         cond[k] = None
 
@@ -218,15 +267,15 @@ def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
         ts, y, q = weights[k], x[k], g[k]
         s = y
         for j, t in ts:
-            s = s + t * x[j]
+            s = add(s, mul(t, x[j]))
         dk = diff[k] = {}
         for m, _ in ts:
-            d = y - q * x[m] if q else y
+            d = sub(y, mul(q, x[m])) if q != zero else y
             for j, t in ts:
                 if j < m:
-                    d = d + t * diff[j][m]
+                    d = add(d, mul(t, diff[j][m]))
                 elif j > m:
-                    d = d - t * diff[m][j]
+                    d = sub(d, mul(t, diff[m][j]))
             dk[m] = d
         x[k] = s
         weights[k] = None
@@ -234,15 +283,17 @@ def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
     # the current on each window edge: c_e times the carried difference
     # between two unknowns, or c_e x at an edge to a held vertex
     c, ea, eb = window_edges(window, field.number)
-    zero, i = field.number(0), np.empty(len(c), dtype=object)
-    ends = zip(c, elim[ea].tolist(), elim[eb].tolist())
-    for e, (ce, p, q) in enumerate(ends):
+    cur = []
+    for ce, p, q in zip(field.unwrap(c), elim[ea].tolist(), elim[eb].tolist()):
         if p < 0:
-            i[e] = zero if q < 0 else -(ce * x[q])
+            cur.append(zero if q < 0 else neg(mul(ce, x[q])))
         elif q < 0:
-            i[e] = ce * x[p]
+            cur.append(mul(ce, x[p]))
         else:
-            i[e] = ce * diff[p][q] if p < q else -(ce * diff[q][p])
-    sol = np.full(len(window.vertices), zero, dtype=object)
-    sol[live[order]] = x
+            cur.append(mul(ce, diff[p][q]) if p < q
+                       else neg(mul(ce, diff[q][p])))
+    i = np.empty(len(c), dtype=object)
+    i[:] = field.wrap(cur)
+    sol = np.full(len(window.vertices), field.number(0), dtype=object)
+    sol[live[order]] = field.wrap(x)
     return sol, i

@@ -12,6 +12,7 @@ read a carried current as float64 and form the others from the values.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,12 @@ class SubgraphView:
             raise DomainMismatch(f"vertices {bad} lie outside the window")
         return self.vertices.searchsorted(ids)
 
+    @cached_property
+    def edge_index(self):
+        """Each window edge's position in ``window_edges`` order, by edge id
+        (one cumulative count of ``edge_mask``)."""
+        return np.cumsum(self.edge_mask) - 1
+
     def is_interior(self, x):
         """Whether vertex id x lies in int H."""
         return x in self and not self.bd_mask[x]
@@ -98,12 +105,12 @@ def window_edges(window, field=float):
 def conductances(net, edges, field=float):
     """The conductances of the edge ids ``edges``: float gives the float64
     mirror ``ec``, Fraction the exact conductances, and an mpf type the exact
-    conductances at its precision, each converted once per network and
-    precision (``Network.exact_conductances``)."""
+    conductances at its precision, each converted once per generator (or
+    finite network), type and precision (``Network.exact_conductances``)."""
     if field is float:
         return net.ec[edges]
     c = np.empty(len(edges), dtype=object)
-    c[:] = net.exact_conductances(edges.tolist(), field)
+    c[:] = net.exact_conductances(edges, field)
     return c
 
 
@@ -300,28 +307,32 @@ def laplacian(v: Potential, at: int) -> float:
         raise DomainMismatch(f"vertex {at} is not in the network")
     if net.frontier_mask[at]:
         raise MissingNeighborValue(f"vertex {at} is on the materialization frontier")
-    nbrs, _ = net.neighbors(at)
+    e, nbrs = _edges_at(net, at)
     if not np.all(v.window.mask[nbrs]):
         raise MissingNeighborValue(f"a neighbor of {at} lies outside the window")
-    return _flow_out(v, at, nbrs)
+    return _flow_out(v, at, e)
 
 
-def _flow_out(v: Potential, at, nbrs):
-    """The sum of v's currents out of ``at`` along its window edges to
-    ``nbrs``, as float64, formed on those edges alone; DomainMismatch for a
-    vertex outside the window."""
-    v.window.index([at, *nbrs])
-    net, mask = v.net, v.window.edge_mask
-    touch = np.flatnonzero(((net.ei == at) | (net.ej == at)) & mask)
-    out = touch[(net.ei[touch] == at) & np.isin(net.ej[touch], nbrs)]
-    e = np.concatenate(
-        [out, touch[(net.ej[touch] == at) & np.isin(net.ei[touch], nbrs)]])
-    # their positions in window_edges order
-    sel = np.array([np.count_nonzero(mask[:k]) for k in e], dtype=np.int64)
+def _edges_at(net, at):
+    """The ids of the edges at vertex ``at``, ascending, and the other end
+    of each."""
+    start, edges = net.incident
+    e = edges[start[at]:start[at + 1]]
+    return e, net.ei[e] + net.ej[e] - at
+
+
+def _flow_out(v: Potential, at, e):
+    """The sum of v's currents out of ``at`` along the edges ``e`` at it,
+    formed on those edges alone and added as ``window_laplacian`` adds them
+    at ``at``, as float64; DomainMismatch for a vertex outside the window."""
+    net, window = v.net, v.window
+    window.index(at)
+    a, b = window.index(net.ei[e]), window.index(net.ej[e])
     c = conductances(net, e, field_of(v.w))
-    i = _current(v, sel, c, v.window.index(net.ei[e]),
-                 v.window.index(net.ej[e]))
-    return float(np.sum(i[:len(out)]) - np.sum(i[len(out):]))
+    i = _current(v, window.edge_index[e], c, a, b)
+    # ``at`` at position 0, every other end at position 1
+    first = (net.ei[e] == at).astype(np.int64)
+    return float(flow_laplacian(1 - first, first, i, 2)[0])
 
 
 def dirac_pairing(u: Potential, at: int) -> float:
@@ -345,5 +356,5 @@ def normal_derivative(v: Potential, H: SubgraphView, at: int) -> float:
         raise DomainMismatch(f"vertex {at} is not in the network")
     if not H.bd_mask[at]:
         raise NotBoundaryVertex(f"vertex {at} is not in bd H")
-    nbrs, _ = v.net.neighbors(at)
-    return _flow_out(v, at, nbrs[H.mask[nbrs]])
+    e, nbrs = _edges_at(v.net, at)
+    return _flow_out(v, at, e[H.mask[nbrs]])

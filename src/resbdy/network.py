@@ -82,7 +82,10 @@ class Network:
         self.family = family
         self.names = names
         self._exact = exact
+        # conductance conversions, keyed by edge id; a generator's balls
+        # share the generator's, keyed by endpoint pair (``_Family``)
         self._converted = {}
+        self._pair_keys = False
         # +inf is tolerated as the float mirror of exactly-stored huge
         # conductances (deep geometric windows); nan and nonpositive are not
         if np.any(ec <= 0) or np.any(np.isnan(ec)):
@@ -126,6 +129,17 @@ class Network:
             np.add.at(c_of, self.ej, self.ec)
         return c_of
 
+    @cached_property
+    def incident(self):
+        """(start, edges): the ids of the edges at vertex x, ascending, are
+        ``edges[start[x]:start[x + 1]]``. Parallel edges stay apart, as
+        they are in ``ei, ej``."""
+        ends = np.column_stack((self.ei, self.ej)).ravel()
+        start = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=self.n), out=start[1:])
+        # entry 2k is edge k's first end, 2k + 1 its second
+        return start, np.argsort(ends, kind="stable") // 2
+
     def neighbors(self, x):
         """(indices, conductances) of the neighbors of x."""
         sl = slice(self.adjacency.indptr[x], self.adjacency.indptr[x + 1])
@@ -143,22 +157,31 @@ class Network:
         return self._exact[k]
 
     def exact_conductances(self, edges, field=Fraction):
-        """The conductances of the edge ids ``edges`` (a list) in ``field``,
-        Fraction or an mpf type at its context's precision, each formed once
-        per network, type and precision when first asked for (in one call,
-        equal mpf values are one object). The precision is part of the key:
-        a context's precision can change, mpmath's global one included."""
-        key = field if field is Fraction else (field, field.context.prec)
-        memo = self._converted.setdefault(key, {})
+        """The conductances of the edge ids ``edges`` in ``field``, Fraction
+        or an mpf type at its context's precision, each formed when first
+        asked for and kept in a memo keyed by type and precision (in one
+        call, equal mpf values are one object). The precision is part of the
+        key: a context's precision can change, mpmath's global one included.
+
+        A finite network keys its own memo by edge id. The balls of a family
+        generator share the generator's memo, keyed by the edge's endpoint
+        pair (as one integer, ei * 2^32 + ej): vertex ids, and each edge's
+        conductance, are the same in every ball of a generator.
+        """
+        edges = np.asarray(edges, dtype=np.int64)
+        keys = (self.ei[edges] << 32 | self.ej[edges] if self._pair_keys
+                else edges).tolist()
+        type_key = field if field is Fraction else (field, field.context.prec)
+        memo = self._converted.setdefault(type_key, {})
         shared = {}
-        for k in edges:
-            if k not in memo:
+        for k, key in zip(edges.tolist(), keys):
+            if key not in memo:
                 x = self.exact_conductance(k)
                 if field is not Fraction:
                     x = to_mpf(x, field)
                     x = shared.setdefault(x._mpf_, x)
-                memo[k] = x
-        return [memo[k] for k in edges]
+                memo[key] = x
+        return [memo[key] for key in keys]
 
     @property
     def is_saturated(self):
@@ -221,8 +244,24 @@ def build_finite(edge_list, origin=0):
 # -- generators -------------------------------------------------------------
 
 
+class _Family:
+    """What every family generator shares: one memo of converted
+    conductances for all its balls (``Network.exact_conductances``). It is
+    no dataclass field, so a generator's equality, hash and repr ignore it."""
+
+    @cached_property
+    def _converted(self):
+        return {}
+
+    def _network(self, *args, **kwargs):
+        """A ``Network`` whose conductances convert into this memo."""
+        net = Network(*args, **kwargs)
+        net._converted, net._pair_keys = self._converted, True
+        return net
+
+
 @dataclass(frozen=True)
-class LadderGenerator:
+class LadderGenerator(_Family):
     """Two geometric half-lines joined by geometric rungs.
 
     Rail conductances alpha^n on (x_{n-1}, x_n) and (y_{n-1}, y_n); rung
@@ -280,8 +319,8 @@ class LadderGenerator:
                 return a ** (k - n_rail + 1)
             return b ** (k - 2 * n_rail)
 
-        return Network(ei, ej, ec, origin=0, level=level, frontier=frontier,
-                       exact=exact, family="ladder")
+        return self._network(ei, ej, ec, origin=0, level=level,
+                             frontier=frontier, exact=exact, family="ladder")
 
     def x_rail_path(self):
         from .boundary import PathToInfinity
@@ -293,7 +332,7 @@ class LadderGenerator:
 
 
 @dataclass(frozen=True)
-class GeometricHalfLineGenerator:
+class GeometricHalfLineGenerator(_Family):
     """Half-line 0-1-2-... with conductance alpha^n on edge (n-1, n)."""
 
     alpha: float
@@ -314,9 +353,10 @@ class GeometricHalfLineGenerator:
         with np.errstate(over="ignore"):
             ec = self.alpha ** n
         a = Fraction(float(self.alpha))
-        return Network(np.arange(r), np.arange(1, r + 1), ec, origin=0,
-                       level=np.arange(r + 1), frontier=np.array([r]),
-                       exact=lambda k, a=a: a ** (k + 1), family="geometric-half-line")
+        return self._network(np.arange(r), np.arange(1, r + 1), ec, origin=0,
+                             level=np.arange(r + 1), frontier=np.array([r]),
+                             exact=lambda k, a=a: a ** (k + 1),
+                             family="geometric-half-line")
 
     def ray(self):
         from .boundary import PathToInfinity
@@ -324,7 +364,7 @@ class GeometricHalfLineGenerator:
 
 
 @dataclass(frozen=True)
-class IntegerLatticeGenerator:
+class IntegerLatticeGenerator(_Family):
     """Z^d with unit conductances."""
 
     d: int = 1
@@ -350,9 +390,10 @@ class IntegerLatticeGenerator:
             level = np.zeros(2 * r + 1, dtype=np.int64)
             level[pos] = n
             level[neg] = n
-            return Network(ei, ej, np.ones(len(ei)), origin=0, level=level,
-                           frontier=np.array([2 * r - 1, 2 * r]),
-                           family="integer-lattice")
+            return self._network(ei, ej, np.ones(len(ei)), origin=0,
+                                 level=level,
+                                 frontier=np.array([2 * r - 1, 2 * r]),
+                                 family="integer-lattice")
         index = {}
         coords = []
 
@@ -389,13 +430,14 @@ class IntegerLatticeGenerator:
                     ej.append(index[q])
         level = np.array([sum(abs(t) for t in pt) for pt in coords])
         frontier = np.flatnonzero(level == r)
-        return Network(ei, ej, np.ones(len(ei)), origin=0, level=level,
-                       frontier=frontier, names=[str(pt) for pt in coords],
-                       family="integer-lattice")
+        return self._network(ei, ej, np.ones(len(ei)), origin=0, level=level,
+                             frontier=frontier,
+                             names=[str(pt) for pt in coords],
+                             family="integer-lattice")
 
 
 @dataclass(frozen=True)
-class BinaryTreeGenerator:
+class BinaryTreeGenerator(_Family):
     """Rooted binary tree, unit conductances, heap indexing."""
 
     family: str = field(default="binary-tree", init=False)
@@ -414,8 +456,8 @@ class BinaryTreeGenerator:
         nv = 2 ** (r + 1) - 1
         level = np.floor(np.log2(np.arange(nv) + 1)).astype(np.int64)
         frontier = np.arange(2 ** r - 1, nv)
-        return Network(ei, ej, np.ones(len(ei)), origin=0, level=level,
-                       frontier=frontier, family="binary-tree")
+        return self._network(ei, ej, np.ones(len(ei)), origin=0, level=level,
+                             frontier=frontier, family="binary-tree")
 
 
 # -- exhaustions and enumerations -------------------------------------------

@@ -42,7 +42,7 @@ def _step_weights(net, owner, edges):
     bad = np.flatnonzero(~np.isfinite(total[owner]))
     if len(bad):
         owners = owner[bad].tolist()
-        exact = net.exact_conductances(edges[bad].tolist())
+        exact = net.exact_conductances(edges[bad])
         top = {}
         for o, c in zip(owners, exact):
             top[o] = max(top.get(o, c), c)

@@ -234,6 +234,26 @@ def test_laplacian_and_normal_derivative_read_the_currents(R, monkeypatch):
     assert np.all(np.abs(np.subtract(sums, ref)) <= 1e-40 * np.abs(ref) + 1e-45)
 
 
+@pytest.mark.parametrize("lane", ["mp", "float64"])
+def test_laplacian_is_the_window_laplacian_bit_for_bit(lane):
+    # one vertex's sum reads its few edges from the incident-edge index and
+    # adds their currents as the window Laplacian adds them there: in edge
+    # order, out of the vertex at its first end and into it at its second
+    from resbdy import IntegerLatticeGenerator, LadderGenerator
+    from resbdy.energy import window_laplacian
+    gen, R = ((LadderGenerator(5, 1.0), 60) if lane == "mp"
+              else (IntegerLatticeGenerator(1), 300))
+    window = gen.ball(R + 1).ball_view(R)
+    v = solve_dipole_level(window, 1, lane=lane)
+    assert (v.i is not None) == (lane == "mp")
+    lap = window_laplacian(v)
+    inner = window.interior
+    got = np.array([laplacian(v, x) for x in inner.tolist()])
+    want = np.array([float(lap[p]) for p in window.index(inner)])
+    assert len(inner) == len(window.vertices) - 2
+    assert got.tobytes() == want.tobytes()
+
+
 def test_normal_derivative_of_an_exact_potential_is_exact():
     # the Fraction lane carries exact currents: dn v at bd H equals the
     # exact Laplacian of v restricted to H

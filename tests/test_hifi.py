@@ -1,4 +1,5 @@
 """The high-precision lane: sparse elimination against a dense exact oracle,
+the raw-number elimination against the number type's own operators,
 componentwise accuracy of the mp field, and mp numbers that carry their own
 precision, whatever mpmath's global one is."""
 
@@ -9,12 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from resbdy import (Exhaustion, LadderGenerator, Network, boundary_sum_harmonic,
-                    build_finite, build_onb, energy, entries_E_via_evaluation,
-                    entries_M_via_laplacian, gauss_green_verify,
-                    gram_product_check, kronecker_sum_check,
-                    reconstruction_check, royden_split, solve_dipole_level,
-                    window_defect)
+from resbdy import (Exhaustion, GeometricHalfLineGenerator, LadderGenerator,
+                    Network, boundary_sum_harmonic, build_finite, build_onb,
+                    energy, entries_E_via_evaluation, entries_M_via_laplacian,
+                    gauss_green_verify, gram_product_check,
+                    kronecker_sum_check, reconstruction_check, royden_split,
+                    solve_dipole_level, window_defect)
 from resbdy import SubgraphView, _hifi, boundary, solver
 from resbdy.energy import potential_difference, window_edges
 from resbdy.errors import SingularSystem
@@ -178,6 +179,92 @@ def test_fraction_currents_are_exact(net):
                           pin=o, field=_hifi.FractionField())
     c, a, b = window_edges(window, Fraction)
     assert list(i) == list(c * (x[a] - x[b]))
+
+
+def operator_solve(window, field, rhs, dirichlet_zero=(), pin=None):
+    """``hi_solve``'s elimination as it ran on the number type's own
+    operators, kept as the reference for the one on raw numbers: (x, i)."""
+    held = list(dirichlet_zero) + ([] if pin is None else [pin])
+    live, g, (u, v, c), b = _hifi.grounded_system(window, held, rhs,
+                                                  field.number)
+    verts = window.vertices[live]
+    order = np.lexsort((verts, window.net.level[verts]))[::-1]
+    n = len(order)
+    elim = np.full(len(window.vertices), -1, dtype=np.int64)
+    elim[live[order]] = np.arange(n)
+    cond = [{} for _ in range(n)]
+    for i, j, cij in zip(elim[live][u].tolist(), elim[live][v].tolist(), c):
+        cond[min(i, j)][max(i, j)] = cij
+    g, x = g[order].tolist(), b[order].tolist()
+    weights, diff = [None] * n, [None] * n
+    for k in range(n):
+        row = sorted(cond[k].items())
+        gk = piv = g[k]
+        for _, c in row:
+            piv = piv + c
+        r = 1 / piv
+        ts = [(i, c * r) for i, c in row]
+        bk = x[k]
+        for a, (i, t) in enumerate(ts):
+            if gk:
+                g[i] = g[i] + t * gk
+            if bk:
+                x[i] = x[i] + t * bk
+            for j, c in row[a + 1:]:
+                old = cond[i].get(j)
+                cond[i][j] = t * c if old is None else old + t * c
+        x[k], g[k], weights[k] = bk * r, gk * r, ts
+    for k in range(n - 1, -1, -1):
+        ts, y, q = weights[k], x[k], g[k]
+        s = y
+        for j, t in ts:
+            s = s + t * x[j]
+        diff[k] = {}
+        for m, _ in ts:
+            d = y - q * x[m] if q else y
+            for j, t in ts:
+                if j < m:
+                    d = d + t * diff[j][m]
+                elif j > m:
+                    d = d - t * diff[m][j]
+            diff[k][m] = d
+        x[k] = s
+    c, ea, eb = window_edges(window, field.number)
+    zero, i = field.number(0), np.empty(len(c), dtype=object)
+    for e, (ce, p, q) in enumerate(zip(c, elim[ea], elim[eb])):
+        if p < 0:
+            i[e] = zero if q < 0 else -(ce * x[q])
+        elif q < 0:
+            i[e] = ce * x[p]
+        else:
+            i[e] = ce * diff[p][q] if p < q else -(ce * diff[q][p])
+    sol = np.full(len(window.vertices), zero, dtype=object)
+    sol[live[order]] = x
+    return sol, i
+
+
+HALF_LINE = GeometricHalfLineGenerator(2).ball(41).ball_view(40)
+
+
+@pytest.mark.parametrize("window, case", [
+    *((w, case) for w in (R60, R300) for case in CASES),
+    (HALF_LINE, "free"), (HALF_LINE, "wired")],
+    ids=[*(f"R{r}-{case}" for r in (60, 300) for case in CASES),
+         "half-line-free", "half-line-wired"])
+def test_raw_elimination_keeps_the_operators_bits(window, case):
+    # the raw-number arithmetic calls what mpf's operators call, at the
+    # same precision and rounding: every value and current keeps its bits
+    if window is HALF_LINE:
+        o, x = window.net.origin, 3
+        kw = {"free": dict(rhs={x: 1, o: -1}, pin=o),
+              "wired": dict(rhs={x: 1}, dirichlet_zero=window.bd)}[case]
+    else:
+        kw = ladder_case(window, case)
+    field = _hifi.MPField(P)
+    got = _hifi.hi_solve(window.net, window, field=field, **kw)
+    want = operator_solve(window, field, **kw)
+    assert type(got[0][0]) is field.number
+    assert _bits(got) == _bits(want)
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from resbdy import _hifi
 from resbdy import (BinaryTreeGenerator, Exhaustion, GeometricHalfLineGenerator,
-                    IntegerLatticeGenerator, LadderGenerator, build_finite,
-                    default_exhaustion, doubling_exhaustion,
+                    IntegerLatticeGenerator, LadderGenerator, Network,
+                    build_finite, default_exhaustion, doubling_exhaustion,
                     enumerate_vertices, generator_from_spec, monopole,
                     royden_split)
 from resbdy.errors import (DisconnectedGraph, InvalidParameters,
@@ -205,6 +205,92 @@ def test_exact_conductances_are_served_at_their_conversion_precision():
             thirds.append(net.exact_conductances([0], mp.mpf)[0])
             assert thirds[-1] == mp.mpf(1) / 3
     assert thirds[0] != thirds[1] and thirds[0] is thirds[2]
+
+
+def _count_conversions(net):
+    """The edge ids whose exact conductance ``net`` forms from now on."""
+    calls, exact = [], net.exact_conductance
+    net.exact_conductance = lambda k: calls.append(k) or exact(k)
+    return calls
+
+
+def test_balls_of_a_generator_convert_each_edge_once():
+    gen = LadderGenerator(5, 1)
+    mpf = _hifi.MPField(50).number
+    small, big = gen.ball(10), gen.ball(25)
+    edges = np.arange(len(big.ei))
+    seen = _count_conversions(small)
+    small.exact_conductances(np.arange(len(small.ei)), mpf)
+    assert sorted(seen) == list(range(len(small.ei)))
+    # the larger ball converts only the edges the smaller one lacks
+    new = _count_conversions(big)
+    got = big.exact_conductances(edges, mpf)
+    old_pairs = set(zip(small.ei.tolist(), small.ej.tolist()))
+    assert sorted(new) == [k for k in edges.tolist()
+                           if (big.ei[k], big.ej[k]) not in old_pairs]
+    assert len(new) == len(big.ei) - len(small.ei)
+    # and every value is the fresh conversion's, bit for bit
+    assert all(type(x) is mpf for x in got)
+    fresh = [_hifi.to_mpf(big.exact_conductance(k), mpf)._mpf_
+             for k in edges.tolist()]
+    assert [x._mpf_ for x in got] == fresh
+    new.clear()
+    assert big.exact_conductances(edges, mpf) == got and not new
+    # a memo holds no field, so equality, hash and repr do not see it
+    twin = LadderGenerator(5, 1)
+    assert gen == twin and hash(gen) == hash(twin) and repr(gen) == repr(twin)
+    assert gen.params() == {"alpha": 5, "beta": 1}
+
+
+def test_conversions_are_kept_apart_by_type_precision_and_generator():
+    # 0.9^k rounds differently at every precision
+    gen = LadderGenerator(5, 0.9)
+    net = gen.ball(12)
+    edges = np.arange(len(net.ei))
+    calls = _count_conversions(net)
+
+    def converted(field):
+        calls.clear()
+        out = net.exact_conductances(edges, field)
+        count = len(calls)
+        assert all(type(x) is field for x in out)
+        assert [x._mpf_ for x in out] == [
+            _hifi.to_mpf(net.exact_conductance(k), field)._mpf_
+            for k in edges.tolist()]
+        return count, out
+
+    for dps in (20, 60):
+        assert converted(_hifi.MPField(dps).number)[0] == len(edges)
+    # mpmath's global mpf: an entry per precision it had when asked
+    with mp.workdps(20):
+        assert converted(mp.mpf)[0] == len(edges)
+    with mp.workdps(60):
+        n60, at60 = converted(mp.mpf)
+        assert n60 == len(edges)
+    with mp.workdps(20):
+        assert converted(mp.mpf)[0] == 0
+    with mp.workdps(60):
+        assert converted(mp.mpf) == (0, at60)
+    # another generator, other conductances: nothing is shared
+    other = LadderGenerator(5, 1).ball(12)
+    assert other._converted is not net._converted
+    calls = _count_conversions(other)
+    rungs = other.exact_conductances(edges, _hifi.MPField(20).number)
+    assert sorted(calls) == edges.tolist() and rungs[-1] == 1
+
+
+def test_a_finite_network_keeps_its_own_conversions():
+    # the pair (0, 1) twice: a memo keyed by edge id keeps both apart
+    raw = Network([0, 1, 1], [1, 0, 2], [0.25, 0.75, 2.0])
+    assert raw.exact_conductances([0, 1, 2]) == [0.25, 0.75, 2]
+    mpf = _hifi.MPField(30).number
+    nets = [build_finite([(0, 1, "1/3"), (1, 2, 5)]) for _ in range(2)]
+    for net in nets:
+        calls = _count_conversions(net)
+        assert net.exact_conductances([0, 1], mpf) == [mpf(1) / 3, 5]
+        assert sorted(calls) == [0, 1]
+    assert nets[0]._converted is not nets[1]._converted
+    assert nets[0].ball(4)._converted is nets[0]._converted
 
 
 def test_generator_from_spec_roundtrip():
