@@ -27,7 +27,7 @@ from .energy import (Potential, edge_currents, edge_ends, energy,
                      window_laplacian)
 from .errors import DomainMismatch, InvalidParameters, NotHarmonic
 from .network import default_exhaustion
-from .solver import solve_dipole_level
+from .solver import _levels, solve_dipole_level
 
 # the largest harmonic residual of u that boundary_sum_harmonic accepts
 HARM_TOL = 1e-6
@@ -67,16 +67,18 @@ def gauss_green_verify(u: Potential, v: Potential, exhaustion=None):
 
     ``exhaustion`` is a sequence of (radius, SubgraphView) pairs, an
     Exhaustion or a list, each view inside the potentials' window; by default
-    the balls of the potentials' network. The report carries, per level, the
-    interior sum over int G_k of u Lap v, the boundary sum of u dn v, their
-    total, the window energy (equal to the total up to roundoff: that is the
-    split identity), and the deviation from the full-window energy. Every
+    the balls of the potentials' network that lie inside it. The report
+    carries, per level, the interior sum over int G_k of u Lap v, the
+    boundary sum of u dn v, their total, the window energy (equal to the
+    total up to roundoff: that is the split identity), and the deviation
+    from the full-window energy. Every
     sum runs over the potentials' ``edge_currents``, in their field, as
     ``energy`` does: a view's edges are some of the window's.
     """
     if exhaustion is None:
-        exhaustion = [(r, u.net.ball_view(r))
-                      for r in range(1, int(u.net.level.max()) + 1)]
+        # the balls below the lowest level that the window leaves out
+        top = np.min(u.net.level[~u.window.mask], initial=u.net.level.max() + 1)
+        exhaustion = [(r, u.net.ball_view(r)) for r in range(1, int(top))]
     target = energy(u, v)
     rep = GaussGreenReport(target=target)
     # each window edge's current of v and energy term, formed once
@@ -154,13 +156,11 @@ def boundary_sum_harmonic(source, u_values, x, levels=30, lane="auto",
             f"u has harmonic residual {harm_residual:.3e} > {HARM_TOL:.1e}")
     getter = value_getter(u_values)
     rep = None
-    for radius, view in default_exhaustion(source, levels):
-        o = view.net.origin
-        if not (view.is_interior(x) and view.is_interior(o)):
-            continue
+    for radius, view in _levels(default_exhaustion(source, levels), (x,),
+                                "wired"):
         if rep is None:
             if target is None:
-                target = float(getter(int(x))) - float(getter(o))
+                target = float(getter(int(x))) - float(getter(view.net.origin))
             rep = BoundarySumReport(x=int(x), target=float(target))
         v = solve_dipole_level(view, x, bc="free", lane=lane)
         f = solve_dipole_level(view, x, bc="wired", lane=lane)
@@ -170,8 +170,6 @@ def boundary_sum_harmonic(source, u_values, x, levels=30, lane="auto",
         s = np.sum(u_bd * lap[bd])
         rep.radii.append(int(radius))
         rep.sums.append(float(s))
-    if rep is None:
-        raise InvalidParameters(f"vertex {x} never entered the exhaustion")
     return rep
 
 

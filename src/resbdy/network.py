@@ -23,7 +23,8 @@ Levels: every generated ball carries a per-vertex ``level`` array used by
 exhaustions. For all families except the ladder, level equals graph distance
 from the origin. The ladder uses the rung index n for both x_n and y_n, so
 that level-k balls are the column truncations {x_0..x_k, y_0..y_k} of size
-2(k+1).
+2(k+1). The ball of radius r >= 1 of every family holds the vertices of
+level <= r, and its frontier is the vertices of level r.
 """
 
 from __future__ import annotations
@@ -245,17 +246,27 @@ def build_finite(edge_list, origin=0):
 
 
 class _Family:
-    """What every family generator shares: one memo of converted
-    conductances for all its balls (``Network.exact_conductances``). It is
-    no dataclass field, so a generator's equality, hash and repr ignore it."""
+    """What every family generator shares: its balls, built from the
+    ``Network`` arguments its ``_ball(r)`` returns (ei, ej, ec, level, and
+    exact and names where the family has them), and one memo of converted
+    conductances for all of them (``Network.exact_conductances``). The memo
+    is no dataclass field, so a generator's equality, hash and repr ignore
+    it."""
 
     @cached_property
     def _converted(self):
         return {}
 
-    def _network(self, *args, **kwargs):
-        """A ``Network`` whose conductances convert into this memo."""
-        net = Network(*args, **kwargs)
+    def ball(self, radius):
+        """The vertices of level <= radius, with origin 0. The frontier is
+        the vertices of level = radius: their other neighbours are not
+        materialized."""
+        if radius < 1:
+            raise InvalidParameters("radius must be >= 1")
+        r = int(radius)
+        parts = self._ball(r)
+        net = Network(**parts, origin=0, family=self.family,
+                      frontier=np.flatnonzero(parts["level"] == r))
         net._converted, net._pair_keys = self._converted, True
         return net
 
@@ -291,36 +302,21 @@ class LadderGenerator(_Family):
     def params(self):
         return {"alpha": self.alpha, "beta": self.beta}
 
-    def ball(self, radius):
-        if radius < 0:
-            raise InvalidParameters("radius must be >= 0")
-        r = int(radius)
-        n = np.arange(1, r + 1, dtype=np.float64)
-        rail_i = 2 * (np.arange(1, r + 1) - 1)
-        with np.errstate(over="ignore"):
-            rail_c = self.alpha ** n
-        rung_n = np.arange(0, r + 1)
-        ei = np.concatenate([rail_i, rail_i + 1, 2 * rung_n])
-        ej = np.concatenate([rail_i + 2, rail_i + 3, 2 * rung_n + 1])
+    def _ball(self, r):
+        rail, rung = 2 * np.arange(r), np.arange(r + 1)
         # the float mirror may saturate to inf on very deep windows; the exact
         # callable below stays authoritative and the solver lanes honor it
         with np.errstate(over="ignore"):
+            rail_c = self.alpha ** np.arange(1, r + 1, dtype=np.float64)
             ec = np.concatenate([rail_c, rail_c,
-                                 self.beta ** rung_n.astype(np.float64)])
-        level = np.repeat(np.arange(r + 1), 2)
-        frontier = np.array([2 * r, 2 * r + 1])
+                                 self.beta ** rung.astype(np.float64)])
         a, b = Fraction(float(self.alpha)), Fraction(float(self.beta))
-        n_rail = r
-
-        def exact(k, n_rail=n_rail, a=a, b=b):
-            if k < n_rail:
-                return a ** (k + 1)
-            if k < 2 * n_rail:
-                return a ** (k - n_rail + 1)
-            return b ** (k - 2 * n_rail)
-
-        return self._network(ei, ej, ec, origin=0, level=level,
-                             frontier=frontier, exact=exact, family="ladder")
+        # the x rail's edges, then the y rail's, then the rungs
+        return dict(ei=np.concatenate([rail, rail + 1, 2 * rung]),
+                    ej=np.concatenate([rail + 2, rail + 3, 2 * rung + 1]),
+                    ec=ec, level=np.repeat(rung, 2),
+                    exact=lambda k: (a ** (k % r + 1) if k < 2 * r
+                                     else b ** (k - 2 * r)))
 
     def x_rail_path(self):
         from .boundary import PathToInfinity
@@ -345,18 +341,13 @@ class GeometricHalfLineGenerator(_Family):
     def params(self):
         return {"alpha": self.alpha}
 
-    def ball(self, radius):
-        if radius < 1:
-            raise InvalidParameters("radius must be >= 1")
-        r = int(radius)
+    def _ball(self, r):
         n = np.arange(1, r + 1, dtype=np.float64)
         with np.errstate(over="ignore"):
             ec = self.alpha ** n
         a = Fraction(float(self.alpha))
-        return self._network(np.arange(r), np.arange(1, r + 1), ec, origin=0,
-                             level=np.arange(r + 1), frontier=np.array([r]),
-                             exact=lambda k, a=a: a ** (k + 1),
-                             family="geometric-half-line")
+        return dict(ei=np.arange(r), ej=np.arange(1, r + 1), ec=ec,
+                    level=np.arange(r + 1), exact=lambda k: a ** (k + 1))
 
     def ray(self):
         from .boundary import PathToInfinity
@@ -377,63 +368,44 @@ class IntegerLatticeGenerator(_Family):
     def params(self):
         return {"d": self.d}
 
-    def ball(self, radius):
-        if radius < 1:
-            raise InvalidParameters("radius must be >= 1")
-        r = int(radius)
+    def _ball(self, r):
         if self.d == 1:
             # 0 -> 0, +n -> 2n-1, -n -> 2n; vectorized for very large balls
             n = np.arange(1, r + 1)
             pos, neg = 2 * n - 1, 2 * n
             ei = np.concatenate([[0], pos[:-1], [0], neg[:-1]])
-            ej = np.concatenate([pos, neg])
-            level = np.zeros(2 * r + 1, dtype=np.int64)
-            level[pos] = n
-            level[neg] = n
-            return self._network(ei, ej, np.ones(len(ei)), origin=0,
-                                 level=level,
-                                 frontier=np.array([2 * r - 1, 2 * r]),
-                                 family="integer-lattice")
-        index = {}
-        coords = []
-
-        def idx(pt):
-            if pt not in index:
-                index[pt] = len(coords)
-                coords.append(pt)
-            return index[pt]
-
-        origin = tuple([0] * self.d)
-        idx(origin)
-        shell = [origin]
-        ei, ej = [], []
-        for dist in range(1, r + 1):
-            nxt = set()
-            for pt in shell:
-                for ax in range(self.d):
-                    for s in (-1, 1):
-                        q = list(pt)
-                        q[ax] += s
-                        q = tuple(q)
-                        if sum(abs(t) for t in q) == dist:
-                            nxt.add(q)
-            for q in sorted(nxt):
-                idx(q)
-            shell = sorted(nxt)
-        for pt, i in index.items():
-            for ax in range(self.d):
-                q = list(pt)
-                q[ax] += 1
-                q = tuple(q)
-                if q in index:
-                    ei.append(i)
-                    ej.append(index[q])
-        level = np.array([sum(abs(t) for t in pt) for pt in coords])
-        frontier = np.flatnonzero(level == r)
-        return self._network(ei, ej, np.ones(len(ei)), origin=0, level=level,
-                             frontier=frontier,
-                             names=[str(pt) for pt in coords],
-                             family="integer-lattice")
+            return dict(ei=ei, ej=np.concatenate([pos, neg]),
+                        ec=np.ones(len(ei)),
+                        level=np.concatenate([[0], np.repeat(n, 2)]))
+        # the points of L1 norm <= r in lexicographic order, one axis at a
+        # time: a point whose coordinates so far leave budget b takes each
+        # value -b..b on the next axis, in ascending order
+        side = 2 * r + 1
+        budget = np.array([r])
+        # coordinates + r as digits base 2r + 1, in Python ints past int64
+        key = np.zeros(1, dtype=np.int64 if side ** self.d < 2 ** 63 else object)
+        for _ in range(self.d):
+            width = 2 * budget + 1
+            owner = np.repeat(np.arange(len(budget)), width)
+            value = (np.arange(len(owner))
+                     - np.repeat(np.cumsum(width) - budget - 1, width))
+            budget = budget[owner] - np.abs(value)
+            key = key[owner] * side + value + r
+        # ids in (L1 norm, lexicographic) order; ``key`` stays in
+        # lexicographic order, which is ascending
+        order = np.argsort(r - budget, kind="stable")
+        level = r - budget[order]
+        pos_id = np.argsort(order)
+        unit = np.array([side ** k for k in range(self.d - 1, -1, -1)],
+                        dtype=key.dtype)
+        coords = key[order, None] // unit % side - r
+        # the edge from each point to its successor on each axis, where that
+        # successor lies in the ball, by the point's id, then by axis
+        inside = level[:, None] + np.where(coords < 0, -1, 1) <= r
+        ei = np.nonzero(inside)[0]
+        ej = pos_id[np.searchsorted(key, key[order, None] + unit)[inside]]
+        return dict(ei=ei, ej=ej, ec=np.ones(len(ei)), level=level,
+                    names=[str(tuple(pt)) for pt in coords.tolist()])
 
 
 @dataclass(frozen=True)
@@ -445,19 +417,12 @@ class BinaryTreeGenerator(_Family):
     def params(self):
         return {}
 
-    def ball(self, radius):
-        if radius < 1:
-            raise InvalidParameters("radius must be >= 1")
-        r = int(radius)
-        n_inner = 2 ** r - 1          # vertices with depth < r have children inside
-        parents = np.arange(n_inner)
+    def _ball(self, r):
+        parents = np.arange(2 ** r - 1)   # depth < r: children inside
         ei = np.concatenate([parents, parents])
-        ej = np.concatenate([2 * parents + 1, 2 * parents + 2])
-        nv = 2 ** (r + 1) - 1
-        level = np.floor(np.log2(np.arange(nv) + 1)).astype(np.int64)
-        frontier = np.arange(2 ** r - 1, nv)
-        return self._network(ei, ej, np.ones(len(ei)), origin=0, level=level,
-                             frontier=frontier, family="binary-tree")
+        level = np.floor(np.log2(np.arange(2 ** (r + 1) - 1) + 1))
+        return dict(ei=ei, ej=np.concatenate([2 * parents + 1, 2 * parents + 2]),
+                    ec=np.ones(len(ei)), level=level.astype(np.int64))
 
 
 # -- exhaustions and enumerations -------------------------------------------

@@ -307,6 +307,25 @@ def _saturated(view):
     return net.is_saturated and len(view.vertices) == net.n
 
 
+def _levels(exhaustion, charges, bc):
+    """The levels (radius, view) of ``exhaustion`` whose window can carry
+    a solve with charges at the vertex ids ``charges``: they and the origin,
+    where every level potential is 0, lie inside the window for a free
+    solve and in its interior for a wired one. InvalidParameters when no
+    level can."""
+    fits = SubgraphView.is_interior if bc == "wired" else SubgraphView.__contains__
+    entered = False
+    for radius, view in exhaustion:
+        if all(fits(view, v) for v in (view.net.origin, *charges)):
+            entered = True
+            yield radius, view
+    if not entered:
+        ids = list(dict.fromkeys(charges))
+        raise InvalidParameters(
+            f"vertex {ids[0]} never entered the exhaustion" if len(ids) == 1
+            else f"vertices {ids} never entered the exhaustion together")
+
+
 def energy_kernel(source, x, bc="free", exhaustion=None, levels=30, tol=1e-8,
                   lane="auto", track_defect=False):
     """Exhaustion limit of the dipole solves Lap v = delta_x - delta_o.
@@ -318,20 +337,12 @@ def energy_kernel(source, x, bc="free", exhaustion=None, levels=30, tol=1e-8,
     exh = (exhaustion if exhaustion is not None
            else default_exhaustion(source, levels))
     report = ConvergenceReport(quantity=f"energy_kernel(x={x}, bc={bc})", tol=tol)
-    pot = None
-    for radius, view in exh:
-        if bc == "wired":
-            if not (view.is_interior(x) and view.is_interior(view.net.origin)):
-                continue
-        elif x not in view:
-            continue
+    for radius, view in _levels(exh, (x,), bc):
         pot = solve_dipole_level(view, x, bc=bc, lane=lane)
         defect = window_defect(pot) if track_defect else None
         report.record(radius, len(view.vertices), pot.value(x), defect)
         if report.assess(saturated=_saturated(view)):
             break
-    if pot is None:
-        raise InvalidParameters(f"vertex {x} never entered the exhaustion")
     w = pot.w.astype(float, copy=False)  # the window values as float64
     report.extra["max_principle_ok"] = bool(
         np.all(w >= -1e-9) and np.all(w <= pot.value(x) + 1e-9)) \
@@ -353,13 +364,7 @@ def effective_resistance(source, x, y=None, bc="free", exhaustion=None,
     exh = (exhaustion if exhaustion is not None
            else default_exhaustion(source, levels))
     report = ConvergenceReport(quantity=f"resistance({x},{y}, bc={bc})", tol=tol)
-    value = None
-    for radius, view in exh:
-        if bc == "wired":
-            if not (view.is_interior(x) and view.is_interior(y)):
-                continue
-        elif not (x in view and y in view):
-            continue
+    for radius, view in _levels(exh, (x, y), bc):
         if x == y:
             report.converged = True
             report.stopping_rule = "identical-vertices"
@@ -375,8 +380,6 @@ def effective_resistance(source, x, y=None, bc="free", exhaustion=None,
         report.record(radius, len(view.vertices), value)
         if report.assess(saturated=_saturated(view)):
             break
-    if value is None:
-        raise InvalidParameters("x and y never entered the exhaustion together")
     return value, report
 
 
@@ -394,17 +397,18 @@ def monopole(source, x=None, levels=22, tol=1e-8, divergence_threshold=1e6,
     transient=True when the energies satisfy the convergence rule (bounded
     limit exists: the network supports a finite-energy monopole), False when
     they pass the divergence threshold with increasing trend, None otherwise.
-    A doubling schedule cuts each level from its own ball (generator indices
-    are stable), keeping divergence triage at deep radii affordable.
+    ``schedule`` is 'doubling' (radii 1, 2, 4, ...) or 'linear' (1, 2, 3,
+    ...). A doubling schedule cuts each level from its own ball (generator
+    indices are stable), keeping divergence triage at deep radii affordable.
     """
-    exhaustion = (doubling_exhaustion(source, levels) if schedule == "doubling"
-                  else default_exhaustion(source, levels))
+    schedules = {"doubling": doubling_exhaustion, "linear": default_exhaustion}
+    if schedule not in schedules:
+        raise InvalidParameters(f"unknown schedule {schedule!r}")
+    exhaustion = schedules[schedule](source, levels)
     x = int(x) if x is not None else source.ball(1).origin
     report = ConvergenceReport(quantity=f"monopole_energy(x={x})", tol=tol)
     pot = None
-    for radius, view in exhaustion:
-        if not view.is_interior(x):
-            continue
+    for radius, view in _levels(exhaustion, (x,), "wired"):
         if _saturated(view) and len(view.bd) == 0:
             # a fully materialized finite network supports no monopole:
             # Lap w = delta_x has no solution (charge cannot exit)
@@ -416,8 +420,6 @@ def monopole(source, x=None, levels=22, tol=1e-8, divergence_threshold=1e6,
         report.record(radius, len(view.vertices), e)
         if report.assess(divergence_threshold=divergence_threshold):
             break
-    if pot is None and not report.diverged:
-        raise InvalidParameters(f"vertex {x} never entered the exhaustion")
     transient = True if report.converged else (False if report.diverged else None)
     return MonopoleResult(potential=pot, report=report, transient=transient)
 

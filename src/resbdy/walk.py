@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import _edges_at, edge_ends
 from .errors import InvalidParameters, IsolatedVertex
 from .solver import solve_dipole_level
 
@@ -57,11 +58,11 @@ def transition_probabilities(net, x):
     x = int(x)
     if not (0 <= x < net.n):
         raise IsolatedVertex(f"vertex {x} is not materialized")
-    edges = np.flatnonzero((net.ei == x) | (net.ej == x))
+    edges, nbrs = _edges_at(net, x)
     if len(edges) == 0:
         raise IsolatedVertex(f"vertex {x} has no neighbors")
     w = _step_weights(net, np.zeros(len(edges), dtype=np.int64), edges)
-    return net.ei[edges] + net.ej[edges] - x, w / w.sum()
+    return nbrs, w / w.sum()
 
 
 @dataclass
@@ -112,9 +113,7 @@ def _slot_tables(view):
     """Per-slot tables over the window positions: nbr[j] holds each
     position's slot-j neighbour as a position, cum[j] its P_j for j below the
     largest degree minus 1, and deg its number of window edges."""
-    net = view.net
-    edges = np.flatnonzero(view.edge_mask)
-    a, b = view.index(net.ei[edges]), view.index(net.ej[edges])
+    edges, a, b = edge_ends(view)
     # entry 2k is edge k seen from a, entry 2k + 1 from b; a stable sort by
     # owner keeps each vertex's slots in edge order
     owner = np.stack([a, b], axis=1).ravel()
@@ -128,7 +127,7 @@ def _slot_tables(view):
     nbr = np.zeros((width, size), dtype=np.int64)
     nbr[slot, owner] = other
     wt = np.zeros((width, size))
-    wt[slot, owner] = _step_weights(net, owner, np.repeat(edges, 2)[order])
+    wt[slot, owner] = _step_weights(view.net, owner, np.repeat(edges, 2)[order])
     # the running sums go slot by slot, in the order np.cumsum adds a vertex's
     # weights, and slots past a vertex's degree add 0, so P_j = 1 there
     c = np.cumsum(wt, axis=0)

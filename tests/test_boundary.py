@@ -5,9 +5,9 @@ from resbdy import (GeometricHalfLineGenerator, IntegerLatticeGenerator,
                     LadderGenerator, PathToInfinity, Potential,
                     boundary_point_eval,
                     boundary_sum_harmonic, build_finite, default_exhaustion,
-                    energy, finite_gauss_green_deviation, gauss_green_verify,
-                    path_equivalence, potential_from_values, royden_split,
-                    solve_dipole_level)
+                    energy, energy_kernel, finite_gauss_green_deviation,
+                    gauss_green_verify, path_equivalence,
+                    potential_from_values, royden_split, solve_dipole_level)
 from resbdy.errors import DomainMismatch, InvalidParameters, NotHarmonic
 from resbdy.ladder import ladder_harmonic
 from tests.conftest import random_edge_list
@@ -29,6 +29,15 @@ def test_per_level_split_identity(grid44, rng):
     # the deepest level covers the whole network: boundary part empty
     assert rep.boundary[-1] == 0.0
     assert rep.totals[-1] == pytest.approx(energy(u, v), abs=1e-10)
+
+
+def test_default_levels_are_the_balls_inside_a_driver_window():
+    # a driver's potential lives on ball_view(6) of ball(7): the default
+    # schedule stops at the last ball inside that window
+    v, _ = energy_kernel(LadderGenerator(5, 0.9), 2, levels=6)
+    rep = gauss_green_verify(v, v)
+    assert rep.radii == [1, 2, 3, 4, 5, 6]
+    assert rep.split_identity_dev <= 1e-12 * abs(rep.target)
 
 
 def test_dipole_interior_term_is_value_difference():

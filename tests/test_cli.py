@@ -631,3 +631,13 @@ def test_generate_radius_zero_of_a_finite_network_is_an_error(capsys):
     assert code == 1
     assert captured.err.startswith("error [invalid-parameters]")
     assert captured.out == ""
+
+
+def test_generate_radius_zero_of_a_family_is_an_error(capsys):
+    # the ladder took radius 0 once; every family now rejects it
+    code = main(["generate", "--network", "ladder", "--alpha", "5",
+                 "--beta", "0.9", "--radius", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error [invalid-parameters]")
+    assert captured.out == ""

@@ -364,6 +364,48 @@ def test_view_membership_is_bounds_checked():
         assert x not in view and not view.is_interior(x)
 
 
+FAMILIES = [LadderGenerator(5, 0.9), GeometricHalfLineGenerator(2),
+            IntegerLatticeGenerator(1), IntegerLatticeGenerator(2),
+            IntegerLatticeGenerator(3), BinaryTreeGenerator()]
+
+
+@pytest.mark.parametrize("gen", FAMILIES, ids=repr)
+def test_a_ball_frontier_is_its_top_level(gen):
+    for r in range(1, 6):
+        net = gen.ball(r)
+        assert net.origin == 0 and net.family == gen.family
+        assert net.level.max() == r
+        assert np.array_equal(net.frontier, np.flatnonzero(net.level == r))
+    with pytest.raises(InvalidParameters, match="radius"):
+        gen.ball(0)
+
+
+def _l1_ball(d, r):
+    """The points of Z^d with L1 norm <= r, coordinate by coordinate."""
+    if d == 0:
+        return [()]
+    return [(a, *p) for a in range(-r, r + 1) for p in _l1_ball(d - 1, r - abs(a))]
+
+
+# in Z^28 the radius-1 ball's coordinate keys (base 3) fit int64, the
+# radius-2 ball's (base 5) do not
+@pytest.mark.parametrize("d, radius", [(2, 4), (3, 3), (4, 2), (28, 2)])
+def test_lattice_ball_is_its_definition(d, radius):
+    # the points of L1 norm <= r by (norm, coordinates), with an edge to
+    # each one's successor on each axis, ordered by that point's id and axis
+    for r in range(1, radius + 1):
+        pts = sorted(_l1_ball(d, r), key=lambda p: (sum(map(abs, p)), p))
+        ids = {p: k for k, p in enumerate(pts)}
+        edges = [(k, ids[q]) for k, p in enumerate(pts) for ax in range(d)
+                 for q in [p[:ax] + (p[ax] + 1,) + p[ax + 1:]] if q in ids]
+        net = IntegerLatticeGenerator(d).ball(r)
+        assert net.names == [str(p) for p in pts]
+        assert net.level.tolist() == [sum(map(abs, p)) for p in pts]
+        assert list(zip(net.ei.tolist(), net.ej.tolist())) == [
+            (min(e), max(e)) for e in edges]
+        assert np.array_equal(net.ec, np.ones(len(edges)))
+
+
 def test_a_network_is_its_own_ball(grid44):
     assert grid44.ball(1) is grid44 and grid44.ball(9) is grid44
     with pytest.raises(InvalidParameters):

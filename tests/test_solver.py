@@ -4,8 +4,9 @@ import pytest
 from resbdy import (BinaryTreeGenerator, GeometricHalfLineGenerator,
                     IntegerLatticeGenerator, LadderGenerator, build_finite,
                     default_exhaustion, effective_resistance, energy,
-                    energy_kernel, exhaustion_independence, monopole,
-                    potential_from_values, solve_dipole_level)
+                    boundary_sum_harmonic, energy_kernel,
+                    exhaustion_independence, monopole, potential_from_values,
+                    royden_split, solve_dipole_level)
 from resbdy import _hifi, solver
 from resbdy.errors import InvalidParameters
 from resbdy.solver import ConvergenceReport
@@ -254,6 +255,15 @@ def test_vertex_outside_every_level_is_rejected(x):
     for schedule in ("doubling", "linear"):
         with pytest.raises(InvalidParameters, match="never entered"):
             monopole(gen, x=x, levels=3, schedule=schedule)
+    with pytest.raises(InvalidParameters, match="never entered"):
+        boundary_sum_harmonic(gen, lambda v: 1.0, x, levels=3)
+    with pytest.raises(InvalidParameters, match="never entered"):
+        royden_split(gen, x, levels=3)
+
+
+def test_unknown_monopole_schedule_is_rejected():
+    with pytest.raises(InvalidParameters, match="unknown schedule"):
+        monopole(IntegerLatticeGenerator(1), levels=4, schedule="doubled")
 
 
 def test_finite_kernel_keeps_vertex_ids_below_saturation(grid44):
