@@ -81,8 +81,9 @@ class SubgraphView:
 # Every window quantity is one of two sums over the window's edge currents:
 # the energy form and the window Laplacian. ``edge_currents`` gives the
 # currents of several potentials in one field, and both sums run in it:
-# float64 arrays, or object arrays of mpf or Fraction, which add term by term
-# in edge order.
+# float64 arrays, or object arrays of mpf or Fraction. The Laplacian adds
+# term by term in edge order; an mp energy, like every mp ``_product``, is
+# formed exactly and rounded once.
 
 
 def edge_ends(window):
@@ -119,9 +120,45 @@ def field_of(values):
     return float if values.dtype != object else type(values.flat[0])
 
 
+def _fdot(x):
+    """The exact dot product of the context of x's mpf values, or None when
+    x is empty or holds no mpf."""
+    first = x.flat[0] if x.dtype == object and x.size else None
+    return first.context.fdot if hasattr(first, "context") else None
+
+
+def _product(A, B):
+    """A @ B for a matrix or vector and a vector, either side, in one field.
+
+    In mp each entry is one ``fdot`` of the numbers' own context: every
+    product is exact and the sum is rounded once, at that precision
+    (``libmp.mpf_sum`` drops a term lying more than twice the precision in
+    bits below the running sum, where rounding after each term loses it
+    from about the precision down). float64 and Fraction take ``@``: the
+    same bits as before, or exact.
+    """
+    fdot = _fdot(B)
+    if fdot is None or A.size == 0:
+        return A @ B
+    if B.ndim == 2:
+        # x @ M is M^T @ x
+        A, B = B.T, A
+    b = B.tolist()
+    if A.ndim == 1:
+        return fdot(A.tolist(), b)
+    out = np.empty(len(A), dtype=object)
+    out[:] = [fdot(row, b) for row in A.tolist()]
+    return out
+
+
 def current_energy(c, i, j):
-    """sum over edges of i j / c, for the currents i, j of two potentials."""
-    return np.sum(i * j / c, initial=0)
+    """sum over edges of i j / c, for the currents i, j of two potentials.
+
+    In mp each term rounds once, in j / c, and the sum once (``_product``);
+    float64 and Fraction add term by term in edge order."""
+    if _fdot(i) is None:
+        return np.sum(i * j / c, initial=0)
+    return _product(i, j / c)
 
 
 def flow_laplacian(a, b, flow, n):

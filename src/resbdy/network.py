@@ -67,6 +67,9 @@ class Network:
         Exact conductances backing the high-precision solver lane. When None,
         exact values fall back to Fraction(float) per edge, which is still an
         exact representation of the stored float.
+    names : list of str, or callable returning one, or None
+        A name per vertex id; a callable is called when ``names`` is first
+        read.
     """
 
     def __init__(self, ei, ej, ec, origin=0, level=None, frontier=None,
@@ -81,7 +84,7 @@ class Network:
         self.n = int(max(ei.max(initial=-1), ej.max(initial=-1)) + 1) if len(ei) else 1
         self.origin = int(origin)
         self.family = family
-        self.names = names
+        self._names = names
         self._exact = exact
         # conductance conversions, keyed by edge id; a generator's balls
         # share the generator's, keyed by endpoint pair (``_Family``)
@@ -109,6 +112,12 @@ class Network:
         self.frontier_mask[self.frontier] = True
 
     # -- structure (built on first read) -----------------------------------
+
+    @cached_property
+    def names(self):
+        """The vertex names by id, or None."""
+        names = self._names
+        return names() if callable(names) else names
 
     @cached_property
     def adjacency(self):
@@ -248,10 +257,10 @@ def build_finite(edge_list, origin=0):
 class _Family:
     """What every family generator shares: its balls, built from the
     ``Network`` arguments its ``_ball(r)`` returns (ei, ej, ec, level, and
-    exact and names where the family has them), and one memo of converted
-    conductances for all of them (``Network.exact_conductances``). The memo
-    is no dataclass field, so a generator's equality, hash and repr ignore
-    it."""
+    exact and names, or a callable forming them, where the family has them),
+    and one memo of converted conductances for all of them
+    (``Network.exact_conductances``). The memo is no dataclass field, so a
+    generator's equality, hash and repr ignore it."""
 
     @cached_property
     def _converted(self):
@@ -405,7 +414,7 @@ class IntegerLatticeGenerator(_Family):
         ei = np.nonzero(inside)[0]
         ej = pos_id[np.searchsorted(key, key[order, None] + unit)[inside]]
         return dict(ei=ei, ej=ej, ec=np.ones(len(ei)), level=level,
-                    names=[str(tuple(pt)) for pt in coords.tolist()])
+                    names=lambda: [str(tuple(pt)) for pt in coords.tolist()])
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,12 @@ the carried c dQ. In every product of an mpf with an array, the array stands
 on the left: an mpf on the left makes mpmath format the whole array before
 numpy takes over. The public matrices are float64; the deviations of the
 identity checks are evaluated in the construction field, at its precision.
+
+Every matrix-vector and dot product, in the construction and in the checks,
+is ``energy._product``: in mp each entry is formed exactly and rounded once
+(mpmath's ``fdot``, the exact dot product of Kulisch & Miranker, Computer
+Arithmetic in Theory and Practice, 1981), where ``@`` on object arrays
+rounds after every term; float64 keeps ``@``.
 """
 
 from __future__ import annotations
@@ -51,9 +57,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import _hifi
-from .energy import (Potential, current_energy, edge_currents, edge_ends,
-                     energy, field_of, flow_laplacian, value_getter,
-                     window_edges)
+from .energy import (Potential, _product, current_energy, edge_currents,
+                     edge_ends, energy, field_of, flow_laplacian,
+                     value_getter, window_edges)
 from .errors import DimensionMismatch, GramDegenerate, InvalidParameters
 from .network import enumerate_vertices
 from .solver import solve_dipole_level
@@ -120,17 +126,20 @@ def gram_schmidt(kernels, enumeration):
     # the increments come from the kernels' currents
     dK = cdK / c[:, None]
     N = len(kernels)
-    Q, dQ, cdQ = np.zeros_like(K), np.zeros_like(dK), np.zeros_like(dK)
-    V, E, M, G = (np.zeros((N, N), dtype=K.dtype) for _ in range(4))
+    # the field's own zero: an int 0 would be converted in every fdot
+    zero = field_of(K)(0)
+    Q, dQ, cdQ = (np.full_like(A, zero) for A in (K, dK, dK))
+    V, E, M, G = (np.full((N, N), zero, dtype=K.dtype) for _ in range(4))
     pivot_min = np.inf
     for n in range(N):
         # both Gram matrices are symmetric: one column of each per step
-        V[n, :n + 1] = V[:n + 1, n] = cdK[:, :n + 1].T @ dK[:, n]
+        V[n, :n + 1] = V[:n + 1, n] = _product(cdK[:, :n + 1].T, dK[:, n])
         # E[n, j] = <v_n, eps_j> = sum_k M[j, k] V[k, n]
-        e = M[:n, :n] @ V[:n, n]
-        w, dw = K[:, n] - Q[:, :n] @ e, dK[:, n] - dQ[:, :n] @ e
+        e = _product(M[:n, :n], V[:n, n])
+        w = K[:, n] - _product(Q[:, :n], e)
+        dw = dK[:, n] - _product(dQ[:, :n], e)
         for second_pass in (False, True):
-            wn = (c * dw) @ dw
+            wn = _product(c * dw, dw)
             if not wn > 0:
                 raise GramDegenerate(
                     f"kernel {n + 1} is energy-dependent on its predecessors")
@@ -138,7 +147,7 @@ def gram_schmidt(kernels, enumeration):
             Q[:, n], dQ[:, n] = w / piv, dw / piv
             cdQ[:, n] = c * dQ[:, n]
             # column n of the Gram matrix of eps_1..eps_n
-            G[:n + 1, n] = cdQ[:, :n + 1].T @ dQ[:, n]
+            G[:n + 1, n] = _product(cdQ[:, :n + 1].T, dQ[:, n])
             # one re-orthogonalization pass: always in float64, in mp
             # when orthogonality degrades
             if (second_pass or not n or hi
@@ -146,7 +155,7 @@ def gram_schmidt(kernels, enumeration):
                 break
             r = G[:n, n] * piv
             e = e + r
-            w, dw = w - Q[:, :n] @ r, dw - dQ[:, :n] @ r
+            w, dw = w - _product(Q[:, :n], r), dw - _product(dQ[:, :n], r)
         if float(piv) < DEGENERACY_TOL:
             raise GramDegenerate(
                 f"pivot {float(piv):.3e} below degeneracy tol {DEGENERACY_TOL:.1e}")
@@ -154,7 +163,7 @@ def gram_schmidt(kernels, enumeration):
         E[n, :n], E[n, n] = e, piv
         # forward recurrence for M = E^{-1}
         M[n, :n + 1] = (np.eye(1, n + 1, n, dtype=K.dtype)[0]
-                        - E[n, :n] @ M[:n, :n + 1]) / piv
+                        - _product(E[n, :n], M[:n, :n + 1])) / piv
     orth = np.max(np.abs(np.triu(G - np.eye(N))))
     return OnbSystem(net=net, window=window, enumeration=list(map(int, enumeration)),
                      M=M.astype(float), E=E.astype(float), V=V.astype(float),
@@ -206,6 +215,18 @@ def _max_dev(A, B):
     return float(np.max(np.abs(A - B)))
 
 
+def _lower_dev(A, B, C):
+    """max |A @ B - C| for a lower-triangular A, where A @ B - C is
+    symmetric or vanishes above the diagonal. In mp only the lower triangle
+    is formed: row i through the diagonal is A[i, :i+1] @ B[:i+1, :i+1]
+    (the terms k > i vanish), one ``_product``. float64 takes A @ B."""
+    if A.dtype != object:
+        return _max_dev(A @ B, C)
+    return float(np.max([
+        _max_dev(_product(A[i, :i + 1], B[:i + 1, :i + 1]), C[i, :i + 1])
+        for i in range(len(A))]))
+
+
 def _laplacian_entries(onb):
     """(Lap eps_i)(x_j) for j <= i, zero above the diagonal (construction
     field), from the eps_i's edge currents."""
@@ -239,7 +260,8 @@ def entries_E_via_evaluation(onb: OnbSystem):
 def gram_product_check(onb: OnbSystem):
     """Max |(E E^T - V)_{ij}|, E from the construction, V from edge sums."""
     _, _, E, V = onb._work
-    return _max_dev(E @ E.T, V)
+    # both sides are symmetric
+    return _lower_dev(E, E.T, V)
 
 
 def kronecker_sum_check(onb: OnbSystem):
@@ -248,8 +270,9 @@ def kronecker_sum_check(onb: OnbSystem):
     Both factors come from evaluation routes (vertex values and Laplacian
     action), not from the stored matrices, so this exercises the full chain.
     """
-    return _max_dev(_evaluation_entries(onb) @ _laplacian_entries(onb),
-                    np.eye(onb.N))
+    # both factors are lower triangular, and so is their product
+    return _lower_dev(_evaluation_entries(onb), _laplacian_entries(onb),
+                      np.eye(onb.N))
 
 
 def reconstruction_check(onb: OnbSystem):
@@ -264,7 +287,7 @@ def reconstruction_check(onb: OnbSystem):
     worst = 0.0
     for n in range(onb.N):
         # the edge currents of the difference
-        d = flows[:, :n + 1] @ (ev[n, :n + 1] - E[n, :n + 1])
+        d = _product(flows[:, :n + 1], ev[n, :n + 1] - E[n, :n + 1])
         # np.maximum keeps a NaN, which max() would drop
         worst = np.maximum(worst, float(_sqrt(abs(current_energy(c, d, d)))))
     return float(worst)

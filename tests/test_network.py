@@ -406,6 +406,23 @@ def test_lattice_ball_is_its_definition(d, radius):
         assert np.array_equal(net.ec, np.ones(len(edges)))
 
 
+def test_lattice_names_are_formatted_when_first_read(monkeypatch):
+    # formatting every point's name was half of a Z^2 ball's build
+    import resbdy.network as network
+    formatted = []
+
+    def counting_str(x):
+        formatted.append(x)
+        return str(x)
+    monkeypatch.setattr(network, "str", counting_str, raising=False)
+    net = IntegerLatticeGenerator(2).ball(3)
+    assert formatted == []
+    pts = sorted(_l1_ball(2, 3), key=lambda p: (sum(map(abs, p)), p))
+    assert net.names == [str(p) for p in pts]
+    assert len(formatted) == len(pts)
+    assert net.names is net.names and len(formatted) == len(pts)
+
+
 def test_a_network_is_its_own_ball(grid44):
     assert grid44.ball(1) is grid44 and grid44.ball(9) is grid44
     with pytest.raises(InvalidParameters):
