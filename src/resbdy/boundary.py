@@ -27,7 +27,7 @@ from .energy import (Potential, edge_currents, edge_ends, energy,
                      window_laplacian)
 from .errors import DomainMismatch, InvalidParameters, NotHarmonic
 from .network import default_exhaustion
-from .solver import _levels, solve_dipole_level
+from .solver import _limit, solve_dipole_level
 
 # the largest harmonic residual of u that boundary_sum_harmonic accepts
 HARM_TOL = 1e-6
@@ -156,14 +156,13 @@ def boundary_sum_harmonic(source, u_values, x, levels=30, lane="auto",
             f"u has harmonic residual {harm_residual:.3e} > {HARM_TOL:.1e}")
     getter = value_getter(u_values)
     rep = None
-    for radius, view in _levels(default_exhaustion(source, levels), (x,),
-                                "wired"):
+    for radius, view, _, f in _limit(default_exhaustion(source, levels), x,
+                                     {"wired": None}, lane=lane):
         if rep is None:
             if target is None:
                 target = float(getter(int(x))) - float(getter(view.net.origin))
             rep = BoundarySumReport(x=int(x), target=float(target))
         v = solve_dipole_level(view, x, bc="free", lane=lane)
-        f = solve_dipole_level(view, x, bc="wired", lane=lane)
         lap = window_laplacian(potential_difference(v, f))
         bd = view.bd_mask[view.vertices]
         u_bd = np.array([float(getter(int(bv))) for bv in view.vertices[bd]])

@@ -248,13 +248,15 @@ def entries_M_via_laplacian(onb: OnbSystem):
     Returns (matrix, max absolute deviation from onb.M).
     """
     lap = _laplacian_entries(onb)
-    return lap.astype(float), _max_dev(lap, onb._work[1])
+    low = np.tril_indices(onb.N)  # both vanish above the diagonal
+    return lap.astype(float), _max_dev(lap[low], onb._work[1][low])
 
 
 def entries_E_via_evaluation(onb: OnbSystem):
     """Matrix eps_j(x_i) - eps_j(o); equals M^{-1}. Returns (matrix, max dev)."""
     ev = _evaluation_entries(onb)
-    return ev.astype(float), _max_dev(ev, onb._work[2])
+    low = np.tril_indices(onb.N)  # both vanish above the diagonal
+    return ev.astype(float), _max_dev(ev[low], onb._work[2][low])
 
 
 def gram_product_check(onb: OnbSystem):

@@ -20,7 +20,7 @@ from .energy import (Potential, current_energy, edge_currents, energy,
                      flow_laplacian, potential_difference)
 from .errors import InvalidParameters
 from .network import default_exhaustion
-from .solver import ConvergenceReport, energy_kernel, solve_dipole_level
+from .solver import ConvergenceReport, _limit, solve_dipole_level
 
 
 @dataclass
@@ -70,48 +70,44 @@ def royden_split(source, x, exhaustion=None, levels=30, tol=1e-8,
                  harm_tol=1e-6, lane="auto", final_radius=None):
     """Split the energy kernel at x into Fin and Harm parts.
 
-    Both exhaustion limits run on the same schedule; the final free and wired
-    solutions share one window, where energies and residuals are evaluated;
-    the harmonicity residual of h is checked on the window's interior.
+    Both exhaustion limits come from one pass over the schedule, each
+    stopping by its own rule; the final free and wired solutions share one
+    window, the deeper of the two where the limits stopped, where energies
+    and residuals are evaluated; the harmonicity residual of h is checked on
+    the window's interior.
     ``final_radius`` forces one extra split on a window at least that deep,
     for consumers that need values far out (path evaluations).
     """
     exh = exhaustion or default_exhaustion(source, levels)
-    v, free_report = energy_kernel(source, x, bc="free", exhaustion=exh,
-                                   tol=tol, lane=lane)
-    f, wired_report = energy_kernel(source, x, bc="wired", exhaustion=exh,
-                                    tol=tol, lane=lane)
-    # re-solve both sides on one window: the deeper of where the two limits
-    # stopped, or the requested final radius
-    deeper = v.window if len(v.window.vertices) >= len(f.window.vertices) else f.window
+    reports = {bc: ConvergenceReport(quantity=f"energy_kernel(x={x}, bc={bc})",
+                                     tol=tol) for bc in ("free", "wired")}
+    pots = {}
+    # the pass ends on the deeper of the two windows where the limits stop
+    for radius, deeper, bc, pot in _limit(exh, x, reports, lane=lane):
+        reports[bc].record(radius, len(deeper.vertices), pot.value(x))
+        pots[bc] = pot
     if final_radius is not None:
-        have = int(v.net.level[deeper.vertices].max())
+        have = int(deeper.net.level[deeper.vertices].max())
         if final_radius > have:
             ambient = source.ball(int(final_radius) + 1)
             deeper = ambient.ball_view(int(final_radius))
-    if not _solved_on(v, deeper):
-        v = solve_dipole_level(deeper, x, bc="free", lane=lane)
-    if not _solved_on(f, deeper):
-        f = solve_dipole_level(deeper, x, bc="wired", lane=lane)
+    # a side that stopped on another window is solved again on this one
+    for bc, pot in pots.items():
+        if pot.window is not deeper:
+            pots[bc] = solve_dipole_level(deeper, x, bc=bc, lane=lane)
+    v, f = pots["free"], pots["wired"]
     h = potential_difference(v, f)
-    window = h.window
 
-    radius = int(v.net.level[window.interior].max()) if len(window.interior) else 0
+    radius = int(deeper.net.level[deeper.interior].max()) if len(deeper.interior) else 0
     ev, ef, eh, cross, resid = _split_sums(v, f, h)
 
     return RoydenSplit(
         x=int(x), v=v, f=f, h=h,
         energy_v=ev, energy_f=ef, energy_h=eh, cross_energy=cross,
         harm_residual_max=resid, harm_residual_radius=radius,
-        free_report=free_report, wired_report=wired_report,
+        free_report=reports["free"], wired_report=reports["wired"],
         harm_tol=harm_tol,
     )
-
-
-def _solved_on(pot: Potential, window):
-    """Whether ``pot`` was solved on ``window`` (same network, same vertices)."""
-    return pot.net is window.net and np.array_equal(pot.window.vertices,
-                                                    window.vertices)
 
 
 def _split_sums(v: Potential, f: Potential, h: Potential):

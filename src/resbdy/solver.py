@@ -24,9 +24,12 @@ set of unknowns of near-minimum degree at once (Luby, SIAM J. Comput. 15(4),
 to SuperLU. The Potential keeps the window solution minus its value at o, in
 the lane's field, and in the mp and Fraction lanes the edge currents.
 
-Exhaustion drivers iterate windows, apply the stopping rule (three consecutive
-relative deltas below tol, or saturation on finite networks), and return the
-telemetry as a ConvergenceReport instead of raising on non-convergence.
+Every exhaustion driver iterates one level loop, ``_limit``, which admits
+the levels, solves and applies each side's stopping rule (three consecutive
+relative deltas below tol, saturation on finite networks, or a divergence
+threshold passed with an increasing trend). The drivers record each level's
+value and return the telemetry as a ConvergenceReport instead of raising on
+non-convergence; a Royden split takes both of its limits from one pass.
 """
 
 from __future__ import annotations
@@ -302,25 +305,45 @@ class ConvergenceReport:
         }
 
 
-def _saturated(view):
-    net = view.net
-    return net.is_saturated and len(view.vertices) == net.n
+def _limit(exhaustion, x, reports, rhs=None, charges=(), lane="auto",
+           divergence_threshold=None):
+    """The level solves of one exhaustion limit per boundary condition.
 
-
-def _levels(exhaustion, charges, bc):
-    """The levels (radius, view) of ``exhaustion`` whose window can carry
-    a solve with charges at the vertex ids ``charges``: they and the origin,
-    where every level potential is 0, lie inside the window for a free
-    solve and in its interior for a wired one. InvalidParameters when no
-    level can."""
-    fits = SubgraphView.is_interior if bc == "wired" else SubgraphView.__contains__
-    entered = False
+    ``reports`` maps each boundary condition to its ConvergenceReport, or to
+    None for no stopping rule. A level carries a side's solve (``rhs``, by
+    default delta_x - delta_o) while its report is undecided and the origin,
+    where every level potential is 0, x and ``charges`` lie inside the
+    window for a free solve and in its interior for a wired one. Yields
+    (radius, view, bc, potential) for the caller to record, then applies
+    the side's stopping rule; an unbalanced ``rhs`` has no solution on a
+    whole finite network, which decides its side (it needs a report) as
+    diverged. Stops once every report is decided; InvalidParameters when no
+    level admits a side.
+    """
+    running, waiting = dict(reports), set(reports)
+    unbalanced = rhs is not None and sum(rhs.values()) != 0
     for radius, view in exhaustion:
-        if all(fits(view, v) for v in (view.net.origin, *charges)):
-            entered = True
-            yield radius, view
-    if not entered:
-        ids = list(dict.fromkeys(charges))
+        # the window is a whole finite network
+        whole = view.net.is_saturated and len(view.vertices) == view.net.n
+        for bc, report in list(running.items()):
+            fits = view.is_interior if bc == "wired" else view.__contains__
+            if not all(map(fits, (view.net.origin, x, *charges))):
+                continue
+            waiting.discard(bc)
+            if unbalanced and whole and report.inconclusive:
+                report.diverged = True
+                report.stopping_rule = "finite-network-no-monopole"
+            if report is None or report.inconclusive:
+                pot = solve_dipole_level(view, x, bc=bc, rhs=rhs, lane=lane)
+                yield radius, view, bc, pot
+                if report is None or not report.assess(
+                        saturated=whole, divergence_threshold=divergence_threshold):
+                    continue
+            del running[bc]
+        if not running:
+            return
+    if waiting:
+        ids = list(dict.fromkeys((x, *charges)))
         raise InvalidParameters(
             f"vertex {ids[0]} never entered the exhaustion" if len(ids) == 1
             else f"vertices {ids} never entered the exhaustion together")
@@ -337,12 +360,9 @@ def energy_kernel(source, x, bc="free", exhaustion=None, levels=30, tol=1e-8,
     exh = (exhaustion if exhaustion is not None
            else default_exhaustion(source, levels))
     report = ConvergenceReport(quantity=f"energy_kernel(x={x}, bc={bc})", tol=tol)
-    for radius, view in _levels(exh, (x,), bc):
-        pot = solve_dipole_level(view, x, bc=bc, lane=lane)
+    for radius, view, _, pot in _limit(exh, x, {bc: report}, lane=lane):
         defect = window_defect(pot) if track_defect else None
         report.record(radius, len(view.vertices), pot.value(x), defect)
-        if report.assess(saturated=_saturated(view)):
-            break
     w = pot.w.astype(float, copy=False)  # the window values as float64
     report.extra["max_principle_ok"] = bool(
         np.all(w >= -1e-9) and np.all(w <= pot.value(x) + 1e-9)) \
@@ -356,7 +376,8 @@ def effective_resistance(source, x, y=None, bc="free", exhaustion=None,
 
     Computed per level from the single dipole solve Lap v = delta_x - delta_y:
     R_k = v(x) - v(y), which equals the energy of the solution. With y = o
-    this is v_x(x), the energy of the kernel at x.
+    this is v_x(x), the energy of the kernel at x. For x == y the limit is 0
+    without a solve, once some level admits x.
     """
     if y is None:
         y = source.ball(1).origin
@@ -364,13 +385,12 @@ def effective_resistance(source, x, y=None, bc="free", exhaustion=None,
     exh = (exhaustion if exhaustion is not None
            else default_exhaustion(source, levels))
     report = ConvergenceReport(quantity=f"resistance({x},{y}, bc={bc})", tol=tol)
-    for radius, view in _levels(exh, (x, y), bc):
-        if x == y:
-            report.converged = True
-            report.stopping_rule = "identical-vertices"
-            report.values = [0.0]
-            return 0.0, report
-        pot = solve_dipole_level(view, x, bc=bc, rhs={x: 1, y: -1}, lane=lane)
+    if x == y:
+        report.converged = True
+        report.stopping_rule = "identical-vertices"
+        report.values = [0.0]
+    for radius, view, _, pot in _limit(exh, x, {bc: report}, rhs={x: 1, y: -1},
+                                       charges=(y,), lane=lane):
         value = pot.value(x) - pot.value(y)
         # dual route: on the level network, energy(v) = v(x) - v(y) exactly
         dev = abs(energy(pot, pot) - value)
@@ -378,9 +398,7 @@ def effective_resistance(source, x, y=None, bc="free", exhaustion=None,
         report.extra["max_energy_value_dev"] = float(np.maximum(
             report.extra.get("max_energy_value_dev", 0.0), dev))
         report.record(radius, len(view.vertices), value)
-        if report.assess(saturated=_saturated(view)):
-            break
-    return value, report
+    return report.values[-1], report
 
 
 @dataclass
@@ -408,18 +426,11 @@ def monopole(source, x=None, levels=22, tol=1e-8, divergence_threshold=1e6,
     x = int(x) if x is not None else source.ball(1).origin
     report = ConvergenceReport(quantity=f"monopole_energy(x={x})", tol=tol)
     pot = None
-    for radius, view in _levels(exhaustion, (x,), "wired"):
-        if _saturated(view) and len(view.bd) == 0:
-            # a fully materialized finite network supports no monopole:
-            # Lap w = delta_x has no solution (charge cannot exit)
-            report.stopping_rule = "finite-network-no-monopole"
-            report.diverged = True
-            break
-        pot = solve_dipole_level(view, x, bc="wired", rhs={x: 1}, lane=lane)
+    for radius, view, _, pot in _limit(exhaustion, x, {"wired": report},
+                                       rhs={x: 1}, lane=lane,
+                                       divergence_threshold=divergence_threshold):
         e = energy(pot, pot)
         report.record(radius, len(view.vertices), e)
-        if report.assess(divergence_threshold=divergence_threshold):
-            break
     transient = True if report.converged else (False if report.diverged else None)
     return MonopoleResult(potential=pot, report=report, transient=transient)
 

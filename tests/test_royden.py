@@ -7,7 +7,7 @@ from resbdy import (GeometricHalfLineGenerator, IntegerLatticeGenerator,
                     LadderGenerator, doubling_exhaustion, effective_resistance,
                     energy, energy_kernel, monopole, royden_split,
                     solve_dipole_level, sup_norm)
-from resbdy import royden
+from resbdy import royden, solver
 from resbdy.errors import InvalidParameters
 
 
@@ -93,6 +93,29 @@ def test_final_resolve_only_on_the_side_that_moved(monkeypatch):
     assert np.array_equal(split.v.w, v.w)
     assert np.array_equal(split.f.w, f.w)
     assert split.energy_v == energy(v, v) and split.energy_f == energy(f, f)
+
+
+def test_split_takes_both_limits_from_one_pass(monkeypatch):
+    # both limits come from one pass over the exhaustion, so no solve goes
+    # back to a window smaller than one already solved on; each report stops
+    # where the separate limit stops
+    gen = LadderGenerator(5, 0.9)
+    solves = []
+
+    def recording_solve(window, x, bc="free", **kw):
+        solves.append((len(window.vertices), bc))
+        return solve_dipole_level(window, x, bc=bc, **kw)
+
+    for module in (solver, royden):
+        monkeypatch.setattr(module, "solve_dipole_level", recording_solve)
+    split = royden_split(gen, 2, levels=35, tol=1e-6)
+    monkeypatch.undo()
+    sizes = [n for n, _ in solves]
+    assert sizes == sorted(sizes)
+    assert {bc for _, bc in solves} == {"free", "wired"}
+    for bc, rep in (("free", split.free_report), ("wired", split.wired_report)):
+        _, alone = energy_kernel(gen, 2, bc=bc, levels=35, tol=1e-6)
+        assert rep.radii == alone.radii and rep.values == alone.values
 
 
 def test_ladder_fin_part_differs_from_kernel():

@@ -250,6 +250,8 @@ def test_vertex_outside_every_level_is_rejected(x):
     for bc in ("free", "wired"):
         with pytest.raises(InvalidParameters, match="never entered"):
             effective_resistance(gen, x, bc=bc, levels=3)
+        with pytest.raises(InvalidParameters, match=f"vertex {x} never entered"):
+            effective_resistance(gen, x, x, bc=bc, levels=3)
         with pytest.raises(InvalidParameters, match="never entered"):
             energy_kernel(gen, x, bc=bc, levels=3)
     for schedule in ("doubling", "linear"):
@@ -259,6 +261,51 @@ def test_vertex_outside_every_level_is_rejected(x):
         boundary_sum_harmonic(gen, lambda v: 1.0, x, levels=3)
     with pytest.raises(InvalidParameters, match="never entered"):
         royden_split(gen, x, levels=3)
+
+
+def test_vertex_only_on_the_last_boundary_is_rejected_by_wired_limits():
+    # vertex 5 is +3 on Z^1: it enters the radius-3 window on its boundary,
+    # so the free limits run and the wired ones never start
+    gen = IntegerLatticeGenerator(1)
+    assert energy_kernel(gen, 5, levels=3)[1].radii == [3]
+    with pytest.raises(InvalidParameters, match="vertex 5 never entered"):
+        energy_kernel(gen, 5, bc="wired", levels=3)
+    with pytest.raises(InvalidParameters, match="vertex 5 never entered"):
+        royden_split(gen, 5, levels=3)
+    with pytest.raises(InvalidParameters, match="vertex 5 never entered"):
+        boundary_sum_harmonic(gen, lambda v: 1.0, 5, levels=3)
+
+
+def _counting_solves(monkeypatch):
+    calls = []
+    solve = solver.solve_dipole_level
+
+    def counting_solve(*args, **kw):
+        calls.append(args)
+        return solve(*args, **kw)
+
+    monkeypatch.setattr(solver, "solve_dipole_level", counting_solve)
+    return calls
+
+
+def test_identical_vertices_make_no_solve(monkeypatch):
+    calls = _counting_solves(monkeypatch)
+    for bc in ("free", "wired"):
+        r, rep = effective_resistance(IntegerLatticeGenerator(1), 2, 2, bc=bc,
+                                      levels=3)
+        assert r == 0.0 and rep.values == [0.0] and rep.radii == []
+        assert rep.converged and rep.stopping_rule == "identical-vertices"
+    assert calls == []
+
+
+def test_monopole_on_a_whole_finite_network_diverges_without_a_solve(
+        triangle, monkeypatch):
+    calls = _counting_solves(monkeypatch)
+    res = monopole(triangle, x=1, levels=4, schedule="linear")
+    assert res.transient is False and res.potential is None
+    assert res.report.diverged and res.report.radii == []
+    assert res.report.stopping_rule == "finite-network-no-monopole"
+    assert calls == []
 
 
 def test_unknown_monopole_schedule_is_rejected():
