@@ -62,34 +62,34 @@ class GaussGreenReport:
         }
 
 
-def gauss_green_verify(u: Potential, v: Potential, exhaustion=None):
+def gauss_green_verify(u: Potential, v: Potential, radii=None):
     """Decompose <u, v> into interior and boundary sums over an exhaustion.
 
-    ``exhaustion`` is a sequence of (radius, SubgraphView) pairs, an
-    Exhaustion or a list, each view inside the potentials' window; by default
-    the balls of the potentials' network that lie inside it. The report
-    carries, per level, the interior sum over int G_k of u Lap v, the
-    boundary sum of u dn v, their total, the window energy (equal to the
-    total up to roundoff: that is the split identity), and the deviation
-    from the full-window energy. Every
-    sum runs over the potentials' ``edge_currents``, in their field, as
-    ``energy`` does: a view's edges are some of the window's.
+    Level r is ``u.net.ball_view(r)``, the ball of radius r of the
+    potentials' own network, which must lie inside their window; by default
+    ``radii`` are those of every such ball. The report carries, per level,
+    the interior sum over int G_k of u Lap v, the boundary sum of u dn v,
+    their total, the window energy (equal to the total up to roundoff: that
+    is the split identity), and the deviation from the full-window energy.
+    Every sum runs over the potentials' ``edge_currents``, in their field,
+    as ``energy`` does: a ball's edges are some of the window's, picked by
+    the window's ``edge_index``.
     """
-    if exhaustion is None:
+    if radii is None:
         # the balls below the lowest level that the window leaves out
         top = np.min(u.net.level[~u.window.mask], initial=u.net.level.max() + 1)
-        exhaustion = [(r, u.net.ball_view(r)) for r in range(1, int(top))]
+        radii = range(1, int(top))
     target = energy(u, v)
     rep = GaussGreenReport(target=target)
     # each window edge's current of v and energy term, formed once
     c, a, b, (iu, iv) = edge_currents(u.window, u, v)
     uw = u.w.astype(c.dtype, copy=False)
     terms = iu * (iv / c)
-    ids = edge_ends(u.window)[0]
-    for r, view in exhaustion:
+    for r in radii:
+        view = u.net.ball_view(r)
         at = u.window.index(view.vertices)
         ends, a, b = edge_ends(view)
-        sel = np.searchsorted(ids, ends)
+        sel = u.window.edge_index[ends]
         lap_v = flow_laplacian(a, b, iv[sel], len(at))
         wen = np.sum(terms[sel], initial=0)
         bd = view.bd_mask[view.vertices]
@@ -175,16 +175,12 @@ def boundary_sum_harmonic(source, u_values, x, levels=30, lane="auto",
 class PathToInfinity:
     """Infinite path of successively adjacent vertices, given by n -> vertex id."""
 
-    def __init__(self, generator, vertex_fn, name="path"):
-        self.generator = generator
+    def __init__(self, vertex_fn, name="path"):
         self.vertex_fn = vertex_fn
         self.name = name
-        self._cache = []
 
     def prefix(self, n):
-        while len(self._cache) <= n:
-            self._cache.append(int(self.vertex_fn(len(self._cache))))
-        return self._cache[: n + 1]
+        return [int(self.vertex_fn(k)) for k in range(n + 1)]
 
 
 @dataclass

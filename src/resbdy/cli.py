@@ -285,12 +285,12 @@ def cmd_onb(args):
 
 def cmd_gauss_green(args):
     src = resolve_network(args)
-    exh = default_exhaustion(src, args.levels)
-    window = exh.ambient.full_view()
+    radii = default_exhaustion(src, args.levels).radii
+    window = src.ball(radii[-1] + 1).full_view()
     v = solve_dipole_level(window, args.x, bc="free", lane=args.lane)
     u = (solve_dipole_level(window, args.u_kernel, bc="free", lane=args.lane)
          if args.u_kernel is not None else v)
-    rep = bdy.gauss_green_verify(u, v, exhaustion=exh)
+    rep = bdy.gauss_green_verify(u, v, radii)
     failed = not (rep.split_identity_dev <= 1e-8 * (1 + abs(rep.target)))
     return _emit(rep.to_dict(), args, failed=failed)
 
@@ -468,7 +468,7 @@ def cmd_verify_all(args):
                                   window=window, pinned=True)
         v = potential_from_values(ambient, rng.standard_normal(ambient.n),
                                   window=window, pinned=True)
-        rep = bdy.gauss_green_verify(u, v, [(radius, window)])
+        rep = bdy.gauss_green_verify(u, v, [radius])
         dev = np.maximum(dev, rep.split_identity_dev)
     check("gauss-green-window-identity", dev <= 1e-8, f"max_dev={dev:.2e}")
 

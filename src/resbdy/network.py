@@ -329,11 +329,11 @@ class LadderGenerator(_Family):
 
     def x_rail_path(self):
         from .boundary import PathToInfinity
-        return PathToInfinity(self, self.x, name="x-rail")
+        return PathToInfinity(self.x, name="x-rail")
 
     def y_rail_path(self):
         from .boundary import PathToInfinity
-        return PathToInfinity(self, self.y, name="y-rail")
+        return PathToInfinity(self.y, name="y-rail")
 
 
 @dataclass(frozen=True)
@@ -360,7 +360,7 @@ class GeometricHalfLineGenerator(_Family):
 
     def ray(self):
         from .boundary import PathToInfinity
-        return PathToInfinity(self, lambda n: n, name="ray")
+        return PathToInfinity(lambda n: n, name="ray")
 
 
 @dataclass(frozen=True)
@@ -440,15 +440,11 @@ class BinaryTreeGenerator(_Family):
 class Exhaustion:
     """Increasing connected level sets G_1 c G_2 c ..., cut on demand.
 
-    Level r is cut from the current ambient ball, which reaches at least one
-    level past r so that the level's boundary is known exactly. A level that
-    outgrows the ambient replaces it by ``source.ball(r + 1)``: consecutive
-    levels share one ball while they fit, and one ball is held at a time.
-    ``source`` is a generator or a finite ``Network``, which is its own
-    ambient. Reading ``ambient`` before iterating materializes the ball for
-    the deepest radius, which then holds every level; during iteration it is
-    the ``net`` of the view just yielded.
-    Vertex ids are stable across balls, but only potentials on one ``net``
+    Level r is ``source.ball(r + 1).ball_view(r)``: its ball reaches one
+    level past r, so that the level's boundary is known exactly, and is
+    built when the level is reached and dropped with it. ``source`` is a
+    generator or a finite ``Network``, whose every ball is itself. Vertex
+    ids are stable across balls, but only potentials on one ``net``
     combine.
     """
 
@@ -459,27 +455,14 @@ class Exhaustion:
             raise InvalidParameters("radii must be a strictly increasing list of ints >= 1")
         self.source = source
         self.radii = radii
-        self._ambient = None
 
     @classmethod
     def build(cls, source, radii):
         return cls(source, radii)
 
-    @property
-    def ambient(self) -> Network:
-        if self._ambient is None:
-            self._ambient = self.source.ball(self.radii[-1] + 1)
-        return self._ambient
-
     def __iter__(self):
         for r in self.radii:
-            net = self._ambient
-            if net is None or not (net.is_saturated or r < net.level.max()):
-                net = self._ambient = self.source.ball(r + 1)
-            yield r, net.ball_view(r)
-
-    def __len__(self):
-        return len(self.radii)
+            yield r, self.source.ball(r + 1).ball_view(r)
 
 
 def default_exhaustion(source, levels):

@@ -42,7 +42,7 @@ import scipy.sparse.linalg as spla
 
 from . import _hifi
 from .energy import Potential, SubgraphView, energy, window_defect
-from .errors import InvalidParameters, SolverFailure
+from .errors import InvalidParameters, SingularSystem, SolverFailure
 from .network import Exhaustion, default_exhaustion, doubling_exhaustion
 
 DYNAMIC_RANGE_GUARD = 1e10
@@ -119,7 +119,7 @@ def _solve_float64(window, held, rhs):
         # pivot d_k = g_k + sum_j c_kj, and t_kj = c_kj / d_k
         d = g + np.bincount(k, ck, m)
         if not np.all(d[ks] > 0):
-            raise SolverFailure("zero pivot: the window may be disconnected")
+            raise SingularSystem("zero pivot: the window may be disconnected")
         t = ck / d[k]
         rounds.append((gid[ks], load[ks] / d[ks], local[k], gid[j], t))
         # each neighbour j gains t_kj g_k and t_kj b_k; each pair p < q of
@@ -158,7 +158,7 @@ def _solve_remainder(g, u, v, c, rhs):
     m = len(g)
     d = g + np.bincount(np.concatenate([u, v]), np.concatenate([c, c]), m)
     if np.any(d <= 0):
-        raise SolverFailure("zero pivot: the window may be disconnected")
+        raise SingularSystem("zero pivot: the window may be disconnected")
     diag = np.arange(m)
     rows = np.concatenate([diag, u, v])
     cols = np.concatenate([diag, v, u])

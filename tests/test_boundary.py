@@ -4,7 +4,7 @@ import pytest
 from resbdy import (GeometricHalfLineGenerator, IntegerLatticeGenerator,
                     LadderGenerator, PathToInfinity, Potential,
                     boundary_point_eval,
-                    boundary_sum_harmonic, build_finite, default_exhaustion,
+                    boundary_sum_harmonic, build_finite,
                     energy, energy_kernel, finite_gauss_green_deviation,
                     gauss_green_verify, path_equivalence,
                     potential_from_values, royden_split, solve_dipole_level)
@@ -42,13 +42,11 @@ def test_default_levels_are_the_balls_inside_a_driver_window():
 
 def test_dipole_interior_term_is_value_difference():
     gen = LadderGenerator(3, 0.8)
-    exh = default_exhaustion(gen, 8)
-    window = exh.ambient.full_view()
-    v = solve_dipole_level(window, 2, bc="free")
+    ball = gen.ball(9)
+    v = solve_dipole_level(ball.full_view(), 2, bc="free")
     rng = np.random.default_rng(5)
-    u = potential_from_values(exh.ambient, rng.standard_normal(exh.ambient.n),
-                              pinned=True)
-    rep = gauss_green_verify(u, v, exhaustion=exh)
+    u = potential_from_values(ball, rng.standard_normal(ball.n), pinned=True)
+    rep = gauss_green_verify(u, v, range(1, 9))
     # once x and o are interior, sum_int u Lap(v) = u(x) - u(o) holds except
     # for boundary effects of the window where v was solved
     expected = u.value(2) - u.value(0)
@@ -61,9 +59,8 @@ def test_mp_interior_sum_is_the_energy_once_x_and_o_are_interior():
     # sum_int u Lap(v) over G_k with u = v: E(v) = v(x) once x and o are
     # interior; summed in the mp field it holds at every level
     gen = LadderGenerator(5, 0.9)
-    exh = default_exhaustion(gen, 16)
-    v = solve_dipole_level(exh.ambient.full_view(), 2, bc="free", lane="mp")
-    rep = gauss_green_verify(v, v, exhaustion=exh)
+    v = solve_dipole_level(gen.ball(17).full_view(), 2, bc="free", lane="mp")
+    rep = gauss_green_verify(v, v, range(1, 17))
     assert rep.split_identity_dev <= 1e-40
     for r, interior in zip(rep.radii, rep.interior):
         if r >= 2:
@@ -78,10 +75,8 @@ def test_finite_form_needs_the_whole_network(path5):
 
 def test_z1_boundary_term_shrinks():
     gen = IntegerLatticeGenerator(1)
-    exh = default_exhaustion(gen, 20)
-    window = exh.ambient.full_view()
-    v = solve_dipole_level(window, 1, bc="free")
-    rep = gauss_green_verify(v, v, exhaustion=exh)
+    v = solve_dipole_level(gen.ball(21).full_view(), 1, bc="free")
+    rep = gauss_green_verify(v, v, range(1, 21))
     # recurrent network: deviations fall off as the levels grow
     assert abs(rep.deviations[-1]) <= abs(rep.deviations[2]) + 1e-12
     assert abs(rep.deviations[-1]) <= 1e-9
@@ -121,7 +116,7 @@ def test_path_validation():
         return all(b in net.neighbors(a)[0] for a, b in zip(ids, ids[1:]))
 
     assert adjacent(gen.x_rail_path()) and adjacent(gen.y_rail_path())
-    assert not adjacent(PathToInfinity(gen, lambda n: 2 * (n % 3), name="loop"))
+    assert not adjacent(PathToInfinity(lambda n: 2 * (n % 3), name="loop"))
 
 
 def test_path_equivalence_reflexive():
@@ -167,7 +162,7 @@ def test_path_reads_outside_the_window_raise():
     net = build_finite([(i, i + 1, 1) for i in range(9)])
     v = solve_dipole_level(net.ball_view(3), 2)
     prefix = [0, 1, 2, 3, 4, 5, 4, 3]
-    path = PathToInfinity(net, lambda n: prefix[n], name="detour")
+    path = PathToInfinity(lambda n: prefix[n], name="detour")
     with pytest.raises(DomainMismatch):
         boundary_point_eval(path, v, horizon=7)
     with pytest.raises(DomainMismatch):
@@ -224,7 +219,7 @@ NAN = float("nan")
 def _path_network(n):
     """The path 0 - 1 - ... - n-1 and the ray along it."""
     net = build_finite([(i, i + 1, 1) for i in range(n - 1)])
-    return net, PathToInfinity(None, lambda k: k, name="ray")
+    return net, PathToInfinity(lambda k: k, name="ray")
 
 
 @pytest.mark.parametrize("nan_at", [slice(None), slice(11, 12)])

@@ -326,8 +326,7 @@ def test_mp_edge_sums_read_the_currents(monkeypatch):
         v = solve_dipole_level(window, x, bc="free", lane="mp")
         f = solve_dipole_level(window, x, bc="wired", lane="mp")
         h = potential_difference(v, f)
-        gg = gauss_green_verify(h, v, [(r, ambient.ball_view(r))
-                                       for r in (250, 499)])
+        gg = gauss_green_verify(h, v, (250, 499))
         bs = boundary_sum_harmonic(gen, lambda u: float(u % 2), x, lane="mp")
         return [energy(v, v), energy(f, f), energy(h, h),
                 window_defect(f).boundary_flux, *gg.interior, *gg.boundary,

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import deque
 
 import mpmath as mp
@@ -319,35 +321,41 @@ def test_doubling_levels_are_cut_from_their_own_ball(gen):
     exh = doubling_exhaustion(gen, 4)
     for r, view in exh:
         assert view.net.n == gen.ball(r + 1).n
-        assert exh.ambient is view.net
         assert np.array_equal(view.vertices, np.flatnonzero(view.net.level <= r))
 
 
-def test_ambient_read_before_iterating_holds_every_level():
+def test_linear_levels_are_cut_from_their_own_ball():
     gen = LadderGenerator(5, 0.9)
-    exh = default_exhaustion(gen, 5)
-    deepest = exh.ambient
-    assert deepest.n == gen.ball(6).n
-    assert all(view.net is deepest for _, view in exh)
+    for r, view in default_exhaustion(gen, 5):
+        assert view.net.n == gen.ball(r + 1).n
+        assert view.net.level.max() == r + 1
+        assert np.array_equal(view.vertices, np.flatnonzero(view.net.level <= r))
 
 
-def test_second_pass_reuses_the_ambient_of_the_first():
+def test_second_pass_yields_the_same_levels():
     exh = default_exhaustion(IntegerLatticeGenerator(1), 8)
-    for r, view in exh:
-        if r == 5:
-            reached = view.net
-            break
-    for r, view in exh:
-        assert view.net is reached
-        if r == 5:
-            break
+    first = [(r, view.vertices) for r, view in exh]
+    second = [(r, view.vertices) for r, view in exh]
+    assert [r for r, _ in first] == [r for r, _ in second] == list(range(1, 9))
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(first, second))
+
+
+def test_a_dropped_level_frees_its_ball():
+    # the exhaustion keeps no ball: once the caller drops the last view,
+    # its ball is gone
+    exh = doubling_exhaustion(IntegerLatticeGenerator(1), 6)
+    for _, view in exh:
+        pass
+    ball = weakref.ref(view.net)
+    del view
+    gc.collect()
+    assert ball() is None
 
 
 def test_finite_network_keeps_one_ambient(grid44):
     exh = default_exhaustion(grid44, 3)
     assert [r for r, _ in exh] == [1, 2, 3]
     assert all(view.net is grid44 for _, view in exh)
-    assert exh.ambient is grid44
 
 
 def test_exhaustion_radii_must_increase():

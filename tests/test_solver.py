@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from resbdy import (BinaryTreeGenerator, GeometricHalfLineGenerator,
-                    IntegerLatticeGenerator, LadderGenerator, build_finite,
+                    IntegerLatticeGenerator, LadderGenerator, SubgraphView,
+                    build_finite,
                     default_exhaustion, effective_resistance, energy,
                     boundary_sum_harmonic, energy_kernel,
                     exhaustion_independence, monopole, potential_from_values,
                     royden_split, solve_dipole_level)
 from resbdy import _hifi, solver
-from resbdy.errors import InvalidParameters
+from resbdy.errors import InvalidParameters, SingularSystem
 from resbdy.solver import ConvergenceReport
 
 
@@ -125,9 +126,9 @@ def test_reproducing_property_per_level():
         v = solve_dipole_level(view, 2, bc="free")
         for _ in range(5):
             # probe supported inside the window interior
-            vals = np.zeros(exh.ambient.n)
+            vals = np.zeros(view.net.n)
             vals[view.interior] = rng.standard_normal(len(view.interior))
-            u = potential_from_values(exh.ambient, vals, window=view, pinned=True)
+            u = potential_from_values(view.net, vals, window=view, pinned=True)
             lhs = energy(v, u)
             rhs = u.value(2) - u.value(0)
             norm = energy(u, u) ** 0.5
@@ -217,6 +218,15 @@ def test_float64_lane_refuses_overflowed_window():
     with pytest.raises(SolverFailure), warnings.catch_warnings():
         warnings.simplefilter("ignore")  # deliberate misuse of the float lane
         solve_dipole_level(view, 2, bc="free", lane="float64")
+
+
+@pytest.mark.parametrize("lane", ["float64", "mp", "fraction"])
+def test_free_solve_on_disconnected_window_is_singular_in_every_lane(lane):
+    # the path 0-1-2-3-4 seen through {0, 1, 3, 4}: {3, 4} has no path to the pin
+    net = build_finite([(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 4)])
+    with pytest.raises(SingularSystem):
+        solve_dipole_level(SubgraphView(net, [0, 1, 3, 4]), 1, bc="free",
+                           lane=lane)
 
 
 def test_auto_lane_takes_a_window_past_the_float_range_to_mp():
