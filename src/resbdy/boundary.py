@@ -8,7 +8,9 @@ with dn the normal derivative (Laplacian restricted to neighbors inside H).
 Exhaustion drivers monitor how the two pieces converge: for v in the span of
 dipoles and monopoles the interior part stabilizes and the boundary part
 carries the harmonic content. For harmonic u the per-level boundary sums
-against dn(h_x) recover u(x) - u(o).
+against dn(h_x) recover u(x) - u(o). There h_x = v_x - f_x, the free solve
+less the wired one; the free solve has no flow across bd G_k, so on bd G_k
+dn(h_x) = -dn(f_x), and the sums need the wired solves alone.
 
 Boundary points are equivalence classes of paths to infinity; a path acts on
 potentials through the limit of the harmonic part's values along it, and two
@@ -23,11 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import (Potential, edge_currents, edge_ends, energy,
-                     flow_laplacian, potential_difference, value_getter,
-                     window_laplacian)
+                     flow_laplacian, value_getter, window_laplacian)
 from .errors import DomainMismatch, InvalidParameters, NotHarmonic
 from .network import default_exhaustion
-from .solver import _limit, solve_dipole_level
+# nothing here calls solve_dipole_level: perfbench/selftest.py wants it held by name
+from .solver import _limit, solve_dipole_level  # noqa: F401
 
 # the largest harmonic residual of u that boundary_sum_harmonic accepts
 HARM_TOL = 1e-6
@@ -146,10 +148,11 @@ def boundary_sum_harmonic(source, u_values, x, levels=30, lane="auto",
     """Per-level sums over bd G_k of u dn(h_x), converging to u(x) - u(o).
 
     ``u_values`` maps vertex id -> value of the harmonic function (callable,
-    dict, or Potential). The harmonic kernel component h_x is rebuilt per
-    level from the free and wired solves of that level, per the free-level
-    design: h^(k) = v^(k) - f^(k) is exactly harmonic inside G_k and its
-    normal derivative sums carry the boundary representation.
+    dict, or Potential). On each level h_x = v_x - f_x, the free solve less
+    the wired one, is harmonic inside G_k, and its normal derivative sums
+    carry the boundary representation. The free solve's window Laplacian is
+    delta_x - delta_o, which vanishes on bd G_k: there dn(h_x) = -dn(f_x),
+    so each level needs its wired solve alone.
     """
     if harm_residual is not None and not (harm_residual <= HARM_TOL):
         raise NotHarmonic(
@@ -162,11 +165,10 @@ def boundary_sum_harmonic(source, u_values, x, levels=30, lane="auto",
             if target is None:
                 target = float(getter(int(x))) - float(getter(view.net.origin))
             rep = BoundarySumReport(x=int(x), target=float(target))
-        v = solve_dipole_level(view, x, bc="free", lane=lane)
-        lap = window_laplacian(potential_difference(v, f))
+        lap = window_laplacian(f)
         bd = view.bd_mask[view.vertices]
         u_bd = np.array([float(getter(int(bv))) for bv in view.vertices[bd]])
-        s = np.sum(u_bd * lap[bd])
+        s = -np.sum(u_bd * lap[bd])
         rep.radii.append(int(radius))
         rep.sums.append(float(s))
     return rep

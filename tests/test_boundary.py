@@ -8,6 +8,7 @@ from resbdy import (GeometricHalfLineGenerator, IntegerLatticeGenerator,
                     energy, energy_kernel, finite_gauss_green_deviation,
                     gauss_green_verify, path_equivalence,
                     potential_from_values, royden_split, solve_dipole_level)
+from resbdy.energy import potential_difference, window_laplacian
 from resbdy.errors import DomainMismatch, InvalidParameters, NotHarmonic
 from resbdy.ladder import ladder_harmonic
 from tests.conftest import random_edge_list
@@ -98,6 +99,53 @@ def test_boundary_sum_of_harm_kernel_approaches_its_energy():
     # reproducing of h on Harm: <h_x, h_x> = h_x(x) - h_x(o)
     assert split.energy_h == pytest.approx(split.h.value(2), abs=1e-6)
     assert rep.final_deviation <= 2e-3
+
+
+def test_boundary_sum_makes_only_wired_solves(monkeypatch):
+    # on bd G_k, dn(h_x) = -dn(f_x): no level needs its free solve
+    from resbdy import boundary, solver
+    solve, seen = solver.solve_dipole_level, []
+
+    def recording(view, x, bc="free", **kw):
+        seen.append(bc)
+        return solve(view, x, bc=bc, **kw)
+
+    for module in (solver, boundary):
+        monkeypatch.setattr(module, "solve_dipole_level", recording)
+    gen = LadderGenerator(5, 0.9)
+    rep = boundary_sum_harmonic(gen, ladder_harmonic(5, 0.9, 8).value,
+                                gen.x(1), levels=6)
+    # x_1 is interior from radius 2 on
+    assert rep.radii == [2, 3, 4, 5, 6]
+    assert seen == ["wired"] * 5
+
+
+def test_mp_boundary_sum_is_the_sum_against_h():
+    # each level's sum equals sum_{bd G_k} u dn(h_x), h_x = v_x - f_x the
+    # free solve less the wired one, summed in the mp field
+    gen, x = LadderGenerator(5, 0.9), LadderGenerator.x(1)
+    u = ladder_harmonic(5, 0.9, 14).value
+    rep = boundary_sum_harmonic(gen, u, x, levels=12, lane="mp")
+    assert rep.radii == list(range(2, 13))
+    for r, s in zip(rep.radii, rep.sums):
+        view = gen.ball(r + 1).ball_view(r)
+        h = potential_difference(
+            solve_dipole_level(view, x, bc="free", lane="mp"),
+            solve_dipole_level(view, x, bc="wired", lane="mp"))
+        bd = view.bd_mask[view.vertices]
+        u_bd = np.array([u(int(b)) for b in view.vertices[bd]])
+        ref = float(np.sum(u_bd * window_laplacian(h)[bd]))
+        assert abs(s - ref) <= 1e-45 * abs(ref)
+
+
+def test_float64_boundary_sum_reaches_the_value_difference():
+    # the CLI's boundary-sum on ladder(5, 0.9) at 12 levels in float64;
+    # 8.8e-9 when the free solve's roundoff entered each level's sum
+    gen = LadderGenerator(5, 0.9)
+    rep = boundary_sum_harmonic(gen, ladder_harmonic(5, 0.9, 14).value,
+                                gen.x(1), levels=12, lane="float64")
+    assert rep.target == pytest.approx(1 / 5, rel=1e-12)
+    assert rep.final_deviation <= 5e-9
 
 
 def test_boundary_sum_rejects_nonharmonic():
