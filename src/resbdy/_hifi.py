@@ -141,14 +141,23 @@ def ranks(mask):
 
 def merged(u, v, c, m):
     """Edges u < v sorted by (u, v), with the conductances of repeats added
-    in their given order."""
+    in their given order. Each sorted array replaces its input as it is
+    formed, so arguments passed as expressions are freed along the way."""
     key = u * m + v
     if np.any(key[1:] <= key[:-1]):
         order = np.argsort(key, kind="stable")
-        key, u, v, c = key[order], u[order], v[order], c[order]
-        first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-        if len(first) < len(key):
-            u, v, c = u[first], v[first], np.add.reduceat(c, first)
+        key = key[order]
+        first = np.concatenate([[True], key[1:] != key[:-1]])
+        del key
+        u = u[order]
+        v = v[order]
+        c = c[order]
+        del order
+        if not first.all():
+            first = np.flatnonzero(first)
+            u = u[first]
+            v = v[first]
+            c = np.add.reduceat(c, first)
     return u, v, c
 
 
@@ -182,14 +191,20 @@ def grounded_system(window, held, rhs, field):
     b = np.full(len(verts), zero, dtype=dtype)
     b[np.searchsorted(verts, list(rhs))] = [conv(Fraction(v))
                                             for v in rhs.values()]
+    b = b[live]
     c, ea, eb = window_edges(window, field)
     ua, ub = unknown[ea], unknown[eb]
     one = np.flatnonzero(ua != ub)
     g = np.full(len(live), zero, dtype=dtype)
     np.add.at(g, rank[np.where(ua[one], ea[one], eb[one])], c[one])
     both = np.flatnonzero(ua & ub)
-    return live, g, merged(rank[ea[both]], rank[eb[both]], c[both],
-                           len(live)), b[live]
+    del ua, ub, one
+    # the edges between unknowns, each array replacing the window's
+    ea = rank[ea[both]]
+    eb = rank[eb[both]]
+    c = c[both]
+    del both, rank
+    return live, g, merged(ea, eb, c, len(live)), b
 
 
 def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):

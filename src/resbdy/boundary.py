@@ -159,8 +159,9 @@ def boundary_sum_harmonic(source, u_values, x, levels=30, lane="auto",
             f"u has harmonic residual {harm_residual:.3e} > {HARM_TOL:.1e}")
     getter = value_getter(u_values)
     rep = None
-    for radius, view, _, f in _limit(default_exhaustion(source, levels), x,
-                                     {"wired": None}, lane=lane):
+
+    def record(radius, view, _, f):
+        nonlocal rep, target
         if rep is None:
             if target is None:
                 target = float(getter(int(x))) - float(getter(view.net.origin))
@@ -171,6 +172,9 @@ def boundary_sum_harmonic(source, u_values, x, levels=30, lane="auto",
         s = -np.sum(u_bd * lap[bd])
         rep.radii.append(int(radius))
         rep.sums.append(float(s))
+
+    _limit(default_exhaustion(source, levels), x, {"wired": None}, record,
+           lane=lane)
     return rep
 
 

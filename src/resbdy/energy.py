@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
+from mpmath import libmp
 
 from .errors import DomainMismatch, MissingNeighborValue, NotBoundaryVertex
 from .network import Network
@@ -45,7 +46,6 @@ class SubgraphView:
         bd_mask[net.frontier] |= self.mask[net.frontier]
         self.bd_mask = bd_mask
         self.bd = np.flatnonzero(bd_mask)
-        self.interior = np.flatnonzero(self.mask & ~bd_mask)
         self.edge_mask = in_i & in_j
 
     def __contains__(self, x):
@@ -66,6 +66,11 @@ class SubgraphView:
         """Each window edge's position in ``window_edges`` order, by edge id
         (one cumulative count of ``edge_mask``)."""
         return np.cumsum(self.edge_mask) - 1
+
+    @property
+    def interior(self):
+        """int H, ascending, formed on each read."""
+        return np.flatnonzero(self.mask & ~self.bd_mask)
 
     def is_interior(self, x):
         """Whether vertex id x lies in int H."""
@@ -89,11 +94,16 @@ class SubgraphView:
 def edge_ends(window):
     """(edges, a, b): the window's edge ids, ascending, and both endpoints
     of each as positions in ``window.vertices``."""
-    net = window.net
+    net, verts = window.net, window.vertices
     edges = np.flatnonzero(window.edge_mask)
-    pos = np.empty(net.n, dtype=np.int64)
-    pos[window.vertices] = np.arange(len(window.vertices))
-    return edges, pos[net.ei[edges]], pos[net.ej[edges]]
+    a, b = net.ei[edges], net.ej[edges]
+    # sorted distinct ids that end at len - 1 are 0, 1, ..., len - 1, each
+    # its own position: every ball and full view, since ids follow BFS order
+    if len(verts) and verts[-1] != len(verts) - 1:
+        pos = np.empty(net.n, dtype=np.int64)
+        pos[verts] = np.arange(len(verts))
+        a, b = pos[a], pos[b]
+    return edges, a, b
 
 
 def window_edges(window, field=float):
@@ -121,21 +131,37 @@ def field_of(values):
 
 
 def _fdot(x):
-    """The exact dot product of the context of x's mpf values, or None when
-    x is empty or holds no mpf."""
+    """The exact dot product ``fdot(a, b)`` of the context of x's mpf
+    values, for lists a and b, or None when x is empty or holds no mpf.
+
+    It is the context's ``fdot``, bit for bit. When every entry is an mpf
+    it skips ``fdot``'s list of all exact products: the raw products go
+    straight into ``libmp.mpf_sum``, rounded once at the context's
+    precision as ``fdot`` rounds."""
     first = x.flat[0] if x.dtype == object and x.size else None
-    return first.context.fdot if hasattr(first, "context") else None
+    ctx = getattr(first, "context", None)
+    if ctx is None:
+        return None
+
+    def fdot(a, b):
+        try:
+            ra, rb = [p._mpf_ for p in a], [q._mpf_ for q in b]
+        except AttributeError:
+            return ctx.fdot(a, b)
+        return ctx.make_mpf(libmp.mpf_sum(map(libmp.mpf_mul, ra, rb),
+                                          *ctx._prec_rounding))
+    return fdot
 
 
 def _product(A, B):
     """A @ B for a matrix or vector and a vector, either side, in one field.
 
-    In mp each entry is one ``fdot`` of the numbers' own context: every
-    product is exact and the sum is rounded once, at that precision
-    (``libmp.mpf_sum`` drops a term lying more than twice the precision in
-    bits below the running sum, where rounding after each term loses it
-    from about the precision down). float64 and Fraction take ``@``: the
-    same bits as before, or exact.
+    In mp each entry is one exact dot product of the numbers' own context
+    (``_fdot``): every product is exact and the sum is rounded once, at that
+    precision (``libmp.mpf_sum`` drops a term lying more than twice the
+    precision in bits below the running sum, where rounding after each term
+    loses it from about the precision down). float64 and Fraction take
+    ``@``: the same bits as before, or exact.
     """
     fdot = _fdot(B)
     if fdot is None or A.size == 0:

@@ -81,11 +81,13 @@ def royden_split(source, x, exhaustion=None, levels=30, tol=1e-8,
     exh = exhaustion or default_exhaustion(source, levels)
     reports = {bc: ConvergenceReport(quantity=f"energy_kernel(x={x}, bc={bc})",
                                      tol=tol) for bc in ("free", "wired")}
-    pots = {}
+
+    def record(radius, view, bc, pot):
+        reports[bc].record(radius, len(view.vertices), pot.value(x))
+
+    pots = _limit(exh, x, reports, record, lane=lane)
     # the pass ends on the deeper of the two windows where the limits stop
-    for radius, deeper, bc, pot in _limit(exh, x, reports, lane=lane):
-        reports[bc].record(radius, len(deeper.vertices), pot.value(x))
-        pots[bc] = pot
+    deeper = pots[max(pots, key=lambda bc: reports[bc].radii[-1])].window
     if final_radius is not None:
         have = int(deeper.net.level[deeper.vertices].max())
         if final_radius > have:
@@ -98,7 +100,8 @@ def royden_split(source, x, exhaustion=None, levels=30, tol=1e-8,
     v, f = pots["free"], pots["wired"]
     h = potential_difference(v, f)
 
-    radius = int(deeper.net.level[deeper.interior].max()) if len(deeper.interior) else 0
+    interior = deeper.interior
+    radius = int(deeper.net.level[interior].max()) if len(interior) else 0
     ev, ef, eh, cross, resid = _split_sums(v, f, h)
 
     return RoydenSplit(

@@ -24,12 +24,26 @@ set of unknowns of near-minimum degree at once (Luby, SIAM J. Comput. 15(4),
 to SuperLU. The Potential keeps the window solution minus its value at o, in
 the lane's field, and in the mp and Fraction lanes the edge currents.
 
+A round holds only what its next step reads, and drops each temporary once
+it is used: the old edge arrays go before the merge builds the new ones. It
+keeps for back-substitution the window positions of its chosen unknowns,
+their y_k = b_k / d_k, and for each of their edges the rank of k among the
+chosen, the window position of j and t_kj; the indices are int32 while the
+window has fewer than 2^31 vertices, and back-substitution frees each round
+as it uses it. The index arrays the rounds gather by (the edge ends and the
+grouped k and j) stay int64, which numpy's gathers and ``bincount`` read
+faster. One wired solve on the 1M-vertex Z^1 window peaks at about 115
+bytes per vertex (tracemalloc).
+
 Every exhaustion driver iterates one level loop, ``_limit``, which admits
 the levels, solves and applies each side's stopping rule (three consecutive
 relative deltas below tol, saturation on finite networks, or a divergence
 threshold passed with an increasing trend). The drivers record each level's
 value and return the telemetry as a ConvergenceReport instead of raising on
 non-convergence; a Royden split takes both of its limits from one pass.
+Each level, ball, view and potentials, is dropped before the next one is
+built; ``_limit`` hands a driver its last potential once that side is
+decided or its schedule has run out.
 """
 
 from __future__ import annotations
@@ -93,63 +107,80 @@ def _solve_float64(window, held, rhs):
     live, g, (u, v, c), load = _hifi.grounded_system(window, held, rhs, float)
     if not np.isfinite(window.net.ec[window.edge_mask]).all():
         raise SolverFailure("the window has a non-finite conductance")
-    n = len(live)
-    gid = np.arange(n)
+    # each unknown's window position, stored compactly, as are the indices
+    # back-substitution reads
+    small = np.int32 if len(window.vertices) < 2 ** 31 else np.int64
     prio = _hash(live)
+    gid = live.astype(small)
+    del live
     rounds = []
-    m = n
+    m = len(gid)
     while m:
         deg = np.bincount(u, minlength=m) + np.bincount(v, minlength=m)
         top = max(2, deg.min())
         if m > SMALL:
             top = min(top, DEGREE_CAP)
         chosen = _independent_set(deg <= top, u, v, prio)
-        ks, local = _hifi.ranks(chosen)
+        ks = np.flatnonzero(chosen)
         if not len(ks) or (m > SMALL and 8 * len(ks) < m):
             break
+        deg = deg[ks]
+        apart = range(1, deg.max())
         # each edge at a chosen unknown k, as k, its other end j and c_kj,
-        # grouped by k
+        # grouped by k; the edges at no chosen unknown stay
         su, sv = chosen[u], chosen[v]
         iu, iv = np.flatnonzero(su), np.flatnonzero(sv)
+        stay = np.flatnonzero(~(su | sv))
+        del su, sv
         k = np.concatenate([u[iu], v[iv]])
         order = np.argsort(k, kind="stable")
         k = k[order]
         j = np.concatenate([v[iu], u[iv]])[order]
         ck = np.concatenate([c[iu], c[iv]])[order]
+        del order, iu, iv
         # pivot d_k = g_k + sum_j c_kj, and t_kj = c_kj / d_k
         d = g + np.bincount(k, ck, m)
         if not np.all(d[ks] > 0):
             raise SingularSystem("zero pivot: the window may be disconnected")
         t = ck / d[k]
-        rounds.append((gid[ks], load[ks] / d[ks], local[k], gid[j], t))
+        # k's rank among the chosen is its group's, of deg_k entries
+        rounds.append((gid[ks], load[ks] / d[ks],
+                       np.repeat(np.arange(len(ks), dtype=small), deg), gid[j], t))
+        del d, ks, deg
         # each neighbour j gains t_kj g_k and t_kj b_k; each pair p < q of
         # k's neighbours gains the fill edge t_kp c_kq
         g = g + np.bincount(j, t * g[k], m)
         load = load + np.bincount(j, t * load[k], m)
-        apart = range(1, deg[ks].max())
         p = [np.flatnonzero(k[s:] == k[:-s]) for s in apart]
         q = np.concatenate([np.arange(0)] + [ps + s for ps, s in zip(p, apart)])
         p = np.concatenate([np.arange(0)] + p)
         fu, fv, fc = j[p], j[q], t[p] * ck[q]
+        del k, j, ck, t, p, q
         # renumber the live unknowns
         kept, new = _hifi.ranks(~chosen)
+        del chosen
         m = len(kept)
-        old = np.flatnonzero(~(su | sv))
         fu, fv = new[fu], new[fv]
-        u, v, c = _hifi.merged(np.concatenate([new[u[old]], np.minimum(fu, fv)]),
-                          np.concatenate([new[v[old]], np.maximum(fu, fv)]),
-                          np.concatenate([c[old], fc]), m)
-        g, load, gid, prio = g[kept], load[kept], gid[kept], prio[kept]
-    x = np.zeros(n)
+        u = np.concatenate([new[u[stay]], np.minimum(fu, fv)])
+        v = np.concatenate([new[v[stay]], np.maximum(fu, fv)])
+        c = np.concatenate([c[stay], fc])
+        del new, stay, fu, fv, fc
+        u, v, c = _hifi.merged(u, v, c, m)
+        g = g[kept]
+        load = load[kept]
+        gid = gid[kept]
+        prio = prio[kept]
+        del kept
+    x = np.zeros(len(window.vertices))
     if m:
         x[gid] = _solve_remainder(g, u, v, c, load)
-    for ks, y, kl, jg, t in reversed(rounds):
+    # each round is dropped once it is used
+    while rounds:
+        ks, y, kl, jg, t = rounds.pop()
         x[ks] = y + np.bincount(kl, t * x[jg], len(ks))
     if not np.isfinite(x).all():
         raise SolverFailure("solver produced non-finite values")
-    out = np.zeros(len(window.vertices))
-    out[live] = x
-    return out
+    return x
 
 
 def _solve_remainder(g, u, v, c, rhs):
@@ -305,7 +336,7 @@ class ConvergenceReport:
         }
 
 
-def _limit(exhaustion, x, reports, rhs=None, charges=(), lane="auto",
+def _limit(exhaustion, x, reports, record, rhs=None, charges=(), lane="auto",
            divergence_threshold=None):
     """The level solves of one exhaustion limit per boundary condition.
 
@@ -313,15 +344,22 @@ def _limit(exhaustion, x, reports, rhs=None, charges=(), lane="auto",
     None for no stopping rule. A level carries a side's solve (``rhs``, by
     default delta_x - delta_o) while its report is undecided and the origin,
     where every level potential is 0, x and ``charges`` lie inside the
-    window for a free solve and in its interior for a wired one. Yields
-    (radius, view, bc, potential) for the caller to record, then applies
-    the side's stopping rule; an unbalanced ``rhs`` has no solution on a
-    whole finite network, which decides its side (it needs a report) as
-    diverged. Stops once every report is decided; InvalidParameters when no
-    level admits a side.
+    window for a free solve and in its interior for a wired one. Each solve
+    goes to ``record(radius, view, bc, potential)``, then the side's
+    stopping rule applies; an unbalanced ``rhs`` has no solution on a whole
+    finite network, which decides its side (it needs a report) as diverged.
+    Stops once every report is decided; InvalidParameters when no level
+    admits a side.
+
+    Returns each side's last potential by boundary condition (none for a
+    side decided before its first solve). A level is dropped before the
+    next one is built: its potentials are kept only for the sides it
+    decides, on the schedule's last level, or on a finite network, whose
+    levels share it as their ball.
     """
     running, waiting = dict(reports), set(reports)
     unbalanced = rhs is not None and sum(rhs.values()) != 0
+    last, final = {}, exhaustion.radii[-1]
     for radius, view in exhaustion:
         # the window is a whole finite network
         whole = view.net.is_saturated and len(view.vertices) == view.net.n
@@ -335,18 +373,24 @@ def _limit(exhaustion, x, reports, rhs=None, charges=(), lane="auto",
                 report.stopping_rule = "finite-network-no-monopole"
             if report is None or report.inconclusive:
                 pot = solve_dipole_level(view, x, bc=bc, rhs=rhs, lane=lane)
-                yield radius, view, bc, pot
-                if report is None or not report.assess(
-                        saturated=whole, divergence_threshold=divergence_threshold):
+                record(radius, view, bc, pot)
+                done = report is not None and report.assess(
+                    saturated=whole, divergence_threshold=divergence_threshold)
+                if done or radius == final or view.net.is_saturated:
+                    last[bc] = pot
+                if not done:
                     continue
             del running[bc]
+        # this level goes before the next one is built
+        view = fits = pot = None
         if not running:
-            return
+            return last
     if waiting:
         ids = list(dict.fromkeys((x, *charges)))
         raise InvalidParameters(
             f"vertex {ids[0]} never entered the exhaustion" if len(ids) == 1
             else f"vertices {ids} never entered the exhaustion together")
+    return last
 
 
 def energy_kernel(source, x, bc="free", exhaustion=None, levels=30, tol=1e-8,
@@ -360,9 +404,12 @@ def energy_kernel(source, x, bc="free", exhaustion=None, levels=30, tol=1e-8,
     exh = (exhaustion if exhaustion is not None
            else default_exhaustion(source, levels))
     report = ConvergenceReport(quantity=f"energy_kernel(x={x}, bc={bc})", tol=tol)
-    for radius, view, _, pot in _limit(exh, x, {bc: report}, lane=lane):
+
+    def record(radius, view, _, pot):
         defect = window_defect(pot) if track_defect else None
         report.record(radius, len(view.vertices), pot.value(x), defect)
+
+    pot = _limit(exh, x, {bc: report}, record, lane=lane)[bc]
     w = pot.w.astype(float, copy=False)  # the window values as float64
     report.extra["max_principle_ok"] = bool(
         np.all(w >= -1e-9) and np.all(w <= pot.value(x) + 1e-9)) \
@@ -389,8 +436,8 @@ def effective_resistance(source, x, y=None, bc="free", exhaustion=None,
         report.converged = True
         report.stopping_rule = "identical-vertices"
         report.values = [0.0]
-    for radius, view, _, pot in _limit(exh, x, {bc: report}, rhs={x: 1, y: -1},
-                                       charges=(y,), lane=lane):
+
+    def record(radius, view, _, pot):
         value = pot.value(x) - pot.value(y)
         # dual route: on the level network, energy(v) = v(x) - v(y) exactly
         dev = abs(energy(pot, pot) - value)
@@ -398,6 +445,9 @@ def effective_resistance(source, x, y=None, bc="free", exhaustion=None,
         report.extra["max_energy_value_dev"] = float(np.maximum(
             report.extra.get("max_energy_value_dev", 0.0), dev))
         report.record(radius, len(view.vertices), value)
+
+    _limit(exh, x, {bc: report}, record, rhs={x: 1, y: -1}, charges=(y,),
+           lane=lane)
     return report.values[-1], report
 
 
@@ -425,12 +475,12 @@ def monopole(source, x=None, levels=22, tol=1e-8, divergence_threshold=1e6,
     exhaustion = schedules[schedule](source, levels)
     x = int(x) if x is not None else source.ball(1).origin
     report = ConvergenceReport(quantity=f"monopole_energy(x={x})", tol=tol)
-    pot = None
-    for radius, view, _, pot in _limit(exhaustion, x, {"wired": report},
-                                       rhs={x: 1}, lane=lane,
-                                       divergence_threshold=divergence_threshold):
-        e = energy(pot, pot)
-        report.record(radius, len(view.vertices), e)
+
+    def record(radius, view, _, pot):
+        report.record(radius, len(view.vertices), energy(pot, pot))
+
+    pot = _limit(exhaustion, x, {"wired": report}, record, rhs={x: 1},
+                 lane=lane, divergence_threshold=divergence_threshold).get("wired")
     transient = True if report.converged else (False if report.diverged else None)
     return MonopoleResult(potential=pot, report=report, transient=transient)
 

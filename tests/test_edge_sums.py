@@ -143,6 +143,17 @@ def test_product_rounds_each_mp_sum_once(terms):
     assert list(_product(x, A.T)) == list(got)
 
 
+@given(cancelling_products())
+def test_product_is_the_contexts_fdot_bit_for_bit(terms):
+    A, x = terms
+    fdot = MP50.context.fdot
+    for row, entry in zip(A, _product(A, x)):
+        assert entry._mpf_ == fdot(list(row), list(x))._mpf_
+    # an entry that is no mpf is left to fdot, which converts it
+    y = _objects(list(x[:-1]) + [3])
+    assert _product(A[0], y)._mpf_ == fdot(list(A[0]), list(y))._mpf_
+
+
 def test_product_rounds_a_cancelling_sum_once():
     third = MP50(1) / 3
     u = _objects([third, MP50(10) ** -40 / 7, -third])

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from resbdy import (build_finite, delta, dirac_pairing, energy, laplacian,
+from resbdy import (IntegerLatticeGenerator, build_finite, delta, dirac_pairing, energy, laplacian,
                     normal_derivative, potential_from_values, window_defect)
-from resbdy.energy import SubgraphView, flow_laplacian, window_edges
+from resbdy.energy import (SubgraphView, edge_ends, flow_laplacian,
+                           window_edges)
 from resbdy.errors import (DomainMismatch, MissingNeighborValue,
                            NotBoundaryVertex)
 from resbdy.solver import solve_dipole_level
@@ -274,3 +275,25 @@ def test_dirac_pairing_of_an_mp_potential_reads_its_currents():
     u = solve_dipole_level(window, gen.x(1), lane="mp")
     for at in (gen.x(1), gen.x(20), window.net.origin):
         assert abs(dirac_pairing(u, at) - laplacian(u, at)) <= 1e-12
+
+
+def _edge_ends_by_map(window):
+    """edge_ends through a position map over the whole network."""
+    net = window.net
+    edges = np.flatnonzero(window.edge_mask)
+    pos = np.empty(net.n, dtype=np.int64)
+    pos[window.vertices] = np.arange(len(window.vertices))
+    return edges, pos[net.ei[edges]], pos[net.ej[edges]]
+
+
+def test_edge_ends_equal_the_position_map_on_every_window():
+    net = IntegerLatticeGenerator(2).ball(6)
+    prefix = [net.ball_view(5), net.full_view(), SubgraphView(net, [0, 1, 2])]
+    other = [SubgraphView(net, [0, 2, 3, 5, 9, 10, 11, 20]),
+             SubgraphView(net, [1, 2, 3, 4]), SubgraphView(net, [])]
+    for view in prefix:
+        assert np.array_equal(view.vertices, np.arange(len(view.vertices)))
+    for view in prefix + other:
+        got, want = edge_ends(view), _edge_ends_by_map(view)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)

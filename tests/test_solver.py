@@ -1,3 +1,7 @@
+import hashlib
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -408,3 +412,89 @@ def test_float64_rounds_and_remainder_match_the_fraction_lane(
     exact = solve_dipole_level(view, x, bc=bc, rhs=rhs, lane="fraction").w
     exact = exact.astype(float)
     assert np.max(np.abs(fast.w - exact)) <= 1e-10 * np.max(np.abs(exact))
+
+
+# sha256 over the float64 free and wired dipole solves (delta_x - delta_o)
+# on each window, in that order, as the rounds gave them before they freed
+# their arrays early and stored their back-substitution indices as int32
+SOLVE_DIGESTS = [
+    (IntegerLatticeGenerator(1), 2 ** 12, 1,
+     "9940684a12b330c396a8bb4e2b5523b923ea54c9ffdea67bc7de9a56379d0610"),
+    (BinaryTreeGenerator(), 17, 1,
+     "f36bebe47c98cc7eb84fa13e58e41c2564d60f0924e85f19a0f8be43bdccba4e"),
+    (LadderGenerator(5, 0.9), 12, 2,
+     "4bb87ba90fcba54dde2596c74e992ec33e0e2b72a0e0e5c5738eacfbe81853b1"),
+    (IntegerLatticeGenerator(2), 60, 1,
+     "04fe8b035fa03f4c1614088f536ada675c9fe2a4d3238c1ab4b6a87db5548fee"),
+    (IntegerLatticeGenerator(3), 12, 1,
+     "b33e817701af4bde241b9be0b482b6474dd07506c291d27f936ce0504e9ce43b"),
+]
+
+
+@pytest.mark.parametrize("gen, radius, x, digest", SOLVE_DIGESTS,
+                         ids=["Z1", "tree", "ladder", "Z2", "Z3"])
+def test_float64_solves_keep_their_bits(gen, radius, x, digest):
+    view = gen.ball(radius + 1).ball_view(radius)
+    h = hashlib.sha256()
+    for bc in ("free", "wired"):
+        h.update(solve_dipole_level(view, x, bc=bc, lane="float64").w.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_a_float64_solve_peaks_below_160_bytes_per_vertex():
+    # a wired monopole on the Z^1 window of radius 2^17 (262,145 vertices)
+    view = IntegerLatticeGenerator(1).ball(2 ** 17 + 1).ball_view(2 ** 17)
+    tracemalloc.start()
+    try:
+        solver._solve_float64(view, view.bd, {0: 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 160 * len(view.vertices)
+
+
+def _watch_levels(monkeypatch):
+    """Whether the ball of the previous float64 solve was still alive when
+    each later one started, and a weak reference to every solve's ball."""
+    alive, balls = [], []
+    solve = solver._solve_float64
+
+    def watched(window, held, rhs):
+        if balls:
+            alive.append(balls[-1]() is not None)
+        balls.append(weakref.ref(window.net))
+        return solve(window, held, rhs)
+
+    monkeypatch.setattr(solver, "_solve_float64", watched)
+    return alive, balls
+
+
+def test_monopole_frees_each_level_before_the_next_is_solved(monkeypatch):
+    alive, balls = _watch_levels(monkeypatch)
+    res = monopole(IntegerLatticeGenerator(1), levels=10,
+                   divergence_threshold=1e9)
+    assert res.report.radii == [2 ** k for k in range(10)]
+    assert alive == [False] * 9
+    # the last level's potential is still the one handed back
+    assert res.potential.net is balls[-1]()
+    assert res.potential.value(0) == 0.0
+    assert energy(res.potential, res.potential) == res.report.values[-1]
+
+
+def test_energy_kernel_frees_each_level_before_the_next_is_solved(monkeypatch):
+    alive, balls = _watch_levels(monkeypatch)
+    pot, rep = energy_kernel(IntegerLatticeGenerator(2), 1, levels=6, tol=0)
+    assert rep.radii == list(range(1, 7))
+    assert alive == [False] * 5
+    assert pot.net is balls[-1]()
+    assert pot.value(1) == rep.values[-1]
+
+
+def test_a_finite_network_hands_back_the_last_solved_level(path5):
+    # the level of radius 4 is the whole path and decides the monopole
+    # without a solve; the potential is the radius-3 level's
+    res = monopole(path5, x=1, levels=6, schedule="linear")
+    assert res.report.stopping_rule == "finite-network-no-monopole"
+    assert res.report.radii == [2, 3]
+    assert list(res.potential.window.vertices) == [0, 1, 2, 3]
+    assert energy(res.potential, res.potential) == res.report.values[-1]
