@@ -7,8 +7,7 @@ boundary sums along exhaustions.
 """
 
 from .energy import (Potential, SubgraphView, delta, dirac_pairing, energy,
-                     laplacian, normal_derivative, potential_from_values,
-                     window_defect)
+                     laplacian, normal_derivative, potential_from_values)
 from .errors import *  # noqa: F401,F403
 from .ladder import (LadderHarmonic, du_bound_satisfied, du_upper_bounds,
                      harmonic_residuals, ladder_energy, ladder_harmonic,

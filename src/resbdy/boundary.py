@@ -31,7 +31,8 @@ from .network import default_exhaustion
 # nothing here calls solve_dipole_level: perfbench/selftest.py wants it held by name
 from .solver import _limit, solve_dipole_level  # noqa: F401
 
-# the largest harmonic residual of u that boundary_sum_harmonic accepts
+# the largest Laplacian residual at which a function counts as harmonic:
+# royden_split, boundary_sum_harmonic and boundary_integral_check read it
 HARM_TOL = 1e-6
 
 

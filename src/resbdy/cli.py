@@ -6,10 +6,10 @@ boundary-sum, paths, wiener, ladder, walk, verify-all.
 Each subcommand declares only the options it reads: --seed and --out are on
 every one, --levels, --tol and --lane only where they reach the library.
 Reports are JSON (schema "1"). Their config holds every parsed option but
---out, the subcommand, the package version, the sampling workers and the
-resolved network spec, and they are byte-identical for identical
-configurations. Exit codes: 0 all checks passed, 2 a check failed or a limit
-did not converge, 1 usage or solver error.
+--out, the subcommand, the package version and the resolved network spec,
+and they are byte-identical for identical configurations. Exit codes: 0 all
+checks passed, 2 a check failed or a limit did not converge, 1 usage or
+solver error.
 """
 
 from __future__ import annotations
@@ -140,21 +140,12 @@ def _emit(report, args, failed=False):
 
 def _run_config(args):
     """Every parsed argument except the delivery path, with the subcommand,
-    the package version, the sampling workers and the resolved network spec
-    (None when the command ran on no network)."""
+    the package version and the resolved network spec (None when the
+    command ran on no network)."""
     cfg = {k: v for k, v in vars(args).items() if k not in ("out", "fn", "cmd")}
     cfg.setdefault("network_spec", None)
-    cfg.update(subcommand=args.cmd, version=__version__, workers=_workers())
+    cfg.update(subcommand=args.cmd, version=__version__)
     return cfg
-
-
-def _workers():
-    """Sampling workers: RESBDY_THREADS clamped to [1, 64]."""
-    threads = os.environ.get("RESBDY_THREADS", "1")
-    try:
-        return max(1, min(int(threads), 64))
-    except ValueError:
-        raise UsageError(f"RESBDY_THREADS={threads!r} is not an integer") from None
 
 
 def _jsonable(x):
@@ -345,7 +336,7 @@ def cmd_paths(args):
 
 
 def cmd_wiener(args):
-    ens = wmod.sample_ensemble(args.N, args.samples, args.seed, workers=_workers())
+    ens = wmod.sample_ensemble(args.N, args.samples, args.seed)
     rng = np.random.Generator(np.random.Philox(key=args.seed + 1))
     results = []
     failed = False
@@ -527,7 +518,7 @@ def build_parser():
     p.add_argument("--divergence-threshold", type=float, default=1e6)
     p = _subcommand(sub, "decompose", cmd_decompose, *limit)
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--harm-tol", type=float, default=1e-6)
+    p.add_argument("--harm-tol", type=float, default=bdy.HARM_TOL)
     p = _subcommand(sub, "onb", cmd_onb, "lane")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--radius", type=int, default=None)
@@ -575,7 +566,6 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        _workers()  # a malformed RESBDY_THREADS fails before any work
         return args.fn(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -1,17 +1,16 @@
 """Dirichlet energy form, graph Laplacian, subgraph boundaries, normal derivatives.
 
 All evaluations happen on a finite window (a :class:`SubgraphView`): sums run
-over edges with both endpoints in the window, and the edges that leave it are
-reported separately as the window defect so convergence drivers can monitor
-truncation. Every window quantity is a sum of edge currents c (u(x) - u(y)),
-taken by ``edge_currents`` in one field: mp and Fraction sums read the
-currents their solves carry, each right relative to itself; float64 sums
-read a carried current as float64 and form the others from the values.
+over edges with both endpoints in the window. Every window quantity is a sum
+of edge currents c (u(x) - u(y)), taken by ``edge_currents`` in one field:
+mp and Fraction sums read the currents their solves carry, each right
+relative to itself; float64 sums read a carried current as float64 and form
+the others from the values.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -330,32 +329,6 @@ def _energy_hi(u: Potential, v: Potential, w):
     # v is u forms its currents once
     c, _, _, i = edge_currents(w, *((u,) if v is u else (u, v)))
     return current_energy(c, i[0], i[-1])
-
-
-@dataclass
-class WindowDefect:
-    """Telemetry for edges excluded by a finite window."""
-
-    excluded_edges: int
-    excluded_conductance: float
-    boundary_flux: float
-
-    def to_dict(self):
-        return asdict(self)
-
-
-def window_defect(u: Potential) -> WindowDefect:
-    """Quantify what the window truncation leaves out, in the field of u.w."""
-    w, net = u.window, u.net
-    half_in = w.mask[net.ei] ^ w.mask[net.ej]
-    # boundary flux: window-restricted Laplacian at boundary vertices
-    lap = window_laplacian(u)
-    flux = float(np.sum(np.abs(lap[w.bd_mask[w.vertices]])))
-    return WindowDefect(
-        excluded_edges=int(np.sum(half_in)),
-        excluded_conductance=float(np.sum(net.ec[half_in])),
-        boundary_flux=flux,
-    )
 
 
 def laplacian(v: Potential, at: int) -> float:

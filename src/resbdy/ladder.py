@@ -25,7 +25,6 @@ and the closed-form increment bound holds term by term in that regime.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -40,8 +39,6 @@ class LadderHarmonic:
     n_max: int
     u: np.ndarray                    # u(0..n_max) on the x-rail
     du: np.ndarray                   # du(0..n_max-1), carried increments
-    exact_u: list = None             # Fractions when built exactly
-    exact_du: list = None
 
     @property
     def sigma(self):
@@ -56,13 +53,8 @@ class LadderHarmonic:
         return float(self.u[n]) if rail == 0 else float(-1.0 - self.u[n])
 
 
-def ladder_harmonic(alpha, beta, N, exact=False) -> LadderHarmonic:
-    """Run the harmonicity recursion out to u(N).
-
-    ``exact=True`` carries the recursion in rational arithmetic (alpha, beta
-    converted from their float64 values, so both lanes describe the same
-    network).
-    """
+def ladder_harmonic(alpha, beta, N) -> LadderHarmonic:
+    """Run the harmonicity recursion out to u(N)."""
     if not (alpha > 1 and 0 < beta < 1):
         raise InvalidParameters("recursion needs alpha > 1 > beta > 0")
     if N < 2:
@@ -77,20 +69,7 @@ def ladder_harmonic(alpha, beta, N, exact=False) -> LadderHarmonic:
         src = q ** n
         du[n] = du[n - 1] / a + src * (2.0 * u[n] + 1.0) / a
         u[n + 1] = u[n] + du[n]
-    exact_u = exact_du = None
-    if exact:
-        af, bf = Fraction(float(alpha)), Fraction(float(beta))
-        eu = [Fraction(0), 1 / af]
-        edu = [1 / af]
-        qf = bf / af
-        for n in range(1, N):
-            src = qf ** n
-            d = edu[n - 1] / af + src * (2 * eu[n] + 1) / af
-            edu.append(d)
-            eu.append(eu[n] + d)
-        exact_u, exact_du = eu, edu
-    return LadderHarmonic(alpha=a, beta=b, n_max=N, u=u, du=du,
-                          exact_u=exact_u, exact_du=exact_du)
+    return LadderHarmonic(alpha=a, beta=b, n_max=N, u=u, du=du)
 
 
 def harmonic_residuals(lh: LadderHarmonic) -> np.ndarray:

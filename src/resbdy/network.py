@@ -29,6 +29,8 @@ level <= r, and its frontier is the vertices of level r.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -150,11 +152,6 @@ class Network:
         # entry 2k is edge k's first end, 2k + 1 its second
         return start, np.argsort(ends, kind="stable") // 2
 
-    def neighbors(self, x):
-        """(indices, conductances) of the neighbors of x."""
-        sl = slice(self.adjacency.indptr[x], self.adjacency.indptr[x + 1])
-        return self.adjacency.indices[sl], self.adjacency.data[sl]
-
     def laplacian(self):
         """Graph Laplacian as CSR, physics sign: (Lv)(x) = sum c_xy (v(x)-v(y))."""
         return (sp.diags(self.c_of) - self.adjacency).tocsr()
@@ -254,6 +251,19 @@ def build_finite(edge_list, origin=0):
 # -- generators -------------------------------------------------------------
 
 
+def _finite(name, value, kind=numbers.Real):
+    """InvalidParameters unless ``value`` is a ``kind`` (numbers.Real or
+    numbers.Integral) inside the float64 range; a bool is neither."""
+    try:
+        ok = (isinstance(value, kind) and not isinstance(value, bool)
+              and math.isfinite(value))
+    except OverflowError:  # an int past the float64 range
+        ok = False
+    if not ok:
+        raise InvalidParameters(f"{name} must be a finite "
+                                f"{kind.__name__.lower()} number, got {value!r}")
+
+
 class _Family:
     """What every family generator shares: its balls, built from the
     ``Network`` arguments its ``_ball(r)`` returns (ei, ej, ec, level, and
@@ -295,6 +305,8 @@ class LadderGenerator(_Family):
     family: str = field(default="ladder", init=False)
 
     def __post_init__(self):
+        _finite("alpha", self.alpha)
+        _finite("beta", self.beta)
         if not (self.alpha > 1):
             raise InvalidParameters("ladder requires alpha > 1")
         if not (0 < self.beta <= 1):
@@ -344,6 +356,7 @@ class GeometricHalfLineGenerator(_Family):
     family: str = field(default="geometric-half-line", init=False)
 
     def __post_init__(self):
+        _finite("alpha", self.alpha)
         if not (self.alpha > 0):
             raise InvalidParameters("half-line requires alpha > 0")
 
@@ -358,10 +371,6 @@ class GeometricHalfLineGenerator(_Family):
         return dict(ei=np.arange(r), ej=np.arange(1, r + 1), ec=ec,
                     level=np.arange(r + 1), exact=lambda k: a ** (k + 1))
 
-    def ray(self):
-        from .boundary import PathToInfinity
-        return PathToInfinity(lambda n: n, name="ray")
-
 
 @dataclass(frozen=True)
 class IntegerLatticeGenerator(_Family):
@@ -371,6 +380,7 @@ class IntegerLatticeGenerator(_Family):
     family: str = field(default="integer-lattice", init=False)
 
     def __post_init__(self):
+        _finite("d", self.d, numbers.Integral)
         if self.d < 1:
             raise InvalidParameters("lattice dimension must be >= 1")
 

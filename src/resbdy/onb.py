@@ -53,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +92,24 @@ class OnbSystem:
         """eps_k as a Potential (1-indexed), in the construction field."""
         return Potential(self.window, self._work[0][:, k - 1],
                          i=self._flows[:, k - 1])
+
+    # the two evaluation routes of the identity checks, formed once per system
+
+    @cached_property
+    def _laplacian_entries(self):
+        """(Lap eps_i)(x_j) for j <= i, zero above the diagonal (construction
+        field), from the eps_i's edge currents."""
+        _, a, b = edge_ends(self.window)
+        n, xs = len(self.window.vertices), self.window.index(self.enumeration)
+        return np.tril(np.array([flow_laplacian(a, b, self._flows[:, k], n)[xs]
+                                 for k in range(self.N)],
+                                dtype=self._flows.dtype))
+
+    @cached_property
+    def _evaluation_entries(self):
+        """eps_j(x_i) - eps_j(o) for j <= i, zero above the diagonal
+        (construction field)."""
+        return np.tril(self._work[0][self.window.index(self.enumeration), :])
 
 
 def _sqrt(x):
@@ -227,34 +246,19 @@ def _lower_dev(A, B, C):
         for i in range(len(A))]))
 
 
-def _laplacian_entries(onb):
-    """(Lap eps_i)(x_j) for j <= i, zero above the diagonal (construction
-    field), from the eps_i's edge currents."""
-    _, a, b = edge_ends(onb.window)
-    n, xs = len(onb.window.vertices), onb.window.index(onb.enumeration)
-    return np.tril(np.array([flow_laplacian(a, b, onb._flows[:, k], n)[xs]
-                             for k in range(onb.N)], dtype=onb._flows.dtype))
-
-
-def _evaluation_entries(onb):
-    """eps_j(x_i) - eps_j(o) for j <= i, zero above the diagonal (construction field)."""
-    Q = onb._work[0]
-    return np.tril(Q[onb.window.index(onb.enumeration), :])
-
-
 def entries_M_via_laplacian(onb: OnbSystem):
     """Matrix (Lap eps_i)(x_j) for j <= i, zero above the diagonal.
 
     Returns (matrix, max absolute deviation from onb.M).
     """
-    lap = _laplacian_entries(onb)
+    lap = onb._laplacian_entries
     low = np.tril_indices(onb.N)  # both vanish above the diagonal
     return lap.astype(float), _max_dev(lap[low], onb._work[1][low])
 
 
 def entries_E_via_evaluation(onb: OnbSystem):
     """Matrix eps_j(x_i) - eps_j(o); equals M^{-1}. Returns (matrix, max dev)."""
-    ev = _evaluation_entries(onb)
+    ev = onb._evaluation_entries
     low = np.tril_indices(onb.N)  # both vanish above the diagonal
     return ev.astype(float), _max_dev(ev[low], onb._work[2][low])
 
@@ -273,7 +277,7 @@ def kronecker_sum_check(onb: OnbSystem):
     action), not from the stored matrices, so this exercises the full chain.
     """
     # both factors are lower triangular, and so is their product
-    return _lower_dev(_evaluation_entries(onb), _laplacian_entries(onb),
+    return _lower_dev(onb._evaluation_entries, onb._laplacian_entries,
                       np.eye(onb.N))
 
 
@@ -284,7 +288,7 @@ def reconstruction_check(onb: OnbSystem):
     energy norm of the difference against the kernel recovered from E.
     """
     E, flows = onb._work[2], onb._flows
-    ev = _evaluation_entries(onb)
+    ev = onb._evaluation_entries
     c, _, _ = window_edges(onb.window, field_of(flows))
     worst = 0.0
     for n in range(onb.N):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boundary import HARM_TOL
 from .energy import (Potential, current_energy, edge_currents, energy,
                      flow_laplacian, potential_difference)
 from .errors import InvalidParameters
@@ -39,7 +40,7 @@ class RoydenSplit:
     harm_residual_radius: int
     free_report: ConvergenceReport
     wired_report: ConvergenceReport
-    harm_tol: float = 1e-6
+    harm_tol: float = HARM_TOL
 
     @property
     def pythagoras_deviation(self):
@@ -67,7 +68,7 @@ class RoydenSplit:
 
 
 def royden_split(source, x, exhaustion=None, levels=30, tol=1e-8,
-                 harm_tol=1e-6, lane="auto", final_radius=None):
+                 harm_tol=HARM_TOL, lane="auto", final_radius=None):
     """Split the energy kernel at x into Fin and Harm parts.
 
     Both exhaustion limits come from one pass over the schedule, each

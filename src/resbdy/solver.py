@@ -55,7 +55,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import _hifi
-from .energy import Potential, SubgraphView, energy, window_defect
+from .energy import Potential, SubgraphView, energy
 from .errors import InvalidParameters, SingularSystem, SolverFailure
 from .network import Exhaustion, default_exhaustion, doubling_exhaustion
 
@@ -277,7 +277,6 @@ class ConvergenceReport:
     sizes: list = dc_field(default_factory=list)
     values: list = dc_field(default_factory=list)
     deltas: list = dc_field(default_factory=list)
-    defects: list = dc_field(default_factory=list)
     converged: bool = False
     diverged: bool = False
     stopping_rule: str = ""
@@ -291,7 +290,7 @@ class ConvergenceReport:
     def limit(self):
         return self.values[-1] if (self.converged and self.values) else None
 
-    def record(self, radius, size, value, defect=None):
+    def record(self, radius, size, value):
         self.radii.append(int(radius))
         self.sizes.append(int(size))
         self.values.append(float(value))
@@ -299,8 +298,6 @@ class ConvergenceReport:
             prev, cur = self.values[-2], self.values[-1]
             denom = max(abs(cur), 1e-300)
             self.deltas.append(abs(cur - prev) / denom)
-        if defect is not None:
-            self.defects.append(defect.to_dict())
 
     def assess(self, saturated=False, divergence_threshold=None):
         if saturated:
@@ -331,7 +328,6 @@ class ConvergenceReport:
             "diverged": self.diverged,
             "inconclusive": self.inconclusive,
             "stopping_rule": self.stopping_rule,
-            "defects": self.defects,
             "extra": self.extra,
         }
 
@@ -394,7 +390,7 @@ def _limit(exhaustion, x, reports, record, rhs=None, charges=(), lane="auto",
 
 
 def energy_kernel(source, x, bc="free", exhaustion=None, levels=30, tol=1e-8,
-                  lane="auto", track_defect=False):
+                  lane="auto"):
     """Exhaustion limit of the dipole solves Lap v = delta_x - delta_o.
 
     Tracks R_k = v^(k)(x) (pinned), stops by the three-delta rule or window
@@ -406,8 +402,7 @@ def energy_kernel(source, x, bc="free", exhaustion=None, levels=30, tol=1e-8,
     report = ConvergenceReport(quantity=f"energy_kernel(x={x}, bc={bc})", tol=tol)
 
     def record(radius, view, _, pot):
-        defect = window_defect(pot) if track_defect else None
-        report.record(radius, len(view.vertices), pot.value(x), defect)
+        report.record(radius, len(view.vertices), pot.value(x))
 
     pot = _limit(exh, x, {bc: report}, record, lane=lane)[bc]
     w = pot.w.astype(float, copy=False)  # the window values as float64

@@ -11,9 +11,9 @@ sense, and the classical identities become testable moments:
 * resistance                 R(x, y) = E[(v_x~ - v_y~)^2] = -2 log E[conj(e_x) e_y]
 * boundary representation    u(x) - u(o) = E[u~ h_x~] for harmonic u
 
-Sampling uses the counter-based Philox generator: a fixed (seed, N, S,
-worker-partition) reproduces samples bit-for-bit; worker w draws its block
-from Philox(key=seed).jumped(w).
+Sampling uses the counter-based Philox generator: the S x N block is drawn
+from one Philox(key=seed) stream, so (seed, N, S) reproduces the samples bit
+for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .boundary import HARM_TOL
 from .errors import DimensionMismatch, InvalidParameters, NotHarmonic
 
 # a Monte Carlo check passes when its error is within this many standard errors
@@ -33,7 +34,6 @@ class GaussianEnsemble:
     N: int
     S: int
     seed: int
-    workers: int
     samples: np.ndarray  # (S, N)
 
     def summary(self):
@@ -45,25 +45,15 @@ class GaussianEnsemble:
         }
 
 
-def sample_ensemble(N: int, S: int, seed: int, workers: int = 1) -> GaussianEnsemble:
+def sample_ensemble(N: int, S: int, seed: int) -> GaussianEnsemble:
     """Draw S i.i.d. standard-normal coordinate vectors of length N."""
-    if N < 1 or S < 1 or workers < 1:
-        raise InvalidParameters("N, S, and workers must all be >= 1")
+    if N < 1 or S < 1:
+        raise InvalidParameters("N and S must both be >= 1")
     if not 0 <= seed < 2 ** 128:
         raise InvalidParameters("seed must be in [0, 2^128)")
-    blocks = []
-    base, extra = divmod(S, workers)
-    for w in range(workers):
-        rows = base + (1 if w < extra else 0)
-        if rows == 0:
-            continue
-        bitgen = np.random.Philox(key=seed)
-        if w:
-            bitgen = bitgen.jumped(w)
-        rng = np.random.Generator(bitgen)
-        blocks.append(rng.standard_normal((rows, N)))
-    return GaussianEnsemble(N=N, S=S, seed=int(seed), workers=workers,
-                            samples=np.vstack(blocks))
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    return GaussianEnsemble(N=N, S=S, seed=int(seed),
+                            samples=rng.standard_normal((S, N)))
 
 
 def _coeffs(u, N):
@@ -194,16 +184,17 @@ def resistance_via_expectation(x, y, onb, ens: GaussianEnsemble,
 
 
 def boundary_integral_check(u_coeffs, target, h_coeffs, ens: GaussianEnsemble,
-                            harm_residual=None, harm_tol=1e-6) -> CheckResult:
+                            harm_residual=None) -> CheckResult:
     """E[u~ h_x~] against u(x) - u(o) for a harmonic u.
 
-    ``target`` is the exact vertex difference u(x) - u(o). The truncation tail
+    ``target`` is the exact vertex difference u(x) - u(o); a ``harm_residual``
+    of u above ``HARM_TOL`` raises NotHarmonic. The truncation tail
     |sum_n u_n h_n - target| is measured directly and added to the Monte Carlo
     budget, since the sampler can only see the truncated coefficients.
     """
-    if harm_residual is not None and not (harm_residual <= harm_tol):
+    if harm_residual is not None and not (harm_residual <= HARM_TOL):
         raise NotHarmonic(
-            f"harmonic residual {harm_residual:.3e} exceeds {harm_tol:.1e}")
+            f"harmonic residual {harm_residual:.3e} exceeds {HARM_TOL:.1e}")
     uc = _coeffs(u_coeffs, ens.N)
     hc = _coeffs(h_coeffs, ens.N)
     truncated = float(np.sum(uc * hc))

@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from resbdy import (GeometricHalfLineGenerator, IntegerLatticeGenerator,
                     LadderGenerator, PathToInfinity, Potential,
-                    boundary_point_eval,
+                    boundary_integral_check, boundary_point_eval,
                     boundary_sum_harmonic, build_finite,
                     energy, energy_kernel, finite_gauss_green_deviation,
                     gauss_green_verify, path_equivalence,
-                    potential_from_values, royden_split, solve_dipole_level)
+                    potential_from_values, royden_split, sample_ensemble,
+                    solve_dipole_level)
+from resbdy.boundary import HARM_TOL
 from resbdy.energy import potential_difference, window_laplacian
 from resbdy.errors import DomainMismatch, InvalidParameters, NotHarmonic
 from resbdy.ladder import ladder_harmonic
@@ -155,13 +159,32 @@ def test_boundary_sum_rejects_nonharmonic():
                               harm_residual=1.0)
 
 
+@pytest.mark.parametrize("residual, harmonic", [
+    (np.nextafter(HARM_TOL, 0), True), (HARM_TOL, True),
+    (np.nextafter(HARM_TOL, 1), False)], ids=["below", "at", "above"])
+def test_harmonicity_checks_switch_at_one_residual(triangle, residual, harmonic):
+    split = replace(royden_split(triangle, 1), harm_residual_max=residual)
+    assert split.harmonicity_violated is not harmonic
+    ens = sample_ensemble(2, 100, seed=1)
+    checks = [lambda: boundary_sum_harmonic(triangle, lambda v: 0.0, 1, levels=1,
+                                            harm_residual=residual),
+              lambda: boundary_integral_check(np.zeros(2), 0.0, np.zeros(2), ens,
+                                              harm_residual=residual)]
+    for check in checks:
+        if harmonic:
+            check()
+        else:
+            with pytest.raises(NotHarmonic):
+                check()
+
+
 def test_path_validation():
     gen = LadderGenerator(5, 0.9)
     net = gen.ball(32)
 
     def adjacent(path):
         ids = path.prefix(30)
-        return all(b in net.neighbors(a)[0] for a, b in zip(ids, ids[1:]))
+        return all(b in net.adjacency[a].indices for a, b in zip(ids, ids[1:]))
 
     assert adjacent(gen.x_rail_path()) and adjacent(gen.y_rail_path())
     assert not adjacent(PathToInfinity(lambda n: 2 * (n % 3), name="loop"))
@@ -200,7 +223,8 @@ def test_boundary_point_eval_halfline_trivial():
     # Harm = 0 on the half-line: every path evaluation settles at 0
     gen = GeometricHalfLineGenerator(2)
     split = royden_split(gen, 1, levels=30, final_radius=28)
-    ev = boundary_point_eval(gen.ray(), split.h, horizon=25)
+    ray = PathToInfinity(lambda n: n, name="ray")
+    ev = boundary_point_eval(ray, split.h, horizon=25)
     assert ev.stabilized
     assert ev.value == pytest.approx(0.0, abs=1e-8)
 

@@ -7,7 +7,6 @@ regeneration, with the values that moved, in CHANGES.md.
 """
 
 import json
-import os
 import pathlib
 import sys
 
@@ -44,15 +43,13 @@ def write_report(name, path):
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_report_matches_golden_bytes(name, tmp_path, monkeypatch):
-    monkeypatch.delenv("RESBDY_THREADS", raising=False)
+def test_report_matches_golden_bytes(name, tmp_path):
     out = tmp_path / f"{name}.json"
     write_report(name, out)
     assert out.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
 
 
 if __name__ == "__main__":
-    os.environ.pop("RESBDY_THREADS", None)
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in (sys.argv[1:] or sorted(COMMANDS)):
         write_report(name, GOLDEN_DIR / f"{name}.json")

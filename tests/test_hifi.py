@@ -15,7 +15,7 @@ from resbdy import (Exhaustion, GeometricHalfLineGenerator, LadderGenerator,
                     energy, entries_E_via_evaluation, entries_M_via_laplacian,
                     gauss_green_verify, gram_product_check,
                     kronecker_sum_check, reconstruction_check, royden_split,
-                    solve_dipole_level, window_defect)
+                    solve_dipole_level)
 from resbdy import SubgraphView, _hifi, boundary, solver
 from resbdy.energy import potential_difference, window_edges
 from resbdy.errors import SingularSystem
@@ -329,7 +329,7 @@ def test_mp_edge_sums_read_the_currents(monkeypatch):
         gg = gauss_green_verify(h, v, (250, 499))
         bs = boundary_sum_harmonic(gen, lambda u: float(u % 2), x, lane="mp")
         return [energy(v, v), energy(f, f), energy(h, h),
-                window_defect(f).boundary_flux, *gg.interior, *gg.boundary,
+                *gg.interior, *gg.boundary,
                 *gg.window_energies, *bs.sums]
 
     monkeypatch.setattr(boundary, "default_exhaustion",

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -75,9 +77,15 @@ def test_energy_inconclusive_when_convergence_is_slow():
 
 
 def test_exact_recursion_matches_float():
-    lh = ladder_harmonic(5, 0.9, 40, exact=True)
+    # the recursion in rational arithmetic, from the float64 alpha and beta
+    a, b = Fraction(5), Fraction(0.9)
+    u, du = [Fraction(0), 1 / a], [1 / a]
+    for n in range(1, 40):
+        du.append(du[n - 1] / a + (b / a) ** n * (2 * u[n] + 1) / a)
+        u.append(u[n] + du[n])
+    lh = ladder_harmonic(5, 0.9, 40)
     for n in (1, 5, 17, 40):
-        assert float(lh.exact_u[n]) == pytest.approx(float(lh.u[n]), rel=1e-12)
+        assert float(u[n]) == pytest.approx(float(lh.u[n]), rel=1e-12)
 
 
 def test_du_bound_holds():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from resbdy import _hifi
+from resbdy.cli import main
 from resbdy import (BinaryTreeGenerator, Exhaustion, GeometricHalfLineGenerator,
                     IntegerLatticeGenerator, LadderGenerator, Network,
                     build_finite, default_exhaustion, doubling_exhaustion,
@@ -302,6 +303,22 @@ def test_generator_from_spec_roundtrip():
     assert net.n == 3
     with pytest.raises(InvalidParameters):
         generator_from_spec({"family": "moebius"})
+
+
+@pytest.mark.parametrize("network", [
+    ["ladder", "--alpha", "inf", "--beta", "0.9"],
+    ["geometric-half-line", "--alpha", "inf"],
+    ['{"family": "integer-lattice", "params": {"d": 2.0}}'],
+    ['{"family": "ladder", "params": {"alpha": 5, "beta": true}}'],
+    ['{"family": "integer-lattice", "params": {"d": true}}'],
+], ids=["ladder-alpha-inf", "half-line-alpha-inf", "lattice-d-float",
+        "ladder-beta-bool", "lattice-d-bool"])
+def test_bad_family_parameters_are_invalid(network, capsys):
+    # each once ended in a traceback, or was recorded as given
+    assert main(["generate", "--network", *network, "--radius", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error [invalid-parameters]")
 
 
 def test_lattice_indexing_stable():
