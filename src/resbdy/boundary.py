@@ -29,11 +29,21 @@ from .energy import (Potential, edge_currents, edge_ends, energy,
 from .errors import DomainMismatch, InvalidParameters, NotHarmonic
 from .network import default_exhaustion
 # nothing here calls solve_dipole_level: perfbench/selftest.py wants it held by name
-from .solver import _limit, solve_dipole_level  # noqa: F401
+from .solver import _limit, check, solve_dipole_level  # noqa: F401
 
-# the largest Laplacian residual at which a function counts as harmonic:
-# royden_split, boundary_sum_harmonic and boundary_integral_check read it
+# the largest Laplacian residual at which a function counts as harmonic: the
+# Royden split's check and require_harmonic read it
 HARM_TOL = 1e-6
+# the largest |interior + boundary sum - window energy| of a Gauss-Green
+# split, per unit of 1 + |<u, v>|
+SPLIT_TOL = 1e-8
+
+
+def require_harmonic(residual):
+    """NotHarmonic unless a Laplacian residual is within HARM_TOL (a NaN is
+    not); None, a residual not measured, passes."""
+    if residual is not None and not check("harmonic", residual, HARM_TOL).passed:
+        raise NotHarmonic(f"harmonic residual {residual:.3e} exceeds {HARM_TOL:.1e}")
 
 
 @dataclass
@@ -48,6 +58,11 @@ class GaussGreenReport:
     window_energies: list = field(default_factory=list)
     deviations: list = field(default_factory=list)
     split_identity_dev: float = 0.0
+
+    @property
+    def check(self):
+        return check("gauss-green-split-identity", self.split_identity_dev,
+                     SPLIT_TOL * (1 + abs(self.target)))
 
     def to_dict(self):
         return {
@@ -132,7 +147,11 @@ class BoundarySumReport:
 
     @property
     def final_deviation(self):
-        return abs(self.sums[-1] - self.target) if self.sums else None
+        return abs(self.sums[-1] - self.target) if self.sums else np.nan
+
+    def check(self, tol):
+        """The last level's sum within ``tol`` of u(x) - u(o)."""
+        return check("boundary-sum", self.final_deviation, tol)
 
     def to_dict(self):
         return {
@@ -155,9 +174,7 @@ def boundary_sum_harmonic(source, u_values, x, levels=30, lane="auto",
     delta_x - delta_o, which vanishes on bd G_k: there dn(h_x) = -dn(f_x),
     so each level needs its wired solve alone.
     """
-    if harm_residual is not None and not (harm_residual <= HARM_TOL):
-        raise NotHarmonic(
-            f"u has harmonic residual {harm_residual:.3e} > {HARM_TOL:.1e}")
+    require_harmonic(harm_residual)
     getter = value_getter(u_values)
     rep = None
 
@@ -216,6 +233,11 @@ class PathEquivalenceEvidence:
     separation_tol: float
     probes: list
     certifying_probe: str = ""
+
+    @property
+    def check(self):
+        return check("path-verdict", self.verdict,
+                     passed=self.verdict != "inconclusive")
 
     def to_dict(self):
         return {

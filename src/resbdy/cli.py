@@ -7,9 +7,13 @@ Each subcommand declares only the options it reads: --seed and --out are on
 every one, --levels, --tol and --lane only where they reach the library.
 Reports are JSON (schema "1"). Their config holds every parsed option but
 --out, the subcommand, the package version and the resolved network spec,
-and they are byte-identical for identical configurations. Exit codes: 0 all
-checks passed, 2 a check failed or a limit did not converge, 1 usage or
-solver error.
+and they are byte-identical for identical configurations. No subcommand
+judges a result itself: the library results it runs return their check
+records (``solver.Check``: name, value, bound, passed), which the document
+lists as "checks", and "pass" is their conjunction. verify-all adds its own
+three: the reproducing identity, the Gauss-Green split identity on random
+potentials (against SPLIT_TOL unscaled) and exhaustion independence. Exit
+codes: 0 every check passed, 2 some check failed, 1 usage or solver error.
 """
 
 from __future__ import annotations
@@ -36,11 +40,14 @@ from .ladder import (du_bound_satisfied, harmonic_residuals,
 from .network import (FAMILIES, LadderGenerator, Network,
                       default_exhaustion, generator_from_spec)
 from .royden import royden_split, sup_norm
-from .solver import (effective_resistance, energy_kernel,
+from .solver import (check, effective_resistance, energy_kernel,
                      exhaustion_independence, monopole, solve_dipole_level)
 from .walk import WalkConfig, hitting_probability_mc, hitting_reference
 
 SCHEMA = "1"
+# verify-all's reproducing identity <v_x, u> = u(x) - u(o) holds to this, per
+# unit of 1 + ||u||
+REPRODUCING_TOL = 1e-9
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,16 +133,19 @@ def _network_spec(src):
     return {"family": src.family, "params": src.params()}
 
 
-def _emit(report, args, failed=False):
+def _emit(report, args, checks=()):
+    """Write the report with its check records; "pass", and exit code 0
+    rather than 2, when every check passed."""
+    passed = all(c.passed for c in checks)
     doc = {"schema": SCHEMA, "config": _run_config(args), "report": report,
-           "pass": not failed}
+           "checks": [c._asdict() for c in checks], "pass": passed}
     text = json.dumps(_jsonable(doc), sort_keys=True, indent=2, allow_nan=False)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    return 2 if failed else 0
+    return 0 if passed else 2
 
 
 def _run_config(args):
@@ -166,16 +176,6 @@ def _build_onb(src, args, **kwargs):
     """build_onb in --lane; auto means mp."""
     return onbmod.build_onb(src, args.N, **kwargs,
                             lane="mp" if args.lane == "auto" else args.lane)
-
-
-def _onb_suite(onb):
-    """The ONB identity deviations, and whether the basis passes: every
-    deviation <= 1e-7 and orthonormality <= 1e-9, so that a NaN fails."""
-    devs = {"laplacian_entries_dev": onbmod.entries_M_via_laplacian(onb)[1],
-            "evaluation_entries_dev": onbmod.entries_E_via_evaluation(onb)[1],
-            "gram_product_dev": onbmod.gram_product_check(onb),
-            "kronecker_sum_dev": onbmod.kronecker_sum_check(onb)}
-    return devs, all(d <= 1e-7 for d in devs.values()), onb.orth_dev <= 1e-9
 
 
 def _write_csv(path, header, rows):
@@ -222,7 +222,7 @@ def cmd_kernel(args):
     if args.csv:
         _write_csv(args.csv, ["vertex_index", "value"], pot.to_rows())
         report["csv"] = args.csv
-    return _emit(report, args, failed=not rep.converged)
+    return _emit(report, args, [rep.check])
 
 
 def cmd_resist(args):
@@ -231,7 +231,7 @@ def cmd_resist(args):
                                       levels=args.levels, tol=args.tol,
                                       lane=args.lane)
     return _emit({"resistance": value, "convergence": rep.to_dict()},
-                 args, failed=not rep.converged)
+                 args, [rep.check])
 
 
 def cmd_monopole(args):
@@ -240,38 +240,30 @@ def cmd_monopole(args):
                    divergence_threshold=args.divergence_threshold,
                    schedule=args.schedule, lane=args.lane)
     report = {"transient": res.transient, "energy_trace": res.report.to_dict()}
-    return _emit(report, args, failed=res.transient is None)
+    return _emit(report, args, [res.report.check])
 
 
 def cmd_decompose(args):
     src = resolve_network(args)
     split = royden_split(src, args.x, levels=args.levels, tol=args.tol,
-                         harm_tol=args.harm_tol, lane=args.lane)
-    failed = split.harmonicity_violated or not (
-        split.free_report.converged and split.wired_report.converged)
-    return _emit(split.to_dict(), args, failed=failed)
+                         lane=args.lane)
+    return _emit(split.to_dict(), args, split.checks)
 
 
 def cmd_onb(args):
     src = resolve_network(args)
     onb = _build_onb(src, args, radius=args.radius)
-    devs, identities_ok, orthonormal = _onb_suite(onb)
-    report = {
-        "N": onb.N,
-        "enumeration": onb.enumeration,
-        "orthonormality_dev": onb.orth_dev,
-        "pivot_min": onb.pivot_min,
-        **devs,
-        "field": onb.field,
-    }
-    failed = not (identities_ok and orthonormal)
+    devs, checks = onbmod.identity_checks(onb)
+    report = {"N": onb.N, "enumeration": onb.enumeration,
+              "orthonormality_dev": onb.orth_dev, "pivot_min": onb.pivot_min,
+              **devs, "field": onb.field}
     if args.csv_prefix:
         for name, mat in (("M", onb.M), ("E", onb.E), ("V", onb.V)):
             _write_csv(f"{args.csv_prefix}{name}.csv",
                        [f"c{j}" for j in range(onb.N)],
                        [list(map(float, row)) for row in mat])
         report["csv_prefix"] = args.csv_prefix
-    return _emit(report, args, failed=failed)
+    return _emit(report, args, checks)
 
 
 def cmd_gauss_green(args):
@@ -282,26 +274,22 @@ def cmd_gauss_green(args):
     u = (solve_dipole_level(window, args.u_kernel, bc="free", lane=args.lane)
          if args.u_kernel is not None else v)
     rep = bdy.gauss_green_verify(u, v, radii)
-    failed = not (rep.split_identity_dev <= 1e-8 * (1 + abs(rep.target)))
-    return _emit(rep.to_dict(), args, failed=failed)
+    return _emit(rep.to_dict(), args, [rep.check])
 
 
 def cmd_boundary_sum(args):
     src = resolve_network(args)
     if isinstance(src, LadderGenerator):
-        lh = ladder_harmonic(src.alpha, src.beta, max(args.levels + 2, 8))
-        u_values = lh.value
+        u_values = ladder_harmonic(src.alpha, src.beta,
+                                   max(args.levels + 2, 8)).value
     elif args.u_kernel is not None:
-        split = royden_split(src, args.u_kernel, levels=args.levels,
-                             tol=args.tol, lane=args.lane)
-        u_values = split.h.value
+        u_values = royden_split(src, args.u_kernel, levels=args.levels,
+                                tol=args.tol, lane=args.lane).h.value
     else:
         raise UsageError("need --u-kernel for non-ladder networks")
     rep = bdy.boundary_sum_harmonic(src, u_values, args.x, levels=args.levels,
                                     lane=args.lane)
-    dev = rep.final_deviation
-    failed = dev is None or not (dev <= args.bs_tol)
-    return _emit(rep.to_dict(), args, failed=failed)
+    return _emit(rep.to_dict(), args, [rep.check(args.bs_tol)])
 
 
 def cmd_paths(args):
@@ -332,24 +320,21 @@ def cmd_paths(args):
                                             path_tol=args.path_tol)
                 evals[f"{name}:{path.name}"] = r.to_dict()
     report = {"equivalence": ev.to_dict(), "boundary_point_evals": evals}
-    return _emit(report, args, failed=ev.verdict == "inconclusive")
+    return _emit(report, args, [ev.check])
 
 
 def cmd_wiener(args):
     ens = wmod.sample_ensemble(args.N, args.samples, args.seed)
     rng = np.random.Generator(np.random.Philox(key=args.seed + 1))
-    results = []
-    failed = False
-    if args.check == "minlos":
+    results, checks = [], []
+    report = {"ensemble": ens.summary()}
+    if args.check in ("minlos", "moments"):
         for _ in range(args.n_checks):
             u = rng.standard_normal(args.N) / np.sqrt(args.N)
-            results.append(wmod.minlos_check(u, ens).to_dict())
-    elif args.check == "moments":
-        for _ in range(args.n_checks):
-            u = rng.standard_normal(args.N) / np.sqrt(args.N)
-            results.append(wmod.isometry_check(u, ens).to_dict())
-            results.append(wmod.moment_check(u, ens, 2).to_dict())
-            results.append(wmod.moment_check(u, ens, 1, odd=True).to_dict())
+            results += ([wmod.minlos_check(u, ens)] if args.check == "minlos"
+                        else [wmod.isometry_check(u, ens),
+                              wmod.moment_check(u, ens, 2),
+                              wmod.moment_check(u, ens, 1, odd=True)])
     else:
         if not args.network or args.x is None:
             raise UsageError(f"--check {args.check} needs --network and --x")
@@ -361,11 +346,10 @@ def cmd_wiener(args):
             ref, rep = effective_resistance(src, args.x, y=args.y,
                                             levels=args.levels, tol=args.tol,
                                             lane=args.lane)
-            quad, expo = wmod.resistance_via_expectation(
+            results = list(wmod.resistance_via_expectation(
                 args.x, args.y if args.y is not None else onb.net.origin,
-                onb, ens, reference=ref, atol=1e-2)
-            results = [quad.to_dict(), expo.to_dict()]
-            failed = not rep.converged
+                onb, ens, reference=ref, atol=1e-2))
+            checks = [rep.check]
         else:
             lh = ladder_harmonic(src.alpha, src.beta,
                                  int(onb.net.level.max()) + 2)
@@ -374,13 +358,10 @@ def cmd_wiener(args):
             ucoef = onbmod.coefficient_vector(onb, lh.value)
             hcoef = onbmod.coefficient_vector(onb, split.h)
             target = lh.value(args.x) - lh.value(0)
-            res = wmod.boundary_integral_check(ucoef, target, hcoef, ens)
-            res2 = {"mu_negative_fraction":
-                    wmod.mu_negative_fraction(hcoef, ens)}
-            results = [res.to_dict(), res2]
-    failed = failed or any(not r.get("pass", True) for r in results)
-    return _emit({"checks": results, "ensemble": ens.summary()}, args,
-                 failed=failed)
+            results = [wmod.boundary_integral_check(ucoef, target, hcoef, ens)]
+            report["mu_negative_fraction"] = wmod.mu_negative_fraction(hcoef, ens)
+    report["results"] = [r.to_dict() for r in results]
+    return _emit(report, args, checks + [r.check for r in results])
 
 
 def cmd_ladder(args):
@@ -396,15 +377,14 @@ def cmd_ladder(args):
         "transitions_n1": ladder_vs_halfline_transitions(args.alpha, args.beta, 1),
     }
     if args.alpha > 4 * args.beta ** 2:
-        ok, idx = du_bound_satisfied(lh)
-        report["du_bound_holds"] = ok
+        report["du_bound_holds"] = du_bound_satisfied(lh)[0]
     if args.csv:
         rows = [(n, float(lh.u[n]), float(lh.du[n]) if n < lh.n_max else "",
                  float(en.total_partial[n]) if n < lh.n_max else "")
                 for n in range(lh.n_max + 1)]
         _write_csv(args.csv, ["n", "u", "du", "partial_energy"], rows)
         report["csv"] = args.csv
-    return _emit(report, args, failed=not en.converged)
+    return _emit(report, args, [en.check])
 
 
 def cmd_walk(args):
@@ -414,13 +394,9 @@ def cmd_walk(args):
                      max_steps=args.max_steps, boundary_mode=args.boundary_mode)
     est = hitting_probability_mc(view, args.start, args.target,
                                  absorber=args.absorber, config=cfg)
-    ref = hitting_reference(view, args.start, args.target,
-                            absorber=args.absorber)
-    est.reference = float(ref)
-    # with no absorbed walk there is no estimate, and NaN must not pass
-    failed = est.absorbed == 0 or \
-        not abs(est.estimate - ref) <= 4 * max(est.stderr, 1e-12)
-    return _emit(est.to_dict(), args, failed=failed)
+    est.reference = float(hitting_reference(view, args.start, args.target,
+                                            absorber=args.absorber))
+    return _emit(est.to_dict(), args, [est.check])
 
 
 def cmd_verify_all(args):
@@ -429,73 +405,43 @@ def cmd_verify_all(args):
     ambient = src.ball(radius)
     window = ambient.ball_view(radius)
     rng = np.random.Generator(np.random.Philox(key=args.seed))
-    lines = []
-    ok_all = True
 
-    def check(name, ok, detail=""):
-        nonlocal ok_all
-        ok_all = ok_all and bool(ok)
-        lines.append({"check": name, "pass": bool(ok), "detail": detail})
+    def draw():
+        return potential_from_values(ambient, rng.standard_normal(ambient.n),
+                                     window=window, pinned=True)
 
     # reproducing identity on the ambient window
     enum = [v for v in ambient.level.argsort()[:5] if v != ambient.origin][:3]
-    worst = 0.0
-    for x in enum:
-        vx = solve_dipole_level(window, int(x), bc="free")
-        for _ in range(10):
-            u = potential_from_values(ambient, rng.standard_normal(ambient.n),
-                                      window=window, pinned=True)
-            lhs = energy(vx, u)
-            rhs = u.value(int(x)) - u.value(ambient.origin)
-            # np.maximum keeps a NaN, which max() would drop
-            dev_x = abs(lhs - rhs) / (1 + abs(energy(u, u)) ** 0.5)
-            worst = np.maximum(worst, dev_x)
-    check("reproducing-identity", worst <= 1e-9, f"max_dev={worst:.2e}")
+    devs = []
+    for x in map(int, enum):
+        vx = solve_dipole_level(window, x, bc="free")
+        for u in (draw() for _ in range(10)):
+            rhs = u.value(x) - u.value(ambient.origin)
+            devs.append(abs(energy(vx, u) - rhs) / (1 + abs(energy(u, u)) ** 0.5))
+    # np.max keeps a NaN, which max() would drop
+    checks = [check("reproducing-identity", np.max(devs), REPRODUCING_TOL)]
+    # finite Gauss-Green on the window subgraph, its split identity unscaled
+    devs = [bdy.gauss_green_verify(draw(), draw(), [radius]).split_identity_dev
+            for _ in range(10)]
+    checks.append(check("gauss-green-window-identity", np.max(devs),
+                        bdy.SPLIT_TOL))
 
-    # finite Gauss-Green on the window subgraph
-    dev = 0.0
-    for _ in range(10):
-        u = potential_from_values(ambient, rng.standard_normal(ambient.n),
-                                  window=window, pinned=True)
-        v = potential_from_values(ambient, rng.standard_normal(ambient.n),
-                                  window=window, pinned=True)
-        rep = bdy.gauss_green_verify(u, v, [radius])
-        dev = np.maximum(dev, rep.split_identity_dev)
-    check("gauss-green-window-identity", dev <= 1e-8, f"max_dev={dev:.2e}")
-
-    # small onb identity suite
-    n_small = min(8, ambient.n - 1)
-    onb = onbmod.build_onb(src, n_small)
-    devs, identities_ok, orthonormal = _onb_suite(onb)
-    check("onb-identities", identities_ok,
-          "dev=(" + ",".join(f"{d:.1e}" for d in devs.values()) + ")")
-    check("onb-orthonormality", orthonormal, f"{onb.orth_dev:.2e}")
-
-    # royden split sanity
+    # the subcommands' checks: a small ONB, a Royden split, two Wiener draws
+    onb = onbmod.build_onb(src, min(8, ambient.n - 1))
     x1 = onb.enumeration[0]
     split = royden_split(src, x1, levels=args.levels, tol=args.tol)
-    check("royden-pythagoras", split.pythagoras_deviation <= 1e-6,
-          f"{split.pythagoras_deviation:.2e}")
-    check("royden-harmonicity", not split.harmonicity_violated,
-          f"residual={split.harm_residual_max:.2e}")
-
-    # wiener smoke test
     ens = wmod.sample_ensemble(8, 20_000, args.seed)
     u = rng.standard_normal(8) / 4
-    check("minlos", wmod.minlos_check(u, ens).passed)
-    check("isometry", wmod.isometry_check(u, ens).passed)
-
-    # exhaustion independence
+    checks += [*onbmod.identity_checks(onb)[1], split.pythagoras,
+               split.harmonicity, wmod.minlos_check(u, ens).check,
+               wmod.isometry_check(u, ens).check]
+    report = {}
     if not isinstance(src, Network):
-        ind = exhaustion_independence(src, x1, tol=args.tol,
-                                      levels=min(args.levels, 24))
-        check("exhaustion-independence", ind["verdict"] != "disagree",
-              json.dumps(ind, sort_keys=True))
-
-    for line in lines:
-        status = "PASS" if line["pass"] else "FAIL"
-        print(f"[{status}] {line['check']} {line['detail']}", file=sys.stderr)
-    return _emit({"checks": lines}, args, failed=not ok_all)
+        report["exhaustion_independence"] = ind = exhaustion_independence(
+            src, x1, tol=args.tol, levels=min(args.levels, 24))
+        checks.append(check("exhaustion-independence", ind["verdict"],
+                            passed=ind["verdict"] != "disagree"))
+    return _emit(report, args, checks)
 
 
 def build_parser():
@@ -518,7 +464,6 @@ def build_parser():
     p.add_argument("--divergence-threshold", type=float, default=1e6)
     p = _subcommand(sub, "decompose", cmd_decompose, *limit)
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--harm-tol", type=float, default=bdy.HARM_TOL)
     p = _subcommand(sub, "onb", cmd_onb, "lane")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--radius", type=int, default=None)

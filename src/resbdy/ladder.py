@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameters
-from .solver import ConvergenceReport
+from .network import _finite
+from .solver import Check, ConvergenceReport
 
 
 @dataclass
@@ -55,6 +56,7 @@ class LadderHarmonic:
 
 def ladder_harmonic(alpha, beta, N) -> LadderHarmonic:
     """Run the harmonicity recursion out to u(N)."""
+    _finite(alpha=alpha, beta=beta)
     if not (alpha > 1 and 0 < beta < 1):
         raise InvalidParameters("recursion needs alpha > 1 > beta > 0")
     if N < 2:
@@ -99,6 +101,7 @@ class LadderEnergy:
     total_partial: np.ndarray
     converged: bool
     tol: float
+    check: Check                 # the partial totals' stopping rule
 
     @property
     def total(self):
@@ -136,7 +139,7 @@ def ladder_energy(lh: LadderHarmonic, tol=1e-8) -> LadderEnergy:
     converged = report.assess()
     return LadderEnergy(rail_partial=rail, rails_partial=2.0 * rail,
                         rung_partial=rung, total_partial=total,
-                        converged=converged, tol=tol)
+                        converged=converged, tol=tol, check=report.check)
 
 
 def du_upper_bounds(lh: LadderHarmonic) -> np.ndarray:
@@ -182,6 +185,7 @@ def ladder_vs_halfline_transitions(alpha, beta, n):
     """
     if n < 1:
         raise InvalidParameters("n must be >= 1")
+    _finite(alpha=alpha, beta=beta)
     if not (alpha > 0 and beta > 0):
         raise InvalidParameters("alpha and beta must be positive")
     a, b = float(alpha), float(beta)

@@ -251,17 +251,19 @@ def build_finite(edge_list, origin=0):
 # -- generators -------------------------------------------------------------
 
 
-def _finite(name, value, kind=numbers.Real):
-    """InvalidParameters unless ``value`` is a ``kind`` (numbers.Real or
-    numbers.Integral) inside the float64 range; a bool is neither."""
-    try:
-        ok = (isinstance(value, kind) and not isinstance(value, bool)
-              and math.isfinite(value))
-    except OverflowError:  # an int past the float64 range
-        ok = False
-    if not ok:
-        raise InvalidParameters(f"{name} must be a finite "
-                                f"{kind.__name__.lower()} number, got {value!r}")
+def _finite(kind=numbers.Real, **params):
+    """InvalidParameters unless every value in ``params`` is a ``kind``
+    (numbers.Real or numbers.Integral) inside the float64 range; a bool is
+    neither."""
+    for name, value in params.items():
+        try:
+            ok = (isinstance(value, kind) and not isinstance(value, bool)
+                  and math.isfinite(value))
+        except OverflowError:  # an int past the float64 range
+            ok = False
+        if not ok:
+            raise InvalidParameters(f"{name} must be a finite {kind.__name__.lower()}"
+                                    f" number, got {value!r}")
 
 
 class _Family:
@@ -305,8 +307,7 @@ class LadderGenerator(_Family):
     family: str = field(default="ladder", init=False)
 
     def __post_init__(self):
-        _finite("alpha", self.alpha)
-        _finite("beta", self.beta)
+        _finite(alpha=self.alpha, beta=self.beta)
         if not (self.alpha > 1):
             raise InvalidParameters("ladder requires alpha > 1")
         if not (0 < self.beta <= 1):
@@ -356,7 +357,7 @@ class GeometricHalfLineGenerator(_Family):
     family: str = field(default="geometric-half-line", init=False)
 
     def __post_init__(self):
-        _finite("alpha", self.alpha)
+        _finite(alpha=self.alpha)
         if not (self.alpha > 0):
             raise InvalidParameters("half-line requires alpha > 0")
 
@@ -380,7 +381,7 @@ class IntegerLatticeGenerator(_Family):
     family: str = field(default="integer-lattice", init=False)
 
     def __post_init__(self):
-        _finite("d", self.d, numbers.Integral)
+        _finite(numbers.Integral, d=self.d)
         if self.d < 1:
             raise InvalidParameters("lattice dimension must be >= 1")
 

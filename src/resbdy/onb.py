@@ -63,10 +63,14 @@ from .energy import (Potential, _product, current_energy, edge_currents,
                      value_getter, window_edges)
 from .errors import DimensionMismatch, GramDegenerate, InvalidParameters
 from .network import enumerate_vertices
-from .solver import solve_dipole_level
+from .solver import check, solve_dipole_level
 
 DEGENERACY_TOL = 1e-12
 REORTH_THRESHOLD = 1e-10
+# a basis passes when every identity deviation is within IDENTITY_TOL and
+# its orthonormality deviation within ORTH_TOL
+IDENTITY_TOL = 1e-7
+ORTH_TOL = 1e-9
 
 
 @dataclass
@@ -297,6 +301,20 @@ def reconstruction_check(onb: OnbSystem):
         # np.maximum keeps a NaN, which max() would drop
         worst = np.maximum(worst, float(_sqrt(abs(current_energy(c, d, d)))))
     return float(worst)
+
+
+def identity_checks(onb: OnbSystem):
+    """The four identity deviations by report key, and the basis' checks:
+    the largest deviation within IDENTITY_TOL, orthonormality within
+    ORTH_TOL."""
+    devs = {"laplacian_entries_dev": entries_M_via_laplacian(onb)[1],
+            "evaluation_entries_dev": entries_E_via_evaluation(onb)[1],
+            "gram_product_dev": gram_product_check(onb),
+            "kronecker_sum_dev": kronecker_sum_check(onb)}
+    # np.max keeps a NaN, which max() would drop
+    return devs, [check("onb-identities", np.max(list(devs.values())),
+                        IDENTITY_TOL),
+                  check("onb-orthonormality", onb.orth_dev, ORTH_TOL)]
 
 
 # -- coefficient vectors and the number operator -----------------------------

@@ -21,7 +21,10 @@ from .energy import (Potential, current_energy, edge_currents, energy,
                      flow_laplacian, potential_difference)
 from .errors import InvalidParameters
 from .network import default_exhaustion
-from .solver import ConvergenceReport, _limit, solve_dipole_level
+from .solver import ConvergenceReport, _limit, check, solve_dipole_level
+
+# the largest relative Pythagoras deviation E(v) - E(f) - E(h) of a split
+PYTHAGORAS_TOL = 1e-6
 
 
 @dataclass
@@ -40,7 +43,6 @@ class RoydenSplit:
     harm_residual_radius: int
     free_report: ConvergenceReport
     wired_report: ConvergenceReport
-    harm_tol: float = HARM_TOL
 
     @property
     def pythagoras_deviation(self):
@@ -48,8 +50,19 @@ class RoydenSplit:
         return abs(self.energy_v - self.energy_f - self.energy_h) / scale
 
     @property
-    def harmonicity_violated(self):
-        return not (self.harm_residual_max <= self.harm_tol)
+    def harmonicity(self):
+        return check("royden-harmonicity", self.harm_residual_max, HARM_TOL)
+
+    @property
+    def pythagoras(self):
+        return check("royden-pythagoras", self.pythagoras_deviation,
+                     PYTHAGORAS_TOL)
+
+    @property
+    def checks(self):
+        """Both limits converged, and h is harmonic."""
+        return [self.free_report.check, self.wired_report.check,
+                self.harmonicity]
 
     def to_dict(self):
         return {
@@ -61,14 +74,14 @@ class RoydenSplit:
             "pythagoras_deviation": self.pythagoras_deviation,
             "harm_residual_max": self.harm_residual_max,
             "harm_residual_radius": self.harm_residual_radius,
-            "harmonicity_violated": self.harmonicity_violated,
+            "harmonicity_violated": not self.harmonicity.passed,
             "free_converged": self.free_report.converged,
             "wired_converged": self.wired_report.converged,
         }
 
 
 def royden_split(source, x, exhaustion=None, levels=30, tol=1e-8,
-                 harm_tol=HARM_TOL, lane="auto", final_radius=None):
+                 lane="auto", final_radius=None):
     """Split the energy kernel at x into Fin and Harm parts.
 
     Both exhaustion limits come from one pass over the schedule, each
@@ -110,7 +123,6 @@ def royden_split(source, x, exhaustion=None, levels=30, tol=1e-8,
         energy_v=ev, energy_f=ef, energy_h=eh, cross_energy=cross,
         harm_residual_max=resid, harm_residual_radius=radius,
         free_report=reports["free"], wired_report=reports["wired"],
-        harm_tol=harm_tol,
     )
 
 

@@ -48,6 +48,7 @@ decided or its schedule has run out.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -267,6 +268,18 @@ def solve_dipole_level(window: SubgraphView, x, bc="free", rhs=None,
     return Potential(window, sol, i=cur)
 
 
+# one pass/fail decision of a report: value against bound, or, with bound
+# None, a condition whose state is value
+Check = namedtuple("Check", "name value bound passed")
+
+
+def check(name, value, bound=None, passed=None):
+    """The Check of value <= bound, which a NaN fails; a condition (no
+    bound) gives its ``passed``."""
+    return Check(name, value, bound,
+                 bool(passed if bound is None else value <= bound))
+
+
 @dataclass
 class ConvergenceReport:
     """Per-level telemetry of an exhaustion limit."""
@@ -289,6 +302,12 @@ class ConvergenceReport:
     @property
     def limit(self):
         return self.values[-1] if (self.converged and self.values) else None
+
+    @property
+    def check(self):
+        """Whether a stopping rule decided the limit, with the rule as value."""
+        return check(self.quantity, self.stopping_rule or None,
+                     passed=not self.inconclusive)
 
     def record(self, radius, size, value):
         self.radii.append(int(radius))

@@ -24,7 +24,8 @@ import numpy as np
 
 from .energy import _edges_at, edge_ends
 from .errors import InvalidParameters, IsolatedVertex
-from .solver import solve_dipole_level
+from .solver import check, solve_dipole_level
+from .wiener import SIGMAS
 
 
 def _step_weights(net, owner, edges):
@@ -95,6 +96,14 @@ class HittingEstimate:
     @property
     def biased(self):
         return self.unabsorbed > 0
+
+    @property
+    def check(self):
+        """The estimate within SIGMAS standard errors of ``reference``; with
+        no absorbed walk the estimate is NaN, which fails (fmax keeps the
+        bound finite)."""
+        return check("hitting-probability", abs(self.estimate - self.reference),
+                     SIGMAS * np.fmax(self.stderr, 1e-12))
 
     def to_dict(self):
         return {

@@ -23,8 +23,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .boundary import HARM_TOL
-from .errors import DimensionMismatch, InvalidParameters, NotHarmonic
+from .boundary import require_harmonic
+from .errors import DimensionMismatch, InvalidParameters
+from .solver import check
 
 # a Monte Carlo check passes when its error is within this many standard errors
 SIGMAS = 4.0
@@ -72,13 +73,25 @@ def wiener_transform(u, ens: GaussianEnsemble) -> np.ndarray:
 
 @dataclass
 class CheckResult:
+    """A Monte Carlo estimate against its target: it passes when abs_error
+    is within ``bound``, SIGMAS standard errors plus what the check adds
+    (an absolute tolerance, a truncation tail) and 1e-12."""
+
     name: str
     estimate: object
     target: object
     stderr: float
     abs_error: float
-    passed: bool
+    bound: float
     extra: dict = field(default_factory=dict)
+
+    @property
+    def check(self):
+        return check(self.name, self.abs_error, self.bound)
+
+    @property
+    def passed(self):
+        return self.check.passed
 
     def to_dict(self):
         est = self.estimate
@@ -90,7 +103,6 @@ class CheckResult:
             "target": self.target,
             "stderr": self.stderr,
             "abs_error": self.abs_error,
-            "pass": self.passed,
             **self.extra,
         }
 
@@ -114,8 +126,7 @@ def minlos_check(u, ens: GaussianEnsemble) -> CheckResult:
     norm2 = float(np.sum(_coeffs(u, ens.N) ** 2))
     target = math.exp(-norm2 / 2)
     err = abs(est - target)
-    return CheckResult("minlos", est, target, se, err,
-                       passed=bool(err <= SIGMAS * se + 1e-12),
+    return CheckResult("minlos", est, target, se, err, SIGMAS * se + 1e-12,
                        extra={"norm2": norm2})
 
 
@@ -133,7 +144,7 @@ def moment_check(u, ens: GaussianEnsemble, n: int, odd=False) -> CheckResult:
         target = math.factorial(2 * n) / (2 ** n * math.factorial(n)) * norm2 ** n
     err = abs(est - target)
     return CheckResult(f"moment-{power}", est, target, se, err,
-                       passed=bool(err <= SIGMAS * se + 1e-12))
+                       SIGMAS * se + 1e-12)
 
 
 def isometry_check(u, ens: GaussianEnsemble) -> CheckResult:
@@ -171,14 +182,14 @@ def resistance_via_expectation(x, y, onb, ens: GaussianEnsemble,
     est, se = _mc_mean(dt ** 2)
     err = abs(est - target)
     quad = CheckResult("resistance-quadratic", est, target, se, err,
-                       passed=bool(err <= max(SIGMAS * se, atol) + 1e-12))
+                       max(SIGMAS * se, atol) + 1e-12)
     zbar, se_z = _char_fn(dt)
     re = max(zbar.real, 1e-300)
     est_exp = -2.0 * math.log(re)
     se_exp = 2.0 * se_z / re
     err_exp = abs(est_exp - target)
     expo = CheckResult("resistance-exponential", est_exp, target, se_exp, err_exp,
-                       passed=bool(err_exp <= max(SIGMAS * se_exp, atol) + 1e-12),
+                       max(SIGMAS * se_exp, atol) + 1e-12,
                        extra={"char_fn": {"re": zbar.real, "im": zbar.imag}})
     return quad, expo
 
@@ -192,9 +203,7 @@ def boundary_integral_check(u_coeffs, target, h_coeffs, ens: GaussianEnsemble,
     |sum_n u_n h_n - target| is measured directly and added to the Monte Carlo
     budget, since the sampler can only see the truncated coefficients.
     """
-    if harm_residual is not None and not (harm_residual <= HARM_TOL):
-        raise NotHarmonic(
-            f"harmonic residual {harm_residual:.3e} exceeds {HARM_TOL:.1e}")
+    require_harmonic(harm_residual)
     uc = _coeffs(u_coeffs, ens.N)
     hc = _coeffs(h_coeffs, ens.N)
     truncated = float(np.sum(uc * hc))
@@ -203,7 +212,7 @@ def boundary_integral_check(u_coeffs, target, h_coeffs, ens: GaussianEnsemble,
     est, se = _mc_mean(prod)
     err = abs(est - float(target))
     return CheckResult("boundary-integral", est, float(target), se, err,
-                       passed=bool(err <= SIGMAS * se + tail + 1e-12),
+                       SIGMAS * se + tail + 1e-12,
                        extra={"truncated_target": truncated,
                               "truncation_tail": tail})
 

@@ -164,7 +164,7 @@ def test_boundary_sum_rejects_nonharmonic():
     (np.nextafter(HARM_TOL, 1), False)], ids=["below", "at", "above"])
 def test_harmonicity_checks_switch_at_one_residual(triangle, residual, harmonic):
     split = replace(royden_split(triangle, 1), harm_residual_max=residual)
-    assert split.harmonicity_violated is not harmonic
+    assert split.harmonicity.passed is harmonic
     ens = sample_ensemble(2, 100, seed=1)
     checks = [lambda: boundary_sum_harmonic(triangle, lambda v: 0.0, 1, levels=1,
                                             harm_residual=residual),

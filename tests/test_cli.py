@@ -69,6 +69,8 @@ def test_ladder_command(tmp_path, capsys):
     assert rep["u1"] == pytest.approx(0.2)
     assert rep["du_positive"] and rep["du_bound_holds"]
     assert rep["energy"]["converged"]
+    assert doc["pass"] is all(c["passed"] for c in doc["checks"]) is True
+    assert [c["name"] for c in doc["checks"]] == ["ladder_energy"]
 
 
 def test_ladder_csv(tmp_path, capsys):
@@ -76,6 +78,7 @@ def test_ladder_csv(tmp_path, capsys):
     code, doc = run_cli(["ladder", "--alpha", "5", "--beta", "0.9", "--N", "20",
                          "--csv", str(csv)], capsys)
     assert code == 2  # 20 levels are too few for the energy to converge
+    assert doc["pass"] is all(c["passed"] for c in doc["checks"]) is False
     assert doc["report"]["csv"] == str(csv)
     header, *rows = csv.read_text().strip().splitlines()
     assert header == "n,u,du,partial_energy"
@@ -112,6 +115,10 @@ def test_walk_command(capsys):
     assert code == 0
     rep = doc["report"]
     assert abs(rep["estimate"] - rep["reference"]) <= 4 * max(rep["stderr"], 1e-9)
+    assert doc["pass"] is all(c["passed"] for c in doc["checks"]) is True
+    (record,) = doc["checks"]
+    assert record["name"] == "hitting-probability"
+    assert record["bound"] == 4 * max(rep["stderr"], 1e-12)
 
 
 def _reject_constant(name):
@@ -124,7 +131,7 @@ def test_walk_with_no_absorbed_walk_fails(capsys):
                  "--max-steps", "1", "--trials", "100"])
     doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert code == 2
-    assert doc["pass"] is False
+    assert doc["pass"] is all(c["passed"] for c in doc["checks"]) is False
     rep = doc["report"]
     assert rep["absorbed"] == 0
     assert rep["estimate"] is None and rep["stderr"] is None
@@ -188,33 +195,34 @@ def test_config_records_every_parsed_argument(capsys):
     for alpha in ("5", "7"):
         _, doc = run_cli(["decompose", "--network", "ladder", "--alpha", alpha,
                           "--beta", "0.9", "--x", "2", "--levels", "6",
-                          "--tol", "1e-3", "--harm-tol", "1e-3"], capsys)
+                          "--tol", "1e-3"], capsys)
         configs.append(doc["config"])
     assert configs[0] != configs[1]
     assert configs[0]["alpha"] == 5.0 and configs[1]["alpha"] == 7.0
     cfg = configs[0]
-    assert cfg["harm_tol"] == 1e-3 and cfg["tol"] == 1e-3
+    assert cfg["tol"] == 1e-3
     assert (cfg["beta"], cfg["x"], cfg["lane"]) == (0.9, 2, "auto")
     assert cfg["subcommand"] == "decompose"
     assert cfg["version"] == resbdy.__version__
     assert set(cfg) == {"network", "alpha", "beta", "dim", "seed", "levels",
-                        "tol", "lane", "x", "harm_tol", "subcommand",
+                        "tol", "lane", "x", "subcommand",
                         "version", "network_spec"}
 
 
 def test_verify_all_small_network(capsys):
     code, doc = run_cli(["verify-all", "--network", TRIANGLE], capsys)
     assert code == 0
-    assert all(c["pass"] for c in doc["report"]["checks"])
+    assert doc["pass"] is all(c["passed"] for c in doc["checks"]) is True
 
 
 def test_verify_all_checks_exhaustion_independence_on_a_family(capsys):
     code, doc = run_cli(["verify-all", "--network", "binary-tree",
                          "--levels", "12", "--tol", "1e-4"], capsys)
     assert code == 0 and doc["pass"] is True
-    checks = {c["check"]: c for c in doc["report"]["checks"]}
+    checks = {c["name"]: c for c in doc["checks"]}
     ind = checks["exhaustion-independence"]
-    assert ind["pass"] and json.loads(ind["detail"])["verdict"] == "agree"
+    assert ind["passed"] and ind["value"] == "agree"
+    assert doc["report"]["exhaustion_independence"]["verdict"] == "agree"
 
 
 def test_paths_command_ladder(capsys):
@@ -255,7 +263,10 @@ def test_wiener_resistance_command(capsys):
                          TRIANGLE, "--x", "1", "--y", "2", "--N", "2",
                          "--samples", "40000", "--seed", "5"], capsys)
     assert code == 0
-    assert all(c["pass"] for c in doc["report"]["checks"])
+    assert doc["pass"] is all(c["passed"] for c in doc["checks"]) is True
+    assert [c["name"] for c in doc["checks"]] == [
+        "resistance(1,2, bc=free)", "resistance-quadratic",
+        "resistance-exponential"]
 
 
 def test_wiener_boundary_command(capsys):
@@ -264,9 +275,9 @@ def test_wiener_boundary_command(capsys):
                          "--N", "16", "--samples", "40000", "--seed", "5",
                          "--levels", "26"], capsys)
     assert code == 0
-    checks = doc["report"]["checks"]
-    assert checks[0]["pass"]
-    assert 0.0 <= checks[1]["mu_negative_fraction"] <= 1.0
+    assert doc["pass"] is all(c["passed"] for c in doc["checks"]) is True
+    assert [c["name"] for c in doc["checks"]] == ["boundary-integral"]
+    assert 0.0 <= doc["report"]["mu_negative_fraction"] <= 1.0
 
 
 def test_generate_command(capsys):
@@ -292,7 +303,8 @@ def test_wiener_moments_command(capsys):
                          "--samples", "20000", "--seed", "2",
                          "--n-checks", "4"], capsys)
     assert code == 0
-    assert all(c["pass"] for c in doc["report"]["checks"])
+    assert doc["pass"] is all(c["passed"] for c in doc["checks"]) is True
+    assert len(doc["checks"]) == len(doc["report"]["results"]) == 12
 
 
 def test_reports_byte_identical_across_processes(tmp_path):
@@ -368,7 +380,7 @@ def test_nan_deviations_fail_verify_all(monkeypatch, capsys):
     monkeypatch.setattr(resbdy.cli, "energy", lambda u, v: NAN)
     code, doc = run_cli(["verify-all", "--network", TRIANGLE], capsys)
     assert code == 2
-    failed = [c["check"] for c in doc["report"]["checks"] if not c["pass"]]
+    failed = [c["name"] for c in doc["checks"] if not c["passed"]]
     assert failed == ["reproducing-identity", "gauss-green-window-identity",
                       "onb-identities"]
 

@@ -38,6 +38,13 @@ COMMANDS = {
 }
 
 
+# the records that fail in the reports whose "pass" is false: each stops at
+# its level budget before its limit converges
+FAILING = {"decompose": ["energy_kernel(x=2, bc=free)"],
+           "kernel": ["energy_kernel(x=2, bc=free)"],
+           "monopole": ["monopole_energy(x=0)"]}
+
+
 def write_report(name, path):
     main(COMMANDS[name] + ["--out", str(path)])
 
@@ -47,6 +54,15 @@ def test_report_matches_golden_bytes(name, tmp_path):
     out = tmp_path / f"{name}.json"
     write_report(name, out)
     assert out.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_golden_pass_is_the_conjunction_of_its_checks(name):
+    doc = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    assert doc["checks"]
+    assert doc["pass"] is all(c["passed"] for c in doc["checks"])
+    failed = [c["name"] for c in doc["checks"] if not c["passed"]]
+    assert failed == FAILING.get(name, [])
 
 
 if __name__ == "__main__":

@@ -147,6 +147,11 @@ def test_recursion_parameter_validation():
         ladder_harmonic(5, 1.0, 10)
     with pytest.raises(InvalidParameters):
         ladder_harmonic(5, 0.9, 1)
+    # inf passes alpha > 1; the recursion would run on inf and NaN
+    with pytest.raises(InvalidParameters):
+        ladder_harmonic(float("inf"), 0.5, 10)
+    with pytest.raises(InvalidParameters):
+        ladder_vs_halfline_transitions(float("inf"), 0.5, 1)
 
 
 def test_recursion_direction_matches_royden_harm_part():

@@ -16,7 +16,7 @@ def test_finite_network_split_is_trivial(triangle):
     assert np.allclose(split.v.w, split.f.w, atol=1e-12)
     assert split.energy_h <= 1e-12
     assert split.pythagoras_deviation <= 1e-12
-    assert not split.harmonicity_violated
+    assert split.harmonicity.passed
 
 
 def test_halfline_has_trivial_harm():
@@ -43,7 +43,7 @@ def test_ladder_split_is_nontrivial():
     cross_scale = np.sqrt(max(split.energy_f, 1e-30) * max(split.energy_h, 1e-30))
     assert abs(split.cross_energy) <= 1e-8 * cross_scale
     assert split.harm_residual_max <= 1e-6
-    assert not split.harmonicity_violated
+    assert split.harmonicity.passed
 
 
 def _residual_by_vertex(h, check_vertices):
@@ -171,6 +171,6 @@ def test_sup_norm_zero_potential(triangle):
 
 def test_nan_residual_violates_harmonicity(triangle):
     split = royden_split(triangle, 1)
-    assert not split.harmonicity_violated
+    assert split.harmonicity.passed
     split = dataclasses.replace(split, harm_residual_max=float("nan"))
-    assert split.harmonicity_violated
+    assert not split.harmonicity.passed
