@@ -37,6 +37,8 @@ HARM_TOL = 1e-6
 # the largest |interior + boundary sum - window energy| of a Gauss-Green
 # split, per unit of 1 + |<u, v>|
 SPLIT_TOL = 1e-8
+# the largest |last level's boundary sum - (u(x) - u(o))| of a boundary sum
+SUM_TOL = 1e-3
 
 
 def require_harmonic(residual):
@@ -149,9 +151,10 @@ class BoundarySumReport:
     def final_deviation(self):
         return abs(self.sums[-1] - self.target) if self.sums else np.nan
 
-    def check(self, tol):
-        """The last level's sum within ``tol`` of u(x) - u(o)."""
-        return check("boundary-sum", self.final_deviation, tol)
+    @property
+    def check(self):
+        """The last level's sum within SUM_TOL of u(x) - u(o)."""
+        return check("boundary-sum", self.final_deviation, SUM_TOL)
 
     def to_dict(self):
         return {
@@ -163,8 +166,7 @@ class BoundarySumReport:
         }
 
 
-def boundary_sum_harmonic(source, u_values, x, levels=30, lane="auto",
-                          target=None, harm_residual=None):
+def boundary_sum_harmonic(source, u_values, x, levels=30, lane="auto"):
     """Per-level sums over bd G_k of u dn(h_x), converging to u(x) - u(o).
 
     ``u_values`` maps vertex id -> value of the harmonic function (callable,
@@ -174,16 +176,14 @@ def boundary_sum_harmonic(source, u_values, x, levels=30, lane="auto",
     delta_x - delta_o, which vanishes on bd G_k: there dn(h_x) = -dn(f_x),
     so each level needs its wired solve alone.
     """
-    require_harmonic(harm_residual)
     getter = value_getter(u_values)
     rep = None
 
     def record(radius, view, _, f):
-        nonlocal rep, target
+        nonlocal rep
         if rep is None:
-            if target is None:
-                target = float(getter(int(x))) - float(getter(view.net.origin))
-            rep = BoundarySumReport(x=int(x), target=float(target))
+            target = float(getter(int(x))) - float(getter(view.net.origin))
+            rep = BoundarySumReport(x=int(x), target=target)
         lap = window_laplacian(f)
         bd = view.bd_mask[view.vertices]
         u_bd = np.array([float(getter(int(bv))) for bv in view.vertices[bd]])
@@ -204,6 +204,9 @@ class PathToInfinity:
         self.name = name
 
     def prefix(self, n):
+        """The path's first n + 1 vertices, n >= 0."""
+        if n < 0:
+            raise InvalidParameters(f"a path prefix needs n >= 0, not {n}")
         return [int(self.vertex_fn(k)) for k in range(n + 1)]
 
 

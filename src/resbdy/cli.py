@@ -4,16 +4,22 @@ Subcommands: generate, kernel, resist, monopole, decompose, onb, gauss-green,
 boundary-sum, paths, wiener, ladder, walk, verify-all.
 
 Each subcommand declares only the options it reads: --seed and --out are on
-every one, --levels, --tol and --lane only where they reach the library.
-Reports are JSON (schema "1"). Their config holds every parsed option but
---out, the subcommand, the package version and the resolved network spec,
-and they are byte-identical for identical configurations. No subcommand
-judges a result itself: the library results it runs return their check
-records (``solver.Check``: name, value, bound, passed), which the document
-lists as "checks", and "pass" is their conjunction. verify-all adds its own
-three: the reproducing identity, the Gauss-Green split identity on random
-potentials (against SPLIT_TOL unscaled) and exhaustion independence. Exit
-codes: 0 every check passed, 2 some check failed, 1 usage or solver error.
+every one, --levels, --tol and --lane only where they reach the library. Each
+runs as fn(args, src): main resolves a required --network into src once, and
+wiener, whose --network is optional, resolves its own. Reports are JSON
+(schema "1"). Their config holds every parsed option but --out, the
+subcommand, the package version and the resolved network spec, and they are
+byte-identical for identical configurations. No subcommand judges a result
+itself: the library results it runs return their check records
+(``solver.Check``: name, value, bound, passed), which the document lists as
+"checks", and "pass" is their conjunction. Every bound is a named constant,
+not an option: boundary-sum's is ``boundary.SUM_TOL``, and paths compares its
+probes' gaps with PATH_TOL and SEPARATION_TOL. walk estimates P_start[hit
+target before o] on the window, with a reflecting boundary. verify-all adds
+its own three checks: the reproducing identity, the Gauss-Green split
+identity on random potentials (against SPLIT_TOL unscaled) and exhaustion
+independence. Exit codes: 0 every check passed, 2 some check failed, 1 usage
+or solver error.
 """
 
 from __future__ import annotations
@@ -48,6 +54,10 @@ SCHEMA = "1"
 # verify-all's reproducing identity <v_x, u> = u(x) - u(o) holds to this, per
 # unit of 1 + ||u||
 REPRODUCING_TOL = 1e-9
+# paths: a probe's gaps below PATH_TOL near the horizon are evidence of
+# equivalence, a stabilized gap above SEPARATION_TOL separates the paths
+PATH_TOL = 1e-4
+SEPARATION_TOL = 1e-2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,9 +75,10 @@ SHARED = {
 
 def _subcommand(sub, name, fn, *shared, network=True):
     """Subcommand ``name`` running fn, with --seed, --out, the named SHARED
-    options and, if ``network``, a required --network and its family flags."""
+    options and, if ``network``, a required --network and its family flags,
+    which main resolves."""
     p = sub.add_parser(name)
-    p.set_defaults(fn=fn)
+    p.set_defaults(fn=fn, resolve=network)
     if network:
         _network_args(p)
     p.add_argument("--seed", type=seed, default=0)
@@ -152,7 +163,8 @@ def _run_config(args):
     """Every parsed argument except the delivery path, with the subcommand,
     the package version and the resolved network spec (None when the
     command ran on no network)."""
-    cfg = {k: v for k, v in vars(args).items() if k not in ("out", "fn", "cmd")}
+    cfg = {k: v for k, v in vars(args).items()
+           if k not in ("out", "fn", "cmd", "resolve")}
     cfg.setdefault("network_spec", None)
     cfg.update(subcommand=args.cmd, version=__version__)
     return cfg
@@ -189,8 +201,7 @@ def _write_csv(path, header, rows):
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_generate(args):
-    src = resolve_network(args)
+def cmd_generate(args, src):
     net = src.ball(args.radius)
     report = {
         "family": net.family,
@@ -210,8 +221,7 @@ def cmd_generate(args):
     return _emit(report, args)
 
 
-def cmd_kernel(args):
-    src = resolve_network(args)
+def cmd_kernel(args, src):
     pot, rep = energy_kernel(src, args.x, bc=args.bc, levels=args.levels,
                              tol=args.tol, lane=args.lane)
     report = {"kernel": rep.to_dict(),
@@ -225,8 +235,7 @@ def cmd_kernel(args):
     return _emit(report, args, [rep.check])
 
 
-def cmd_resist(args):
-    src = resolve_network(args)
+def cmd_resist(args, src):
     value, rep = effective_resistance(src, args.x, y=args.y, bc=args.bc,
                                       levels=args.levels, tol=args.tol,
                                       lane=args.lane)
@@ -234,8 +243,7 @@ def cmd_resist(args):
                  args, [rep.check])
 
 
-def cmd_monopole(args):
-    src = resolve_network(args)
+def cmd_monopole(args, src):
     res = monopole(src, x=args.x, levels=args.levels, tol=args.tol,
                    divergence_threshold=args.divergence_threshold,
                    schedule=args.schedule, lane=args.lane)
@@ -243,15 +251,13 @@ def cmd_monopole(args):
     return _emit(report, args, [res.report.check])
 
 
-def cmd_decompose(args):
-    src = resolve_network(args)
+def cmd_decompose(args, src):
     split = royden_split(src, args.x, levels=args.levels, tol=args.tol,
                          lane=args.lane)
     return _emit(split.to_dict(), args, split.checks)
 
 
-def cmd_onb(args):
-    src = resolve_network(args)
+def cmd_onb(args, src):
     onb = _build_onb(src, args, radius=args.radius)
     devs, checks = onbmod.identity_checks(onb)
     report = {"N": onb.N, "enumeration": onb.enumeration,
@@ -266,8 +272,7 @@ def cmd_onb(args):
     return _emit(report, args, checks)
 
 
-def cmd_gauss_green(args):
-    src = resolve_network(args)
+def cmd_gauss_green(args, src):
     radii = default_exhaustion(src, args.levels).radii
     window = src.ball(radii[-1] + 1).full_view()
     v = solve_dipole_level(window, args.x, bc="free", lane=args.lane)
@@ -277,8 +282,7 @@ def cmd_gauss_green(args):
     return _emit(rep.to_dict(), args, [rep.check])
 
 
-def cmd_boundary_sum(args):
-    src = resolve_network(args)
+def cmd_boundary_sum(args, src):
     if isinstance(src, LadderGenerator):
         u_values = ladder_harmonic(src.alpha, src.beta,
                                    max(args.levels + 2, 8)).value
@@ -289,11 +293,10 @@ def cmd_boundary_sum(args):
         raise UsageError("need --u-kernel for non-ladder networks")
     rep = bdy.boundary_sum_harmonic(src, u_values, args.x, levels=args.levels,
                                     lane=args.lane)
-    return _emit(rep.to_dict(), args, [rep.check(args.bs_tol)])
+    return _emit(rep.to_dict(), args, [rep.check])
 
 
-def cmd_paths(args):
-    src = resolve_network(args)
+def cmd_paths(args, src):
     if not isinstance(src, LadderGenerator):
         raise UsageError("canonical path pairs are defined for the ladder family")
     p1, p2 = src.x_rail_path(), src.y_rail_path()
@@ -310,20 +313,21 @@ def cmd_paths(args):
     w_o = solve_dipole_level(deep, 0, bc="wired", rhs={0: 1}, lane=args.lane)
     probes.append(("w_o", w_o))
     ev = bdy.path_equivalence(p1, p2, probes, horizon=args.horizon,
-                              path_tol=args.path_tol,
-                              separation_tol=args.separation_tol)
+                              path_tol=PATH_TOL, separation_tol=SEPARATION_TOL)
     evals = {}
     for name, pot in probes:
         for path in (p1, p2):
             if pot.window.mask[path.prefix(args.horizon)[-1]]:
                 r = bdy.boundary_point_eval(path, pot, horizon=args.horizon,
-                                            path_tol=args.path_tol)
+                                            path_tol=PATH_TOL)
                 evals[f"{name}:{path.name}"] = r.to_dict()
     report = {"equivalence": ev.to_dict(), "boundary_point_evals": evals}
     return _emit(report, args, [ev.check])
 
 
-def cmd_wiener(args):
+def cmd_wiener(args, _):
+    if args.n_checks < 1:
+        raise UsageError("--n-checks must be at least 1")
     ens = wmod.sample_ensemble(args.N, args.samples, args.seed)
     rng = np.random.Generator(np.random.Philox(key=args.seed + 1))
     results, checks = [], []
@@ -364,7 +368,7 @@ def cmd_wiener(args):
     return _emit(report, args, checks + [r.check for r in results])
 
 
-def cmd_ladder(args):
+def cmd_ladder(args, _):
     lh = ladder_harmonic(args.alpha, args.beta, args.N)
     en = ladder_energy(lh, tol=args.tol)
     res = harmonic_residuals(lh)
@@ -387,20 +391,16 @@ def cmd_ladder(args):
     return _emit(report, args, [en.check])
 
 
-def cmd_walk(args):
-    src = resolve_network(args)
+def cmd_walk(args, src):
     view = src.ball(args.radius).full_view()
     cfg = WalkConfig(trials=args.trials, seed=args.seed,
-                     max_steps=args.max_steps, boundary_mode=args.boundary_mode)
-    est = hitting_probability_mc(view, args.start, args.target,
-                                 absorber=args.absorber, config=cfg)
-    est.reference = float(hitting_reference(view, args.start, args.target,
-                                            absorber=args.absorber))
+                     max_steps=args.max_steps)
+    est = hitting_probability_mc(view, args.start, args.target, config=cfg)
+    est.reference = float(hitting_reference(view, args.start, args.target))
     return _emit(est.to_dict(), args, [est.check])
 
 
-def cmd_verify_all(args):
-    src = resolve_network(args)
+def cmd_verify_all(args, src):
     radius = min(args.levels, 8)
     ambient = src.ball(radius)
     window = ambient.ball_view(radius)
@@ -474,11 +474,8 @@ def build_parser():
     p = _subcommand(sub, "boundary-sum", cmd_boundary_sum, *limit)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--u-kernel", type=int, default=None)
-    p.add_argument("--bs-tol", type=float, default=1e-3)
     p = _subcommand(sub, "paths", cmd_paths, *limit)
     p.add_argument("--horizon", type=int, default=200)
-    p.add_argument("--path-tol", type=float, default=1e-4)
-    p.add_argument("--separation-tol", type=float, default=1e-2)
     p.add_argument("--probe-radius", type=int, default=None,
                    help="solve probes this deep (default: horizon + 1); "
                         "probe level error decays like 1/radius")
@@ -499,10 +496,8 @@ def build_parser():
     p = _subcommand(sub, "walk", cmd_walk)
     p.add_argument("--start", type=int, required=True)
     p.add_argument("--target", type=int, required=True)
-    p.add_argument("--absorber", type=int, default=None)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--max-steps", type=int, default=1_000_000)
-    p.add_argument("--boundary-mode", default="free", choices=["free", "wired"])
     p.add_argument("--radius", type=int, default=8)
     _subcommand(sub, "verify-all", cmd_verify_all, "levels", "tol")
     return ap
@@ -511,7 +506,7 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        return args.fn(args, resolve_network(args) if args.resolve else None)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

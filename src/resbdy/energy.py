@@ -197,7 +197,9 @@ def flow_laplacian(a, b, flow, n):
 
 @dataclass
 class Potential:
-    """Real-valued function on the vertices of a window, pinned at the origin.
+    """Real-valued function on the vertices of a window. The solves return
+    the representative pinned at the origin, v(o) = 0; energies see only its
+    class in H_E.
 
     ``w`` holds the values on ``window.vertices`` in the field they were
     formed in: a float64 array, or an object array of mpf or of Fraction.
@@ -210,7 +212,6 @@ class Potential:
 
     window: SubgraphView
     w: np.ndarray
-    pinned: bool = True
     i: np.ndarray = None
 
     @property
@@ -244,7 +245,7 @@ def potential_difference(u: Potential, v: Potential) -> Potential:
     field."""
     w = _common_window(u, v)
     i = None if u.i is None or v.i is None else u.i - v.i
-    return Potential(w, u.w - v.w, pinned=u.pinned and v.pinned, i=i)
+    return Potential(w, u.w - v.w, i=i)
 
 
 def _current(p: Potential, edges, c, a, b):
@@ -281,7 +282,8 @@ def window_laplacian(u: Potential):
 
 
 def potential_from_values(net, mapping, window=None, pinned=False):
-    """Build a float64 Potential from a dict or array of vertex values."""
+    """Build a float64 Potential from a dict or array of vertex values; with
+    ``pinned``, less the origin's value."""
     window = window or net.full_view()
     vals = np.zeros(net.n)
     if isinstance(mapping, dict):
@@ -293,13 +295,13 @@ def potential_from_values(net, mapping, window=None, pinned=False):
     w = vals[window.vertices]
     if pinned:
         w -= vals[net.origin]
-    return Potential(window, w, pinned=pinned)
+    return Potential(window, w)
 
 
 def delta(net, x, window=None):
     """Dirac mass at x as a Potential (not pinned; its class in H_E is what counts)."""
     window = window or net.full_view()
-    return Potential(window, (window.vertices == x).astype(float), pinned=False)
+    return Potential(window, (window.vertices == x).astype(float))
 
 
 def _common_window(u: Potential, v: Potential):

@@ -408,22 +408,20 @@ def _limit(exhaustion, x, reports, record, rhs=None, charges=(), lane="auto",
     return last
 
 
-def energy_kernel(source, x, bc="free", exhaustion=None, levels=30, tol=1e-8,
-                  lane="auto"):
+def energy_kernel(source, x, bc="free", levels=30, tol=1e-8, lane="auto"):
     """Exhaustion limit of the dipole solves Lap v = delta_x - delta_o.
 
     Tracks R_k = v^(k)(x) (pinned), stops by the three-delta rule or window
     saturation, and returns (Potential, ConvergenceReport). Non-convergence is
     flagged on the report, never raised.
     """
-    exh = (exhaustion if exhaustion is not None
-           else default_exhaustion(source, levels))
     report = ConvergenceReport(quantity=f"energy_kernel(x={x}, bc={bc})", tol=tol)
 
     def record(radius, view, _, pot):
         report.record(radius, len(view.vertices), pot.value(x))
 
-    pot = _limit(exh, x, {bc: report}, record, lane=lane)[bc]
+    pot = _limit(default_exhaustion(source, levels), x, {bc: report}, record,
+                 lane=lane)[bc]
     w = pot.w.astype(float, copy=False)  # the window values as float64
     report.extra["max_principle_ok"] = bool(
         np.all(w >= -1e-9) and np.all(w <= pot.value(x) + 1e-9)) \

@@ -47,9 +47,10 @@ class GaussianEnsemble:
 
 
 def sample_ensemble(N: int, S: int, seed: int) -> GaussianEnsemble:
-    """Draw S i.i.d. standard-normal coordinate vectors of length N."""
-    if N < 1 or S < 1:
-        raise InvalidParameters("N and S must both be >= 1")
+    """Draw S i.i.d. standard-normal coordinate vectors of length N; every
+    standard error needs two draws, so S >= 2."""
+    if N < 1 or S < 2:
+        raise InvalidParameters(f"N must be >= 1 and S >= 2, not N={N}, S={S}")
     if not 0 <= seed < 2 ** 128:
         raise InvalidParameters("seed must be in [0, 2^128)")
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -109,7 +110,7 @@ class CheckResult:
 
 def _mc_mean(x):
     m = float(np.mean(x))
-    se = float(np.std(x, ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
+    se = float(np.std(x, ddof=1) / math.sqrt(len(x)))
     return m, se
 
 

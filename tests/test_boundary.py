@@ -98,10 +98,10 @@ def test_boundary_sum_ladder_approaches_value_difference():
 def test_boundary_sum_of_harm_kernel_approaches_its_energy():
     gen = LadderGenerator(5, 0.9)
     split = royden_split(gen, 2, levels=26, tol=1e-6)
-    rep = boundary_sum_harmonic(gen, split.h.value, 2, levels=12,
-                                target=split.energy_h)
+    rep = boundary_sum_harmonic(gen, split.h.value, 2, levels=12)
     # reproducing of h on Harm: <h_x, h_x> = h_x(x) - h_x(o)
     assert split.energy_h == pytest.approx(split.h.value(2), abs=1e-6)
+    assert rep.target == pytest.approx(split.energy_h, abs=1e-6)
     assert rep.final_deviation <= 2e-3
 
 
@@ -152,13 +152,6 @@ def test_float64_boundary_sum_reaches_the_value_difference():
     assert rep.final_deviation <= 5e-9
 
 
-def test_boundary_sum_rejects_nonharmonic():
-    gen = LadderGenerator(5, 0.9)
-    with pytest.raises(NotHarmonic):
-        boundary_sum_harmonic(gen, lambda v: 0.0, 2, levels=4,
-                              harm_residual=1.0)
-
-
 @pytest.mark.parametrize("residual, harmonic", [
     (np.nextafter(HARM_TOL, 0), True), (HARM_TOL, True),
     (np.nextafter(HARM_TOL, 1), False)], ids=["below", "at", "above"])
@@ -166,16 +159,13 @@ def test_harmonicity_checks_switch_at_one_residual(triangle, residual, harmonic)
     split = replace(royden_split(triangle, 1), harm_residual_max=residual)
     assert split.harmonicity.passed is harmonic
     ens = sample_ensemble(2, 100, seed=1)
-    checks = [lambda: boundary_sum_harmonic(triangle, lambda v: 0.0, 1, levels=1,
-                                            harm_residual=residual),
-              lambda: boundary_integral_check(np.zeros(2), 0.0, np.zeros(2), ens,
-                                              harm_residual=residual)]
-    for check in checks:
-        if harmonic:
-            check()
-        else:
-            with pytest.raises(NotHarmonic):
-                check()
+    if harmonic:
+        boundary_integral_check(np.zeros(2), 0.0, np.zeros(2), ens,
+                                harm_residual=residual)
+    else:
+        with pytest.raises(NotHarmonic):
+            boundary_integral_check(np.zeros(2), 0.0, np.zeros(2), ens,
+                                    harm_residual=residual)
 
 
 def test_path_validation():
@@ -241,6 +231,19 @@ def test_path_reads_outside_the_window_raise():
         path_equivalence(path, path, [("v", v)], horizon=7)
 
 
+def test_a_negative_path_prefix_is_invalid():
+    # every reader of a prefix takes its last vertex, which an empty one lacks
+    net = build_finite([(i, i + 1, 1) for i in range(4)])
+    v = solve_dipole_level(net.full_view(), 2)
+    path = PathToInfinity(lambda n: n, name="ray")
+    assert path.prefix(0) == [0]
+    for call in (lambda: path.prefix(-1),
+                 lambda: path_equivalence(path, path, [("v", v)], horizon=-1),
+                 lambda: boundary_point_eval(path, v, horizon=-1)):
+        with pytest.raises(InvalidParameters, match="n >= 0"):
+            call()
+
+
 def test_boundary_point_eval_separates_ladder_rails():
     gen = LadderGenerator(5, 0.9)
     split = royden_split(gen, 2, levels=45, tol=1e-8)
@@ -270,12 +273,6 @@ def test_boundary_sum_rejects_a_vertex_outside_every_level(x):
     lh = ladder_harmonic(5, 0.9, 12)
     with pytest.raises(InvalidParameters, match="never entered"):
         boundary_sum_harmonic(gen, lh.value, x, levels=3)
-
-
-def test_nan_harmonic_residual_is_not_harmonic(triangle):
-    with pytest.raises(NotHarmonic):
-        boundary_sum_harmonic(triangle, lambda v: 1.0, 1,
-                              harm_residual=float("nan"))
 
 
 def test_nan_split_identity_is_kept(triangle):

@@ -13,6 +13,7 @@ from resbdy.cli import main
 from resbdy.ladder import ladder_energy, ladder_harmonic
 
 TRIANGLE = json.dumps({"edges": [[0, 1, 1], [1, 2, 1], [0, 2, 1]], "origin": 0})
+LADDER_09 = ["--network", "ladder", "--alpha", "5", "--beta", "0.9"]
 
 
 def run_cli(argv, capsys):
@@ -148,7 +149,7 @@ def test_walk_with_max_steps_below_one_is_a_usage_error(capsys, max_steps):
 
 
 def test_walk_with_target_at_the_absorber_is_a_clean_error(capsys):
-    # the default absorber is the origin, so --target 0 leaves no dipole
+    # the absorber is the origin, so --target 0 leaves no dipole
     code = main(["walk", "--network", "ladder", "--alpha", "5", "--beta", "0.9",
                  "--start", "2", "--target", "0", "--trials", "2000",
                  "--radius", "6"])
@@ -431,6 +432,9 @@ def test_every_declared_option_is_read():
     unread = []
     for name, p in sub.choices.items():
         reads = _args_read(p.get_default("fn"), set())
+        if p.get_default("resolve"):
+            # main resolves this subcommand's --network before it runs fn
+            reads |= _args_read(resbdy.cli.resolve_network, set())
         unread += [f"{name} --{a.dest}" for a in p._actions
                    if a.dest not in ("help", "seed", "out", *reads)]
     assert unread == []
@@ -442,13 +446,20 @@ def test_every_declared_option_is_read():
     ["onb", "--network", TRIANGLE, "--N", "2", "--levels", "3"],
     ["generate", "--network", "binary-tree", "--tol", "1"],
     ["resist", "--network", TRIANGLE, "--x", "1", "--origin", "1"],
+    ["boundary-sum", "--network", TRIANGLE, "--x", "1", "--u-kernel", "1",
+     "--bs-tol", "1"],
+    ["paths", *LADDER_09, "--horizon", "24", "--levels", "12",
+     "--path-tol", "1e-3"],
+    ["paths", *LADDER_09, "--horizon", "24", "--levels", "12",
+     "--separation-tol", "1e-3"],
+    ["walk", "--network", TRIANGLE, "--start", "2", "--target", "1",
+     "--trials", "10", "--absorber", "2"],
+    ["walk", "--network", TRIANGLE, "--start", "2", "--target", "1",
+     "--trials", "10", "--boundary-mode", "wired"],
 ])
 def test_an_option_the_command_does_not_read_is_a_usage_error(argv, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("usage error")
-
-
-LADDER_09 = ["--network", "ladder", "--alpha", "5", "--beta", "0.9"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -467,6 +478,24 @@ def test_a_command_outside_its_domain_is_a_usage_error(argv, capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("usage error")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["paths", *LADDER_09, "--levels", "4", "--horizon", "-1",
+      "--probe-radius", "5"], "error [invalid-parameters]"),
+    (["wiener", "--check", "minlos", "--N", "3", "--samples", "100",
+      "--n-checks", "0"], "usage error"),
+    (["wiener", "--check", "minlos", "--N", "3", "--samples", "100",
+      "--n-checks", "-2"], "usage error"),
+    (["wiener", "--check", "minlos", "--N", "3", "--samples", "1",
+      "--n-checks", "1"], "error [invalid-parameters]"),
+], ids=["paths-horizon-below-0", "wiener-no-checks", "wiener-negative-checks",
+        "wiener-one-sample"])
+def test_a_run_with_nothing_to_check_is_an_error(argv, err, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(err)
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("argv, err", [

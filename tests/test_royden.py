@@ -8,7 +8,6 @@ from resbdy import (GeometricHalfLineGenerator, IntegerLatticeGenerator,
                     energy, energy_kernel, monopole, royden_split,
                     solve_dipole_level, sup_norm)
 from resbdy import royden, solver
-from resbdy.errors import InvalidParameters
 
 
 def test_finite_network_split_is_trivial(triangle):
@@ -154,18 +153,17 @@ def test_monopole_representative_bounded_on_halfline():
     assert np.all(raw >= -1e-12) and np.all(raw <= w_at_o + 1e-12)
 
 
-def test_sup_norm_requires_pinned(triangle):
-    split = royden_split(triangle, 1)
-    pot = split.v
-    pot2 = type(pot)(pot.window, pot.w + 1.0, pinned=False)
-    with pytest.raises(InvalidParameters):
-        sup_norm(pot2)
+def test_sup_norm_depends_only_on_the_class(triangle):
+    # max |v - v(o)| is the same for every representative of v's class
+    pot = royden_split(triangle, 1).v
+    assert sup_norm(pot) == float(np.max(np.abs(pot.w)))
+    shifted = type(pot)(pot.window, pot.w + 1.0)
+    assert sup_norm(shifted) == pytest.approx(sup_norm(pot), rel=1e-15)
 
 
 def test_sup_norm_zero_potential(triangle):
     split = royden_split(triangle, 1)
-    z = type(split.v)(split.v.window, np.zeros(len(split.v.window.vertices)),
-                      pinned=True)
+    z = type(split.v)(split.v.window, np.zeros(len(split.v.window.vertices)))
     assert sup_norm(z) == 0.0
 
 

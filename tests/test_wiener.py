@@ -13,10 +13,10 @@ from resbdy.errors import DimensionMismatch, InvalidParameters, NotHarmonic
 
 
 def test_ensemble_reproducible():
-    a = sample_ensemble(2, 1, seed=7)
-    b = sample_ensemble(2, 1, seed=7)
+    a = sample_ensemble(2, 2, seed=7)
+    b = sample_ensemble(2, 2, seed=7)
     assert np.array_equal(a.samples, b.samples)
-    c = sample_ensemble(2, 1, seed=8)
+    c = sample_ensemble(2, 2, seed=8)
     assert not np.array_equal(a.samples, c.samples)
 
 
@@ -96,10 +96,12 @@ def test_cross_moment_matches_inner_product(rng):
 
 
 
-@pytest.mark.parametrize("seed", [-1, 2 ** 128])
-def test_a_seed_outside_philox_keys_is_invalid(seed):
+@pytest.mark.parametrize("S, seed", [(10, -1), (10, 2 ** 128), (1, 7)],
+                         ids=["-1", str(2 ** 128), "one-draw"])
+def test_a_seed_outside_philox_keys_is_invalid(S, seed):
+    # and one draw, which leaves every standard error NaN
     with pytest.raises(InvalidParameters):
-        sample_ensemble(3, 10, seed=seed)
+        sample_ensemble(3, S, seed=seed)
 
 def test_isometry_and_mean(rng):
     ens = sample_ensemble(8, 150_000, seed=13)
