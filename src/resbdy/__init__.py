@@ -20,7 +20,8 @@ from .network import (BinaryTreeGenerator, Exhaustion,
 from .onb import (OnbSystem, build_onb, coefficient_vector,
                   entries_E_via_evaluation, entries_M_via_laplacian,
                   gram_product_check, gram_schmidt, kronecker_sum_check,
-                  number_operator, p_seminorm, reconstruction_check)
+                  number_operator, number_pairing_check, p_seminorm,
+                  reconstruction_check)
 from .royden import RoydenSplit, royden_split, sup_norm
 from .solver import (ConvergenceReport, MonopoleResult, effective_resistance,
                      energy_kernel, exhaustion_independence, monopole,

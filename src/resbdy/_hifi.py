@@ -1,9 +1,17 @@
 """High-precision linear-solve lane.
 
-Pinned free systems on networks with geometrically growing conductances are
-numerically singular in float64 once the window's conductance dynamic range
-passes ~1e12. This lane eliminates over exact rationals (Fraction) or mpmath
-floats at one fixed precision, ``EDGE_SUM_DPS`` digits, whatever that range.
+At lane 'auto', ``solver.pick_lane`` sends a window here when the ratio of
+its largest to its smallest float64 conductance passes
+``DYNAMIC_RANGE_GUARD`` (1e10), or when its float64 mirror ``Network.ec``
+holds an inf; the float64 rounds take every other window. What a wide range
+defeats is not float64 precision. The rounds return values without
+currents, and a current formed from two values carries their error times c,
+so the small currents of a wide range lose their digits; carried through
+this module's loop far-to-near, currents at 53 bits stay right to 1.2e-13
+relative to themselves (ROADMAP E8). What float64 lacks is exponent range:
+the mirror, and a loop in floats, overflow past 1e308 (E13). This lane
+eliminates over exact rationals (Fraction) or mpmath floats at one fixed
+precision, ``EDGE_SUM_DPS`` digits, whatever that range.
 
 Both solve lanes take one system from ``grounded_system``, in the form they
 eliminate: the window's vertices that are not held at 0 are the unknowns,
@@ -61,6 +69,7 @@ import mpmath as mp
 import numpy as np
 from mpmath import libmp
 
+from .energy import window_edges
 from .errors import InvalidParameters, SingularSystem
 
 
@@ -174,7 +183,6 @@ def grounded_system(window, held, rhs, field):
     right-hand side ``rhs`` (vertex -> number) at the unknowns. Everything
     is in ``field``; an rhs vertex outside the window raises.
     """
-    from .energy import window_edges
     verts = window.vertices
     held = np.asarray(held, dtype=np.int64).reshape(-1)
     held = held[(held >= 0) & (held < len(window.mask))]
@@ -226,7 +234,6 @@ def hi_solve(net, window, rhs, dirichlet_zero=(), pin=None, field=None):
     held vertices, and the current c_e (x_a - x_b) on every window edge in
     ``energy.window_edges`` order, both as object arrays.
     """
-    from .energy import window_edges
     held = list(dirichlet_zero) + ([] if pin is None else [pin])
     live, g, (u, v, c), b = grounded_system(window, held, rhs, field.number)
     verts = window.vertices[live]

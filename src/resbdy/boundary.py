@@ -169,10 +169,10 @@ class BoundarySumReport:
 def boundary_sum_harmonic(source, u_values, x, levels=30, lane="auto"):
     """Per-level sums over bd G_k of u dn(h_x), converging to u(x) - u(o).
 
-    ``u_values`` maps vertex id -> value of the harmonic function (callable,
-    dict, or Potential). On each level h_x = v_x - f_x, the free solve less
-    the wired one, is harmonic inside G_k, and its normal derivative sums
-    carry the boundary representation. The free solve's window Laplacian is
+    ``u_values`` maps vertex id -> value of the harmonic function (a callable
+    or a Potential). On each level h_x = v_x - f_x, the free solve less the
+    wired one, is harmonic inside G_k, and its normal derivative sums carry
+    the boundary representation. The free solve's window Laplacian is
     delta_x - delta_o, which vanishes on bd G_k: there dn(h_x) = -dn(f_x),
     so each level needs its wired solve alone.
     """

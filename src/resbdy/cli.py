@@ -300,6 +300,8 @@ def cmd_paths(args, src):
     if not isinstance(src, LadderGenerator):
         raise UsageError("canonical path pairs are defined for the ladder family")
     p1, p2 = src.x_rail_path(), src.y_rail_path()
+    # a negative horizon is invalid before any solve is made for it
+    p1.prefix(args.horizon)
     probe_radius = (args.horizon + 1 if args.probe_radius is None
                     else args.probe_radius)
     if probe_radius < args.horizon + 1:

@@ -16,8 +16,8 @@ from functools import cached_property
 import numpy as np
 from mpmath import libmp
 
-from .errors import DomainMismatch, MissingNeighborValue, NotBoundaryVertex
-from .network import Network
+from .errors import (DomainMismatch, InvalidParameters, MissingNeighborValue,
+                     NotBoundaryVertex)
 
 
 class SubgraphView:
@@ -232,11 +232,9 @@ class Potential:
 
 
 def value_getter(values):
-    """vertex -> value for a Potential, a dict, or a callable."""
+    """vertex -> value for a Potential or a callable."""
     if isinstance(values, Potential):
         return values.value
-    if isinstance(values, dict):
-        return lambda v: values[v]
     return values
 
 
@@ -281,17 +279,15 @@ def window_laplacian(u: Potential):
     return flow_laplacian(a, b, i, len(u.w))
 
 
-def potential_from_values(net, mapping, window=None, pinned=False):
-    """Build a float64 Potential from a dict or array of vertex values; with
-    ``pinned``, less the origin's value."""
+def potential_from_values(net, values, window=None, pinned=False):
+    """Build a float64 Potential from an array of values at every vertex of
+    the network; with ``pinned``, less the origin's value."""
     window = window or net.full_view()
-    vals = np.zeros(net.n)
-    if isinstance(mapping, dict):
-        for v, x in mapping.items():
-            vals[v] = x
-    else:
-        arr = np.asarray(mapping, dtype=np.float64)
-        vals[: len(arr)] = arr
+    vals = np.asarray(values)
+    if vals.shape != (net.n,):
+        raise InvalidParameters(
+            f"values need shape ({net.n},), one per vertex, not {vals.shape}")
+    vals = vals.astype(np.float64, copy=False)
     w = vals[window.vertices]
     if pinned:
         w -= vals[net.origin]

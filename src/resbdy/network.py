@@ -39,6 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._hifi import to_mpf
+from .energy import SubgraphView
 from .errors import (
     DisconnectedGraph,
     InvalidParameters,
@@ -201,11 +202,9 @@ class Network:
         return self
 
     def full_view(self):
-        from .energy import SubgraphView
         return SubgraphView(self, np.arange(self.n))
 
     def ball_view(self, radius):
-        from .energy import SubgraphView
         return SubgraphView(self, np.flatnonzero(self.level <= radius))
 
     def __repr__(self):

@@ -59,8 +59,8 @@ import numpy as np
 
 from . import _hifi
 from .energy import (Potential, _product, current_energy, edge_currents,
-                     edge_ends, energy, field_of, flow_laplacian,
-                     value_getter, window_edges)
+                     energy, field_of, value_getter, window_edges,
+                     window_laplacian)
 from .errors import DimensionMismatch, GramDegenerate, InvalidParameters
 from .network import enumerate_vertices
 from .solver import check, solve_dipole_level
@@ -103,10 +103,9 @@ class OnbSystem:
     def _laplacian_entries(self):
         """(Lap eps_i)(x_j) for j <= i, zero above the diagonal (construction
         field), from the eps_i's edge currents."""
-        _, a, b = edge_ends(self.window)
-        n, xs = len(self.window.vertices), self.window.index(self.enumeration)
-        return np.tril(np.array([flow_laplacian(a, b, self._flows[:, k], n)[xs]
-                                 for k in range(self.N)],
+        xs = self.window.index(self.enumeration)
+        return np.tril(np.array([window_laplacian(self.eps_potential(k))[xs]
+                                 for k in range(1, self.N + 1)],
                                 dtype=self._flows.dtype))
 
     @cached_property
@@ -202,7 +201,8 @@ def build_onb(source, N, radius=None, lane="mp"):
     The window is the ball of the requested radius (default: deep enough to
     hold x_N plus 5 levels). ``lane`` is a solver lane: 'mp' solves
     in mp and 'fraction' exactly, and either is orthonormalized in mp, which
-    every identity check then inherits; 'float64' uses the scipy lane.
+    every identity check then inherits; 'float64' solves in the float64
+    rounds (SuperLU takes what they leave) and orthonormalizes in float64.
     """
     if N < 1:
         raise InvalidParameters("N must be >= 1")
@@ -325,7 +325,7 @@ def coefficient_vector(onb: OnbSystem, values) -> np.ndarray:
 
     u_n = <eps_n, u> = sum_k M[n, k] (u(x_k) - u(o)), which is exact for any
     finite-energy u thanks to the reproducing identity of the kernels.
-    ``values`` is a Potential, a dict, or a callable vertex -> value.
+    ``values`` is a Potential or a callable vertex -> value.
     """
     getter = value_getter(values)
     o = onb.net.origin

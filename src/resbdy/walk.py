@@ -2,10 +2,9 @@
 
 The walk moves with p(x, y) = c_xy / c(x). On a finite window the dipole
 solution pinned at the absorber satisfies v(y) / v(x) = P_y[hit x before o],
-which gives an independent Monte Carlo route to kernel values. Windows of an
-infinite network are walked with either reflecting boundary (the window as a
-network in itself, matching the free solve) or boundary absorption into the
-grounded side (matching the wired solve).
+which gives an independent Monte Carlo route to kernel values. A window of an
+infinite network is walked as a network in itself, reflecting at its
+boundary, which matches the free solve.
 
 Walkers sit on window positions, the indices into ``view.vertices``. The
 window edges of a vertex, in edge order, are its slots 0, ..., deg - 1, and
@@ -71,7 +70,6 @@ class WalkConfig:
     trials: int = 100_000
     seed: int = 0
     max_steps: int = 1_000_000
-    boundary_mode: str = "free"   # "free" reflects, "wired" absorbs to o
 
     def __post_init__(self):
         if self.trials < 1:
@@ -80,8 +78,6 @@ class WalkConfig:
             raise InvalidParameters("max_steps must be >= 1")
         if not 0 <= self.seed < 2 ** 128:
             raise InvalidParameters("seed must be in [0, 2^128)")
-        if self.boundary_mode not in ("free", "wired"):
-            raise InvalidParameters("boundary_mode must be 'free' or 'wired'")
 
 
 @dataclass
@@ -162,11 +158,10 @@ def _check_target(target, absorber):
 def hitting_probability_mc(view, start, target, absorber=None, config=None):
     """Monte Carlo estimate of P_start[hit target before absorber].
 
-    Walks run on the window's induced subgraph. With boundary_mode='wired',
-    stepping onto a window-boundary vertex absorbs the walk on the absorber
-    side (the shorted boundary is grounded with the origin). Walks that
-    reach max_steps are counted separately and excluded from the estimate.
-    A start with no edge inside the window raises IsolatedVertex.
+    Walks run on the window's induced subgraph, so they reflect at its
+    boundary. Walks that reach max_steps are counted separately and excluded
+    from the estimate. A start with no edge inside the window raises
+    IsolatedVertex.
     """
     net = view.net
     config = config or WalkConfig()
@@ -188,9 +183,6 @@ def hitting_probability_mc(view, start, target, absorber=None, config=None):
     absorb = np.zeros(len(view.vertices), dtype=np.int8)   # 1 success, 2 fail
     absorb[t] = 1
     absorb[o] = 2
-    if config.boundary_mode == "wired":
-        bd = view.index(view.bd)
-        absorb[bd[absorb[bd] == 0]] = 2
 
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     cur = np.full(config.trials, s, dtype=np.int64)   # active walkers, start order

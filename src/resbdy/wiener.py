@@ -166,20 +166,18 @@ def kernel_coefficients(onb, x) -> np.ndarray:
     return onb.E[i].copy()
 
 
-def resistance_via_expectation(x, y, onb, ens: GaussianEnsemble,
-                               reference=None, atol=0.0):
+def resistance_via_expectation(x, y, onb, ens: GaussianEnsemble, reference,
+                               atol=0.0):
     """Resistance between x and y in two Monte Carlo forms.
 
     Returns (quadratic CheckResult, exponential CheckResult): the quadratic
     form estimates E[(v_x~ - v_y~)^2], the exponential form estimates
-    -2 log E[conj(e_x) e_y] with e_x = exp(i v_x~). ``reference`` is the
-    solver-side resistance; when omitted, the truncated coefficient distance
-    ||v_x - v_y||^2 is the target.
+    -2 log E[conj(e_x) e_y] with e_x = exp(i v_x~). ``reference``, the
+    solver-side resistance, is the target of both.
     """
     cx, cy = kernel_coefficients(onb, x), kernel_coefficients(onb, y)
-    d = cx - cy
-    target = float(np.sum(d ** 2)) if reference is None else float(reference)
-    dt = wiener_transform(d, ens)
+    target = float(reference)
+    dt = wiener_transform(cx - cy, ens)
     est, se = _mc_mean(dt ** 2)
     err = abs(est - target)
     quad = CheckResult("resistance-quadratic", est, target, se, err,

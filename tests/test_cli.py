@@ -482,14 +482,17 @@ def test_a_command_outside_its_domain_is_a_usage_error(argv, capsys):
 
 @pytest.mark.parametrize("argv, err", [
     (["paths", *LADDER_09, "--levels", "4", "--horizon", "-1",
-      "--probe-radius", "5"], "error [invalid-parameters]"),
+      "--probe-radius", "5"], "error [invalid-parameters]: a path prefix"),
+    (["paths", *LADDER_09, "--levels", "4", "--horizon", "-1"],
+     "error [invalid-parameters]: a path prefix"),
     (["wiener", "--check", "minlos", "--N", "3", "--samples", "100",
       "--n-checks", "0"], "usage error"),
     (["wiener", "--check", "minlos", "--N", "3", "--samples", "100",
       "--n-checks", "-2"], "usage error"),
     (["wiener", "--check", "minlos", "--N", "3", "--samples", "1",
       "--n-checks", "1"], "error [invalid-parameters]"),
-], ids=["paths-horizon-below-0", "wiener-no-checks", "wiener-negative-checks",
+], ids=["paths-horizon-below-0", "paths-horizon-below-0-default-probe",
+        "wiener-no-checks", "wiener-negative-checks",
         "wiener-one-sample"])
 def test_a_run_with_nothing_to_check_is_an_error(argv, err, capsys):
     assert main(argv) == 1

@@ -8,8 +8,8 @@ from resbdy import (IntegerLatticeGenerator, build_finite, delta, dirac_pairing,
                     normal_derivative, potential_from_values)
 from resbdy.energy import (SubgraphView, edge_ends, flow_laplacian,
                            window_edges)
-from resbdy.errors import (DomainMismatch, MissingNeighborValue,
-                           NotBoundaryVertex)
+from resbdy.errors import (DomainMismatch, InvalidParameters,
+                           MissingNeighborValue, NotBoundaryVertex)
 from resbdy.solver import solve_dipole_level
 from tests.conftest import random_edge_list
 
@@ -118,6 +118,14 @@ def test_normal_derivative_interior_equals_laplacian(grid44):
             c * (u.at(x) - u.at(y))
             for y, c in zip(row.indices, row.data))
         assert inner == pytest.approx(laplacian(u, int(x)), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("values", [{0: 0.0, 1: 1.0, 2: 2.0}, [0.0, 1.0],
+                                    [0.0, 1.0, 2.0, 3.0], [[0.0, 1.0, 2.0]]],
+                         ids=["dict", "short", "long", "2-d"])
+def test_potential_values_need_one_float_per_vertex(path3, values):
+    with pytest.raises(InvalidParameters):
+        potential_from_values(path3, values)
 
 
 def test_domain_mismatch(triangle, path3):

@@ -11,12 +11,11 @@ from resbdy import (GeometricHalfLineGenerator, IntegerLatticeGenerator,
                     build_onb, coefficient_vector, energy,
                     entries_E_via_evaluation, entries_M_via_laplacian,
                     gram_product_check, gram_schmidt, kronecker_sum_check,
-                    number_operator, p_seminorm, reconstruction_check,
-                    solve_dipole_level)
+                    number_operator, number_pairing_check, p_seminorm,
+                    reconstruction_check, solve_dipole_level)
 from resbdy.energy import field_of, window_edges
 from resbdy.errors import GramDegenerate, InvalidParameters
-from resbdy.onb import (DEGENERACY_TOL, REORTH_THRESHOLD, _sqrt,
-                        number_pairing_check)
+from resbdy.onb import DEGENERACY_TOL, REORTH_THRESHOLD, _sqrt
 
 
 def test_single_edge_onb():
