@@ -6,8 +6,8 @@ identities, Gaussian Monte Carlo checks of the energy-space embedding, and
 boundary sums along exhaustions.
 """
 
-from .energy import (Potential, SubgraphView, delta, dirac_pairing, energy,
-                     laplacian, normal_derivative, potential_from_values)
+from .energy import (Potential, SubgraphView, energy, potential_from_values,
+                     window_laplacian)
 from .errors import *  # noqa: F401,F403
 from .ladder import (LadderHarmonic, du_bound_satisfied, du_upper_bounds,
                      harmonic_residuals, ladder_energy, ladder_harmonic,
@@ -27,7 +27,7 @@ from .solver import (ConvergenceReport, MonopoleResult, effective_resistance,
                      energy_kernel, exhaustion_independence, monopole,
                      solve_dipole_level)
 from .walk import (HittingEstimate, WalkConfig, hitting_probability_mc,
-                   hitting_reference, transition_probabilities)
+                   hitting_reference)
 from .wiener import (CheckResult, GaussianEnsemble, boundary_integral_check,
                      isometry_check, kernel_coefficients, minlos_check,
                      moment_check, mu_negative_fraction,
@@ -35,7 +35,6 @@ from .wiener import (CheckResult, GaussianEnsemble, boundary_integral_check,
                      wiener_transform)
 from .boundary import (BoundaryPointEval, GaussGreenReport, PathToInfinity,
                        boundary_point_eval, boundary_sum_harmonic,
-                       finite_gauss_green_deviation, gauss_green_verify,
-                       path_equivalence)
+                       gauss_green_verify, path_equivalence)
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ import numpy as np
 
 from .energy import (Potential, edge_currents, edge_ends, energy,
                      flow_laplacian, value_getter, window_laplacian)
-from .errors import DomainMismatch, InvalidParameters, NotHarmonic
+from .errors import InvalidParameters, NotHarmonic
 from .network import default_exhaustion
 # nothing here calls solve_dipole_level: perfbench/selftest.py wants it held by name
 from .solver import _limit, check, solve_dipole_level  # noqa: F401
@@ -128,18 +128,6 @@ def gauss_green_verify(u: Potential, v: Potential, radii=None):
     return rep
 
 
-def finite_gauss_green_deviation(u: Potential, v: Potential) -> float:
-    """|energy(u, v) - sum_x u(x) Lap v(x)| by the CSR Laplacian of a fully
-    materialized network; u and v must live on the whole network."""
-    net = u.net
-    if not net.is_saturated:
-        raise InvalidParameters("finite form needs a fully materialized network")
-    if not all(len(p.window.vertices) == net.n for p in (u, v)):
-        raise DomainMismatch("finite form needs potentials on the whole network")
-    uw, vw = u.w.astype(float), v.w.astype(float)
-    return float(abs(energy(u, v) - np.sum(uw * (net.laplacian() @ vw))))
-
-
 @dataclass
 class BoundarySumReport:
     x: int
@@ -210,6 +198,15 @@ class PathToInfinity:
         return [int(self.vertex_fn(k)) for k in range(n + 1)]
 
 
+def _last_quarter(series):
+    """(tail, top, spread): the last quarter of a series (at least its last
+    entry), its largest value and its largest less its smallest. np.max and
+    np.min keep a NaN, which max() and min() would drop."""
+    tail = series[-max(1, len(series) // 4):]
+    top = np.max(tail)
+    return tail, top, top - np.min(tail)
+
+
 @dataclass
 class ProbeEvidence:
     probe: str
@@ -270,12 +267,8 @@ def path_equivalence(p1: PathToInfinity, p2: PathToInfinity, probes,
     all_small = True
     for name, pot in probes:
         gaps = np.abs(pot.at(ids1) - pot.at(ids2)).tolist()
-        q = max(1, len(gaps) // 4)
-        last_q = gaps[-q:]
         final = gaps[-1]
-        # np.max and np.min keep a NaN, which max() and min() would drop
-        top = np.max(last_q)
-        spread = top - np.min(last_q)
+        _, top, spread = _last_quarter(gaps)
         stabilized = spread <= max(path_tol, 0.05 * max(final, 1e-300))
         ev = ProbeEvidence(probe=name, gaps=gaps,
                            final_gap=float(final),
@@ -323,10 +316,8 @@ def boundary_point_eval(path: PathToInfinity, harm_part: Potential,
     ids = path.prefix(horizon)
     o = harm_part.net.origin
     series = (harm_part.at(ids) - harm_part.at(o)).tolist()
-    q = max(1, len(series) // 4)
-    tail = series[-q:]
-    # np.max and np.min keep a NaN, which max() and min() would drop
-    stabilized = (np.max(tail) - np.min(tail)) <= path_tol
+    tail, _, spread = _last_quarter(series)
+    stabilized = spread <= path_tol
     return BoundaryPointEval(path=path.name, value=series[-1],
                              stabilized=bool(stabilized),
                              series_tail=tail[-8:])

@@ -1,11 +1,13 @@
-"""Dirichlet energy form, graph Laplacian, subgraph boundaries, normal derivatives.
+"""Dirichlet energy form and the window Laplacian on subgraph windows.
 
 All evaluations happen on a finite window (a :class:`SubgraphView`): sums run
 over edges with both endpoints in the window. Every window quantity is a sum
 of edge currents c (u(x) - u(y)), taken by ``edge_currents`` in one field:
 mp and Fraction sums read the currents their solves carry, each right
 relative to itself; float64 sums read a carried current as float64 and form
-the others from the values.
+the others from the values. There is one Laplacian, ``window_laplacian``,
+the divergence of those currents: Lap u on int H and the normal derivative
+dn u on bd H, the two pieces of the Gauss-Green split.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from functools import cached_property
 import numpy as np
 from mpmath import libmp
 
-from .errors import (DomainMismatch, InvalidParameters, MissingNeighborValue,
-                     NotBoundaryVertex)
+from .errors import DomainMismatch, InvalidParameters
 
 
 class SubgraphView:
@@ -106,22 +107,18 @@ def edge_ends(window):
 
 
 def window_edges(window, field=float):
-    """(c, a, b) over the window's edges: their ``conductances`` in ``field``
-    and both endpoints as positions in ``window.vertices``."""
+    """(c, a, b) over the window's edges: their conductances in ``field``
+    and both endpoints as positions in ``window.vertices``. float gives the
+    float64 mirror ``ec``, Fraction the exact conductances, and an mpf type
+    the exact conductances at its precision, each converted once per
+    generator (or finite network), type and precision
+    (``Network.exact_conductances``)."""
     edges, a, b = edge_ends(window)
-    return conductances(window.net, edges, field), a, b
-
-
-def conductances(net, edges, field=float):
-    """The conductances of the edge ids ``edges``: float gives the float64
-    mirror ``ec``, Fraction the exact conductances, and an mpf type the exact
-    conductances at its precision, each converted once per generator (or
-    finite network), type and precision (``Network.exact_conductances``)."""
     if field is float:
-        return net.ec[edges]
+        return window.net.ec[edges], a, b
     c = np.empty(len(edges), dtype=object)
-    c[:] = net.exact_conductances(edges, field)
-    return c
+    c[:] = window.net.exact_conductances(edges, field)
+    return c, a, b
 
 
 def field_of(values):
@@ -246,13 +243,12 @@ def potential_difference(u: Potential, v: Potential) -> Potential:
     return Potential(w, u.w - v.w, i=i)
 
 
-def _current(p: Potential, edges, c, a, b):
-    """p's current on the window edges ``edges`` (an index into
-    ``window_edges`` order), whose conductances are c and endpoints a, b, in
-    the field of c: the carried ``i``, or c (w_a - w_b) formed from the
-    values."""
+def _current(p: Potential, c, a, b):
+    """p's current on every window edge, whose conductances are c and
+    endpoints a, b (``window_edges``), in the field of c: the carried ``i``,
+    or c (w_a - w_b) formed from the values."""
     if p.i is not None:
-        return p.i[edges].astype(c.dtype, copy=False)
+        return p.i.astype(c.dtype, copy=False)
     w = p.w.astype(c.dtype, copy=False)
     return c * (w[a] - w[b])
 
@@ -269,12 +265,14 @@ def edge_currents(window, *pots):
     """
     hi = all(p.w.dtype == object for p in pots)
     c, a, b = window_edges(window, field_of(pots[0].w) if hi else float)
-    return c, a, b, [_current(p, slice(None), c, a, b) for p in pots]
+    return c, a, b, [_current(p, c, a, b) for p in pots]
 
 
 def window_laplacian(u: Potential):
-    """(Lap u) at every position of u's window: the divergence of u's
-    ``edge_currents``, in their field."""
+    """The divergence of u's ``edge_currents`` at every position of u's
+    window H, in their field: (Lap u)(x) = sum_{y ~ x} c_xy (u(x) - u(y)) at
+    x in int H, and the normal derivative dn u(x), the same sum over the
+    neighbours y inside H, at x in bd H."""
     _, a, b, (i,) = edge_currents(u.window, u)
     return flow_laplacian(a, b, i, len(u.w))
 
@@ -292,12 +290,6 @@ def potential_from_values(net, values, window=None, pinned=False):
     if pinned:
         w -= vals[net.origin]
     return Potential(window, w)
-
-
-def delta(net, x, window=None):
-    """Dirac mass at x as a Potential (not pinned; its class in H_E is what counts)."""
-    window = window or net.full_view()
-    return Potential(window, (window.vertices == x).astype(float))
 
 
 def _common_window(u: Potential, v: Potential):
@@ -327,68 +319,3 @@ def _energy_hi(u: Potential, v: Potential, w):
     # v is u forms its currents once
     c, _, _, i = edge_currents(w, *((u,) if v is u else (u, v)))
     return current_energy(c, i[0], i[-1])
-
-
-def laplacian(v: Potential, at: int) -> float:
-    """(Lap v)(x) = sum_{y ~ x} c_xy (v(x) - v(y)): the sum of v's currents
-    out of x, in the field of v.w.
-
-    Requires every neighbor of ``at`` to be materialized and inside the
-    potential's window.
-    """
-    net = v.net
-    if not 0 <= at < net.n:
-        raise DomainMismatch(f"vertex {at} is not in the network")
-    if net.frontier_mask[at]:
-        raise MissingNeighborValue(f"vertex {at} is on the materialization frontier")
-    e, nbrs = _edges_at(net, at)
-    if not np.all(v.window.mask[nbrs]):
-        raise MissingNeighborValue(f"a neighbor of {at} lies outside the window")
-    return _flow_out(v, at, e)
-
-
-def _edges_at(net, at):
-    """The ids of the edges at vertex ``at``, ascending, and the other end
-    of each."""
-    start, edges = net.incident
-    e = edges[start[at]:start[at + 1]]
-    return e, net.ei[e] + net.ej[e] - at
-
-
-def _flow_out(v: Potential, at, e):
-    """The sum of v's currents out of ``at`` along the edges ``e`` at it,
-    formed on those edges alone and added as ``window_laplacian`` adds them
-    at ``at``, as float64; DomainMismatch for a vertex outside the window."""
-    net, window = v.net, v.window
-    window.index(at)
-    a, b = window.index(net.ei[e]), window.index(net.ej[e])
-    c = conductances(net, e, field_of(v.w))
-    i = _current(v, window.edge_index[e], c, a, b)
-    # ``at`` at position 0, every other end at position 1
-    first = (net.ei[e] == at).astype(np.int64)
-    return float(flow_laplacian(1 - first, first, i, 2)[0])
-
-
-def dirac_pairing(u: Potential, at: int) -> float:
-    """energy(delta_at, u): equals laplacian(u, at) by the summation-by-parts identity.
-
-    Kept as a genuinely independent evaluation route (edge sum against the
-    Dirac mass), used to cross-check the Laplacian.
-    """
-    d = delta(u.net, at, window=u.window)
-    return energy(d, u)
-
-
-def normal_derivative(v: Potential, H: SubgraphView, at: int) -> float:
-    """Sum of c_xy (v(x) - v(y)) over neighbors y of x that lie inside H.
-
-    Defined for x in bd H; for interior x it would equal the full Laplacian.
-    Summed as ``laplacian`` sums, so x and its neighbors in H must lie in the
-    potential's window.
-    """
-    if not 0 <= at < len(H.mask):
-        raise DomainMismatch(f"vertex {at} is not in the network")
-    if not H.bd_mask[at]:
-        raise NotBoundaryVertex(f"vertex {at} is not in bd H")
-    e, nbrs = _edges_at(v.net, at)
-    return _flow_out(v, at, e[H.mask[nbrs]])

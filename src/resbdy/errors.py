@@ -29,14 +29,6 @@ class DomainMismatch(ResbdyError):
     code = "domain-mismatch"
 
 
-class MissingNeighborValue(ResbdyError):
-    code = "missing-neighbor-value"
-
-
-class NotBoundaryVertex(ResbdyError):
-    code = "not-boundary-vertex"
-
-
 class SolverFailure(ResbdyError):
     code = "solver-failure"
 

@@ -111,8 +111,6 @@ class Network:
         self.level = np.asarray(level, dtype=np.int64)
         self.frontier = (np.asarray(frontier, dtype=np.int64)
                          if frontier is not None else np.empty(0, dtype=np.int64))
-        self.frontier_mask = np.zeros(self.n, dtype=bool)
-        self.frontier_mask[self.frontier] = True
 
     # -- structure (built on first read) -----------------------------------
 
@@ -141,21 +139,6 @@ class Network:
             np.add.at(c_of, self.ei, self.ec)
             np.add.at(c_of, self.ej, self.ec)
         return c_of
-
-    @cached_property
-    def incident(self):
-        """(start, edges): the ids of the edges at vertex x, ascending, are
-        ``edges[start[x]:start[x + 1]]``. Parallel edges stay apart, as
-        they are in ``ei, ej``."""
-        ends = np.column_stack((self.ei, self.ej)).ravel()
-        start = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ends, minlength=self.n), out=start[1:])
-        # entry 2k is edge k's first end, 2k + 1 its second
-        return start, np.argsort(ends, kind="stable") // 2
-
-    def laplacian(self):
-        """Graph Laplacian as CSR, physics sign: (Lv)(x) = sum c_xy (v(x)-v(y))."""
-        return (sp.diags(self.c_of) - self.adjacency).tocsr()
 
     def exact_conductance(self, k):
         if self._exact is None:

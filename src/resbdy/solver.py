@@ -225,7 +225,8 @@ def pick_lane(net, window, lane="auto"):
 
 def solve_dipole_level(window: SubgraphView, x, bc="free", rhs=None,
                        lane="auto"):
-    """Solve Lap v = rhs (default delta_x - delta_o) on one window.
+    """Solve Lap v = rhs (default delta_x - delta_o, zero at x = o) on one
+    window.
 
     Returns a pinned Potential (value(o) = 0) in the lane's field. With
     ``bc='wired'`` the window boundary is grounded and x, o must be
@@ -235,7 +236,7 @@ def solve_dipole_level(window: SubgraphView, x, bc="free", rhs=None,
     net = window.net
     o = net.origin
     if rhs is None:
-        rhs = {int(x): 1, o: -1}
+        rhs = {int(x): 1, o: -1} if int(x) != o else {}
     rhs = {int(k): v for k, v in rhs.items() if v != 0}
     if o not in window:
         raise InvalidParameters("the solve needs the origin inside the window")
@@ -298,10 +299,6 @@ class ConvergenceReport:
     @property
     def inconclusive(self):
         return not (self.converged or self.diverged)
-
-    @property
-    def limit(self):
-        return self.values[-1] if (self.converged and self.values) else None
 
     @property
     def check(self):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _edges_at, edge_ends
+from .energy import edge_ends
 from .errors import InvalidParameters, IsolatedVertex
 from .solver import check, solve_dipole_level
 from .wiener import SIGMAS
@@ -50,19 +50,6 @@ def _step_weights(net, owner, edges):
         w = w.copy()
         w[bad] = [float(c / top[o]) for o, c in zip(owners, exact)]
     return w
-
-
-def transition_probabilities(net, x):
-    """Neighbor indices and step probabilities c_xy / c(x) at vertex x, in edge
-    order."""
-    x = int(x)
-    if not (0 <= x < net.n):
-        raise IsolatedVertex(f"vertex {x} is not materialized")
-    edges, nbrs = _edges_at(net, x)
-    if len(edges) == 0:
-        raise IsolatedVertex(f"vertex {x} has no neighbors")
-    w = _step_weights(net, np.zeros(len(edges), dtype=np.int64), edges)
-    return nbrs, w / w.sum()
 
 
 @dataclass

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import settings
 
 from resbdy import build_finite
+from resbdy.walk import _slot_tables
 
 settings.register_profile("ci", deadline=None, max_examples=50)
 settings.load_profile("ci")
@@ -43,6 +45,24 @@ def grid44():
             if j + 1 < 4:
                 edges.append((vid(i, j), vid(i, j + 1), 1))
     return build_finite(edges)
+
+
+def csr_laplacian(net):
+    """The graph Laplacian of a whole network as a sparse matrix, physics
+    sign: (L v)(x) = sum_y c_xy (v(x) - v(y)). A reference formed apart
+    from the library's edge-current sums."""
+    return sp.diags(net.c_of) - net.adjacency
+
+
+def step_probabilities(view, x):
+    """x's neighbours in the window and the walk's probability of stepping
+    to each, in slot order, read off the walk's slot tables: slot j is taken
+    with P_j - P_(j-1), the last with 1 - P_(deg-2)."""
+    nbr, cum, deg = _slot_tables(view)
+    at = int(view.index(x))
+    d = deg[at]
+    steps = np.diff(np.concatenate([[0.0], cum[:d - 1, at], [1.0]]))
+    return view.vertices[nbr[:d, at]], steps
 
 
 def random_edge_list(rng, n):

@@ -20,14 +20,14 @@ from resbdy import (BinaryTreeGenerator, GeometricHalfLineGenerator,
                     build_finite, build_onb, coefficient_vector,
                     doubling_exhaustion, du_bound_satisfied,
                     effective_resistance, energy, entries_E_via_evaluation,
-                    entries_M_via_laplacian, finite_gauss_green_deviation,
-                    gram_product_check, harmonic_residuals,
-                    hitting_probability_mc, hitting_reference,
-                    isometry_check, kronecker_sum_check, ladder_energy,
-                    ladder_harmonic, minlos_check, moment_check, monopole,
-                    path_equivalence, potential_from_values,
-                    resistance_via_expectation, royden_split,
-                    sample_ensemble, solve_dipole_level)
+                    entries_M_via_laplacian, gram_product_check,
+                    harmonic_residuals, hitting_probability_mc,
+                    hitting_reference, isometry_check, kronecker_sum_check,
+                    ladder_energy, ladder_harmonic, minlos_check,
+                    moment_check, monopole, path_equivalence,
+                    potential_from_values, resistance_via_expectation,
+                    royden_split, sample_ensemble, solve_dipole_level)
+from tests.conftest import csr_laplacian
 
 SEED = 20240817
 
@@ -79,10 +79,12 @@ def test_criterion_02_gauss_green_exactness():
     rng = np.random.default_rng(SEED + 1)
     worst = 0.0
     for label, net in _finite_nets().items():
+        # energy(u, v) = sum_x u(x) (L v)(x), L the CSR Laplacian
+        L = csr_laplacian(net)
         for _ in range(100):
             u = potential_from_values(net, rng.standard_normal(net.n), pinned=True)
             v = potential_from_values(net, rng.standard_normal(net.n), pinned=True)
-            worst = max(worst, finite_gauss_green_deviation(u, v))
+            worst = max(worst, abs(energy(u, v) - np.sum(u.w * (L @ v.w))))
     elapsed = time.time() - t0
     assert worst <= 1e-10
     assert elapsed < 5.0

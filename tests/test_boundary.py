@@ -8,23 +8,24 @@ from resbdy import (GeometricHalfLineGenerator, IntegerLatticeGenerator,
                     LadderGenerator, PathToInfinity, Potential,
                     boundary_integral_check, boundary_point_eval,
                     boundary_sum_harmonic, build_finite,
-                    energy, energy_kernel, finite_gauss_green_deviation,
-                    gauss_green_verify, path_equivalence,
+                    energy, energy_kernel, gauss_green_verify,
+                    path_equivalence,
                     potential_from_values, royden_split, sample_ensemble,
                     solve_dipole_level)
 from resbdy.boundary import HARM_TOL
 from resbdy.energy import potential_difference, window_laplacian
 from resbdy.errors import DomainMismatch, InvalidParameters, NotHarmonic
 from resbdy.ladder import ladder_harmonic
-from tests.conftest import random_edge_list
+from tests.conftest import csr_laplacian, random_edge_list
 
 
 def test_finite_gauss_green_full_sum(triangle, path5, grid44, rng):
     for net in (triangle, path5, grid44):
+        L = csr_laplacian(net)
         for _ in range(20):
             u = potential_from_values(net, rng.standard_normal(net.n), pinned=True)
             v = potential_from_values(net, rng.standard_normal(net.n), pinned=True)
-            assert finite_gauss_green_deviation(u, v) <= 1e-10
+            assert abs(energy(u, v) - np.sum(u.w * (L @ v.w))) <= 1e-10
 
 
 def test_per_level_split_identity(grid44, rng):
@@ -71,12 +72,6 @@ def test_mp_interior_sum_is_the_energy_once_x_and_o_are_interior():
     for r, interior in zip(rep.radii, rep.interior):
         if r >= 2:
             assert interior == pytest.approx(rep.target, rel=0, abs=1e-12)
-
-
-def test_finite_form_needs_the_whole_network(path5):
-    u = potential_from_values(path5, np.arange(5.0), window=path5.ball_view(3))
-    with pytest.raises(DomainMismatch):
-        finite_gauss_green_deviation(u, u)
 
 
 def test_z1_boundary_term_shrinks():
@@ -248,14 +243,6 @@ def test_boundary_point_eval_separates_ladder_rails():
     ey = boundary_point_eval(gen.y_rail_path(), split.h, horizon=40)
     assert ex.stabilized and ey.stabilized
     assert abs(ex.value - ey.value) > 1e-2
-
-
-def test_gauss_green_requires_saturated_for_finite_form():
-    gen = LadderGenerator(5, 0.9)
-    net = gen.ball(4)
-    u = potential_from_values(net, np.zeros(net.n), pinned=True)
-    with pytest.raises(InvalidParameters):
-        finite_gauss_green_deviation(u, u)
 
 
 def test_boundary_sum_constant_u_on_finite_network(triangle):

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from resbdy import (IntegerLatticeGenerator, build_finite, delta, dirac_pairing, energy, laplacian,
-                    normal_derivative, potential_from_values)
+from resbdy import (IntegerLatticeGenerator, Potential, build_finite, energy,
+                    potential_from_values, window_laplacian)
 from resbdy.energy import (SubgraphView, edge_ends, flow_laplacian,
                            window_edges)
-from resbdy.errors import (DomainMismatch, InvalidParameters,
-                           MissingNeighborValue, NotBoundaryVertex)
+from resbdy.errors import DomainMismatch, InvalidParameters
 from resbdy.solver import solve_dipole_level
-from tests.conftest import random_edge_list
+from tests.conftest import csr_laplacian, random_edge_list
 
 
 def _exact_laplacian(window, w):
@@ -22,10 +21,30 @@ def _exact_laplacian(window, w):
     return flow_laplacian(a, b, c * (w[a] - w[b]), len(w))
 
 
+def _dirac(net, x, window=None):
+    """The Dirac mass at x as a float64 Potential."""
+    return potential_from_values(net, (np.arange(net.n) == x).astype(float),
+                                 window=window)
+
+
+def _laplacian_at(u, x):
+    """u's window Laplacian at vertex x, as float64."""
+    return float(window_laplacian(u)[u.window.index(x)])
+
+
+def _restrict(v, H):
+    """v on a window H inside its own: its values there and, when it
+    carries them, its currents on the edges of H. The window Laplacian of
+    the restriction is dn v on bd H."""
+    w = v.w[v.window.index(H.vertices)]
+    i = None if v.i is None else v.i[v.window.edge_index[H.edge_mask]]
+    return Potential(H, w, i=i)
+
+
 def test_energy_of_dirac_is_total_conductance(triangle, star4):
     for net in (triangle, star4):
         for x in range(net.n):
-            d = delta(net, x)
+            d = _dirac(net, x)
             assert energy(d, d) == pytest.approx(net.c_of[x], rel=1e-12)
 
 
@@ -41,25 +60,25 @@ def test_energy_path_ramp(path3):
 
 def test_laplacian_constant_zero(triangle):
     u = potential_from_values(triangle, [5.0, 5.0, 5.0])
-    for x in range(3):
-        assert laplacian(u, x) == 0.0
+    assert window_laplacian(u).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_laplacian_path_midpoint(path3):
     u = potential_from_values(path3, [0.0, 1.0, 2.0])
-    assert laplacian(u, 1) == pytest.approx(0.0, abs=1e-15)
+    assert _laplacian_at(u, 1) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_laplacian_of_dirac_at_origin(triangle):
-    d = delta(triangle, 0)
-    assert laplacian(d, 0) == pytest.approx(triangle.c_of[0], rel=1e-14)
+    d = _dirac(triangle, 0)
+    assert _laplacian_at(d, 0) == pytest.approx(triangle.c_of[0], rel=1e-14)
 
 
 def test_dirac_pairing_matches_laplacian_on_examples(path3):
+    # energy(delta_x, u) = (Lap u)(x) by summation by parts
     u = potential_from_values(path3, [0.0, 1.0, 2.0])
-    assert dirac_pairing(u, 1) == pytest.approx(0.0, abs=1e-15)
+    assert energy(_dirac(path3, 1), u) == pytest.approx(0.0, abs=1e-15)
     c = potential_from_values(path3, [7.0, 7.0, 7.0])
-    assert dirac_pairing(c, 1) == 0.0
+    assert energy(_dirac(path3, 1), c) == 0.0
 
 
 @given(st.integers(min_value=2, max_value=20), st.integers(min_value=0, max_value=2 ** 31))
@@ -67,9 +86,10 @@ def test_dirac_pairing_is_laplacian(n, seed):
     rng = np.random.default_rng(seed)
     net = build_finite(random_edge_list(rng, n))
     u = potential_from_values(net, rng.standard_normal(net.n))
+    laps = window_laplacian(u)
     for x in range(net.n):
-        lap = laplacian(u, x)
-        pair = dirac_pairing(u, x)
+        lap = laps[x]
+        pair = energy(_dirac(net, x), u)
         assert abs(pair - lap) <= 1e-12 * max(1.0, abs(lap))
 
 
@@ -90,20 +110,20 @@ def test_energy_bilinear_symmetric_cauchy_schwarz(n, seed):
 
 
 def test_normal_derivative_whole_network_has_no_boundary(path3):
+    # no vertex is on bd H, so the window Laplacian is Lap u everywhere
     H = path3.full_view()
     assert len(H.bd) == 0
     u = potential_from_values(path3, [0.0, 1.0, 2.0])
-    for x in range(3):
-        with pytest.raises(NotBoundaryVertex):
-            normal_derivative(u, H, x)
+    want = csr_laplacian(path3) @ u.w
+    assert window_laplacian(u).tolist() == want.tolist() == [-1.0, 0.0, 1.0]
 
 
 def test_normal_derivative_path_subgraph(path3):
     H = SubgraphView(path3, [0, 1])
     u = potential_from_values(path3, [0.0, 1.0, 2.0])
-    assert normal_derivative(u, H, 1) == pytest.approx(1.0)
+    assert _laplacian_at(_restrict(u, H), 1) == pytest.approx(1.0)
     c = potential_from_values(path3, [4.0, 4.0, 4.0])
-    assert normal_derivative(c, H, 1) == 0.0
+    assert _laplacian_at(_restrict(c, H), 1) == 0.0
 
 
 def test_normal_derivative_interior_equals_laplacian(grid44):
@@ -112,12 +132,13 @@ def test_normal_derivative_interior_equals_laplacian(grid44):
     u = potential_from_values(grid44, rng.standard_normal(16))
     # interior vertex of a strict subgraph: drop one corner to create boundary
     H2 = SubgraphView(grid44, list(range(15)))
+    lap = window_laplacian(_restrict(u, H2))
     for x in H2.interior:
         row = grid44.adjacency[int(x)]
         inner = sum(
             c * (u.at(x) - u.at(y))
             for y, c in zip(row.indices, row.data))
-        assert inner == pytest.approx(laplacian(u, int(x)), rel=1e-12, abs=1e-12)
+        assert inner == pytest.approx(lap[H2.index(x)], rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("values", [{0: 0.0, 1: 1.0, 2: 2.0}, [0.0, 1.0],
@@ -158,14 +179,15 @@ def test_normal_derivative_raises_on_a_read_outside_the_window():
     net = build_finite([(i, i + 1, 1) for i in range(9)])
     v = solve_dipole_level(net.ball_view(3), 2)
     with pytest.raises(DomainMismatch):
-        normal_derivative(v, net.ball_view(4), 4)
+        _restrict(v, net.ball_view(4))
 
 
 @pytest.mark.parametrize("at", [3, -1])
 def test_laplacian_of_a_vertex_off_the_network_is_a_domain_mismatch(path3, at):
+    # -1 must not wrap round to the last position
     u = potential_from_values(path3, [0.0, 1.0, 2.0])
     with pytest.raises(DomainMismatch):
-        laplacian(u, at)
+        _laplacian_at(u, at)
 
 
 @pytest.mark.parametrize("at", [3, -1])
@@ -173,22 +195,27 @@ def test_normal_derivative_at_a_vertex_off_the_network_is_a_domain_mismatch(path
     H = SubgraphView(path3, [0, 1])
     u = potential_from_values(path3, [0.0, 1.0, 2.0])
     with pytest.raises(DomainMismatch):
-        normal_derivative(u, H, at)
+        _laplacian_at(_restrict(u, H), at)
 
 
 def test_missing_neighbor_on_frontier():
+    # the frontier vertex's outside neighbour is not materialized, so it is
+    # on bd H of every window, where the window Laplacian is dn u
     from resbdy import GeometricHalfLineGenerator
     net = GeometricHalfLineGenerator(2).ball(3)
     u = potential_from_values(net, [0.0, 1.0, 1.0, 1.0])
-    with pytest.raises(MissingNeighborValue):
-        laplacian(u, 3)  # frontier vertex: outside neighbor not materialized
+    assert u.window.bd.tolist() == [3]
+    assert not u.window.is_interior(3)
 
 
 def test_laplacian_with_a_neighbor_outside_the_window_is_missing(path3):
-    # vertex 1 is in the window {0, 1}, its neighbour 2 is not
+    # vertex 1 is in the window {0, 1}, its neighbour 2 is not: 1 is on the
+    # window's boundary, where the window Laplacian is dn u(1) = 1, not the
+    # network's Lap u(1) = 0
     u = potential_from_values(path3, [0, 1, 2], window=SubgraphView(path3, [0, 1]))
-    with pytest.raises(MissingNeighborValue):
-        laplacian(u, 1)
+    assert u.window.bd.tolist() == [1]
+    assert _laplacian_at(u, 1) == 1.0
+    assert (csr_laplacian(path3) @ [0.0, 1.0, 2.0])[1] == 0.0
 
 
 def _ladder_dipole(R, **kw):
@@ -201,6 +228,12 @@ def _ladder_dipole(R, **kw):
     return v, ambient.ball_view(20), gen.x(20)
 
 
+def _laplacians_and_normal_derivatives(v, H, x20):
+    """Lap v at x_20, x_1 and o, and dn v at each vertex of bd H."""
+    dn = window_laplacian(_restrict(v, H))[H.index(H.bd)]
+    return [*(_laplacian_at(v, x) for x in (x20, 2, 0)), *map(float, dn)]
+
+
 @pytest.mark.parametrize("R", [40, 500])
 def test_laplacian_and_normal_derivative_read_the_currents(R, monkeypatch):
     # conductances up to 5^R, past the float range at R=500: c (v(x) - v(y))
@@ -208,37 +241,15 @@ def test_laplacian_and_normal_derivative_read_the_currents(R, monkeypatch):
     from resbdy import _hifi
     v, H, x20 = _ladder_dipole(R)
     assert v.i is not None
-    sums = [laplacian(v, x20), laplacian(v, 2), laplacian(v, 0),
-            *(normal_derivative(v, H, b) for b in H.bd.tolist())]
+    sums = _laplacians_and_normal_derivatives(v, H, x20)
     assert abs(sums[0]) <= 1e-45
     assert sums[1:3] == [1.0, -1.0]
     assert np.isfinite(sums).all()
     # each value is the one the whole computation gives at twice the digits
     monkeypatch.setattr(_hifi, "EDGE_SUM_DPS", 2 * _hifi.EDGE_SUM_DPS)
     v2, _, _ = _ladder_dipole(R)
-    ref = [laplacian(v2, x20), laplacian(v2, 2), laplacian(v2, 0),
-           *(normal_derivative(v2, H, b) for b in H.bd.tolist())]
+    ref = _laplacians_and_normal_derivatives(v2, H, x20)
     assert np.all(np.abs(np.subtract(sums, ref)) <= 1e-40 * np.abs(ref) + 1e-45)
-
-
-@pytest.mark.parametrize("lane", ["mp", "float64"])
-def test_laplacian_is_the_window_laplacian_bit_for_bit(lane):
-    # one vertex's sum reads its few edges from the incident-edge index and
-    # adds their currents as the window Laplacian adds them there: in edge
-    # order, out of the vertex at its first end and into it at its second
-    from resbdy import IntegerLatticeGenerator, LadderGenerator
-    from resbdy.energy import window_laplacian
-    gen, R = ((LadderGenerator(5, 1.0), 60) if lane == "mp"
-              else (IntegerLatticeGenerator(1), 300))
-    window = gen.ball(R + 1).ball_view(R)
-    v = solve_dipole_level(window, 1, lane=lane)
-    assert (v.i is not None) == (lane == "mp")
-    lap = window_laplacian(v)
-    inner = window.interior
-    got = np.array([laplacian(v, x) for x in inner.tolist()])
-    want = np.array([float(lap[p]) for p in window.index(inner)])
-    assert len(inner) == len(window.vertices) - 2
-    assert got.tobytes() == want.tobytes()
 
 
 def test_normal_derivative_of_an_exact_potential_is_exact():
@@ -247,8 +258,9 @@ def test_normal_derivative_of_an_exact_potential_is_exact():
     v, H, _ = _ladder_dipole(40, lane="fraction")
     at = v.window.index(H.vertices)
     lap = _exact_laplacian(H, v.w[at])
+    dn = window_laplacian(_restrict(v, H))
     for b in H.bd.tolist():
-        assert normal_derivative(v, H, b) == float(lap[H.index(b)])
+        assert float(dn[H.index(b)]) == float(lap[H.index(b)])
 
 
 def test_dirac_pairing_of_an_mp_potential_reads_its_currents():
@@ -260,7 +272,8 @@ def test_dirac_pairing_of_an_mp_potential_reads_its_currents():
     window = gen.ball(41).ball_view(40)
     u = solve_dipole_level(window, gen.x(1), lane="mp")
     for at in (gen.x(1), gen.x(20), window.net.origin):
-        assert abs(dirac_pairing(u, at) - laplacian(u, at)) <= 1e-12
+        pairing = energy(_dirac(window.net, at, window=window), u)
+        assert abs(pairing - _laplacian_at(u, at)) <= 1e-12
 
 
 def _edge_ends_by_map(window):

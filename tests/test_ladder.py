@@ -5,9 +5,9 @@ import pytest
 
 from resbdy import (LadderGenerator, du_bound_satisfied, du_upper_bounds,
                     harmonic_residuals, ladder_energy, ladder_harmonic,
-                    ladder_vs_halfline_transitions, royden_split,
-                    transition_probabilities)
+                    ladder_vs_halfline_transitions, royden_split)
 from resbdy.errors import InvalidParameters
+from tests.conftest import csr_laplacian, step_probabilities
 
 
 def test_seed_values():
@@ -45,8 +45,7 @@ def test_value_based_cross_check_on_short_prefix():
     lh = ladder_harmonic(5, 0.9, 12)
     net = LadderGenerator(5, 0.9).ball(11)
     vals = np.array([lh.value(v) for v in range(net.n)])
-    L = net.laplacian()
-    resid = L @ vals
+    resid = csr_laplacian(net) @ vals
     inner = [2 * n for n in range(9)] + [2 * n + 1 for n in range(9)]
     assert np.abs(resid[inner]).max() <= 1e-9
 
@@ -133,7 +132,7 @@ def test_transitions_match_network_walk_probabilities():
     gen = LadderGenerator(5, 0.9)
     net = gen.ball(6)
     t = ladder_vs_halfline_transitions(5, 0.9, 3)["ladder"]
-    nbrs, probs = transition_probabilities(net, gen.x(3))
+    nbrs, probs = step_probabilities(net.full_view(), gen.x(3))
     got = {int(v): float(p) for v, p in zip(nbrs, probs)}
     assert got[gen.x(2)] == pytest.approx(t["back"], rel=1e-12)
     assert got[gen.x(4)] == pytest.approx(t["forward"], rel=1e-12)

@@ -5,35 +5,35 @@ import pytest
 
 from resbdy import (GeometricHalfLineGenerator, IntegerLatticeGenerator,
                     LadderGenerator, SubgraphView, WalkConfig, build_finite,
-                    hitting_probability_mc, hitting_reference,
-                    transition_probabilities)
+                    hitting_probability_mc, hitting_reference)
 from resbdy.errors import InvalidParameters, IsolatedVertex
-from resbdy.walk import _slot_tables, _step
+from resbdy.walk import _slot_tables, _step, _step_weights
+from tests.conftest import csr_laplacian, step_probabilities
 
 
 def test_transition_probabilities_unit_path(path3):
-    nbrs, p = transition_probabilities(path3, 1)
+    nbrs, p = step_probabilities(path3.full_view(), 1)
     assert sorted(nbrs.tolist()) == [0, 2]
     assert np.allclose(p, [0.5, 0.5])
 
 
 def test_transition_probabilities_halfline():
     net = GeometricHalfLineGenerator(2).ball(4)
-    nbrs, p = transition_probabilities(net, 2)
+    nbrs, p = step_probabilities(net.full_view(), 2)
     got = dict(zip(nbrs.tolist(), p.tolist()))
     assert got[1] == pytest.approx(1.0 / 3.0)
     assert got[3] == pytest.approx(2.0 / 3.0)
 
 
 def test_transition_probabilities_leaf(path3):
-    nbrs, p = transition_probabilities(path3, 0)
+    nbrs, p = step_probabilities(path3.full_view(), 0)
     assert nbrs.tolist() == [1] and p.tolist() == [1.0]
 
 
 def test_transition_probabilities_sum_to_one():
     net = LadderGenerator(5, 0.9).ball(5)
     for x in range(net.n):
-        _, p = transition_probabilities(net, x)
+        _, p = step_probabilities(net.full_view(), x)
         assert p.sum() == pytest.approx(1.0, rel=1e-12)
 
 
@@ -58,7 +58,7 @@ def test_reference_matches_kernel_ratio(triangle):
     view = triangle.full_view()
     ref = hitting_reference(view, 2, 1, 0)
     # v_x(y)/R(o,x) with x=1, y=2: dense oracle
-    L = triangle.laplacian().toarray()
+    L = csr_laplacian(triangle).toarray()
     b = np.array([-1.0, 1.0, 0.0])
     sol = np.linalg.solve(L[1:, 1:], b[1:])
     v = np.concatenate([[0.0], sol])
@@ -105,12 +105,6 @@ def test_max_steps_reports_unabsorbed(path5):
     assert est.unabsorbed > 0
     assert est.biased
     assert "excluded" in est.to_dict()["bias_note"]
-
-
-def test_unmaterialized_vertex_raises():
-    net = build_finite([(0, 1, 1)])
-    with pytest.raises(IsolatedVertex):
-        transition_probabilities(net, 2)
 
 
 @pytest.mark.parametrize("absorber", [None, 2])
@@ -213,7 +207,11 @@ def test_walks_on_a_window_whose_float_mirror_overflows():
         warnings.simplefilter("error")
         est = hitting_probability_mc(view, gen.x(445), gen.x(450), None,
                                      WalkConfig(trials=2000, seed=1))
-        nbrs, p = transition_probabilities(net, gen.x(445))
+        # the step weights at x_445: its exact conductances over the largest
+        x = gen.x(445)
+        edges = np.flatnonzero((net.ei == x) | (net.ej == x))
+        w = _step_weights(net, np.zeros(len(edges), dtype=np.int64), edges)
+    nbrs, p = net.ei[edges] + net.ej[edges] - x, w / w.sum()
     ref = hitting_reference(view, gen.x(445), gen.x(450))
     assert est.unabsorbed == 0
     assert abs(est.estimate - ref) <= 4 * max(est.stderr, 1e-12)
