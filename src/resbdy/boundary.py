@@ -82,23 +82,19 @@ class GaussGreenReport:
         }
 
 
-def gauss_green_verify(u: Potential, v: Potential, radii=None):
+def gauss_green_verify(u: Potential, v: Potential, radii):
     """Decompose <u, v> into interior and boundary sums over an exhaustion.
 
-    Level r is ``u.net.ball_view(r)``, the ball of radius r of the
-    potentials' own network, which must lie inside their window; by default
-    ``radii`` are those of every such ball. The report carries, per level,
-    the interior sum over int G_k of u Lap v, the boundary sum of u dn v,
-    their total, the window energy (equal to the total up to roundoff: that
-    is the split identity), and the deviation from the full-window energy.
+    Level r, for each r in ``radii``, is ``u.net.ball_view(r)``, the ball
+    of radius r of the potentials' own network, which must lie inside their
+    window. The report carries, per level, the interior sum over int G_k of
+    u Lap v, the boundary sum of u dn v, their total, the window energy
+    (equal to the total up to roundoff: that is the split identity), and the
+    deviation from the full-window energy.
     Every sum runs over the potentials' ``edge_currents``, in their field,
     as ``energy`` does: a ball's edges are some of the window's, picked by
     the window's ``edge_index``.
     """
-    if radii is None:
-        # the balls below the lowest level that the window leaves out
-        top = np.min(u.net.level[~u.window.mask], initial=u.net.level.max() + 1)
-        radii = range(1, int(top))
     target = energy(u, v)
     rep = GaussGreenReport(target=target)
     # each window edge's current of v and energy term, formed once
@@ -211,9 +207,15 @@ def _last_quarter(series):
 class ProbeEvidence:
     probe: str
     gaps: list
-    final_gap: float
-    max_gap_last_quarter: float
     stabilized: bool
+
+    @property
+    def final_gap(self):
+        return float(self.gaps[-1])
+
+    @property
+    def max_gap_last_quarter(self):
+        return float(_last_quarter(self.gaps)[1])
 
     def to_dict(self):
         return {
@@ -270,10 +272,7 @@ def path_equivalence(p1: PathToInfinity, p2: PathToInfinity, probes,
         final = gaps[-1]
         _, top, spread = _last_quarter(gaps)
         stabilized = spread <= max(path_tol, 0.05 * max(final, 1e-300))
-        ev = ProbeEvidence(probe=name, gaps=gaps,
-                           final_gap=float(final),
-                           max_gap_last_quarter=float(top),
-                           stabilized=bool(stabilized))
+        ev = ProbeEvidence(probe=name, gaps=gaps, stabilized=bool(stabilized))
         evidences.append(ev)
         if stabilized and final > separation_tol and separated_by is None:
             separated_by = name

@@ -283,12 +283,12 @@ def cmd_gauss_green(args, src):
 
 
 def cmd_boundary_sum(args, src):
-    if isinstance(src, LadderGenerator):
-        u_values = ladder_harmonic(src.alpha, src.beta,
-                                   max(args.levels + 2, 8)).value
-    elif args.u_kernel is not None:
+    if args.u_kernel is not None:
         u_values = royden_split(src, args.u_kernel, levels=args.levels,
                                 tol=args.tol, lane=args.lane).h.value
+    elif isinstance(src, LadderGenerator):
+        u_values = ladder_harmonic(src.alpha, src.beta,
+                                   max(args.levels + 2, 8)).value
     else:
         raise UsageError("need --u-kernel for non-ladder networks")
     rep = bdy.boundary_sum_harmonic(src, u_values, args.x, levels=args.levels,
@@ -308,7 +308,7 @@ def cmd_paths(args, src):
         raise UsageError("--probe-radius must reach past the horizon")
     probes = []
     for label, x in (("h_x1", src.x(1)), ("h_x2", src.x(2))):
-        split = royden_split(src, x, levels=min(args.levels, 30), tol=args.tol,
+        split = royden_split(src, x, levels=args.levels, tol=args.tol,
                              lane=args.lane, final_radius=probe_radius)
         probes.append((label, split.h))
     deep = src.ball(probe_radius + 1).ball_view(probe_radius)
@@ -385,8 +385,9 @@ def cmd_ladder(args, _):
     if args.alpha > 4 * args.beta ** 2:
         report["du_bound_holds"] = du_bound_satisfied(lh)[0]
     if args.csv:
+        total = en.total_partial
         rows = [(n, float(lh.u[n]), float(lh.du[n]) if n < lh.n_max else "",
-                 float(en.total_partial[n]) if n < lh.n_max else "")
+                 float(total[n]) if n < lh.n_max else "")
                 for n in range(lh.n_max + 1)]
         _write_csv(args.csv, ["n", "u", "du", "partial_energy"], rows)
         report["csv"] = args.csv

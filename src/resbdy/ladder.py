@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidParameters
 from .network import _finite
-from .solver import Check, ConvergenceReport
+from .solver import ConvergenceReport
 
 
 @dataclass
@@ -96,16 +96,25 @@ def harmonic_residuals(lh: LadderHarmonic) -> np.ndarray:
 @dataclass
 class LadderEnergy:
     rail_partial: np.ndarray     # one rail, alpha^{n+1} du(n)^2 cumulative
-    rails_partial: np.ndarray    # both rails
     rung_partial: np.ndarray     # beta^n su(n)^2 cumulative
-    total_partial: np.ndarray
-    converged: bool
-    tol: float
-    check: Check                 # the partial totals' stopping rule
+    report: ConvergenceReport    # the partial totals' stopping rule
+
+    @property
+    def rails_partial(self):
+        """Both rails."""
+        return 2.0 * self.rail_partial
+
+    @property
+    def total_partial(self):
+        return 2.0 * self.rail_partial + self.rung_partial
 
     @property
     def total(self):
         return float(self.total_partial[-1])
+
+    @property
+    def check(self):
+        return self.report.check
 
     def to_dict(self):
         return {
@@ -113,8 +122,8 @@ class LadderEnergy:
             "both_rails": float(self.rails_partial[-1]),
             "rungs": float(self.rung_partial[-1]),
             "total": self.total,
-            "converged": self.converged,
-            "tol": self.tol,
+            "converged": self.report.converged,
+            "tol": self.report.tol,
         }
 
 
@@ -130,16 +139,13 @@ def ladder_energy(lh: LadderHarmonic, tol=1e-8) -> LadderEnergy:
     rail_terms = a ** (n + 1) * lh.du ** 2
     m = np.arange(N + 1, dtype=np.float64)
     rung_terms = b ** m * lh.sigma ** 2
-    rail = np.cumsum(rail_terms)
-    rung = np.cumsum(rung_terms)[: N]
-    total = 2.0 * rail + rung
-    report = ConvergenceReport(quantity="ladder_energy", tol=tol)
-    for n, value in enumerate(total.tolist()):
-        report.record(n, n + 1, value)
-    converged = report.assess()
-    return LadderEnergy(rail_partial=rail, rails_partial=2.0 * rail,
-                        rung_partial=rung, total_partial=total,
-                        converged=converged, tol=tol, check=report.check)
+    en = LadderEnergy(rail_partial=np.cumsum(rail_terms),
+                      rung_partial=np.cumsum(rung_terms)[: N],
+                      report=ConvergenceReport(quantity="ladder_energy", tol=tol))
+    for n, value in enumerate(en.total_partial.tolist()):
+        en.report.record(n, n + 1, value)
+    en.report.assess()
+    return en
 
 
 def du_upper_bounds(lh: LadderHarmonic) -> np.ndarray:

@@ -39,8 +39,10 @@ currents over c, dK = c dK / c; in mp the currents are the solves' own,
 right relative to themselves however large c is. The Laplacian check reads
 the carried c dQ. In every product of an mpf with an array, the array stands
 on the left: an mpf on the left makes mpmath format the whole array before
-numpy takes over. The public matrices are float64; the deviations of the
-identity checks are evaluated in the construction field, at its precision.
+numpy takes over. An OnbSystem keeps eps, M, E, V and the eps_j's currents
+once, in the construction field; its M, E and V attributes are float64
+copies formed on each read. The deviations of the identity checks are
+evaluated in the construction field, at its precision.
 
 Every matrix-vector and dot product, in the construction and in the checks,
 is ``energy._product``: in mp each entry is formed exactly and rounded once
@@ -75,26 +77,49 @@ ORTH_TOL = 1e-9
 
 @dataclass
 class OnbSystem:
-    net: object
+    """An orthonormal system, kept in the construction field."""
+
     window: object
     enumeration: list          # x_1..x_N vertex ids
-    M: np.ndarray              # lower triangular, positive diagonal
-    E: np.ndarray              # M^{-1}, lower triangular
-    V: np.ndarray              # Gram matrix of the kernels
-    eps: np.ndarray            # (n_vertices, N), pinned ONB vectors
     orth_dev: float
-    pivot_min: float
-    field: str                 # "float64" or "mp"
-    _work: tuple = None        # (eps, M, E, V) in the construction field
-    _flows: np.ndarray = None  # c d(eps): the eps_j's edge currents, likewise
+    _Q: np.ndarray             # (n_window, N), pinned ONB vectors eps_j
+    _M: np.ndarray             # lower triangular, positive diagonal
+    _E: np.ndarray             # M^{-1}, lower triangular
+    _V: np.ndarray             # Gram matrix of the kernels
+    _flows: np.ndarray         # c d(eps): the eps_j's edge currents
+
+    @property
+    def net(self):
+        return self.window.net
+
+    @property
+    def field(self):
+        return "mp" if self._Q.dtype == object else "float64"
 
     @property
     def N(self):
         return len(self.enumeration)
 
+    @property
+    def M(self):
+        return self._M.astype(float)
+
+    @property
+    def E(self):
+        return self._E.astype(float)
+
+    @property
+    def V(self):
+        return self._V.astype(float)
+
+    @property
+    def pivot_min(self):
+        """The least Gram-Schmidt pivot, E's least diagonal entry."""
+        return float(min(self._E.diagonal()))
+
     def eps_potential(self, k):
         """eps_k as a Potential (1-indexed), in the construction field."""
-        return Potential(self.window, self._work[0][:, k - 1],
+        return Potential(self.window, self._Q[:, k - 1],
                          i=self._flows[:, k - 1])
 
     # the two evaluation routes of the identity checks, formed once per system
@@ -112,7 +137,7 @@ class OnbSystem:
     def _evaluation_entries(self):
         """eps_j(x_i) - eps_j(o) for j <= i, zero above the diagonal
         (construction field)."""
-        return np.tril(self._work[0][self.window.index(self.enumeration), :])
+        return np.tril(self._Q[self.window.index(self.enumeration), :])
 
 
 def _sqrt(x):
@@ -134,7 +159,7 @@ def gram_schmidt(kernels, enumeration):
         raise InvalidParameters("need at least one kernel")
     if len(kernels) != len(enumeration):
         raise DimensionMismatch("one enumeration vertex per kernel")
-    net, window = kernels[0].net, kernels[0].window
+    window = kernels[0].window
     c, a, b, cur = edge_currents(window, *kernels)
     hi = c.dtype == object
     K = np.stack([k.w.astype(c.dtype, copy=False) for k in kernels], axis=1)
@@ -152,7 +177,6 @@ def gram_schmidt(kernels, enumeration):
     zero = field_of(K)(0)
     Q, dQ, cdQ = (np.full_like(A, zero) for A in (K, dK, dK))
     V, E, M, G = (np.full((N, N), zero, dtype=K.dtype) for _ in range(4))
-    pivot_min = np.inf
     for n in range(N):
         # both Gram matrices are symmetric: one column of each per step
         V[n, :n + 1] = V[:n + 1, n] = _product(cdK[:, :n + 1].T, dK[:, n])
@@ -181,18 +205,13 @@ def gram_schmidt(kernels, enumeration):
         if float(piv) < DEGENERACY_TOL:
             raise GramDegenerate(
                 f"pivot {float(piv):.3e} below degeneracy tol {DEGENERACY_TOL:.1e}")
-        pivot_min = min(pivot_min, piv)
         E[n, :n], E[n, n] = e, piv
         # forward recurrence for M = E^{-1}
         M[n, :n + 1] = (np.eye(1, n + 1, n, dtype=K.dtype)[0]
                         - _product(E[n, :n], M[:n, :n + 1])) / piv
     orth = np.max(np.abs(np.triu(G - np.eye(N))))
-    return OnbSystem(net=net, window=window, enumeration=list(map(int, enumeration)),
-                     M=M.astype(float), E=E.astype(float), V=V.astype(float),
-                     eps=Q.astype(float), orth_dev=float(orth),
-                     pivot_min=float(pivot_min),
-                     field="mp" if hi else "float64",
-                     _work=(Q, M, E, V), _flows=cdQ)
+    return OnbSystem(window=window, enumeration=list(map(int, enumeration)),
+                     orth_dev=float(orth), _Q=Q, _M=M, _E=E, _V=V, _flows=cdQ)
 
 
 def build_onb(source, N, radius=None, lane="mp"):
@@ -257,21 +276,20 @@ def entries_M_via_laplacian(onb: OnbSystem):
     """
     lap = onb._laplacian_entries
     low = np.tril_indices(onb.N)  # both vanish above the diagonal
-    return lap.astype(float), _max_dev(lap[low], onb._work[1][low])
+    return lap.astype(float), _max_dev(lap[low], onb._M[low])
 
 
 def entries_E_via_evaluation(onb: OnbSystem):
     """Matrix eps_j(x_i) - eps_j(o); equals M^{-1}. Returns (matrix, max dev)."""
     ev = onb._evaluation_entries
     low = np.tril_indices(onb.N)  # both vanish above the diagonal
-    return ev.astype(float), _max_dev(ev[low], onb._work[2][low])
+    return ev.astype(float), _max_dev(ev[low], onb._E[low])
 
 
 def gram_product_check(onb: OnbSystem):
     """Max |(E E^T - V)_{ij}|, E from the construction, V from edge sums."""
-    _, _, E, V = onb._work
     # both sides are symmetric
-    return _lower_dev(E, E.T, V)
+    return _lower_dev(onb._E, onb._E.T, onb._V)
 
 
 def kronecker_sum_check(onb: OnbSystem):
@@ -291,7 +309,7 @@ def reconstruction_check(onb: OnbSystem):
     Reconstructs each kernel from evaluation coefficients and measures the
     energy norm of the difference against the kernel recovered from E.
     """
-    E, flows = onb._work[2], onb._flows
+    E, flows = onb._E, onb._flows
     ev = onb._evaluation_entries
     c, _, _ = window_edges(onb.window, field_of(flows))
     worst = 0.0

@@ -49,7 +49,7 @@ decided or its schedule has run out.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse as sp
@@ -281,24 +281,44 @@ def check(name, value, bound=None, passed=None):
                  bool(passed if bound is None else value <= bound))
 
 
+# each stopping rule and the outcome it decides: True for a converged limit,
+# False for a diverged one
+STOPPING_RULES = {"saturated": True, "three-deltas-below-tol": True,
+                  "identical-vertices": True,
+                  "threshold-with-increasing-trend": False,
+                  "finite-network-no-monopole": False}
+
+
 @dataclass
 class ConvergenceReport:
-    """Per-level telemetry of an exhaustion limit."""
+    """Per-level telemetry of an exhaustion limit, decided by its stopping
+    rule ("" while undecided)."""
 
     quantity: str
     tol: float
     radii: list = dc_field(default_factory=list)
     sizes: list = dc_field(default_factory=list)
     values: list = dc_field(default_factory=list)
-    deltas: list = dc_field(default_factory=list)
-    converged: bool = False
-    diverged: bool = False
     stopping_rule: str = ""
     extra: dict = dc_field(default_factory=dict)
 
     @property
+    def converged(self):
+        return STOPPING_RULES.get(self.stopping_rule) is True
+
+    @property
+    def diverged(self):
+        return STOPPING_RULES.get(self.stopping_rule) is False
+
+    @property
     def inconclusive(self):
-        return not (self.converged or self.diverged)
+        return self.stopping_rule not in STOPPING_RULES
+
+    @property
+    def deltas(self):
+        """The relative change of each value from the one before it."""
+        return [abs(cur - prev) / max(abs(cur), 1e-300)
+                for prev, cur in zip(self.values, self.values[1:])]
 
     @property
     def check(self):
@@ -310,42 +330,25 @@ class ConvergenceReport:
         self.radii.append(int(radius))
         self.sizes.append(int(size))
         self.values.append(float(value))
-        if len(self.values) >= 2:
-            prev, cur = self.values[-2], self.values[-1]
-            denom = max(abs(cur), 1e-300)
-            self.deltas.append(abs(cur - prev) / denom)
 
     def assess(self, saturated=False, divergence_threshold=None):
+        """Set the stopping rule that decides the limit now, if one does, on
+        an undecided report; whether the limit is decided."""
+        deltas = self.deltas
         if saturated:
-            self.converged = True
             self.stopping_rule = "saturated"
-            return True
-        if len(self.deltas) >= 3 and all(d < self.tol for d in self.deltas[-3:]):
-            self.converged = True
+        elif len(deltas) >= 3 and all(d < self.tol for d in deltas[-3:]):
             self.stopping_rule = "three-deltas-below-tol"
-            return True
-        if (divergence_threshold is not None and len(self.values) >= 3
+        elif (divergence_threshold is not None and len(self.values) >= 3
                 and self.values[-1] > divergence_threshold
                 and self.values[-3] < self.values[-2] < self.values[-1]):
-            self.diverged = True
             self.stopping_rule = "threshold-with-increasing-trend"
-            return True
-        return False
+        return not self.inconclusive
 
     def to_dict(self):
-        return {
-            "quantity": self.quantity,
-            "tol": self.tol,
-            "radii": self.radii,
-            "sizes": self.sizes,
-            "values": self.values,
-            "relative_deltas": self.deltas,
-            "converged": self.converged,
-            "diverged": self.diverged,
-            "inconclusive": self.inconclusive,
-            "stopping_rule": self.stopping_rule,
-            "extra": self.extra,
-        }
+        return {**asdict(self), "relative_deltas": self.deltas,
+                "converged": self.converged, "diverged": self.diverged,
+                "inconclusive": self.inconclusive}
 
 
 def _limit(exhaustion, x, reports, record, rhs=None, charges=(), lane="auto",
@@ -381,7 +384,6 @@ def _limit(exhaustion, x, reports, record, rhs=None, charges=(), lane="auto",
                 continue
             waiting.discard(bc)
             if unbalanced and whole and report.inconclusive:
-                report.diverged = True
                 report.stopping_rule = "finite-network-no-monopole"
             if report is None or report.inconclusive:
                 pot = solve_dipole_level(view, x, bc=bc, rhs=rhs, lane=lane)
@@ -442,7 +444,6 @@ def effective_resistance(source, x, y=None, bc="free", exhaustion=None,
            else default_exhaustion(source, levels))
     report = ConvergenceReport(quantity=f"resistance({x},{y}, bc={bc})", tol=tol)
     if x == y:
-        report.converged = True
         report.stopping_rule = "identical-vertices"
         report.values = [0.0]
 
@@ -464,7 +465,12 @@ def effective_resistance(source, x, y=None, bc="free", exhaustion=None,
 class MonopoleResult:
     potential: Potential
     report: ConvergenceReport
-    transient: object  # True, False, or None for inconclusive
+
+    @property
+    def transient(self):
+        """True when the energies converged, False when they diverged, None
+        for inconclusive: the outcome of the report's stopping rule."""
+        return STOPPING_RULES.get(self.report.stopping_rule)
 
 
 def monopole(source, x=None, levels=22, tol=1e-8, divergence_threshold=1e6,
@@ -490,8 +496,7 @@ def monopole(source, x=None, levels=22, tol=1e-8, divergence_threshold=1e6,
 
     pot = _limit(exhaustion, x, {"wired": report}, record, rhs={x: 1},
                  lane=lane, divergence_threshold=divergence_threshold).get("wired")
-    transient = True if report.converged else (False if report.diverged else None)
-    return MonopoleResult(potential=pot, report=report, transient=transient)
+    return MonopoleResult(potential=pot, report=report)
 
 
 def exhaustion_independence(source, x, tol=1e-8, levels=24):

@@ -72,9 +72,12 @@ class HittingEstimate:
     estimate: float
     stderr: float
     trials: int
-    absorbed: int
     unabsorbed: int
     reference: float = None
+
+    @property
+    def absorbed(self):
+        return self.trials - self.unabsorbed
 
     @property
     def biased(self):
@@ -159,9 +162,9 @@ def hitting_probability_mc(view, start, target, absorber=None, config=None):
         if v not in view:
             raise InvalidParameters(f"vertex {v} is outside the window")
     if start == target:
-        return HittingEstimate(1.0, 0.0, config.trials, config.trials, 0)
+        return HittingEstimate(1.0, 0.0, config.trials, 0)
     if start == absorber:
-        return HittingEstimate(0.0, 0.0, config.trials, config.trials, 0)
+        return HittingEstimate(0.0, 0.0, config.trials, 0)
 
     nbr, cum, deg = _slot_tables(view)
     s, t, o = view.index([start, target, absorber]).tolist()
@@ -184,10 +187,10 @@ def hitting_probability_mc(view, start, target, absorber=None, config=None):
     unabsorbed = len(cur)
     absorbed = config.trials - unabsorbed
     if absorbed == 0:
-        return HittingEstimate(np.nan, np.nan, config.trials, 0, unabsorbed)
+        return HittingEstimate(np.nan, np.nan, config.trials, unabsorbed)
     p = success / absorbed
     stderr = float(np.sqrt(p * (1.0 - p) / absorbed))
-    return HittingEstimate(float(p), stderr, config.trials, absorbed, unabsorbed)
+    return HittingEstimate(float(p), stderr, config.trials, unabsorbed)
 
 
 def hitting_reference(view, start, target, absorber=None):

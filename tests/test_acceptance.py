@@ -140,7 +140,7 @@ def test_criterion_05_ladder_recursion():
     assert np.abs(res).max() <= 1e-9
     assert np.all(lh.du > 0)
     en = ladder_energy(lh, tol=1e-8)
-    assert en.converged
+    assert en.report.converged
     ok, first_bad = du_bound_satisfied(lh)
     assert ok, f"bound first violated at n={first_bad}"
     elapsed = time.time() - t0

@@ -31,18 +31,18 @@ def test_finite_gauss_green_full_sum(triangle, path5, grid44, rng):
 def test_per_level_split_identity(grid44, rng):
     u = potential_from_values(grid44, rng.standard_normal(16), pinned=True)
     v = potential_from_values(grid44, rng.standard_normal(16), pinned=True)
-    rep = gauss_green_verify(u, v)
+    rep = gauss_green_verify(u, v, range(1, int(grid44.level.max()) + 1))
     assert rep.split_identity_dev <= 1e-10
     # the deepest level covers the whole network: boundary part empty
     assert rep.boundary[-1] == 0.0
     assert rep.totals[-1] == pytest.approx(energy(u, v), abs=1e-10)
 
 
-def test_default_levels_are_the_balls_inside_a_driver_window():
-    # a driver's potential lives on ball_view(6) of ball(7): the default
-    # schedule stops at the last ball inside that window
+def test_every_ball_inside_a_driver_window_splits():
+    # a driver's potential lives on ball_view(6) of ball(7): balls 1 to 6
+    # lie inside that window
     v, _ = energy_kernel(LadderGenerator(5, 0.9), 2, levels=6)
-    rep = gauss_green_verify(v, v)
+    rep = gauss_green_verify(v, v, range(1, 7))
     assert rep.radii == [1, 2, 3, 4, 5, 6]
     assert rep.split_identity_dev <= 1e-12 * abs(rep.target)
 
@@ -262,7 +262,7 @@ def test_boundary_sum_rejects_a_vertex_outside_every_level(x):
 def test_nan_split_identity_is_kept(triangle):
     u = potential_from_values(triangle, [0.0, 1.0, float("nan")], pinned=True)
     v = potential_from_values(triangle, [0.0, 1.0, 2.0], pinned=True)
-    rep = gauss_green_verify(u, v)
+    rep = gauss_green_verify(u, v, range(1, int(triangle.level.max()) + 1))
     assert np.isnan(rep.split_identity_dev)
 
 

@@ -64,8 +64,8 @@ MAKERS = {
         replace(build_onb(t, 2), orth_dev=NAN))[1][1],
     "wiener": lambda mp, t: replace(
         minlos_check(np.ones(2), sample_ensemble(2, 100, 1)),
-        abs_error=NAN).check,
-    "walk": lambda mp, t: HittingEstimate(NAN, NAN, 10, 0, 10,
+        estimate=NAN).check,
+    "walk": lambda mp, t: HittingEstimate(NAN, NAN, 10, 10,
                                           reference=0.5).check,
     "ladder-energy": lambda mp, t: _nan_ladder_energy(),
 }

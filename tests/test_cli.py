@@ -9,6 +9,7 @@ import textwrap
 import pytest
 
 import resbdy
+from resbdy import LadderGenerator, royden_split
 from resbdy.cli import main
 from resbdy.ladder import ladder_energy, ladder_harmonic
 
@@ -234,6 +235,19 @@ def test_paths_command_ladder(capsys):
     assert doc["report"]["equivalence"]["verdict"] == "separated"
 
 
+def test_paths_gives_the_splits_its_level_budget(monkeypatch, capsys):
+    split, budgets = resbdy.cli.royden_split, []
+
+    def recorded(*args, levels, **kwargs):
+        budgets.append(levels)
+        return split(*args, levels=levels, **kwargs)
+    monkeypatch.setattr(resbdy.cli, "royden_split", recorded)
+    code, doc = run_cli(["paths", *LADDER_09, "--horizon", "24",
+                         "--levels", "36"], capsys)
+    assert code == 0 and doc["config"]["levels"] == 36
+    assert budgets == [36, 36]
+
+
 def test_console_entry_point():
     out = subprocess.run([sys.executable, "-m", "resbdy.cli", "resist",
                           "--network", TRIANGLE, "--x", "1"],
@@ -257,6 +271,17 @@ def test_boundary_sum_command_ladder(capsys):
                          "--beta", "0.9", "--x", "2", "--levels", "12"], capsys)
     assert code == 0
     assert doc["report"]["final_deviation"] <= 1e-3
+
+
+@pytest.mark.parametrize("beta", ["0.9", "1"])
+def test_boundary_sum_on_the_ladder_reads_the_u_kernel(beta, capsys):
+    # the ladder function is u only without --u-kernel; ladder(5, 1) has none
+    code, doc = run_cli(["boundary-sum", "--network", "ladder", "--alpha", "5",
+                         "--beta", beta, "--x", "2", "--levels", "6",
+                         "--u-kernel", "4"], capsys)
+    h = royden_split(LadderGenerator(5, float(beta)), 4, levels=6).h
+    assert code == 0 and doc["config"]["u_kernel"] == 4
+    assert doc["report"]["target"] == h.value(2) - h.value(0)
 
 
 def test_wiener_resistance_command(capsys):

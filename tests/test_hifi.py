@@ -424,8 +424,9 @@ def test_mp_precision_is_not_leaked():
     def onb_run():
         onb = build_onb(gen, 6)
         assert onb.field == "mp" and type(onb._flows[0, 0]) is mpf
-        return [_bits((*onb._work, onb._flows, onb.M, onb.E, onb.orth_dev,
-                       onb.pivot_min)), *(_bits(check(onb)) for check in checks)]
+        return [_bits((onb._Q, onb._M, onb._E, onb._V, onb._flows, onb.M,
+                       onb.E, onb.orth_dev, onb.pivot_min)),
+                *(_bits(check(onb)) for check in checks)]
     a, b = _at_caller_precisions(onb_run)
     assert a == b
 

@@ -63,7 +63,7 @@ def test_energy_partial_sums_converge_when_condition_holds():
     lh = ladder_harmonic(5, 0.9, 400)
     en = ladder_energy(lh, tol=1e-8)
     assert 5.0 > 4 * 0.9 ** 2  # the sufficient condition
-    assert en.converged
+    assert en.report.converged
     assert en.total > 0
     # one-rail display stays below the grand total
     assert en.rail_partial[-1] < en.total
@@ -72,7 +72,7 @@ def test_energy_partial_sums_converge_when_condition_holds():
 def test_energy_inconclusive_when_convergence_is_slow():
     lh = ladder_harmonic(1.1, 0.999, 120)
     en = ladder_energy(lh, tol=1e-8)
-    assert not en.converged
+    assert not en.report.converged
 
 
 def test_exact_recursion_matches_float():

@@ -50,7 +50,7 @@ def test_gauss_green_split_identity_random(n, seed):
     net = build_finite(random_edge_list(rng, n))
     u = potential_from_values(net, rng.standard_normal(net.n), pinned=True)
     v = potential_from_values(net, rng.standard_normal(net.n), pinned=True)
-    rep = gauss_green_verify(u, v)
+    rep = gauss_green_verify(u, v, range(1, int(net.level.max()) + 1))
     assert rep.split_identity_dev <= 1e-9 * (1 + abs(rep.target))
 
 

@@ -44,12 +44,14 @@ def test_transform_linear_per_sample(rng):
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-def test_a_short_coefficient_vector_is_padded_with_zeros():
+def test_a_short_coefficient_vector_is_rejected():
     ens = sample_ensemble(4, 200, seed=3)
-    short, full = np.array([0.5, -1.0]), np.array([0.5, -1.0, 0.0, 0.0])
-    assert np.array_equal(wiener_transform(short, ens),
-                          wiener_transform(full, ens))
-    assert minlos_check(short, ens).to_dict() == minlos_check(full, ens).to_dict()
+    short = np.array([0.5, -1.0])
+    for transform in (lambda u: wiener_transform(u, ens),
+                      lambda u: minlos_check(u, ens),
+                      lambda u: boundary_integral_check(u, 0.0, np.ones(4), ens)):
+        with pytest.raises(DimensionMismatch, match="length 2, not N=4"):
+            transform(short)
 
 
 def test_transform_dimension_mismatch():
